@@ -10,6 +10,7 @@ joint entropies have a closed form.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
 from .units import from_nats
@@ -162,6 +162,12 @@ class JointDistribution:
     def support_size(self) -> int:
         return len(self.mass)
 
+    @functools.cached_property
+    def _support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support as an (S, V) int64 array and its masses, in ``mass`` order."""
+        outcomes = np.array(list(self.mass), dtype=np.int64).reshape(-1, self.num_variables)
+        return outcomes, np.fromiter(self.mass.values(), dtype=float, count=len(self.mass))
+
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -249,6 +255,84 @@ def entropy(dist: JointDistribution) -> float:
     return from_nats(entropy_nats(dist))
 
 
+def subset_entropies_nats(source, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """Joint entropies, in nats, of each row of an (m, k) array of sorted subsets.
+
+    ``source`` is a JointDistribution or a GaussianModel. Returns the entropies
+    and a boolean array marking Gaussian subsets whose entropy needed the
+    diagonal regularization (all False for discrete sources). Each value
+    equals the per-subset ``entropy_nats(marginalize(...))`` or
+    ``gaussian_entropy_nats`` result, with the same floating-point operations.
+    """
+    s = np.asarray(subsets, dtype=np.int64)
+    if s.ndim != 2 or s.shape[1] < 1:
+        raise ValidationError(f"subsets must form a non-empty (m, k) array, got shape {s.shape}")
+    if s.size and (np.any(np.diff(s, axis=1) <= 0) or s.min() < 0
+                   or s.max() >= source.num_variables):
+        raise ValidationError(
+            f"subsets must be strictly increasing within [0, {source.num_variables})"
+        )
+    if isinstance(source, JointDistribution):
+        return _discrete_entropies_nats(source, s), np.zeros(len(s), dtype=bool)
+    if isinstance(source, GaussianModel):
+        return _gaussian_entropies_nats(source, s)
+    raise ValidationError(
+        f"expected JointDistribution or GaussianModel, got {type(source).__name__}"
+    )
+
+
+def _discrete_entropies_nats(dist: JointDistribution, subsets: np.ndarray) -> np.ndarray:
+    outcomes, masses = dist._support_arrays
+    values = np.empty(len(subsets))
+    for row, s in enumerate(subsets.tolist()):
+        columns = outcomes[:, s]
+        sizes = [dist.alphabet_sizes[i] for i in s]
+        if math.prod(sizes) <= np.iinfo(np.intp).max:
+            _, groups = np.unique(np.ravel_multi_index(columns.T, sizes), return_inverse=True)
+        else:  # mixed-radix keys would overflow: group whole rows instead
+            _, groups = np.unique(columns, axis=0, return_inverse=True)
+        # bincount adds masses in support order, as the dict loop in
+        # ``marginalize`` does, and math.log matches ``entropy_nats`` bit for
+        # bit where np.log may differ in the last place.
+        marginal = np.bincount(groups.reshape(-1), weights=masses).tolist()
+        values[row] = -math.fsum(p * math.log(p) for p in marginal)
+    return values
+
+
+def _gaussian_entropies_nats(
+    model: GaussianModel, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    k = subsets.shape[1]
+    sub = model.correlation_matrix[subsets[:, :, None], subsets[:, None, :]]
+    sign, logdet = np.linalg.slogdet(sub + model.regularization * np.eye(k))
+    bad = (sign <= 0) | ~np.isfinite(logdet)
+    if bad.any():
+        s = tuple(subsets[np.argmax(bad)].tolist())
+        raise NumericalError(
+            f"regularized correlation submatrix for {s} is not positive definite"
+        )
+    raw_sign, raw_logdet = np.linalg.slogdet(sub)
+    regularized = (
+        (raw_sign <= 0) | ~np.isfinite(raw_logdet) | (np.abs(logdet - raw_logdet) > 1e-6)
+    )
+    return 0.5 * (k * _LOG_TWO_PI_E + logdet), regularized
+
+
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of their ranks.
+
+    Equal to ``scipy.stats.rankdata(values, method="average")``.
+    """
+    x = np.asarray(values)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     """Fit a Gaussian copula: rank-transform columns, correlate the scores.
 
@@ -263,7 +347,7 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     for name, col in zip(table.variable_names, table.columns):
         if np.ptp(col) == 0.0:
             raise EstimationError(f"column {name!r} is constant; rank transform undefined")
-        scores.append(ndtri(rankdata(col, method="average") / (T + 1)))
+        scores.append(ndtri(average_ranks(col) / (T + 1)))
     Z = np.column_stack(scores)
     R = np.corrcoef(Z, rowvar=False)
     R = np.atleast_2d(R)

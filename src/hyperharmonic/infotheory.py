@@ -1,10 +1,13 @@
-"""Scalar information measures over variable subsets.
+"""Information measures over variable subsets, computed on whole levels.
 
 All measures are built from joint entropies of subsets, served by an
-``EntropyOracle`` that memoizes them (the sweeps over all subsets of a fixed
-size share most of their marginals). Total correlation, dual total
-correlation and mutual information are clamped to zero when they undershoot
-by floating-point noise; the signed measures are never clamped.
+``EntropyOracle`` that holds one table per subset size k: the entropies of all
+k-subsets in ``enumerate_simplices`` order, filled in one vectorized batch the
+first time a level is needed. ``measure_values`` evaluates a measure on a block
+of subsets as array operations over these tables; the scalar measures are the
+same computation on one row. Total correlation, dual total correlation and
+mutual information are clamped to zero when they undershoot by floating-point
+noise; the signed measures are never clamped.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import distribution as dist_mod
 from .errors import ValidationError
-from .simplices import enumerate_simplices, simplex_label
+from .simplices import enumerate_simplices, simplex_label, simplex_rank, simplex_ranks
 from .units import from_nats
 
 NEGATIVE_NOISE_TOLERANCE = 1e-10
@@ -37,29 +40,43 @@ class EntropyOracle:
     """Maps sorted variable-index subsets to joint entropies.
 
     Backed either by marginalization of a sparse ``JointDistribution`` or by
-    the closed Gaussian form of a ``GaussianModel``. Results are cached in
-    nats under a lock, so concurrent subset queries are safe; the cache is
-    bounded by the 2**(N+1) possible subsets. ``regularized_subsets`` records
-    Gaussian subsets whose entropy needed the diagonal regularization.
+    the closed Gaussian form of a ``GaussianModel``. ``table(k)`` holds the
+    entropies in nats of all k-subsets; each level is filled once, under a
+    lock, so threads may share an oracle. Storage is bounded by the 2**V - 1
+    non-empty subsets. ``regularized_subsets`` records the Gaussian subsets of
+    the filled levels whose entropy needed the diagonal regularization.
     """
 
     def __init__(self, source):
-        if isinstance(source, dist_mod.JointDistribution):
-            self._entropy_nats = self._discrete_entropy
-        elif isinstance(source, dist_mod.GaussianModel):
-            self._entropy_nats = self._gaussian_entropy
-        else:
+        if not isinstance(source, (dist_mod.JointDistribution, dist_mod.GaussianModel)):
             raise ValidationError(
                 f"expected JointDistribution or GaussianModel, got {type(source).__name__}"
             )
         self.source = source
         self.regularized_subsets: set[tuple[int, ...]] = set()
-        self._cache: dict[tuple[int, ...], float] = {}
+        self._levels: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
     @property
     def num_variables(self) -> int:
         return self.source.num_variables
+
+    def table(self, k: int) -> np.ndarray:
+        """Read-only entropies (nats) of all k-subsets in lexicographic order."""
+        level = self._levels.get(k)
+        if level is not None:
+            return level
+        if not 1 <= k <= self.num_variables:
+            raise ValidationError(f"subset size {k} out of range [1, {self.num_variables}]")
+        with self._lock:
+            level = self._levels.get(k)
+            if level is None:
+                subsets = np.array(enumerate_simplices(self.num_variables - 1, k - 1))
+                level, regularized = dist_mod.subset_entropies_nats(self.source, subsets)
+                level.flags.writeable = False
+                self.regularized_subsets.update(map(tuple, subsets[regularized].tolist()))
+                self._levels[k] = level
+        return level
 
     def entropy(self, subset) -> float:
         """Joint entropy of the subset, in the configured unit; H(empty) = 0."""
@@ -68,32 +85,15 @@ class EntropyOracle:
             return 0.0
         if len(set(key)) != len(key):
             raise ValidationError(f"subset {key} contains duplicate indices")
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is None:
-            cached = self._entropy_nats(key)
-            with self._lock:
-                self._cache[key] = cached
-        return from_nats(cached)
-
-    def _discrete_entropy(self, key: tuple[int, ...]) -> float:
-        return dist_mod.entropy_nats(dist_mod.marginalize(self.source, key))
-
-    def _gaussian_entropy(self, key: tuple[int, ...]) -> float:
-        value, needed = dist_mod.gaussian_entropy_nats(self.source, key)
-        if needed:
-            with self._lock:
-                self.regularized_subsets.add(key)
-        return value
+        rank = simplex_rank(key, self.num_variables - 1)
+        return from_nats(float(self.table(len(key))[rank]))
 
 
-def _clamp(value: float) -> float:
-    if -NEGATIVE_NOISE_TOLERANCE < value < 0.0:
-        return 0.0
-    return value
+def _clamp(values: np.ndarray) -> np.ndarray:
+    return np.where((-NEGATIVE_NOISE_TOLERANCE < values) & (values < 0.0), 0.0, values)
 
 
-def _checked_subset(oracle: EntropyOracle, subset, minimum: int) -> tuple[int, ...]:
+def _checked_subset(oracle: EntropyOracle, subset, minimum: int) -> np.ndarray:
     s = tuple(sorted(int(i) for i in subset))
     if len(set(s)) != len(s):
         raise ValidationError(f"subset {s} contains duplicate indices")
@@ -101,41 +101,82 @@ def _checked_subset(oracle: EntropyOracle, subset, minimum: int) -> tuple[int, .
         raise ValidationError(f"need at least {minimum} variables, got {len(s)}")
     if s and (s[0] < 0 or s[-1] >= oracle.num_variables):
         raise ValidationError(f"subset {s} out of range")
-    return s
+    return np.array([s])
+
+
+def measure_values(oracle: EntropyOracle, subsets: np.ndarray, kind: MeasureKind) -> np.ndarray:
+    """The measure on each row of an (m, k) array of sorted subsets, k >= 2.
+
+    Rows must hold distinct variable indices in increasing order; they are
+    not validated.
+
+    TC(s) = sum_i H(i) - H(s) and DTC(s) = H(s) - sum_i (H(s) - H(s minus i)),
+    both clamped; O = TC - DTC and S = TC + DTC. Interaction information is
+    -sum (-1)^|g| H(g) over the non-empty g in s, which reduces to mutual
+    information for two variables; its sign convention is kept as implemented
+    here, other texts differ. Sums run left to right in subset order and each
+    entropy is converted to the unit before it is combined, so a value is
+    reproducible bit for bit.
+    """
+    kind = MeasureKind(kind)
+    m, k = subsets.shape
+    N = oracle.num_variables - 1
+
+    def entropies(columns) -> np.ndarray:
+        block = subsets[:, columns]
+        return from_nats(oracle.table(len(columns))[simplex_ranks(block, N)])
+
+    if kind is MeasureKind.INTERACTION_INFORMATION:
+        total = np.zeros(m)
+        for size in range(1, k + 1):
+            sign = -1.0 if size % 2 == 0 else 1.0
+            for gamma in itertools.combinations(range(k), size):
+                total = total + sign * entropies(list(gamma))
+        return total
+
+    joint = entropies(list(range(k)))
+    if kind is not MeasureKind.DTC:
+        singles = from_nats(oracle.table(1)[subsets])
+        marginal_sum = np.zeros(m)
+        for i in range(k):
+            marginal_sum = marginal_sum + singles[:, i]
+        tc = _clamp(marginal_sum - joint)
+        if kind is MeasureKind.TC:
+            return tc
+    residual = np.zeros(m)
+    for i in range(k):
+        residual = residual + (joint - entropies([j for j in range(k) if j != i]))
+    dtc = _clamp(joint - residual)
+    if kind is MeasureKind.DTC:
+        return dtc
+    return tc - dtc if kind is MeasureKind.O_INFORMATION else tc + dtc
 
 
 def mutual_information(oracle: EntropyOracle, i: int, j: int) -> float:
     """I(X_i; X_j) = H(i) + H(j) - H(i, j), clamped at zero."""
     if i == j:
         raise ValidationError("mutual information needs two distinct variables")
-    s = _checked_subset(oracle, (i, j), 2)
-    return _clamp(oracle.entropy(s[:1]) + oracle.entropy(s[1:]) - oracle.entropy(s))
+    return total_correlation(oracle, (i, j))
 
 
 def total_correlation(oracle: EntropyOracle, subset) -> float:
     """Sum of marginal entropies minus the joint entropy; zero iff independent."""
-    s = _checked_subset(oracle, subset, 2)
-    return _clamp(sum(oracle.entropy((i,)) for i in s) - oracle.entropy(s))
+    return _measure_one(oracle, subset, MeasureKind.TC)
 
 
 def dual_total_correlation(oracle: EntropyOracle, subset) -> float:
     """Joint entropy minus the sum of conditional entropies of each variable."""
-    s = _checked_subset(oracle, subset, 2)
-    joint = oracle.entropy(s)
-    residual = sum(joint - oracle.entropy(tuple(x for x in s if x != i)) for i in s)
-    return _clamp(joint - residual)
+    return _measure_one(oracle, subset, MeasureKind.DTC)
 
 
 def o_information(oracle: EntropyOracle, subset) -> float:
     """TC minus DTC. Negative values mark synergy dominance, positive redundancy."""
-    s = _checked_subset(oracle, subset, 3)
-    return total_correlation(oracle, s) - dual_total_correlation(oracle, s)
+    return _measure_one(oracle, subset, MeasureKind.O_INFORMATION)
 
 
 def s_information(oracle: EntropyOracle, subset) -> float:
     """TC plus DTC: the overall interdependency strength of the subset."""
-    s = _checked_subset(oracle, subset, 2)
-    return total_correlation(oracle, s) + dual_total_correlation(oracle, s)
+    return _measure_one(oracle, subset, MeasureKind.S_INFORMATION)
 
 
 def interaction_information(oracle: EntropyOracle, subset) -> float:
@@ -145,27 +186,16 @@ def interaction_information(oracle: EntropyOracle, subset) -> float:
     kept exactly as implemented here; other texts differ and no reconciliation
     is attempted.
     """
-    s = _checked_subset(oracle, subset, 2)
-    total = 0.0
-    for size in range(1, len(s) + 1):
-        sign = -1.0 if size % 2 == 0 else 1.0
-        for gamma in itertools.combinations(s, size):
-            total += sign * oracle.entropy(gamma)
-    return total
+    return _measure_one(oracle, subset, MeasureKind.INTERACTION_INFORMATION)
 
 
-_MEASURES = {
-    MeasureKind.TC: (total_correlation, 1),
-    MeasureKind.DTC: (dual_total_correlation, 1),
-    MeasureKind.O_INFORMATION: (o_information, 2),
-    MeasureKind.S_INFORMATION: (s_information, 1),
-    MeasureKind.INTERACTION_INFORMATION: (interaction_information, 1),
-}
+def _min_size(kind: MeasureKind) -> int:
+    return 3 if kind is MeasureKind.O_INFORMATION else 2
 
 
-def evaluate_measure(oracle: EntropyOracle, subset, kind: MeasureKind) -> float:
-    fn, _ = _MEASURES[MeasureKind(kind)]
-    return fn(oracle, subset)
+def _measure_one(oracle: EntropyOracle, subset, kind: MeasureKind) -> float:
+    s = _checked_subset(oracle, subset, _min_size(kind))
+    return float(measure_values(oracle, s, kind)[0])
 
 
 def signal_sweep(oracle: EntropyOracle, N: int, n: int, kind: MeasureKind) -> np.ndarray:
@@ -175,10 +205,10 @@ def signal_sweep(oracle: EntropyOracle, N: int, n: int, kind: MeasureKind) -> np
         raise ValidationError(
             f"oracle covers {oracle.num_variables} variables, expected {N + 1}"
         )
-    fn, min_dim = _MEASURES[kind]
+    min_dim = _min_size(kind) - 1
     if not min_dim <= n <= N:
         raise ValidationError(f"dimension n={n} out of range [{min_dim}, {N}] for {kind.value}")
-    return np.array([fn(oracle, s) for s in enumerate_simplices(N, n)])
+    return measure_values(oracle, np.array(enumerate_simplices(N, n)), kind)
 
 
 def sweep_to_csv(path, N: int, n: int, values: np.ndarray) -> None:

@@ -10,6 +10,7 @@ every other module.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,14 +61,35 @@ def validate_simplex(simplex: Simplex, N: int) -> Simplex:
 def simplex_rank(simplex: Simplex, N: int) -> int:
     """Position of a simplex in the lexicographic enumeration of its dimension."""
     s = validate_simplex(simplex, N)
-    k = len(s)
-    rank = 0
-    prev = -1
-    for i, v in enumerate(s):
-        for skipped in range(prev + 1, v):
-            rank += math.comb(N - skipped, k - 1 - i)
-        prev = v
-    return rank
+    return int(simplex_ranks(np.array([s]), N)[0])
+
+
+def simplex_ranks(simplices, N: int) -> np.ndarray:
+    """``simplex_rank`` of each row of an (m, k) array of sorted simplices.
+
+    Uses the combinatorial number system: with n = N + 1 vertices, the
+    lexicographic rank of c_0 < ... < c_{k-1} is
+    C(n, k) - 1 - sum_i C(n - 1 - c_i, k - i). Rows are not validated.
+    """
+    s = np.asarray(simplices, dtype=np.int64)
+    k = s.shape[1]
+    binomials = _binomial_table(N + 1, k)
+    return math.comb(N + 1, k) - 1 - binomials[N - s, np.arange(k, 0, -1)].sum(axis=1)
+
+
+@functools.cache
+def _binomial_table(n: int, k: int) -> np.ndarray:
+    """Read-only table of C(a, b) for 0 <= a < n, 0 <= b <= k.
+
+    Holds Python integers once a coefficient no longer fits in int64, so
+    ranks stay exact for any N.
+    """
+    rows = [[math.comb(a, b) for b in range(k + 1)] for a in range(n)]
+    largest = max(math.comb(n, k), *map(max, rows))
+    dtype = np.int64 if largest <= np.iinfo(np.int64).max else object
+    table = np.array(rows, dtype=dtype)
+    table.flags.writeable = False
+    return table
 
 
 def simplex_unrank(rank: int, N: int, n: int) -> Simplex:
@@ -266,9 +288,13 @@ def similarity_matrix(source, metric: SimilarityMetric) -> np.ndarray:
     k = source.num_variables
     out = np.zeros((k, k))
     if metric is SimilarityMetric.MUTUAL_INFORMATION:
-        oracle = infotheory.EntropyOracle(source)
-        for i, j in itertools.combinations(range(k), 2):
-            out[i, j] = out[j, i] = infotheory.mutual_information(oracle, i, j)
+        if k > 1:
+            pairs = np.array(list(itertools.combinations(range(k), 2)))
+            # The mutual information of a pair is its total correlation.
+            mi = infotheory.measure_values(
+                infotheory.EntropyOracle(source), pairs, infotheory.MeasureKind.TC
+            )
+            out[pairs[:, 0], pairs[:, 1]] = out[pairs[:, 1], pairs[:, 0]] = mi
         return out
     if metric is SimilarityMetric.ABS_PEARSON:
         if isinstance(source, dist_mod.GaussianModel):

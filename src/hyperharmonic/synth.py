@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import ContinuousSeriesTable, copula_gaussian_fit
-from .errors import ValidationError
+from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind
 from .seeding import as_rng, derive_rng
 from .simplices import (
@@ -179,7 +179,7 @@ def rank_experiment(
                             _cev_curve(to_fourier(signal, basis).coefficients)
                         )
                 regularized[(rank, rep)] = len(oracle.regularized_subsets)
-            except Exception as exc:
+            except (ValidationError, NumericalError, CapacityError) as exc:
                 raise type(exc)(f"rank {rank}, replicate {rep}: {exc}") from exc
 
     mean_cev, ci_low, ci_high = {}, {}, {}

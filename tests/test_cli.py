@@ -290,6 +290,26 @@ class TestConsoleScript:
         assert (out / "manifest.json").exists()
 
 
+class TestImports:
+    def test_cli_import_does_not_load_scipy_stats(self):
+        import subprocess
+        import sys
+
+        import hyperharmonic
+
+        src = os.path.dirname(os.path.dirname(hyperharmonic.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hyperharmonic.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestControlSynth:
     def test_quick_mode_outputs(self, tmp_path):
         out = tmp_path / "ctrl"

@@ -19,6 +19,7 @@ from hyperharmonic import (
     read_continuous_csv,
     read_discrete_csv,
 )
+from hyperharmonic.distribution import average_ranks
 from hyperharmonic.units import set_entropy_units
 
 from conftest import dense_to_distribution, random_pmf, xor_triple
@@ -200,6 +201,29 @@ class TestCopulaFit:
             )
         )
         assert np.max(np.abs(base.correlation_matrix - warped.correlation_matrix)) <= 1e-12
+
+
+class TestAverageRanks:
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_rankdata_on_continuous_values(self, values):
+        from scipy.stats import rankdata
+
+        x = np.array(values)
+        assert average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_rankdata_with_ties(self, values):
+        from scipy.stats import rankdata
+
+        x = np.array(values, dtype=float)
+        assert average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    def test_small_arrays(self):
+        assert average_ranks(np.array([5.0])).tolist() == [1.0]
+        assert average_ranks(np.array([2.0, 2.0])).tolist() == [1.5, 1.5]
+        assert average_ranks(np.array([3.0, 1.0, 3.0, 2.0])).tolist() == [3.5, 1.0, 3.5, 2.0]
 
 
 class TestGaussianEntropy:

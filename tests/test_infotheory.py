@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperharmonic import (
     EntropyOracle,
     GaussianModel,
+    JointDistribution,
     MeasureKind,
     ValidationError,
     dual_total_correlation,
@@ -18,6 +21,7 @@ from hyperharmonic import (
     signal_sweep,
     total_correlation,
 )
+from hyperharmonic.distribution import entropy_nats, gaussian_entropy_nats, marginalize
 from hyperharmonic.infotheory import sweep_to_csv, sweep_to_json
 
 import bruteforce as bf
@@ -54,7 +58,49 @@ class TestOracle:
             for s in itertools.combinations(range(3), size):
                 oracle.entropy(s)
                 oracle.entropy(s)
-        assert len(oracle._cache) == 7
+        assert sum(len(level) for level in oracle._levels.values()) == 7
+
+    def test_each_level_is_filled_once_under_contention(self, monkeypatch):
+        import sys
+        import threading
+        import time
+
+        from hyperharmonic import distribution
+
+        filled = []
+        batched = distribution.subset_entropies_nats
+
+        def counting(source, subsets):
+            filled.append(subsets.shape[1])
+            time.sleep(0.01)  # widen the window in which a second fill could start
+            return batched(source, subsets)
+
+        monkeypatch.setattr(distribution, "subset_entropies_nats", counting)
+        dist, _ = random_pmf(np.random.default_rng(5), (2, 3, 2, 2, 3))
+        oracle = EntropyOracle(dist)
+        seen = [[] for _ in range(16)]
+        start = threading.Barrier(len(seen), timeout=60)
+
+        def worker(out):
+            start.wait()
+            for k in range(1, 6):
+                out.append(oracle.table(k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(out,)) for out in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(filled) == [1, 2, 3, 4, 5]
+        for out in seen:
+            assert len(out) == 5
+            assert all(a is b for a, b in zip(out, seen[0]))
 
     def test_rejects_duplicates(self):
         dist, _ = xor_triple()
@@ -95,6 +141,67 @@ class TestOracle:
             results = [f.result() for f in futures]
         for got in results:
             assert np.array_equal(got, serial)
+
+
+def random_correlation(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
+    """Correlation matrix of a random covariance of the given rank."""
+    M = rng.standard_normal((size, rank))
+    C = M @ M.T
+    d = np.sqrt(np.diag(C))
+    R = C / np.outer(d, d)
+    R = (R + R.T) / 2.0
+    np.fill_diagonal(R, 1.0)
+    return R
+
+
+class TestEntropyTable:
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(st.integers(2, 4), min_size=2, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_discrete_levels_match_marginalize(self, seed, shape):
+        dist, dense = random_pmf(np.random.default_rng(seed), tuple(shape))
+        oracle = EntropyOracle(dist)
+        V = len(shape)
+        for k in range(1, V + 1):
+            table = oracle.table(k)
+            subsets = enumerate_simplices(V - 1, k - 1)
+            assert table.shape == (len(subsets),)
+            for value, s in zip(table, subsets):
+                assert abs(value - entropy_nats(marginalize(dist, s))) <= 1e-12
+                assert abs(value / math.log(2) - bf.subset_entropy_bits(dense, s)) <= 1e-10
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_gaussian_levels_match_per_subset(self, seed, size, data):
+        rank = data.draw(st.integers(1, size))
+        model = GaussianModel(
+            correlation_matrix=random_correlation(np.random.default_rng(seed), size, rank)
+        )
+        oracle = EntropyOracle(model)
+        flagged = set()
+        for k in range(1, size + 1):
+            table = oracle.table(k)
+            for value, s in zip(table, enumerate_simplices(size - 1, k - 1)):
+                expected, needed = gaussian_entropy_nats(model, s)
+                assert abs(value - expected) <= 1e-12
+                if needed:
+                    flagged.add(s)
+        assert oracle.regularized_subsets == flagged
+
+    def test_wide_alphabets_do_not_overflow_keys(self):
+        # Mixed-radix keys over all three variables would need 66 bits; in
+        # int64 arithmetic the first two outcomes would share a key.
+        sizes = (2**22,) * 3
+        mass = {(0, 0, 0): 0.5, (2**20, 0, 0): 0.25, (0, 2**21, 1): 0.25}
+        dist = JointDistribution(num_variables=3, alphabet_sizes=sizes, mass=mass)
+        oracle = EntropyOracle(dist)
+        assert oracle.table(3)[0] == entropy_nats(dist)
+        assert oracle.table(3)[0] == pytest.approx(1.5 * math.log(2), abs=1e-15)
+        for k in (1, 2):
+            for value, s in zip(oracle.table(k), enumerate_simplices(2, k - 1)):
+                assert value == entropy_nats(marginalize(dist, s))
 
 
 class TestPinnedValues:

@@ -6,6 +6,7 @@ import pytest
 from hyperharmonic import (
     EntropyOracle,
     MeasureKind,
+    NumericalError,
     ValidationError,
     copula_gaussian_fit,
     random_rank_covariance,
@@ -13,6 +14,7 @@ from hyperharmonic import (
     sample_gaussian,
     total_correlation,
 )
+from hyperharmonic import synth
 from hyperharmonic.synth import RANK_TOLERANCE, RankedCovariance
 
 
@@ -140,6 +142,25 @@ class TestRankExperiment:
                 ranks=(2,), replicates=1, num_samples=2, base_seed=0,
                 size=4, dimensions=(2,),
             )
+
+    def test_package_error_tagged_and_type_kept(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("boom")
+
+        monkeypatch.setattr(synth, "sample_gaussian", fail)
+        with pytest.raises(NumericalError, match=r"^rank 2, replicate 0: boom$"):
+            rank_experiment(ranks=(2,), replicates=1, num_samples=50, size=4, dimensions=(2,))
+
+    def test_foreign_error_propagates_unchanged(self, monkeypatch):
+        original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        def fail(*args, **kwargs):
+            raise original
+
+        monkeypatch.setattr(synth, "sample_gaussian", fail)
+        with pytest.raises(UnicodeDecodeError) as excinfo:
+            rank_experiment(ranks=(2,), replicates=1, num_samples=50, size=4, dimensions=(2,))
+        assert excinfo.value is original
 
     def test_csv_and_manifest(self, tmp_path):
         result = rank_experiment(
