@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
 import os
@@ -36,6 +37,7 @@ EXIT_CAPACITY = 5
 OUTPUT_DIR_ENV = "HYPERHARMONIC_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "hyperharmonic_output"
 INCOMPLETE_MARKER = "INCOMPLETE"
+BASIS_FORMAT = 2
 
 
 @dataclass
@@ -142,8 +144,24 @@ def load_config_file(path) -> dict:
     return values
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temporary path beside ``path``; move it into place on success.
+
+    Readers then find either no file or a complete one, never a truncated one.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        yield tmp
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def write_json(path, payload) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -184,36 +202,75 @@ def _estimate_model(config: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 
-def basis_to_jsonable(basis: spectral.FourierBasis) -> dict:
+def basis_to_jsonable(basis: spectral.FourierBasis, eigenvectors: str) -> dict:
+    """Format-2 basis header; ``eigenvectors`` names the sibling ``.npy`` file."""
     return {
+        "format": BASIS_FORMAT,
         "dimension": basis.dimension,
         "eigenvalues": basis.eigenvalues.tolist(),
-        "forward": basis.forward.tolist(),
-        "inverse": basis.inverse.tolist(),
         "weights": basis.weights.tolist(),
         "diagnostics": basis.diagnostics.to_jsonable(),
+        "eigenvectors": eigenvectors,
     }
 
 
-def basis_from_jsonable(payload: dict) -> spectral.FourierBasis:
-    diag = payload["diagnostics"]
-    return spectral.FourierBasis(
-        dimension=int(payload["dimension"]),
-        eigenvalues=np.array(payload["eigenvalues"], dtype=float),
-        forward=np.array(payload["forward"], dtype=float),
-        inverse=np.array(payload["inverse"], dtype=float),
-        weights=np.array(payload["weights"], dtype=float),
-        diagnostics=spectral.SpectralDiagnostics(
-            self_adjointness=float(diag["self_adjointness"]),
-            diagonalization=float(diag["diagonalization"]),
-            orthonormality=float(diag["orthonormality"]),
-            inversion=float(diag["inversion"]),
-        ),
-    )
+def write_basis(path, basis: spectral.FourierBasis) -> None:
+    """Write Q to ``<stem>_eigenvectors.npy`` beside ``path``, then the header.
+
+    The matrix is in place before the header that names it, so a header never
+    points at a missing or partial matrix.
+    """
+    matrix_path = os.path.splitext(path)[0] + "_eigenvectors.npy"
+    with _replacing(matrix_path) as tmp, open(tmp, "wb") as fh:
+        np.save(fh, basis.eigenvectors, allow_pickle=False)
+    write_json(path, basis_to_jsonable(basis, os.path.basename(matrix_path)))
 
 
 def read_basis(path) -> spectral.FourierBasis:
-    return basis_from_jsonable(read_json(path))
+    """Load a format-2 header and the eigenvector matrix it names."""
+    payload = read_json(path)
+    if not isinstance(payload, dict) or "format" not in payload:
+        raise ValidationError(
+            f"{path}: not a format-{BASIS_FORMAT} basis (format-1 files held the forward and "
+            "inverse matrices inline); regenerate it with `hyperharmonic spectrum`"
+        )
+    if payload["format"] != BASIS_FORMAT:
+        raise ValidationError(
+            f"{path}: unknown basis format {payload['format']!r}, expected {BASIS_FORMAT}"
+        )
+    try:
+        name = payload["eigenvectors"]
+        eigenvalues = np.array(payload["eigenvalues"], dtype=float)
+        weights = np.array(payload["weights"], dtype=float)
+        diagnostics = spectral.SpectralDiagnostics(
+            **{key: float(value) for key, value in payload["diagnostics"].items()}
+        )
+        dimension = int(payload["dimension"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"{path}: malformed basis header: {exc!r}") from exc
+    if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ValidationError(f"{path}: eigenvectors must be a bare file name, got {name!r}")
+    d = weights.size
+    if weights.ndim != 1 or eigenvalues.shape != (d,):
+        raise ValidationError(
+            f"{path}: {eigenvalues.size} eigenvalues for {d} weights; expected one per weight"
+        )
+    with open(os.path.join(os.path.dirname(path), name), "rb") as fh:
+        try:
+            Q = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: unreadable eigenvector matrix {name}: {exc}") from exc
+    if Q.dtype != np.float64 or Q.shape != (d, d):
+        raise ValidationError(
+            f"{path}: eigenvector matrix {name} is {Q.dtype} {Q.shape}, expected float64 {(d, d)}"
+        )
+    return spectral.FourierBasis(
+        dimension=dimension,
+        eigenvalues=eigenvalues,
+        eigenvectors=Q,
+        weights=weights,
+        diagnostics=diagnostics,
+    )
 
 
 def _weights_payload(simplex: simplices.StructuralSimplex, similarity, config) -> dict:
@@ -339,7 +396,7 @@ def cmd_spectrum(args) -> int:
     for n in dims:
         operator = spectral.laplacian(simplex, n, formula=args.laplacian_formula)
         basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
-        write_json(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis_to_jsonable(basis))
+        write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis)
         _write_eigenvalues_csv(
             os.path.join(args.output_dir, f"eigenvalues_dim{n}.csv"), basis.eigenvalues
         )
@@ -492,7 +549,7 @@ def cmd_run(args) -> int:
         dim_dir = os.path.join(outdir, f"dim_{n}")
         os.makedirs(dim_dir, exist_ok=True)
         basis = res["basis"]
-        write_json(os.path.join(dim_dir, "basis.json"), basis_to_jsonable(basis))
+        write_basis(os.path.join(dim_dir, "basis.json"), basis)
         _write_eigenvalues_csv(os.path.join(dim_dir, "eigenvalues.csv"), basis.eigenvalues)
 
         diagnostics = basis.diagnostics.to_jsonable()

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
 from .units import from_nats
@@ -340,6 +339,8 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     standard-normal quantile function; the model is the sample correlation of
     the transformed columns. Depends on the data only through column orderings.
     """
+    from scipy.special import ndtri  # deferred: importing scipy.special is slow
+
     T = table.num_samples
     if T < 3:
         raise ValidationError(f"need at least 3 samples to fit a copula, got {T}")

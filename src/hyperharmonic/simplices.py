@@ -126,6 +126,7 @@ def parse_simplex_label(label: str) -> Simplex:
         raise ValidationError(f"malformed simplex label {label!r}") from exc
 
 
+@functools.lru_cache(maxsize=64)
 def boundary_matrix(N: int, n: int) -> sp.csr_matrix:
     """Signed incidence matrix of the n-boundary map in the canonical bases.
 
@@ -133,11 +134,14 @@ def boundary_matrix(N: int, n: int) -> sp.csr_matrix:
     n-simplices, both in lexicographic order. The column of a simplex carries
     (-1)**i at the row of the face obtained by dropping its i-th vertex. For
     n = 0 the map is the 1 x (N+1) zero matrix.
+
+    The matrix depends only on (N, n), so it is built once per pair and shared
+    by every caller; its arrays are read-only so that no caller can alter it.
     """
     _check_dimensions(N, n)
     cols = simplex_count(N, n)
     if n == 0:
-        return sp.csr_matrix((1, cols))
+        return _read_only_csr(sp.csr_matrix((1, cols)))
     face_rank = {s: i for i, s in enumerate(enumerate_simplices(N, n - 1))}
     rows_idx: list[int] = []
     cols_idx: list[int] = []
@@ -149,7 +153,13 @@ def boundary_matrix(N: int, n: int) -> sp.csr_matrix:
             cols_idx.append(j)
             vals.append(-1.0 if i % 2 else 1.0)
     shape = (len(face_rank), cols)
-    return sp.coo_matrix((vals, (rows_idx, cols_idx)), shape=shape).tocsr()
+    return _read_only_csr(sp.coo_matrix((vals, (rows_idx, cols_idx)), shape=shape).tocsr())
+
+
+def _read_only_csr(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
 
 
 def boundary_to_csv(path, matrix: sp.spmatrix) -> None:

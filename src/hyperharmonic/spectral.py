@@ -17,6 +17,7 @@ eigenvectors by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -99,19 +100,35 @@ class SpectralDiagnostics:
 
 @dataclass(frozen=True)
 class FourierBasis:
-    """Eigenvalues plus the forward/inverse change-of-basis matrices.
+    """Eigenvalues and the eigenvectors of the whitened operator W^(1/2) L W^(-1/2).
 
-    The columns of ``inverse`` are the eigenvectors, orthonormal for the
-    weighted inner product: inverse^T W inverse = I. ``forward @ inverse`` is
-    the identity, and ``forward @ L @ inverse`` is diagonal.
+    ``eigenvectors`` is the orthonormal matrix Q; the change-of-basis matrices
+    derive from it and the weights on first use. The columns of ``inverse`` are
+    the eigenvectors of L, orthonormal for the weighted inner product:
+    inverse^T W inverse = I. ``forward @ inverse`` is the identity, and
+    ``forward @ L @ inverse`` is diagonal.
     """
 
     dimension: int
     eigenvalues: np.ndarray
-    forward: np.ndarray
-    inverse: np.ndarray
+    eigenvectors: np.ndarray
     weights: np.ndarray
     diagnostics: SpectralDiagnostics
+
+    @functools.cached_property
+    def forward(self) -> np.ndarray:
+        """Q^T W^(1/2): canonical coefficients to Fourier coefficients (read-only)."""
+        return _read_only(self.eigenvectors.T * np.sqrt(self.weights)[None, :])
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """W^(-1/2) Q: Fourier coefficients back to canonical ones (read-only)."""
+        return _read_only(self.eigenvectors / np.sqrt(self.weights)[:, None])
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _check_spectral_dim(simplex: StructuralSimplex, n: int) -> int:
@@ -225,13 +242,14 @@ def fourier_basis(operator: LaplaceOperator, inner: WeightedInnerProduct) -> Fou
         )
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
 
+    # Flip each column whose first entry above 1e-12 of its largest magnitude
+    # is negative; negation is exact, so forward and inverse flip bit for bit.
     inverse = Q / root[:, None]
-    for j in range(inverse.shape[1]):
-        col = inverse[:, j]
-        nonzero = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        if nonzero.size and col[nonzero[0]] < 0:
-            Q[:, j] = -Q[:, j]
-            inverse[:, j] = -col
+    magnitude = np.abs(inverse)
+    lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
+    flip = inverse[lead, np.arange(w.size)] < 0
+    Q[:, flip] = -Q[:, flip]
+    inverse[:, flip] = -inverse[:, flip]
     forward = Q.T * root[None, :]
 
     diag = forward @ L @ inverse
@@ -248,8 +266,7 @@ def fourier_basis(operator: LaplaceOperator, inner: WeightedInnerProduct) -> Fou
     return FourierBasis(
         dimension=operator.dimension,
         eigenvalues=eigenvalues,
-        forward=forward,
-        inverse=inverse,
+        eigenvectors=Q,
         weights=w,
         diagnostics=diagnostics,
     )

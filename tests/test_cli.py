@@ -129,6 +129,157 @@ class TestStepCommands:
         assert code == EXIT_NUMERICAL
 
 
+def write_five_variable_csv(path):
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 3, size=(200, 5))
+    X[:, 2] = (X[:, 0] + X[:, 1]) % 3
+    rows = ["a,b,c,d,e"] + [",".join(map(str, row)) for row in X]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def tmp_files(root):
+    return [name for name in tree_bytes(root) if name.endswith(".tmp")]
+
+
+class TestBasisFormat:
+    @pytest.fixture
+    def spectrum(self, tmp_path):
+        """A dimension-2 basis (d = 10) written by ``spectrum``, plus a signal."""
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        dist = tmp_path / "dist.json"
+        weights = tmp_path / "weights.json"
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        assert main(["complex", "--distribution", str(dist), "--output", str(weights)]) == EXIT_OK
+        assert main([
+            "signals", "--distribution", str(dist), "--dimensions", "2",
+            "--measures", "o_information", "--output-dir", str(tmp_path / "signals"),
+        ]) == EXIT_OK
+        out = tmp_path / "spectrum"
+        assert main([
+            "spectrum", "--weights", str(weights), "--dimensions", "2",
+            "--output-dir", str(out),
+        ]) == EXIT_OK
+        return {
+            "weights": weights,
+            "basis": out / "basis_dim2.json",
+            "signal": tmp_path / "signals" / "signal_o_information_dim2.json",
+        }
+
+    def in_process_basis(self, weights_path):
+        from hyperharmonic import spectral
+        from hyperharmonic.cli import read_json, structural_simplex_from_payload
+
+        simplex = structural_simplex_from_payload(read_json(weights_path))
+        return spectral.fourier_basis(
+            spectral.laplacian(simplex, 2), spectral.weighted_inner_product(simplex, 2)
+        )
+
+    def test_header_names_sibling_matrix(self, spectrum):
+        header = json.loads(spectrum["basis"].read_text())
+        assert header["format"] == 2
+        assert header["eigenvectors"] == "basis_dim2_eigenvectors.npy"
+        assert "forward" not in header and "inverse" not in header
+        Q = np.load(spectrum["basis"].parent / header["eigenvectors"], allow_pickle=False)
+        assert Q.shape == (10, 10) and Q.dtype == np.float64
+        assert np.array_equal(Q, self.in_process_basis(spectrum["weights"]).eigenvectors)
+        assert tmp_files(spectrum["basis"].parent) == []
+
+    def test_transform_round_trip_matches_in_process(self, spectrum, tmp_path):
+        from hyperharmonic.transform import from_fourier, read_signal, to_fourier
+
+        hat, back = tmp_path / "hat.json", tmp_path / "back.json"
+        assert main([
+            "transform", "--signal", str(spectrum["signal"]), "--basis", str(spectrum["basis"]),
+            "--output", str(hat),
+        ]) == EXIT_OK
+        assert main([
+            "transform", "--signal", str(hat), "--basis", str(spectrum["basis"]),
+            "--inverse", "--output", str(back),
+        ]) == EXIT_OK
+        basis = self.in_process_basis(spectrum["weights"])
+        expected_hat = to_fourier(read_signal(spectrum["signal"]), basis)
+        expected_back = from_fourier(expected_hat, basis)
+        assert np.array_equal(read_signal(hat).coefficients, expected_hat.coefficients)
+        assert np.array_equal(read_signal(back).coefficients, expected_back.coefficients)
+
+    def test_control_random_matches_in_process(self, spectrum, tmp_path):
+        from hyperharmonic.transform import control_comparison, control_to_csv, read_signal
+
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert main([
+            "control-random", "--signal", str(spectrum["signal"]),
+            "--basis", str(spectrum["basis"]), "--num-random", "4", "--seed", "2",
+            "--output", str(got),
+        ]) == EXIT_OK
+        comparison = control_comparison(
+            read_signal(spectrum["signal"]), self.in_process_basis(spectrum["weights"]),
+            num_random=4, seed=2,
+        )
+        control_to_csv(want, comparison)
+        assert got.read_bytes() == want.read_bytes()
+
+    def transform_exit(self, spectrum, tmp_path):
+        return main([
+            "transform", "--signal", str(spectrum["signal"]), "--basis", str(spectrum["basis"]),
+            "--output", str(tmp_path / "hat.json"),
+        ])
+
+    def edit_header(self, spectrum, **changes):
+        header = json.loads(spectrum["basis"].read_text())
+        header.update(changes)
+        spectrum["basis"].write_text(json.dumps(header))
+        return header
+
+    def test_format_1_file_rejected(self, spectrum, tmp_path, capsys):
+        header = json.loads(spectrum["basis"].read_text())
+        Q = np.load(spectrum["basis"].parent / header["eigenvectors"])
+        legacy = {key: header[key] for key in ("dimension", "eigenvalues", "weights", "diagnostics")}
+        legacy["forward"] = Q.T.tolist()
+        legacy["inverse"] = Q.tolist()
+        spectrum["basis"].write_text(json.dumps(legacy))
+        assert self.transform_exit(spectrum, tmp_path) == EXIT_VALIDATION
+        assert "hyperharmonic spectrum" in capsys.readouterr().err
+
+    def test_unknown_format_rejected(self, spectrum, tmp_path):
+        self.edit_header(spectrum, format=3)
+        assert self.transform_exit(spectrum, tmp_path) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("name", [
+        os.path.join("sub", "basis_dim2_eigenvectors.npy"),
+        os.path.join("..", "spectrum", "basis_dim2_eigenvectors.npy"),
+        "..",
+        "",
+        7,
+    ])
+    def test_eigenvectors_must_be_bare_file_name(self, spectrum, tmp_path, name):
+        self.edit_header(spectrum, eigenvectors=name)
+        assert self.transform_exit(spectrum, tmp_path) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("matrix", [
+        np.zeros((10, 9)),
+        np.zeros((9, 9)),
+        np.zeros(100),
+        np.zeros((10, 10), dtype=np.float32),
+        np.array([[None] * 10] * 10, dtype=object),
+    ], ids=["10x9", "9x9", "flat", "float32", "object"])
+    def test_bad_matrix_rejected(self, spectrum, tmp_path, matrix):
+        header = json.loads(spectrum["basis"].read_text())
+        np.save(spectrum["basis"].parent / header["eigenvectors"], matrix, allow_pickle=True)
+        assert self.transform_exit(spectrum, tmp_path) == EXIT_VALIDATION
+
+    def test_truncated_matrix_rejected(self, spectrum, tmp_path):
+        header = json.loads(spectrum["basis"].read_text())
+        path = spectrum["basis"].parent / header["eigenvectors"]
+        path.write_bytes(path.read_bytes()[:-8])
+        assert self.transform_exit(spectrum, tmp_path) == EXIT_VALIDATION
+
+    def test_missing_matrix_gives_io_exit(self, spectrum, tmp_path):
+        header = json.loads(spectrum["basis"].read_text())
+        os.remove(spectrum["basis"].parent / header["eigenvectors"])
+        assert self.transform_exit(spectrum, tmp_path) == EXIT_IO
+
+
 class TestRun:
     def test_xor_run_produces_omega_signal(self, tmp_path):
         data = tmp_path / "xor.csv"
@@ -141,6 +292,10 @@ class TestRun:
         signal = json.loads((out / "dim_2" / "signal_o_information_canonical.json").read_text())
         assert signal["coefficients"] == [-1.0]
         assert not (out / INCOMPLETE_MARKER).exists()
+        assert json.loads((out / "dim_2" / "basis.json").read_text())["eigenvectors"] \
+            == "basis_eigenvectors.npy"
+        assert (out / "dim_2" / "basis_eigenvectors.npy").exists()
+        assert tmp_files(out) == []
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["dimensions"] == [2]
         assert "output_dir" not in manifest["config"]
@@ -254,6 +409,23 @@ class TestRun:
             main(["run", "--input", str(data), "--dimensions", "2", "--output-dir", str(out)])
         assert (out / INCOMPLETE_MARKER).exists()
 
+    def test_interrupted_basis_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        data = tmp_path / "xor.csv"
+        write_xor_csv(data)
+        out = tmp_path / "out"
+
+        def interrupted_save(fh, array, allow_pickle):
+            fh.write(b"\x93NUMPY partial")
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(np, "save", interrupted_save)
+        with pytest.raises(RuntimeError):
+            main(["run", "--input", str(data), "--dimensions", "2", "--output-dir", str(out)])
+        assert (out / INCOMPLETE_MARKER).exists()
+        assert not (out / "dim_2" / "basis_eigenvectors.npy").exists()
+        assert not (out / "dim_2" / "basis.json").exists()
+        assert tmp_files(out) == []
+
     def test_capacity_exit_code(self, tmp_path):
         rng = np.random.default_rng(1)
         data = tmp_path / "wide.csv"
@@ -303,11 +475,12 @@ class TestImports:
         )}
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, hyperharmonic.cli; print('scipy.stats' in sys.modules)"],
+             "import sys, hyperharmonic.cli; "
+             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
 
 class TestControlSynth:

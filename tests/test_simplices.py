@@ -146,6 +146,16 @@ class TestBoundaryMatrix:
         assert lines[0] == "row,col,value"
         assert len(lines) == 1 + 6
 
+    def test_built_once_per_pair_and_read_only(self):
+        for n in (0, 2):
+            B = boundary_matrix(4, n)
+            assert boundary_matrix(4, n) is B
+            for array in (B.data, B.indices, B.indptr):
+                with pytest.raises(ValueError):
+                    array[...] = 0
+        assert np.array_equal(boundary_matrix(4, 2).toarray(),
+                              boundary_matrix.__wrapped__(4, 2).toarray())
+
 
 class TestStructuralWeights:
     def test_constant_matrix_mean(self):

@@ -14,7 +14,7 @@ from hyperharmonic import (
     simplex_count,
     weighted_inner_product,
 )
-from hyperharmonic.spectral import self_adjointness_residual
+from hyperharmonic.spectral import LaplaceOperator, self_adjointness_residual
 
 
 def random_structural_simplex(N, rng, low=0.05, high=20.0):
@@ -22,6 +22,23 @@ def random_structural_simplex(N, rng, low=0.05, high=20.0):
         rng.uniform(low, high, size=simplex_count(N, n)) for n in range(N + 1)
     )
     return StructuralSimplex(N=N, weights=weights)
+
+
+def loop_sign_fixed_basis(operator, inner):
+    """Reference (forward, inverse): eigh of the whitened operator, then the
+    per-column sign loop that ``fourier_basis`` replaced with array operations."""
+    root = np.sqrt(inner.weights)
+    sym = (operator.matrix * root[:, None]) / root[None, :]
+    sym = (sym + sym.T) / 2.0
+    _, Q = np.linalg.eigh(sym)
+    inverse = Q / root[:, None]
+    for j in range(inverse.shape[1]):
+        col = inverse[:, j]
+        nonzero = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
+        if nonzero.size and col[nonzero[0]] < 0:
+            Q[:, j] = -Q[:, j]
+            inverse[:, j] = -col
+    return Q.T * root[None, :], inverse
 
 
 def unit_simplex(N):
@@ -172,6 +189,66 @@ class TestFourierBasis:
             col = first.inverse[:, j]
             lead = col[np.abs(col) > 1e-12 * np.max(np.abs(col))][0]
             assert lead > 0
+
+    def test_sign_fix_matches_loop_reference(self):
+        rng = np.random.default_rng(29)
+        cases = []
+        for N in (3, 4, 5):
+            S = random_structural_simplex(N, rng)
+            cases += [(laplacian(S, n), weighted_inner_product(S, n)) for n in range(N + 1)]
+        # Two decoupled blocks joined by a 1e-14 coupling: the eigenvectors of
+        # the second block lead with entries far below 1e-12 of their largest.
+        blocks = [rng.standard_normal((k, k)) for k in (2, 5)]
+        matrix = np.zeros((7, 7))
+        matrix[:2, :2] = blocks[0] @ blocks[0].T + np.eye(2)
+        matrix[2:, 2:] = blocks[1] @ blocks[1].T + 3 * np.eye(5)
+        coupling = 1e-14 * rng.standard_normal((2, 5))
+        matrix[:2, 2:] = coupling
+        matrix[2:, :2] = coupling.T
+        ones = WeightedInnerProduct(dimension=1, weights=np.ones(7))
+        cases.append((LaplaceOperator(dimension=1, matrix=matrix, up=matrix, down=0 * matrix),
+                       ones))
+        for operator, inner in cases:
+            forward, inverse = loop_sign_fixed_basis(operator, inner)
+            basis = fourier_basis(operator, inner)
+            assert np.array_equal(basis.forward, forward)
+            assert np.array_equal(basis.inverse, inverse)
+        inverse = basis.inverse
+        tiny_lead = np.abs(inverse[0]) <= 1e-12 * np.max(np.abs(inverse), axis=0)
+        assert np.any(tiny_lead & (inverse[0] != 0.0))
+
+    def test_derived_matrices_are_cached_and_read_only(self):
+        S = random_structural_simplex(3, np.random.default_rng(31))
+        basis = fourier_basis(laplacian(S, 1), weighted_inner_product(S, 1))
+        assert basis.forward is basis.forward
+        root = np.sqrt(basis.weights)
+        assert np.array_equal(basis.forward, basis.eigenvectors.T * root[None, :])
+        assert np.array_equal(basis.inverse, basis.eigenvectors / root[:, None])
+        for matrix in (basis.forward, basis.inverse):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+    def test_shared_boundary_matrices_leave_outputs_unchanged(self, monkeypatch):
+        import hyperharmonic.spectral as spectral_mod
+
+        S = random_structural_simplex(5, np.random.default_rng(37))
+
+        def outputs():
+            result = []
+            for n in range(6):
+                L = laplacian(S, n)
+                basis = fourier_basis(L, weighted_inner_product(S, n))
+                result.append((L.matrix, L.up, L.down, basis.eigenvalues, basis.forward,
+                               basis.inverse, basis.diagnostics))
+            return result
+
+        cached = outputs()
+        monkeypatch.setattr(spectral_mod, "boundary_matrix", boundary_matrix.__wrapped__)
+        fresh = outputs()
+        for got, want in zip(cached, fresh):
+            for a, b in zip(got[:-1], want[:-1]):
+                assert np.array_equal(a, b)
+            assert got[-1] == want[-1]
 
     def test_dimension_mismatch_rejected(self):
         S = unit_simplex(2)
