@@ -12,10 +12,7 @@ Exit codes: 0 success, 2 validation, 3 I/O, 4 numerical, 5 capacity.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import contextlib
 import csv
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -27,6 +24,7 @@ from . import __version__
 from . import distribution as dist_mod
 from . import infotheory, simplices, spectral, synth, transform, units
 from .errors import CapacityError, NumericalError, ValidationError
+from .jsonio import read_json, replacing, write_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -44,8 +42,8 @@ BASIS_FORMAT = 2
 class PipelineConfig:
     """Everything that determines the bytes a ``run`` produces.
 
-    The output directory and the job count are deliberately not part of the
-    persisted manifest: they control where and how fast, never what.
+    The output directory is deliberately not part of the persisted manifest:
+    it controls where, never what.
     """
 
     input: str = ""
@@ -56,9 +54,6 @@ class PipelineConfig:
     aggregator: str = "mean"
     floor: float = simplices.DEFAULT_WEIGHT_FLOOR
     kernel_tol: float = spectral.DEFAULT_KERNEL_TOLERANCE
-    laplacian_formula: str = "adjoint"
-    num_random: int = transform.DEFAULT_RANDOM_BASES
-    seed: int = 0
     smoothing: float = 0.0
     units: str = "bits"
 
@@ -72,10 +67,6 @@ class PipelineConfig:
         _checked_enum(simplices.WeightAggregator, self.aggregator, "aggregator")
         if self.floor <= 0 or self.kernel_tol <= 0:
             raise ValidationError("floor and kernel_tol must be positive")
-        if self.laplacian_formula not in ("adjoint", "alternate"):
-            raise ValidationError(f"unknown laplacian formula {self.laplacian_formula!r}")
-        if self.num_random < 1:
-            raise ValidationError("num_random must be >= 1")
         if self.smoothing < 0:
             raise ValidationError("smoothing must be >= 0")
         if self.units not in ("bits", "nats"):
@@ -84,28 +75,26 @@ class PipelineConfig:
             raise ValidationError("analysis dimensions must be >= 2")
 
 
+def _parse_str_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in _parse_str_list(text))
+
+
 _CONFIG_PARSERS = {
     "input": str,
     "kind": str,
-    "dimensions": lambda v: _parse_int_list(v),
-    "measures": lambda v: tuple(part.strip() for part in v.split(",") if part.strip()),
+    "dimensions": _parse_int_list,
+    "measures": _parse_str_list,
     "metric": str,
     "aggregator": str,
     "floor": float,
     "kernel_tol": float,
-    "laplacian_formula": str,
-    "num_random": int,
-    "seed": int,
     "smoothing": float,
     "units": str,
 }
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _checked_enum(enum_cls, value, label: str):
@@ -120,9 +109,36 @@ def _parse_measures(names) -> tuple[infotheory.MeasureKind, ...]:
     return tuple(_checked_enum(infotheory.MeasureKind, m, "measure") for m in names)
 
 
+def _config_values(items) -> dict:
+    """Parse ``(where, key, text)`` items from a config file or a manifest.
+
+    Both sources follow one rule for the keys of retired options: ``seed`` and
+    ``num_random`` never affected a run and are dropped whatever their value;
+    ``laplacian_formula`` is dropped when it names the one assembly there is.
+    """
+    values: dict = {}
+    for where, key, text in items:
+        if key in ("seed", "num_random"):
+            continue
+        if key == "laplacian_formula":
+            if text != "adjoint":
+                raise ValidationError(
+                    f"{where}: laplacian_formula {text!r}: the alternate Laplacian was "
+                    "removed; only 'adjoint' remains"
+                )
+            continue
+        if key not in _CONFIG_PARSERS:
+            raise ValidationError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_PARSERS[key](text)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: bad value for {key}: {exc}") from exc
+    return values
+
+
 def load_config_file(path) -> dict:
     """Parse a flat 'key = value' config file ('#' starts a comment)."""
-    values: dict = {}
+    items = []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -131,47 +147,25 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ValidationError(f"{path}: line {line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_PARSERS:
-                raise ValidationError(f"{path}: line {line_no}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_PARSERS[key](value)
-            except ValidationError:
-                raise
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {line_no}: bad value for {key}: {exc}") from exc
-    return values
+            items.append((f"{path}: line {line_no}", key.strip(), value.strip()))
+    return _config_values(items)
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """Yield a temporary path beside ``path``; move it into place on success.
+def _load_manifest_config(path) -> dict:
+    """Parse the config section of a run manifest as a config file would be.
 
-    Readers then find either no file or a complete one, never a truncated one.
+    A list becomes its comma-joined items and a scalar its ``str``, which
+    round-trips every float exactly, so a replay rebuilds the same config.
     """
-    tmp = f"{path}.tmp"
-    try:
-        yield tmp
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, path)
-
-
-def write_json(path, payload) -> None:
-    with _replacing(path) as tmp, open(tmp, "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def read_json(path) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    payload = read_json(path)
+    stored = payload.get("config") if isinstance(payload, dict) else None
+    if not isinstance(stored, dict):
+        raise ValidationError(f"{path}: missing 'config' section")
+    texts = {
+        key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        for key, value in stored.items()
+    }
+    return _config_values((f"{path}: config", key, text) for key, text in texts.items())
 
 
 def _versions() -> dict:
@@ -189,11 +183,15 @@ def _resolve_output_dir(flag_value) -> str:
     return os.environ.get(OUTPUT_DIR_ENV) or DEFAULT_OUTPUT_DIR
 
 
-def _estimate_model(config: PipelineConfig):
+def _read_table(config: PipelineConfig):
     if config.kind == "discrete":
-        table = dist_mod.read_discrete_csv(config.input)
+        return dist_mod.read_discrete_csv(config.input)
+    return dist_mod.read_continuous_csv(config.input)
+
+
+def _estimate_model(config: PipelineConfig, table):
+    if config.kind == "discrete":
         return dist_mod.estimate_empirical(table, smoothing=config.smoothing)
-    table = dist_mod.read_continuous_csv(config.input)
     return dist_mod.copula_gaussian_fit(table)
 
 
@@ -221,7 +219,7 @@ def write_basis(path, basis: spectral.FourierBasis) -> None:
     points at a missing or partial matrix.
     """
     matrix_path = os.path.splitext(path)[0] + "_eigenvectors.npy"
-    with _replacing(matrix_path) as tmp, open(tmp, "wb") as fh:
+    with replacing(matrix_path) as tmp, open(tmp, "wb") as fh:
         np.save(fh, basis.eigenvectors, allow_pickle=False)
     write_json(path, basis_to_jsonable(basis, os.path.basename(matrix_path)))
 
@@ -326,7 +324,7 @@ def _write_component_csv(path, coefficients) -> None:
 def cmd_estimate(args) -> int:
     config = PipelineConfig(input=args.input, kind=args.kind, smoothing=args.smoothing)
     config.validate()
-    model = _estimate_model(config)
+    model = _estimate_model(config, _read_table(config))
     dist_mod.write_model(args.output, model)
     return EXIT_OK
 
@@ -394,7 +392,7 @@ def cmd_spectrum(args) -> int:
     dims = _resolved_dimensions(args.dimensions, simplex.N)
     os.makedirs(args.output_dir, exist_ok=True)
     for n in dims:
-        operator = spectral.laplacian(simplex, n, formula=args.laplacian_formula)
+        operator = spectral.laplacian(simplex, n)
         basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
         write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis)
         _write_eigenvalues_csv(
@@ -464,56 +462,42 @@ def cmd_control_synth(args) -> int:
     return EXIT_OK
 
 
-def _run_dimension(n, oracle, simplex, measures, config):
-    """Per-dimension pipeline stage; safe to run concurrently across n."""
-    operator = spectral.laplacian(simplex, n, formula=config.laplacian_formula)
-    basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
-    out = {"basis": basis, "signals": {}, "cev": {}, "cev_errors": {}}
-    for name in measures:
-        measure = infotheory.MeasureKind(name)
-        canonical = transform.build_signal(oracle, simplex, n, measure)
-        fourier = transform.to_fourier(canonical, basis)
-        out["signals"][name] = (canonical, fourier)
-        for tag, sig in (("canonical", canonical), ("fourier", fourier)):
-            try:
-                out["cev"][(name, tag)] = transform.cev_report(sig)
-            except NumericalError as exc:
-                out["cev_errors"][(name, tag)] = str(exc)
-    return out
-
-
 def cmd_run(args) -> int:
     if args.manifest:
-        payload = read_json(args.manifest)
-        stored = payload.get("config")
-        if not isinstance(stored, dict):
-            raise ValidationError(f"{args.manifest}: missing 'config' section")
-        unknown = set(stored) - set(_CONFIG_PARSERS)
-        if unknown:
-            raise ValidationError(f"{args.manifest}: unknown config keys {sorted(unknown)}")
-        config = PipelineConfig(**{
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in stored.items()
-        })
+        values = _load_manifest_config(args.manifest)
     else:
-        values: dict = {}
-        if args.config:
-            values.update(load_config_file(args.config))
+        values = load_config_file(args.config) if args.config else {}
         for key in _CONFIG_PARSERS:
             flag = getattr(args, key, None)
             if flag is not None:
                 values[key] = flag
-        config = PipelineConfig(**values)
+    config = PipelineConfig(**values)
     config.validate()
-    units.set_entropy_units(config.units)
 
-    outdir = _resolve_output_dir(args.output_dir)
+    # Every size limit is checked on the table, before any estimation.
+    table = _read_table(config)
+    N = table.num_variables - 1
+    simplices.check_vertex_count(N)
+    config.dimensions = _resolved_dimensions(config.dimensions, N)
+    for n in config.dimensions:
+        spectral.check_dense_dimension(N, n)
+
+    previous_units = units.entropy_units()
+    units.set_entropy_units(config.units)
+    try:
+        _run_pipeline(config, table, _resolve_output_dir(args.output_dir))
+    finally:
+        units.set_entropy_units(previous_units)
+    return EXIT_OK
+
+
+def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
     os.makedirs(outdir, exist_ok=True)
     marker = os.path.join(outdir, INCOMPLETE_MARKER)
     with open(marker, "w", newline="\n") as fh:
         fh.write("run in progress or failed; outputs may be partial\n")
 
-    model = _estimate_model(config)
+    model = _estimate_model(config, table)
     dist_mod.write_model(os.path.join(outdir, "distribution.json"), model)
     oracle = infotheory.EntropyOracle(model)
     N = model.num_variables - 1
@@ -528,60 +512,49 @@ def cmd_run(args) -> int:
     simplices.weights_to_csv(os.path.join(outdir, "weights.csv"), simplex)
     write_json(os.path.join(outdir, "weights.json"), _weights_payload(simplex, similarity, config))
 
-    dims = _resolved_dimensions(config.dimensions, N)
-    config.dimensions = dims
-    measures = tuple(config.measures)
-
-    results: dict[int, dict] = {}
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                n: pool.submit(_run_dimension, n, oracle, simplex, measures, config)
-                for n in dims
-            }
-            results = {n: fut.result() for n, fut in futures.items()}
-    else:
-        results = {n: _run_dimension(n, oracle, simplex, measures, config) for n in dims}
-
+    tags = ("canonical", "fourier")
     components_rows = []
-    for n in sorted(results):
-        res = results[n]
+    for n in sorted(set(config.dimensions)):
         dim_dir = os.path.join(outdir, f"dim_{n}")
         os.makedirs(dim_dir, exist_ok=True)
-        basis = res["basis"]
+        operator = spectral.laplacian(simplex, n)
+        basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
         write_basis(os.path.join(dim_dir, "basis.json"), basis)
         _write_eigenvalues_csv(os.path.join(dim_dir, "eigenvalues.csv"), basis.eigenvalues)
 
+        signals, reports, cev_status = {}, {}, {}
+        for name in config.measures:
+            canonical = transform.build_signal(oracle, simplex, n, infotheory.MeasureKind(name))
+            signals[name] = (canonical, transform.to_fourier(canonical, basis))
+            for tag, signal in zip(tags, signals[name]):
+                try:
+                    reports[(name, tag)] = transform.cev_report(signal)
+                    cev_status[f"{name}_{tag}"] = "ok"
+                except NumericalError as exc:
+                    cev_status[f"{name}_{tag}"] = str(exc)
         diagnostics = basis.diagnostics.to_jsonable()
         diagnostics["kernel_dimension"] = spectral.kernel_dimension(
             basis.eigenvalues, tol=config.kernel_tol
         )
-        diagnostics["cev_status"] = {}
-        for name in measures:
-            for tag in ("canonical", "fourier"):
-                key = (name, tag)
-                if key in res["cev_errors"]:
-                    diagnostics["cev_status"][f"{name}_{tag}"] = res["cev_errors"][key]
-                else:
-                    diagnostics["cev_status"][f"{name}_{tag}"] = "ok"
+        diagnostics["cev_status"] = cev_status
         write_json(os.path.join(dim_dir, "diagnostics.json"), diagnostics)
 
-        for name in measures:
-            canonical, fourier = res["signals"][name]
+        for name in config.measures:
+            canonical, fourier = signals[name]
             stem = os.path.join(dim_dir, f"signal_{name}")
             transform.write_signal(stem + "_canonical.json", canonical, num_vertices=N + 1)
             infotheory.sweep_to_csv(stem + "_canonical.csv", N, n, canonical.coefficients)
             transform.write_signal(stem + "_fourier.json", fourier, num_vertices=N + 1)
             _write_component_csv(stem + "_fourier.csv", fourier.coefficients)
-            for tag in ("canonical", "fourier"):
-                report = res["cev"].get((name, tag))
+            for tag in tags:
+                report = reports.get((name, tag))
                 if report is None:
                     continue
                 prefix = os.path.join(dim_dir, f"cev_{name}_{tag}")
                 transform.cev_to_csv(prefix + ".csv", report)
                 transform.cev_to_json(prefix + ".json", report)
-            fourier_report = res["cev"].get((name, "fourier"))
-            canonical_report = res["cev"].get((name, "canonical"))
+            fourier_report = reports.get((name, "fourier"))
+            canonical_report = reports.get((name, "canonical"))
             if fourier_report and canonical_report:
                 for threshold in transform.CEV_THRESHOLDS:
                     components_rows.append([
@@ -598,24 +571,13 @@ def cmd_run(args) -> int:
         writer.writerows(components_rows)
 
     manifest = {"config": asdict(config), "versions": _versions()}
-    manifest["config"]["dimensions"] = list(dims)
-    manifest["config"]["measures"] = list(measures)
     write_json(os.path.join(outdir, "manifest.json"), manifest)
     os.remove(marker)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return _parse_int_list(text)
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -647,19 +609,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signals", help="sweep measures into canonical signals")
     p.add_argument("--distribution", required=True)
-    p.add_argument("--dimensions", type=_int_list, default=())
-    p.add_argument("--measures", type=_str_list,
+    p.add_argument("--dimensions", type=_parse_int_list, default=())
+    p.add_argument("--measures", type=_parse_str_list,
                    default=("o_information", "s_information"))
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_signals)
 
     p = sub.add_parser("spectrum", help="diagonalize Laplacians into Fourier bases")
     p.add_argument("--weights", required=True)
-    p.add_argument("--dimensions", type=_int_list, default=())
+    p.add_argument("--dimensions", type=_parse_int_list, default=())
     p.add_argument("--kernel-tol", dest="kernel_tol", type=float,
                    default=spectral.DEFAULT_KERNEL_TOLERANCE)
-    p.add_argument("--laplacian-formula", dest="laplacian_formula",
-                   choices=("adjoint", "alternate"), default="adjoint")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_spectrum)
 
@@ -686,12 +646,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_control_random)
 
     p = sub.add_parser("control-synth", help="rank-controlled synthetic experiment")
-    p.add_argument("--ranks", type=_int_list, default=(2, 9))
+    p.add_argument("--ranks", type=_parse_int_list, default=(2, 9))
     p.add_argument("--replicates", type=int, default=synth.DEFAULT_REPLICATES)
     p.add_argument("--samples", type=int, default=synth.DEFAULT_SAMPLES)
     p.add_argument("--size", type=int, default=synth.DEFAULT_SIZE)
-    p.add_argument("--dimensions", type=_int_list, default=())
-    p.add_argument("--measures", type=_str_list,
+    p.add_argument("--dimensions", type=_parse_int_list, default=())
+    p.add_argument("--measures", type=_parse_str_list,
                    default=("o_information", "s_information"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=None)
@@ -700,23 +660,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline into an output directory")
     p.add_argument("--input", default=None)
     p.add_argument("--kind", choices=("discrete", "continuous"), default=None)
-    p.add_argument("--dimensions", type=_int_list, default=None)
-    p.add_argument("--measures", type=_str_list, default=None)
+    p.add_argument("--dimensions", type=_parse_int_list, default=None)
+    p.add_argument("--measures", type=_parse_str_list, default=None)
     p.add_argument("--metric", default=None,
                    choices=[m.value for m in simplices.SimilarityMetric])
     p.add_argument("--aggregator", default=None,
                    choices=[a.value for a in simplices.WeightAggregator])
     p.add_argument("--floor", type=float, default=None)
     p.add_argument("--kernel-tol", dest="kernel_tol", type=float, default=None)
-    p.add_argument("--laplacian-formula", dest="laplacian_formula",
-                   choices=("adjoint", "alternate"), default=None)
-    p.add_argument("--num-random", dest="num_random", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--smoothing", type=float, default=None)
     p.add_argument("--units", choices=("bits", "nats"), default=None)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--manifest", default=None, help="replay a previous run exactly")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_run)
 

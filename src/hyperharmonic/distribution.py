@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
+from .jsonio import read_json, write_json
 from .units import from_nats
 
 Outcome = tuple[int, ...]
@@ -491,15 +491,8 @@ def model_from_jsonable(payload: dict):
 
 
 def write_model(path, model) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(model_to_jsonable(model), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, model_to_jsonable(model))
 
 
 def read_model(path):
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return model_from_jsonable(payload)
+    return model_from_jsonable(read_json(path))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import threading
 from enum import Enum
 
@@ -218,17 +217,3 @@ def sweep_to_csv(path, N: int, n: int, values: np.ndarray) -> None:
         for simplex, value in zip(enumerate_simplices(N, n), values):
             writer.writerow([simplex_label(simplex), repr(float(value))])
 
-
-def sweep_to_json(path, N: int, n: int, kind: MeasureKind, values: np.ndarray) -> None:
-    payload = {
-        "dimension": n,
-        "num_vertices": N + 1,
-        "measure": MeasureKind(kind).value,
-        "entries": [
-            {"simplex": list(s), "value": float(v)}
-            for s, v in zip(enumerate_simplices(N, n), values)
-        ],
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")

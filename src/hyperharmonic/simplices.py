@@ -225,6 +225,12 @@ class StructuralSimplex:
         return simplex_count(self.N, n)
 
 
+def check_vertex_count(N: int, max_n: int = DEFAULT_MAX_N) -> None:
+    """CapacityError when a simplex on N + 1 vertices exceeds the cap ``max_n``."""
+    if N > max_n:
+        raise CapacityError(f"N={N} exceeds the configured cap of {max_n}")
+
+
 def structural_weights(
     mi_matrix: np.ndarray,
     aggregator: WeightAggregator = WeightAggregator.MEAN,
@@ -251,8 +257,7 @@ def structural_weights(
     if floor <= 0:
         raise ValidationError(f"weight floor must be > 0, got {floor}")
     N = mi.shape[0] - 1
-    if N > max_n:
-        raise CapacityError(f"N={N} exceeds the configured cap of {max_n}")
+    check_vertex_count(N, max_n)
 
     aggregate = _AGGREGATE[WeightAggregator(aggregator)]
     weights: list[np.ndarray] = [np.ones(N + 1)]

@@ -2,7 +2,7 @@
 
 The n-Laplace operator acts on n-signals over the standard simplex. With
 ``P_n`` the boundary matrix of dimension n and ``W_n`` the diagonal matrix of
-positive simplex weights, the default assembly is
+positive simplex weights, the assembly is
 
     L_up   = P_{n+1} W_{n+1}^{-1} P_{n+1}^T W_n      (zero for n = N)
     L_down = W_n^{-1} P_n^T W_{n-1} P_n              (zero for n = 0)
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,8 +130,9 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _check_spectral_dim(simplex: StructuralSimplex, n: int) -> int:
-    d = simplex_count(simplex.N, n)
+def check_dense_dimension(N: int, n: int) -> int:
+    """Number of n-simplices on N + 1 vertices; CapacityError above the dense cap."""
+    d = simplex_count(N, n)
     if d > DENSE_DIMENSION_CAP:
         raise CapacityError(
             f"dimension n={n} has {d} simplices, above the dense cap {DENSE_DIMENSION_CAP}"
@@ -148,52 +148,35 @@ def adjoint_matrix(simplex: StructuralSimplex, n: int) -> np.ndarray:
     """
     if not 0 <= n < simplex.N:
         raise ValidationError(f"adjoint needs 0 <= n < N, got n={n}, N={simplex.N}")
-    _check_spectral_dim(simplex, n + 1)
+    check_dense_dimension(simplex.N, n + 1)
     P = boundary_matrix(simplex.N, n + 1)
     w_n = simplex.weight_vector(n)
     w_up = simplex.weight_vector(n + 1)
     return (P.T.toarray() * w_n[None, :]) / w_up[:, None]
 
 
-def laplacian(
-    simplex: StructuralSimplex,
-    n: int,
-    formula: Literal["adjoint", "alternate"] = "adjoint",
-) -> LaplaceOperator:
+def laplacian(simplex: StructuralSimplex, n: int) -> LaplaceOperator:
     """Assemble the dense n-Laplace operator of a structural simplex.
 
-    ``formula='adjoint'`` (default) is the self-consistent assembly described
-    in the module docstring. ``formula='alternate'`` swaps the placement of
-    the weight and inverse-weight matrices (up = W_n^{-1} P_{n+1} W_{n+1}
-    P_{n+1}^T, down = P_n^T W_{n-1}^{-1} P_n W_n); it is also self-adjoint for
-    the weighted inner product and is retained for comparison runs only, with
-    no claim of equivalence.
+    This is the self-adjoint assembly described in the module docstring.
     """
     N = simplex.N
     if not 0 <= n <= N:
         raise ValidationError(f"simplex dimension n={n} out of range [0, {N}]")
-    if formula not in ("adjoint", "alternate"):
-        raise ValidationError(f"unknown laplacian formula {formula!r}")
-    d = _check_spectral_dim(simplex, n)
+    d = check_dense_dimension(N, n)
     w_n = simplex.weight_vector(n)
 
     up = np.zeros((d, d))
     if n < N:
         P = boundary_matrix(N, n + 1)
         w_up = simplex.weight_vector(n + 1)
-        if formula == "adjoint":
-            up = (P @ sp.diags(1.0 / w_up) @ P.T).toarray() * w_n[None, :]
-        else:
-            up = (P @ sp.diags(w_up) @ P.T).toarray() / w_n[:, None]
+        up = (P @ sp.diags(1.0 / w_up) @ P.T).toarray() * w_n[None, :]
 
     down = np.zeros((d, d))
     if n > 0:
         P = boundary_matrix(N, n)
         w_dn = simplex.weight_vector(n - 1)
-        if formula == "adjoint":
-            down = (P.T @ sp.diags(w_dn) @ P).toarray() / w_n[:, None]
-        else:
-            down = (P.T @ sp.diags(1.0 / w_dn) @ P).toarray() * w_n[None, :]
+        down = (P.T @ sp.diags(w_dn) @ P).toarray() / w_n[:, None]
 
     return LaplaceOperator(dimension=n, matrix=up + down, up=up, down=down)
 

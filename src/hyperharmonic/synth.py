@@ -10,7 +10,6 @@ high-order signals.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .simplices import (
     structural_weights,
 )
 from .spectral import fourier_basis, laplacian, weighted_inner_product
-from .transform import _cev_curve, _Z_95, build_signal, to_fourier
+from .transform import _cev_curve, build_signal, mean_with_band, to_fourier
 
 RANK_TOLERANCE = 1e-8
 
@@ -120,11 +119,6 @@ class RankExperimentResult:
                         [rank, n, measure.value, k, repr(float(m)), repr(float(lo)), repr(float(hi))]
                     )
 
-    def manifest_to_json(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
 
 def rank_experiment(
     ranks,
@@ -176,7 +170,7 @@ def rank_experiment(
                     for measure in measures:
                         signal = build_signal(oracle, simplex, n, measure)
                         curves[(rank, n, measure)].append(
-                            _cev_curve(to_fourier(signal, basis).coefficients)
+                            _cev_curve(to_fourier(signal, basis).coefficients)[1]
                         )
                 regularized[(rank, rep)] = len(oracle.regularized_subsets)
             except (ValidationError, NumericalError, CapacityError) as exc:
@@ -184,15 +178,7 @@ def rank_experiment(
 
     mean_cev, ci_low, ci_high = {}, {}, {}
     for key, stack in curves.items():
-        arr = np.vstack(stack)
-        mean = arr.mean(axis=0)
-        if arr.shape[0] > 1:
-            half = _Z_95 * arr.std(axis=0, ddof=1) / np.sqrt(arr.shape[0])
-        else:
-            half = np.zeros_like(mean)
-        mean_cev[key] = mean
-        ci_low[key] = mean - half
-        ci_high[key] = mean + half
+        mean_cev[key], ci_low[key], ci_high[key] = mean_with_band(np.vstack(stack))
 
     manifest = {
         "ranks": list(ranks),

@@ -10,13 +10,13 @@ signal, which is what makes cumulative explained variance meaningful.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, signal_sweep
+from .jsonio import read_json, write_json
 from .seeding import as_rng, derive_rng
 from .simplices import StructuralSimplex
 from .spectral import FourierBasis, WeightedInnerProduct
@@ -30,10 +30,6 @@ DEFAULT_RANDOM_BASES = 80
 
 # Two-sided 95% normal quantile, for the confidence band over replicates.
 _Z_95 = 1.959963984540054
-
-
-def custom_basis_tag(identifier: str) -> str:
-    return f"custom:{identifier}"
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class HighOrderSignal:
             raise ValidationError("signal coefficients must form a non-empty vector")
         if not np.all(np.isfinite(coeffs)):
             raise ValidationError("signal coefficients must be finite")
-        if not (self.basis in (CANONICAL, FOURIER) or self.basis.startswith("custom:")):
+        if self.basis not in (CANONICAL, FOURIER):
             raise ValidationError(f"unknown basis tag {self.basis!r}")
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -123,25 +119,33 @@ class CevReport:
         }
 
 
-def _cev_curve(coefficients: np.ndarray) -> np.ndarray:
+def _cev_curve(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared coefficients sorted descending (ties by canonical index) and
+    normalized to sum 1, with their cumulative sum."""
     sq = np.asarray(coefficients, dtype=float) ** 2
     total = sq.sum()
     if total <= 0.0:
         raise NumericalError("all-zero signal: explained variance undefined")
     order = np.argsort(-sq, kind="stable")
-    return np.cumsum(sq[order] / total)
+    sorted_ev = sq[order] / total
+    return sorted_ev, np.cumsum(sorted_ev)
+
+
+def mean_with_band(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pointwise mean over the rows of ``curves`` and its 95% normal-approximation
+    band (``_Z_95 * std / sqrt(m)`` over m rows; zero width when m = 1)."""
+    mean = curves.mean(axis=0)
+    m = curves.shape[0]
+    if m > 1:
+        half = _Z_95 * curves.std(axis=0, ddof=1) / np.sqrt(m)
+    else:
+        half = np.zeros_like(mean)
+    return mean, mean - half, mean + half
 
 
 def cev_report(signal: HighOrderSignal) -> CevReport:
-    """Sort squared coefficients descending (ties by canonical index) and
-    accumulate their normalized explained variance."""
-    sq = signal.coefficients**2
-    total = sq.sum()
-    if total <= 0.0:
-        raise NumericalError("all-zero signal: explained variance undefined")
-    order = np.argsort(-sq, kind="stable")
-    sorted_ev = sq[order] / total
-    cev = np.cumsum(sorted_ev)
+    """Explained variance of each component, strongest first, and its running sum."""
+    sorted_ev, cev = _cev_curve(signal.coefficients)
     components_at = {
         t: int(np.searchsorted(cev, t - 1e-12) + 1) for t in CEV_THRESHOLDS
     }
@@ -217,24 +221,20 @@ def control_comparison(
         raise ValidationError(f"need at least one random basis, got {num_random}")
     if signal.basis != CANONICAL:
         raise ValidationError("control comparison expects a canonical-basis signal")
-    fourier_cev = _cev_curve(to_fourier(signal, basis).coefficients)
+    _, fourier_cev = _cev_curve(to_fourier(signal, basis).coefficients)
     inner = WeightedInnerProduct(dimension=basis.dimension, weights=basis.weights)
     d = signal.size
     curves = np.empty((num_random, d))
     for k in range(num_random):
         forward, _ = random_basis(d, inner, derive_rng(seed, k), orthonormality)
-        curves[k] = _cev_curve(forward @ signal.coefficients)
-    mean = curves.mean(axis=0)
-    if num_random > 1:
-        half = _Z_95 * curves.std(axis=0, ddof=1) / np.sqrt(num_random)
-    else:
-        half = np.zeros(d)
+        _, curves[k] = _cev_curve(forward @ signal.coefficients)
+    mean, low, high = mean_with_band(curves)
     return ControlComparison(
         fourier_cev=fourier_cev,
         random_cev=curves,
         random_mean=mean,
-        ci_low=mean - half,
-        ci_high=mean + half,
+        ci_low=low,
+        ci_high=high,
         seed=seed,
     )
 
@@ -253,9 +253,7 @@ def cev_to_csv(path, report: CevReport) -> None:
 
 
 def cev_to_json(path, report: CevReport) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(report.to_jsonable(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, report.to_jsonable())
 
 
 def control_to_csv(path, comparison: ControlComparison) -> None:
@@ -293,15 +291,8 @@ def signal_from_jsonable(payload: dict) -> HighOrderSignal:
 
 
 def write_signal(path, signal: HighOrderSignal, num_vertices: int | None = None) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(signal_to_jsonable(signal, num_vertices), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, signal_to_jsonable(signal, num_vertices))
 
 
 def read_signal(path) -> HighOrderSignal:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return signal_from_jsonable(payload)
+    return signal_from_jsonable(read_json(path))

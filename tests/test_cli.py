@@ -21,14 +21,6 @@ def write_xor_csv(path):
     path.write_text("\n".join(rows) + "\n")
 
 
-def write_independent_csv(path):
-    rows = ["a,b,c"]
-    rng = np.random.default_rng(0)
-    for _ in range(64):
-        rows.append(",".join(str(int(v)) for v in rng.integers(0, 2, size=3)))
-    path.write_text("\n".join(rows) + "\n")
-
-
 def tree_bytes(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -344,7 +336,7 @@ class TestRun:
         first = tmp_path / "first"
         assert main([
             "run", "--input", str(data), "--dimensions", "2",
-            "--seed", "11", "--output-dir", str(first),
+            "--output-dir", str(first),
         ]) == EXIT_OK
         second = tmp_path / "second"
         assert main([
@@ -353,15 +345,66 @@ class TestRun:
         ]) == EXIT_OK
         assert tree_bytes(first) == tree_bytes(second)
 
-    def test_jobs_flag_matches_serial_output(self, tmp_path):
+    def replay_edited_manifest(self, tmp_path, edit):
+        """Run, apply ``edit`` to the manifest, replay it; return both roots and the exit code."""
         data = tmp_path / "d.csv"
-        write_independent_csv(data)
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        base = ["run", "--input", str(data), "--dimensions", "2", "--seed", "3"]
-        assert main(base + ["--output-dir", str(serial)]) == EXIT_OK
-        assert main(base + ["--jobs", "3", "--output-dir", str(parallel)]) == EXIT_OK
-        assert tree_bytes(serial) == tree_bytes(parallel)
+        write_five_variable_csv(data)
+        first = tmp_path / "first"
+        assert main([
+            "run", "--input", str(data), "--dimensions", "2,3", "--output-dir", str(first),
+        ]) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text())
+        edit(manifest)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        second = tmp_path / "second"
+        return first, second, main([
+            "run", "--manifest", str(edited), "--output-dir", str(second),
+        ])
+
+    def test_manifest_with_retired_keys_replays_byte_identical(self, tmp_path):
+        def add_retired(manifest):
+            manifest["config"].update(seed=11, num_random=80, laplacian_formula="adjoint")
+
+        first, second, code = self.replay_edited_manifest(tmp_path, add_retired)
+        assert code == EXIT_OK
+        assert tree_bytes(first) == tree_bytes(second)
+
+    def test_manifest_asking_for_alternate_laplacian_rejected(self, tmp_path, capsys):
+        def alternate(manifest):
+            manifest["config"]["laplacian_formula"] = "alternate"
+
+        _, second, code = self.replay_edited_manifest(tmp_path, alternate)
+        assert code == EXIT_VALIDATION
+        assert "alternate Laplacian was removed" in capsys.readouterr().err
+        assert not second.exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"config": {"input": "x.csv", "floor": "abc"}},
+        {"config": {"input": "x.csv", "dimensions": [2, "x"]}},
+        [{"config": {"input": "x.csv"}}],
+    ], ids=["floor-abc", "dimensions-x", "top-level-list"])
+    def test_malformed_manifest_rejected(self, tmp_path, payload):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest), "--output-dir", str(out)]) \
+            == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--jobs", "2"],
+        ["run", "--laplacian-formula", "adjoint"],
+        ["run", "--seed", "1"],
+        ["run", "--num-random", "3"],
+        ["spectrum", "--weights", "w.json", "--output-dir", "o", "--laplacian-formula", "adjoint"],
+    ], ids=["run-jobs", "run-laplacian-formula", "run-seed", "run-num-random",
+            "spectrum-laplacian-formula"])
+    def test_retired_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         data = tmp_path / "xor.csv"
@@ -371,14 +414,27 @@ class TestRun:
             f"input = {data}\n"
             "kind = discrete\n"
             "dimensions = 2\n"
-            "seed = 5  # overridden below\n"
+            "floor = 0.5  # overridden below\n"
         )
         out = tmp_path / "out"
         assert main([
-            "run", "--config", str(cfg), "--seed", "9", "--output-dir", str(out),
+            "run", "--config", str(cfg), "--floor", "0.25", "--output-dir", str(out),
         ]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["seed"] == 9
+        assert manifest["config"]["floor"] == 0.25
+
+    def test_config_file_retired_keys(self, tmp_path):
+        data = tmp_path / "xor.csv"
+        write_xor_csv(data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"input = {data}\nseed = 5\nnum_random = x\nlaplacian_formula = adjoint\n"
+        )
+        assert load_config_file(cfg) == {"input": str(data)}
+        cfg.write_text(f"input = {data}\nlaplacian_formula = alternate\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -425,6 +481,54 @@ class TestRun:
         assert not (out / "dim_2" / "basis_eigenvectors.npy").exists()
         assert not (out / "dim_2" / "basis.json").exists()
         assert tmp_files(out) == []
+
+    def test_interrupted_signal_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        data = tmp_path / "xor.csv"
+        write_xor_csv(data)
+        dist = tmp_path / "dist.json"
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        out = tmp_path / "signals"
+
+        def interrupted_dump(payload, fh, **kwargs):
+            fh.write('{"coefficients": [')
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(json, "dump", interrupted_dump)
+        with pytest.raises(RuntimeError):
+            main(["signals", "--distribution", str(dist), "--dimensions", "2",
+                  "--output-dir", str(out)])
+        assert tree_bytes(out) == {}
+
+    def test_units_restored_after_run(self, tmp_path, monkeypatch):
+        from hyperharmonic import units
+
+        data = tmp_path / "xor.csv"
+        write_xor_csv(data)
+        argv = ["run", "--input", str(data), "--dimensions", "2", "--units", "nats"]
+        assert main(argv + ["--output-dir", str(tmp_path / "ok")]) == EXIT_OK
+        assert units.entropy_units() == "bits"
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        import hyperharmonic.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.spectral, "fourier_basis", boom)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(argv + ["--output-dir", str(tmp_path / "failed")])
+        assert units.entropy_units() == "bits"
+
+    def test_oversized_dimension_fails_before_estimation(self, tmp_path):
+        rng = np.random.default_rng(2)
+        data = tmp_path / "v15.csv"
+        rows = [",".join(f"v{i}" for i in range(15))]
+        rows += [",".join(map(str, row)) for row in rng.integers(0, 2, size=(30, 15))]
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main([
+            "run", "--input", str(data), "--dimensions", "7", "--output-dir", str(out),
+        ]) == EXIT_CAPACITY
+        assert not (out / "distribution.json").exists()
 
     def test_capacity_exit_code(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -22,7 +22,7 @@ from hyperharmonic import (
     total_correlation,
 )
 from hyperharmonic.distribution import entropy_nats, gaussian_entropy_nats, marginalize
-from hyperharmonic.infotheory import sweep_to_csv, sweep_to_json
+from hyperharmonic.infotheory import sweep_to_csv
 
 import bruteforce as bf
 from conftest import (
@@ -384,10 +384,7 @@ class TestSignalSweep:
         oracle = EntropyOracle(dist)
         values = signal_sweep(oracle, 2, 1, MeasureKind.TC)
         csv_path = tmp_path / "sweep.csv"
-        json_path = tmp_path / "sweep.json"
         sweep_to_csv(csv_path, 2, 1, values)
-        sweep_to_json(json_path, 2, 1, MeasureKind.TC, values)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "simplex,value"
         assert lines[1].startswith("0-1,")
-        assert '"measure": "tc"' in json_path.read_text()

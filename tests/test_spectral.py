@@ -112,21 +112,6 @@ class TestLaplacian:
                 inner = weighted_inner_product(S, n)
                 assert self_adjointness_residual(L, inner) <= 1e-10
 
-    def test_alternate_formula_is_also_self_adjoint(self):
-        rng = np.random.default_rng(6)
-        S = random_structural_simplex(4, rng)
-        for n in range(5):
-            L = laplacian(S, n, formula="alternate")
-            inner = weighted_inner_product(S, n)
-            assert self_adjointness_residual(L, inner) <= 1e-10
-
-    def test_formulas_differ_in_general(self):
-        rng = np.random.default_rng(7)
-        S = random_structural_simplex(3, rng)
-        default = laplacian(S, 1).matrix
-        alternate = laplacian(S, 1, formula="alternate").matrix
-        assert not np.allclose(default, alternate)
-
     def test_kernel_dimensions_are_betti_numbers(self):
         rng = np.random.default_rng(11)
         for N in range(1, 7):

@@ -168,11 +168,9 @@ class TestRankExperiment:
             size=4, dimensions=(2,), measures=(MeasureKind.O_INFORMATION,),
         )
         result.to_csv(tmp_path / "cev.csv")
-        result.manifest_to_json(tmp_path / "manifest.json")
         lines = (tmp_path / "cev.csv").read_text().splitlines()
         assert lines[0] == "rank,dimension,measure,k,mean_cev,ci_low,ci_high"
         d = math.comb(4, 3)
         assert len(lines) == 1 + 2 * d
-        text = (tmp_path / "manifest.json").read_text()
-        assert '"base_seed": 9' in text
-        assert '"replicate_axis": "covariance draws"' in text
+        assert result.manifest["base_seed"] == 9
+        assert result.manifest["replicate_axis"] == "covariance draws"

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from hyperharmonic.transform import (
     cev_to_csv,
     cev_to_json,
     control_to_csv,
-    custom_basis_tag,
     read_signal,
     write_signal,
 )
@@ -64,11 +64,17 @@ class TestBuildSignal:
         with pytest.raises(ValidationError):
             HighOrderSignal(dimension=1, coefficients=np.array([np.nan, 1.0]))
 
-    def test_custom_tag(self):
-        sig = HighOrderSignal(
-            dimension=1, coefficients=np.ones(3), basis=custom_basis_tag("rot17")
-        )
-        assert sig.basis == "custom:rot17"
+    def test_custom_tag(self, tmp_path):
+        from hyperharmonic.cli import EXIT_VALIDATION, main
+
+        with pytest.raises(ValidationError):
+            HighOrderSignal(dimension=1, coefficients=np.ones(3), basis="custom:rot17")
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(
+            {"dimension": 1, "basis": "custom:rot17", "coefficients": [1.0]}
+        ))
+        assert main(["cev", "--signal", str(path), "--output-prefix", str(tmp_path / "r")]) \
+            == EXIT_VALIDATION
 
     def test_json_round_trip(self, tmp_path):
         sig = HighOrderSignal(
