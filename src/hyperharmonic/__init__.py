@@ -38,6 +38,7 @@ from .simplices import (
     SimilarityMetric,
     StructuralSimplex,
     WeightAggregator,
+    boundary_faces,
     boundary_matrix,
     enumerate_simplices,
     similarity_matrix,
@@ -99,6 +100,7 @@ __all__ = [
     "WeightAggregator",
     "WeightedInnerProduct",
     "adjoint_matrix",
+    "boundary_faces",
     "boundary_matrix",
     "build_signal",
     "cev_report",

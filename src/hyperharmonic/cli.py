@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 validation, 3 I/O, 4 numerical, 5 capacity.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -24,7 +24,7 @@ from . import __version__
 from . import distribution as dist_mod
 from . import infotheory, simplices, spectral, synth, transform, units
 from .errors import CapacityError, NumericalError, ValidationError
-from .jsonio import read_json, replacing, write_json
+from .jsonio import csv_writer, read_json, replacing, write_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,6 +65,9 @@ class PipelineConfig:
         _parse_measures(self.measures)
         _checked_enum(simplices.SimilarityMetric, self.metric, "metric")
         _checked_enum(simplices.WeightAggregator, self.aggregator, "aggregator")
+        for name in ("floor", "kernel_tol", "smoothing"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.floor <= 0 or self.kernel_tol <= 0:
             raise ValidationError("floor and kernel_tol must be positive")
         if self.smoothing < 0:
@@ -292,8 +295,7 @@ def structural_simplex_from_payload(payload: dict) -> simplices.StructuralSimple
 
 def _write_similarity_csv(path, matrix) -> None:
     matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["i", "j", "value"])
         for i in range(matrix.shape[0]):
             for j in range(i + 1, matrix.shape[1]):
@@ -301,16 +303,14 @@ def _write_similarity_csv(path, matrix) -> None:
 
 
 def _write_eigenvalues_csv(path, eigenvalues) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["index", "eigenvalue"])
         for k, lam in enumerate(eigenvalues):
             writer.writerow([k, repr(float(lam))])
 
 
 def _write_component_csv(path, coefficients) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["component", "value"])
         for k, value in enumerate(coefficients):
             writer.writerow([k, repr(float(value))])
@@ -330,13 +330,14 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    model = dist_mod.read_model(args.distribution)
     config = PipelineConfig(
         input=args.distribution,
         metric=args.metric,
         aggregator=args.aggregator,
         floor=args.floor,
     )
+    config.validate()
+    model = dist_mod.read_model(args.distribution)
     similarity = simplices.similarity_matrix(model, simplices.SimilarityMetric(args.metric))
     simplex = simplices.structural_weights(
         similarity,
@@ -388,6 +389,7 @@ def cmd_signals(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    PipelineConfig(input=args.weights, kernel_tol=args.kernel_tol).validate()
     simplex = structural_simplex_from_payload(read_json(args.weights))
     dims = _resolved_dimensions(args.dimensions, simplex.N)
     os.makedirs(args.output_dir, exist_ok=True)
@@ -565,8 +567,7 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
                         canonical_report.components_at[threshold],
                     ])
 
-    with open(os.path.join(outdir, "components.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(os.path.join(outdir, "components.csv")) as writer:
         writer.writerow(["measure", "dimension", "threshold_pct", "fourier_k", "canonical_k"])
         writer.writerows(components_rows)
 

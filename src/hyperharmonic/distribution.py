@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
-from .jsonio import read_json, write_json
+from .jsonio import read_json, require_keys, write_json
 from .units import from_nats
 
 Outcome = tuple[int, ...]
@@ -477,17 +477,24 @@ def model_to_jsonable(model) -> dict:
     raise ValidationError(f"cannot serialize {type(model).__name__}")
 
 
+_MODEL_FIELDS = {"discrete": ("num_variables", "alphabet_sizes", "mass"), "gaussian": ("correlation",)}
+
+
 def model_from_jsonable(payload: dict):
-    kind = payload.get("kind")
-    if kind == "discrete":
+    kind = require_keys(payload, ("kind",), "model")["kind"]
+    if kind not in ("discrete", "gaussian"):
+        raise ValidationError(f"unknown model kind {kind!r}")
+    require_keys(payload, _MODEL_FIELDS[kind], f"{kind} model")
+    try:
+        if kind == "gaussian":
+            return GaussianModel(correlation_matrix=np.array(payload["correlation"], dtype=float))
         return JointDistribution(
             num_variables=int(payload["num_variables"]),
             alphabet_sizes=tuple(payload["alphabet_sizes"]),
             mass={tuple(o): float(p) for o, p in payload["mass"]},
         )
-    if kind == "gaussian":
-        return GaussianModel(correlation_matrix=np.array(payload["correlation"], dtype=float))
-    raise ValidationError(f"unknown model kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} model: {exc}") from exc
 
 
 def write_model(path, model) -> None:

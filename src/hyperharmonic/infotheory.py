@@ -12,7 +12,6 @@ noise; the signed measures are never clamped.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import threading
 from enum import Enum
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import distribution as dist_mod
 from .errors import ValidationError
+from .jsonio import csv_writer
 from .simplices import enumerate_simplices, simplex_label, simplex_rank, simplex_ranks
 from .units import from_nats
 
@@ -211,8 +211,7 @@ def signal_sweep(oracle: EntropyOracle, N: int, n: int, kind: MeasureKind) -> np
 
 
 def sweep_to_csv(path, N: int, n: int, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["simplex", "value"])
         for simplex, value in zip(enumerate_simplices(N, n), values):
             writer.writerow([simplex_label(simplex), repr(float(value))])

@@ -9,7 +9,6 @@ every other module.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -17,9 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, EstimationError, ValidationError
+from .jsonio import csv_writer
 
 Simplex = tuple[int, ...]
 
@@ -127,47 +126,63 @@ def parse_simplex_label(label: str) -> Simplex:
 
 
 @functools.lru_cache(maxsize=64)
-def boundary_matrix(N: int, n: int) -> sp.csr_matrix:
-    """Signed incidence matrix of the n-boundary map in the canonical bases.
+def boundary_faces(N: int, n: int) -> np.ndarray:
+    """Ranks of the faces of every n-simplex, for 1 <= n <= N.
+
+    Row j lists the faces of n-simplex j as (n-1)-simplex ranks: column i is
+    the face that drops vertex i, which enters the boundary with sign (-1)**i.
+    Dropping an earlier vertex gives a later face, so each row is strictly
+    decreasing. The array depends only on (N, n), so it is built once per pair
+    and shared by every caller; it is read-only so that no caller can alter it.
+    """
+    _check_dimensions(N, n)
+    if n == 0:
+        raise ValidationError("a vertex has no faces: the 0-boundary map is zero")
+    cofaces = np.array(enumerate_simplices(N, n), dtype=np.int64)
+    faces = np.stack(
+        [simplex_ranks(np.delete(cofaces, i, axis=1), N) for i in range(n + 1)], axis=1
+    ).astype(np.int64)
+    faces.flags.writeable = False
+    return faces
+
+
+@functools.lru_cache(maxsize=64)
+def boundary_matrix(N: int, n: int):
+    """Signed incidence matrix of the n-boundary map, as a read-only scipy CSR.
 
     Shape is C(N+1, n) x C(N+1, n+1): rows are (n-1)-simplices, columns are
-    n-simplices, both in lexicographic order. The column of a simplex carries
-    (-1)**i at the row of the face obtained by dropping its i-th vertex. For
-    n = 0 the map is the 1 x (N+1) zero matrix.
-
-    The matrix depends only on (N, n), so it is built once per pair and shared
-    by every caller; its arrays are read-only so that no caller can alter it.
+    n-simplices, both in lexicographic order. Column j carries (-1)**i at row
+    ``boundary_faces(N, n)[j, i]``. For n = 0 the map is the 1 x (N+1) zero
+    matrix. Cached per (N, n) like ``boundary_faces``; ``scipy.sparse`` is
+    imported on the first call, so callers that never need the matrix never
+    load it.
     """
+    import scipy.sparse as sp
+
     _check_dimensions(N, n)
     cols = simplex_count(N, n)
     if n == 0:
         return _read_only_csr(sp.csr_matrix((1, cols)))
-    face_rank = {s: i for i, s in enumerate(enumerate_simplices(N, n - 1))}
-    rows_idx: list[int] = []
-    cols_idx: list[int] = []
-    vals: list[float] = []
-    for j, simplex in enumerate(enumerate_simplices(N, n)):
-        for i in range(n + 1):
-            face = simplex[:i] + simplex[i + 1 :]
-            rows_idx.append(face_rank[face])
-            cols_idx.append(j)
-            vals.append(-1.0 if i % 2 else 1.0)
-    shape = (len(face_rank), cols)
-    return _read_only_csr(sp.coo_matrix((vals, (rows_idx, cols_idx)), shape=shape).tocsr())
+    faces = boundary_faces(N, n)
+    signs = np.tile(np.where(np.arange(n + 1) % 2, -1.0, 1.0), cols)
+    coo = sp.coo_matrix(
+        (signs, (faces.ravel(), np.repeat(np.arange(cols), n + 1))),
+        shape=(simplex_count(N, n - 1), cols),
+    )
+    return _read_only_csr(coo.tocsr())
 
 
-def _read_only_csr(matrix: sp.csr_matrix) -> sp.csr_matrix:
+def _read_only_csr(matrix):
     for array in (matrix.data, matrix.indices, matrix.indptr):
         array.flags.writeable = False
     return matrix
 
 
-def boundary_to_csv(path, matrix: sp.spmatrix) -> None:
+def boundary_to_csv(path, matrix) -> None:
     """Dump a boundary matrix as (row, col, value) triplets."""
     coo = matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["row", "col", "value"])
         for k in order:
             writer.writerow([int(coo.row[k]), int(coo.col[k]), int(coo.data[k])])
@@ -254,8 +269,8 @@ def structural_weights(
     off_diag = mi[~np.eye(mi.shape[0], dtype=bool)]
     if np.any(off_diag < 0) or not np.all(np.isfinite(off_diag)):
         raise ValidationError("similarity matrix entries must be finite and >= 0")
-    if floor <= 0:
-        raise ValidationError(f"weight floor must be > 0, got {floor}")
+    if not 0 < floor < math.inf:
+        raise ValidationError(f"weight floor must be finite and > 0, got {floor}")
     N = mi.shape[0] - 1
     check_vertex_count(N, max_n)
 
@@ -272,8 +287,7 @@ def structural_weights(
 
 def weights_to_csv(path, simplex: StructuralSimplex) -> None:
     """Dump all weights as (dimension, simplex, weight) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["dimension", "simplex", "weight"])
         for n in range(simplex.N + 1):
             w = simplex.weight_vector(n)

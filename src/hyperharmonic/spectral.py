@@ -21,10 +21,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, NumericalError, ValidationError
-from .simplices import StructuralSimplex, boundary_matrix, simplex_count
+from .simplices import StructuralSimplex, boundary_faces, boundary_matrix, simplex_count
 
 # Dense eigendecomposition cap; larger dimensions fail fast instead of thrashing.
 DENSE_DIMENSION_CAP = 5000
@@ -155,10 +154,35 @@ def adjoint_matrix(simplex: StructuralSimplex, n: int) -> np.ndarray:
     return (P.T.toarray() * w_n[None, :]) / w_up[:, None]
 
 
+def _signed_gram(index: np.ndarray, sign: np.ndarray, weight: np.ndarray, size: int) -> np.ndarray:
+    """Dense sum over rows r of ``weight[r] * v_r v_r^T``.
+
+    v_r is the (size,) vector with ``sign[r, p]`` (+-1) at ``index[r, p]`` and
+    zeros elsewhere. The indices of a row are distinct and two rows share at
+    most one pair of them, so each off-diagonal entry is one exact product.
+    Each diagonal entry adds its weights up in row order.
+    """
+    gram = np.zeros((size, size))
+    k = index.shape[1]
+    p, q = np.nonzero(~np.eye(k, dtype=bool))
+    gram[index[:, p], index[:, q]] = sign[:, p] * sign[:, q] * weight[:, None]
+    diagonal = np.zeros(size)
+    np.add.at(diagonal, index.ravel(), np.repeat(weight, k))
+    gram[np.diag_indices(size)] = diagonal
+    return gram
+
+
 def laplacian(simplex: StructuralSimplex, n: int) -> LaplaceOperator:
     """Assemble the dense n-Laplace operator of a structural simplex.
 
-    This is the self-adjoint assembly described in the module docstring.
+    This is the self-adjoint assembly described in the module docstring. Both
+    Gram products are scattered straight from the face arrays of
+    ``boundary_faces``: two n-simplices share at most one face and two
+    (n-1)-faces at most one coface. A diagonal entry of ``up`` adds its
+    cofaces in descending rank order, one of ``down`` its faces in ascending
+    order. Those are the orders of scipy's CSR products, so every entry equals
+    the sparse products ``P diag(.) P^T`` bit for bit; the tests keep them as
+    the reference.
     """
     N = simplex.N
     if not 0 <= n <= N:
@@ -168,15 +192,20 @@ def laplacian(simplex: StructuralSimplex, n: int) -> LaplaceOperator:
 
     up = np.zeros((d, d))
     if n < N:
-        P = boundary_matrix(N, n + 1)
-        w_up = simplex.weight_vector(n + 1)
-        up = (P @ sp.diags(1.0 / w_up) @ P.T).toarray() * w_n[None, :]
+        # Rows: the (n+1)-simplices, listing their n-faces.
+        faces = boundary_faces(N, n + 1)
+        sign = np.broadcast_to(np.where(np.arange(n + 2) % 2, -1.0, 1.0), faces.shape)
+        inv_up = 1.0 / simplex.weight_vector(n + 1)
+        up = _signed_gram(faces[::-1], sign, inv_up[::-1], d) * w_n[None, :]
 
     down = np.zeros((d, d))
     if n > 0:
-        P = boundary_matrix(N, n)
-        w_dn = simplex.weight_vector(n - 1)
-        down = (P.T @ sp.diags(w_dn) @ P).toarray() / w_n[:, None]
+        # Rows: the (n-1)-faces, listing the n-simplices that contain them.
+        faces = boundary_faces(N, n)
+        order = np.argsort(faces, axis=None, kind="stable")
+        cofaces = (order // (n + 1)).reshape(-1, N + 1 - n)
+        sign = np.where(order % (n + 1) % 2, -1.0, 1.0).reshape(cofaces.shape)
+        down = _signed_gram(cofaces, sign, simplex.weight_vector(n - 1), d) / w_n[:, None]
 
     return LaplaceOperator(dimension=n, matrix=up + down, up=up, down=down)
 

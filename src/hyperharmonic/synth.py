@@ -9,7 +9,6 @@ high-order signals.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .distribution import ContinuousSeriesTable, copula_gaussian_fit
 from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind
+from .jsonio import csv_writer
 from .seeding import as_rng, derive_rng
 from .simplices import (
     DEFAULT_WEIGHT_FLOOR,
@@ -106,8 +106,7 @@ class RankExperimentResult:
 
     def to_csv(self, path) -> None:
         """Long-format CSV (rank, dimension, measure, k, mean_cev, ci_low, ci_high)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+        with csv_writer(path) as writer:
             writer.writerow(
                 ["rank", "dimension", "measure", "k", "mean_cev", "ci_low", "ci_high"]
             )

@@ -9,14 +9,13 @@ signal, which is what makes cumulative explained variance meaningful.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, signal_sweep
-from .jsonio import read_json, write_json
+from .jsonio import csv_writer, read_json, require_keys, write_json
 from .seeding import as_rng, derive_rng
 from .simplices import StructuralSimplex
 from .spectral import FourierBasis, WeightedInnerProduct
@@ -245,8 +244,7 @@ def control_comparison(
 
 
 def cev_to_csv(path, report: CevReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["k", "ev", "cev"])
         for k, (ev, cev) in enumerate(zip(report.sorted_ev, report.cev), start=1):
             writer.writerow([k, repr(float(ev)), repr(float(cev))])
@@ -258,8 +256,7 @@ def cev_to_json(path, report: CevReport) -> None:
 
 def control_to_csv(path, comparison: ControlComparison) -> None:
     """Long-format CSV (basis_kind, replicate, k, cev), plot-ready."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["basis_kind", "replicate", "k", "cev"])
         for k, value in enumerate(comparison.fourier_cev, start=1):
             writer.writerow(["fourier", 0, k, repr(float(value))])
@@ -281,13 +278,17 @@ def signal_to_jsonable(signal: HighOrderSignal, num_vertices: int | None = None)
 
 
 def signal_from_jsonable(payload: dict) -> HighOrderSignal:
+    require_keys(payload, ("dimension", "coefficients"), "signal")
     measure = payload.get("measure")
-    return HighOrderSignal(
-        dimension=int(payload["dimension"]),
-        coefficients=np.array(payload["coefficients"], dtype=float),
-        basis=payload.get("basis", CANONICAL),
-        measure=MeasureKind(measure) if measure else None,
-    )
+    try:
+        return HighOrderSignal(
+            dimension=int(payload["dimension"]),
+            coefficients=np.array(payload["coefficients"], dtype=float),
+            basis=payload.get("basis", CANONICAL),
+            measure=MeasureKind(measure) if measure else None,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed signal: {exc}") from exc
 
 
 def write_signal(path, signal: HighOrderSignal, num_vertices: int | None = None) -> None:

@@ -120,6 +120,39 @@ class TestStepCommands:
         code = main(["cev", "--signal", str(sig), "--output-prefix", str(tmp_path / "r")])
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("payload", [
+        [],
+        3,
+        {"dimension": 2},
+        {"dimension": 2, "coefficients": "abc"},
+        {"dimension": 2, "coefficients": [1.0], "measure": "bogus"},
+    ], ids=["list", "number", "no-coefficients", "text-coefficients", "unknown-measure"])
+    def test_malformed_signal_file_gives_validation_exit(self, tmp_path, payload, capsys):
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps(payload))
+        code = main(["cev", "--signal", str(sig), "--output-prefix", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+        assert "error: " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["sig.json"]
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        3,
+        {"kind": "discrete"},
+        {"kind": "discrete", "num_variables": 2, "alphabet_sizes": [2, 2], "mass": [[0, 1]]},
+        {"kind": "gaussian"},
+        {"kind": "gaussian", "correlation": [[1, "x"], ["x", 1]]},
+    ], ids=["list", "number", "discrete-no-fields", "discrete-bad-mass", "gaussian-no-fields",
+            "gaussian-text-entry"])
+    def test_malformed_model_file_gives_validation_exit(self, tmp_path, payload, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code = main(["complex", "--distribution", str(model),
+                     "--output", str(tmp_path / "weights.json")])
+        assert code == EXIT_VALIDATION
+        assert "error: " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
 
 def write_five_variable_csv(path):
     rng = np.random.default_rng(4)
@@ -406,6 +439,34 @@ class TestRun:
         assert excinfo.value.code == EXIT_VALIDATION
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--floor", "nan"), ("--kernel-tol", "inf"), ("--smoothing", "nan"),
+    ], ids=["floor", "kernel_tol", "smoothing"])
+    def test_non_finite_value_rejected_before_any_output(self, tmp_path, flag, value, capsys):
+        data = tmp_path / "xor.csv"
+        write_xor_csv(data)
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(data), flag, value, "--output-dir", str(out)]) \
+            == EXIT_VALIDATION
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["complex", "--distribution", "dist.json", "--floor", "nan", "--output", "out"],
+        ["spectrum", "--weights", "weights.json", "--kernel-tol", "nan", "--output-dir", "out"],
+    ], ids=["complex-floor", "spectrum-kernel-tol"])
+    def test_non_finite_step_option_rejected_before_any_output(self, tmp_path, monkeypatch,
+                                                               argv):
+        # Every pairwise MI of this table is positive, so a NaN floor is never
+        # caught later by a zero weight.
+        monkeypatch.chdir(tmp_path)
+        write_five_variable_csv(tmp_path / "five.csv")
+        assert main(["estimate", "--input", "five.csv", "--output", "dist.json"]) == EXIT_OK
+        assert main(["complex", "--distribution", "dist.json", "--output", "weights.json"]) \
+            == EXIT_OK
+        assert main(argv) == EXIT_VALIDATION
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
@@ -499,6 +560,22 @@ class TestRun:
                   "--output-dir", str(out)])
         assert tree_bytes(out) == {}
 
+    def test_interrupted_csv_write_leaves_no_partial_file(self, tmp_path):
+        from hyperharmonic.cli import _write_eigenvalues_csv
+
+        def interrupted():
+            yield 1.0
+            raise RuntimeError("interrupted")
+
+        path = tmp_path / "eigenvalues.csv"
+        with pytest.raises(RuntimeError):
+            _write_eigenvalues_csv(path, interrupted())
+        assert tree_bytes(tmp_path) == {}
+        path.write_text("index,eigenvalue\n0,0.5\n")
+        with pytest.raises(RuntimeError):
+            _write_eigenvalues_csv(path, interrupted())
+        assert tree_bytes(tmp_path) == {"eigenvalues.csv": b"index,eigenvalue\n0,0.5\n"}
+
     def test_units_restored_after_run(self, tmp_path, monkeypatch):
         from hyperharmonic import units
 
@@ -567,7 +644,8 @@ class TestConsoleScript:
 
 
 class TestImports:
-    def test_cli_import_does_not_load_scipy_stats(self):
+    @staticmethod
+    def run_python(code, cwd):
         import subprocess
         import sys
 
@@ -577,14 +655,30 @@ class TestImports:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p
         )}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, hyperharmonic.cli; "
-             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, cwd=cwd, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False False"
+        return proc.stdout.strip()
+
+    def test_cli_import_does_not_load_scipy_stats(self, tmp_path):
+        loaded = self.run_python(
+            "import sys, hyperharmonic.cli; "
+            "print([m in sys.modules for m in ('scipy.stats', 'scipy.special', 'scipy.sparse')])",
+            tmp_path,
+        )
+        assert loaded == "[False, False, False]"
+
+    def test_discrete_run_does_not_load_scipy_sparse(self, tmp_path):
+        write_five_variable_csv(tmp_path / "data.csv")
+        result = self.run_python(
+            "import sys; from hyperharmonic.cli import main; "
+            "code = main(['run', '--input', 'data.csv', '--kind', 'discrete', "
+            "'--dimensions', '2,3', '--output-dir', 'out']); "
+            "print(code, 'scipy.sparse' in sys.modules)",
+            tmp_path,
+        )
+        assert result == "0 False"
+        assert (tmp_path / "out" / "dim_3" / "basis_eigenvectors.npy").exists()
 
 
 class TestControlSynth:

@@ -13,6 +13,7 @@ from hyperharmonic import (
     StructuralSimplex,
     ValidationError,
     WeightAggregator,
+    boundary_faces,
     boundary_matrix,
     enumerate_simplices,
     similarity_matrix,
@@ -156,6 +157,34 @@ class TestBoundaryMatrix:
         assert np.array_equal(boundary_matrix(4, 2).toarray(),
                               boundary_matrix.__wrapped__(4, 2).toarray())
 
+    def test_faces_are_cached_read_only_int64(self):
+        for N, n in ((4, 1), (4, 2), (6, 6)):
+            F = boundary_faces(N, n)
+            assert boundary_faces(N, n) is F
+            assert F.dtype == np.int64
+            assert F.shape == (simplex_count(N, n), n + 1)
+            with pytest.raises(ValueError):
+                F[0, 0] = 0
+        with pytest.raises(ValidationError):
+            boundary_faces(4, 0)
+
+    def test_faces_are_the_ranks_of_the_dropped_vertex_faces(self):
+        for N in (3, 6):
+            for n in range(1, N + 1):
+                F = boundary_faces(N, n)
+                for j, simplex in enumerate(enumerate_simplices(N, n)):
+                    expected = [simplex_rank(simplex[:i] + simplex[i + 1:], N)
+                                for i in range(n + 1)]
+                    assert F[j].tolist() == expected
+
+    def test_matrix_equals_the_one_rebuilt_from_faces_and_signs(self):
+        for N in range(1, 9):
+            for n in range(1, N + 1):
+                F = boundary_faces(N, n)
+                dense = np.zeros((simplex_count(N, n - 1), simplex_count(N, n)))
+                dense[F, np.arange(len(F))[:, None]] = (-1.0) ** np.arange(n + 1)
+                assert np.array_equal(boundary_matrix(N, n).toarray(), dense)
+
 
 class TestStructuralWeights:
     def test_constant_matrix_mean(self):
@@ -205,6 +234,12 @@ class TestStructuralWeights:
             structural_weights(bad)
         with pytest.raises(ValidationError):
             structural_weights(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_floor_that_is_not_finite_and_positive(self, floor):
+        mi = np.ones((3, 3)) - np.eye(3)
+        with pytest.raises(ValidationError):
+            structural_weights(mi, floor=floor)
 
     def test_vertex_cap(self):
         with pytest.raises(CapacityError):

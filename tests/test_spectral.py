@@ -7,6 +7,7 @@ from hyperharmonic import (
     ValidationError,
     WeightedInnerProduct,
     adjoint_matrix,
+    boundary_faces,
     boundary_matrix,
     fourier_basis,
     kernel_dimension,
@@ -39,6 +40,22 @@ def loop_sign_fixed_basis(operator, inner):
             Q[:, j] = -Q[:, j]
             inverse[:, j] = -col
     return Q.T * root[None, :], inverse
+
+
+def sparse_reference_laplacian(simplex, n):
+    """Reference (up, down): the scipy Gram products that ``laplacian`` replaced."""
+    import scipy.sparse as sp
+
+    N, d = simplex.N, simplex_count(simplex.N, n)
+    w_n = simplex.weight_vector(n)
+    up = down = np.zeros((d, d))
+    if n < N:
+        P = boundary_matrix(N, n + 1)
+        up = (P @ sp.diags(1.0 / simplex.weight_vector(n + 1)) @ P.T).toarray() * w_n[None, :]
+    if n > 0:
+        P = boundary_matrix(N, n)
+        down = (P.T @ sp.diags(simplex.weight_vector(n - 1)) @ P).toarray() / w_n[:, None]
+    return up, down
 
 
 def unit_simplex(N):
@@ -102,6 +119,20 @@ class TestLaplacian:
                 P = boundary_matrix(4, n).toarray()
                 expected += P.T @ P
             assert np.array_equal(L.matrix, expected)
+
+    def test_assembly_matches_sparse_reference_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for N in range(11):
+            log_uniform = StructuralSimplex(N=N, weights=tuple(
+                np.exp(rng.uniform(-20.0, 7.0, size=simplex_count(N, n))) for n in range(N + 1)
+            ))
+            for S in (random_structural_simplex(N, rng), log_uniform):
+                for n in range(N + 1):
+                    L = laplacian(S, n)
+                    up, down = sparse_reference_laplacian(S, n)
+                    assert np.array_equal(L.up, up), (N, n)
+                    assert np.array_equal(L.down, down), (N, n)
+                    assert np.array_equal(L.matrix, up + down), (N, n)
 
     def test_self_adjointness_for_random_weights(self):
         rng = np.random.default_rng(5)
@@ -228,7 +259,7 @@ class TestFourierBasis:
             return result
 
         cached = outputs()
-        monkeypatch.setattr(spectral_mod, "boundary_matrix", boundary_matrix.__wrapped__)
+        monkeypatch.setattr(spectral_mod, "boundary_faces", boundary_faces.__wrapped__)
         fresh = outputs()
         for got, want in zip(cached, fresh):
             for a, b in zip(got[:-1], want[:-1]):
