@@ -442,6 +442,9 @@ def cmd_control_random(args) -> int:
 
 
 def cmd_control_synth(args) -> int:
+    dims = args.dimensions or synth.DEFAULT_DIMENSIONS
+    measures = _parse_measures(args.measures)
+    synth.check_experiment(args.ranks, args.replicates, args.samples, args.size, dims, measures)
     outdir = _resolve_output_dir(args.output_dir)
     os.makedirs(outdir, exist_ok=True)
     marker = os.path.join(outdir, INCOMPLETE_MARKER)
@@ -453,8 +456,8 @@ def cmd_control_synth(args) -> int:
         num_samples=args.samples,
         base_seed=args.seed,
         size=args.size,
-        dimensions=args.dimensions or synth.DEFAULT_DIMENSIONS,
-        measures=_parse_measures(args.measures),
+        dimensions=dims,
+        measures=measures,
     )
     result.to_csv(os.path.join(outdir, "rank_cev.csv"))
     manifest = dict(result.manifest)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
 from .jsonio import read_json, require_keys, write_json
+from .simplices import validate_simplex
 from .units import from_nats
 
 Outcome = tuple[int, ...]
@@ -33,17 +34,6 @@ GAUSSIAN_DIAGONAL_REGULARIZATION = 1e-12
 SMOOTHING_SUPPORT_CAP = 2_000_000
 
 _LOG_TWO_PI_E = math.log(2.0 * math.pi * math.e)
-
-
-def _check_subset(subset, num_variables: int) -> tuple[int, ...]:
-    s = tuple(int(i) for i in subset)
-    if not s:
-        raise ValidationError("variable subset must be non-empty")
-    if any(b <= a for a, b in zip(s, s[1:])):
-        raise ValidationError(f"subset must be strictly increasing, got {s}")
-    if s[0] < 0 or s[-1] >= num_variables:
-        raise ValidationError(f"subset {s} out of range for {num_variables} variables")
-    return s
 
 
 @dataclass(frozen=True)
@@ -231,7 +221,7 @@ def estimate_empirical(table: DiscreteSeriesTable, smoothing: float = 0.0) -> Jo
 
 def marginalize(dist: JointDistribution, subset) -> JointDistribution:
     """Marginal distribution of the variables in ``subset`` (sorted indices)."""
-    s = _check_subset(subset, dist.num_variables)
+    s = validate_simplex(subset, dist.num_variables - 1)
     if len(s) == dist.num_variables:
         return dist
     mass: dict[Outcome, float] = {}
@@ -360,7 +350,7 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
 def gaussian_entropy_nats(model: GaussianModel, subset) -> tuple[float, bool]:
     """Closed-form entropy of a variable subset, plus a flag marking cases
     where the diagonal regularization changed the log-determinant materially."""
-    s = _check_subset(subset, model.num_variables)
+    s = validate_simplex(subset, model.num_variables - 1)
     k = len(s)
     sub = model.correlation_matrix[np.ix_(s, s)]
     reg = sub + model.regularization * np.eye(k)

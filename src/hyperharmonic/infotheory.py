@@ -21,7 +21,13 @@ import numpy as np
 from . import distribution as dist_mod
 from .errors import ValidationError
 from .jsonio import csv_writer
-from .simplices import enumerate_simplices, simplex_label, simplex_rank, simplex_ranks
+from .simplices import (
+    enumerate_simplices,
+    simplex_label,
+    simplex_rank,
+    simplex_ranks,
+    validate_simplex,
+)
 from .units import from_nats
 
 NEGATIVE_NOISE_TOLERANCE = 1e-10
@@ -70,7 +76,7 @@ class EntropyOracle:
         with self._lock:
             level = self._levels.get(k)
             if level is None:
-                subsets = np.array(enumerate_simplices(self.num_variables - 1, k - 1))
+                subsets = enumerate_simplices(self.num_variables - 1, k - 1)
                 level, regularized = dist_mod.subset_entropies_nats(self.source, subsets)
                 level.flags.writeable = False
                 self.regularized_subsets.update(map(tuple, subsets[regularized].tolist()))
@@ -82,25 +88,12 @@ class EntropyOracle:
         key = tuple(sorted(int(i) for i in subset))
         if not key:
             return 0.0
-        if len(set(key)) != len(key):
-            raise ValidationError(f"subset {key} contains duplicate indices")
         rank = simplex_rank(key, self.num_variables - 1)
         return from_nats(float(self.table(len(key))[rank]))
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:
     return np.where((-NEGATIVE_NOISE_TOLERANCE < values) & (values < 0.0), 0.0, values)
-
-
-def _checked_subset(oracle: EntropyOracle, subset, minimum: int) -> np.ndarray:
-    s = tuple(sorted(int(i) for i in subset))
-    if len(set(s)) != len(s):
-        raise ValidationError(f"subset {s} contains duplicate indices")
-    if len(s) < minimum:
-        raise ValidationError(f"need at least {minimum} variables, got {len(s)}")
-    if s and (s[0] < 0 or s[-1] >= oracle.num_variables):
-        raise ValidationError(f"subset {s} out of range")
-    return np.array([s])
 
 
 def measure_values(oracle: EntropyOracle, subsets: np.ndarray, kind: MeasureKind) -> np.ndarray:
@@ -193,8 +186,10 @@ def _min_size(kind: MeasureKind) -> int:
 
 
 def _measure_one(oracle: EntropyOracle, subset, kind: MeasureKind) -> float:
-    s = _checked_subset(oracle, subset, _min_size(kind))
-    return float(measure_values(oracle, s, kind)[0])
+    s = validate_simplex(sorted(int(i) for i in subset), oracle.num_variables - 1)
+    if len(s) < _min_size(kind):
+        raise ValidationError(f"need at least {_min_size(kind)} variables, got {len(s)}")
+    return float(measure_values(oracle, np.array([s]), kind)[0])
 
 
 def signal_sweep(oracle: EntropyOracle, N: int, n: int, kind: MeasureKind) -> np.ndarray:
@@ -207,12 +202,12 @@ def signal_sweep(oracle: EntropyOracle, N: int, n: int, kind: MeasureKind) -> np
     min_dim = _min_size(kind) - 1
     if not min_dim <= n <= N:
         raise ValidationError(f"dimension n={n} out of range [{min_dim}, {N}] for {kind.value}")
-    return measure_values(oracle, np.array(enumerate_simplices(N, n)), kind)
+    return measure_values(oracle, enumerate_simplices(N, n), kind)
 
 
 def sweep_to_csv(path, N: int, n: int, values: np.ndarray) -> None:
     with csv_writer(path) as writer:
         writer.writerow(["simplex", "value"])
-        for simplex, value in zip(enumerate_simplices(N, n), values):
+        for simplex, value in zip(enumerate_simplices(N, n).tolist(), values):
             writer.writerow([simplex_label(simplex), repr(float(value))])
 

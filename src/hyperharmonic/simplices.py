@@ -1,10 +1,10 @@
 """Combinatorics of the standard simplex on N+1 vertices.
 
-Simplices are represented as strictly increasing tuples of vertex indices;
-an n-simplex has n+1 vertices. All vector and matrix representations use the
-lexicographic order of these tuples, so ``enumerate_simplices``,
-``simplex_rank`` and ``simplex_unrank`` define the canonical basis shared by
-every other module.
+A simplex is a strictly increasing sequence of vertex indices; an n-simplex
+has n+1 vertices. All vector and matrix representations use the lexicographic
+order of these sequences. ``enumerate_simplices`` holds that order as one
+cached array per dimension, and with ``simplex_rank`` and ``simplex_unrank``
+defines the canonical basis shared by every other module.
 """
 
 from __future__ import annotations
@@ -40,13 +40,20 @@ def _check_dimensions(N: int, n: int) -> None:
         raise ValidationError(f"simplex dimension n={n} out of range [0, {N}]")
 
 
-def enumerate_simplices(N: int, n: int) -> list[Simplex]:
-    """All sorted (n+1)-subsets of {0, ..., N} in lexicographic order."""
+@functools.lru_cache(maxsize=64)
+def enumerate_simplices(N: int, n: int) -> np.ndarray:
+    """All sorted (n+1)-subsets of {0, ..., N} in lexicographic order, one per row.
+
+    A read-only (C(N+1, n+1), n+1) int64 array, built once per (N, n) and shared."""
     _check_dimensions(N, n)
-    return list(itertools.combinations(range(N + 1), n + 1))
+    flat = itertools.chain.from_iterable(itertools.combinations(range(N + 1), n + 1))
+    simplices = np.fromiter(flat, dtype=np.int64).reshape(-1, n + 1)
+    simplices.flags.writeable = False
+    return simplices
 
 
 def validate_simplex(simplex: Simplex, N: int) -> Simplex:
+    """The simplex as a tuple; ValidationError unless non-empty, increasing, in [0, N]."""
     s = tuple(int(v) for v in simplex)
     if not s:
         raise ValidationError("a simplex needs at least one vertex")
@@ -118,13 +125,6 @@ def simplex_label(simplex: Simplex) -> str:
     return "-".join(str(v) for v in simplex)
 
 
-def parse_simplex_label(label: str) -> Simplex:
-    try:
-        return tuple(int(part) for part in label.split("-"))
-    except ValueError as exc:
-        raise ValidationError(f"malformed simplex label {label!r}") from exc
-
-
 @functools.lru_cache(maxsize=64)
 def boundary_faces(N: int, n: int) -> np.ndarray:
     """Ranks of the faces of every n-simplex, for 1 <= n <= N.
@@ -138,7 +138,7 @@ def boundary_faces(N: int, n: int) -> np.ndarray:
     _check_dimensions(N, n)
     if n == 0:
         raise ValidationError("a vertex has no faces: the 0-boundary map is zero")
-    cofaces = np.array(enumerate_simplices(N, n), dtype=np.int64)
+    cofaces = enumerate_simplices(N, n)
     faces = np.stack(
         [simplex_ranks(np.delete(cofaces, i, axis=1), N) for i in range(n + 1)], axis=1
     ).astype(np.int64)
@@ -196,13 +196,6 @@ class WeightAggregator(Enum):
     MIN = "min"
 
 
-_AGGREGATE = {
-    WeightAggregator.MEAN: lambda vals: sum(vals) / len(vals),
-    WeightAggregator.MAX: max,
-    WeightAggregator.MIN: min,
-}
-
-
 @dataclass(frozen=True)
 class StructuralSimplex:
     """The standard simplex with one positive weight per simplex.
@@ -235,9 +228,6 @@ class StructuralSimplex:
     def weight_vector(self, n: int) -> np.ndarray:
         _check_dimensions(self.N, n)
         return self.weights[n]
-
-    def dimension_size(self, n: int) -> int:
-        return simplex_count(self.N, n)
 
 
 def check_vertex_count(N: int, max_n: int = DEFAULT_MAX_N) -> None:
@@ -274,14 +264,20 @@ def structural_weights(
     N = mi.shape[0] - 1
     check_vertex_count(N, max_n)
 
-    aggregate = _AGGREGATE[WeightAggregator(aggregator)]
+    aggregator = WeightAggregator(aggregator)
     weights: list[np.ndarray] = [np.ones(N + 1)]
     for n in range(1, N + 1):
-        vals = []
-        for simplex in enumerate_simplices(N, n):
-            pairs = [mi[a, b] for a, b in itertools.combinations(simplex, 2)]
-            vals.append(max(aggregate(pairs), floor))
-        weights.append(np.array(vals))
+        rows = enumerate_simplices(N, n)
+        a, b = np.triu_indices(n + 1, 1)  # vertex pairs, in itertools.combinations order
+        pairs = mi[rows[:, a], rows[:, b]]
+        if aggregator is WeightAggregator.MEAN:
+            # Column by column from zero, as Python's sum(vals) / len(vals).
+            values = functools.reduce(np.add, pairs.T, np.zeros(len(rows))) / len(a)
+        elif aggregator is WeightAggregator.MAX:
+            values = pairs.max(axis=1)
+        else:
+            values = pairs.min(axis=1)
+        weights.append(np.maximum(values, floor))
     return StructuralSimplex(N=N, weights=tuple(weights))
 
 
@@ -291,7 +287,7 @@ def weights_to_csv(path, simplex: StructuralSimplex) -> None:
         writer.writerow(["dimension", "simplex", "weight"])
         for n in range(simplex.N + 1):
             w = simplex.weight_vector(n)
-            for s, value in zip(enumerate_simplices(simplex.N, n), w):
+            for s, value in zip(enumerate_simplices(simplex.N, n).tolist(), w):
                 writer.writerow([n, simplex_label(s), repr(float(value))])
 
 
@@ -318,7 +314,7 @@ def similarity_matrix(source, metric: SimilarityMetric) -> np.ndarray:
     out = np.zeros((k, k))
     if metric is SimilarityMetric.MUTUAL_INFORMATION:
         if k > 1:
-            pairs = np.array(list(itertools.combinations(range(k), 2)))
+            pairs = enumerate_simplices(k - 1, 1)
             # The mutual information of a pair is its total correlation.
             mi = infotheory.measure_values(
                 infotheory.EntropyOracle(source), pairs, infotheory.MeasureKind.TC

@@ -22,10 +22,11 @@ from .simplices import (
     DEFAULT_WEIGHT_FLOOR,
     SimilarityMetric,
     WeightAggregator,
+    check_vertex_count,
     similarity_matrix,
     structural_weights,
 )
-from .spectral import fourier_basis, laplacian, weighted_inner_product
+from .spectral import check_dense_dimension, fourier_basis, laplacian, weighted_inner_product
 from .transform import _cev_curve, build_signal, mean_with_band, to_fourier
 
 RANK_TOLERANCE = 1e-8
@@ -101,7 +102,6 @@ class RankExperimentResult:
     mean_cev: dict[tuple[int, int, MeasureKind], np.ndarray]
     ci_low: dict[tuple[int, int, MeasureKind], np.ndarray]
     ci_high: dict[tuple[int, int, MeasureKind], np.ndarray]
-    regularized_counts: dict[tuple[int, int], int]
     manifest: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
@@ -117,6 +117,28 @@ class RankExperimentResult:
                     writer.writerow(
                         [rank, n, measure.value, k, repr(float(m)), repr(float(lo)), repr(float(hi))]
                     )
+
+
+def check_experiment(ranks, replicates, num_samples, size, dimensions, measures):
+    """Ranks, dimensions and measures of an experiment as tuples.
+
+    Raises ValidationError or CapacityError for any argument the experiment
+    cannot run with, before anything is sampled.
+    """
+    ranks = tuple(int(r) for r in ranks)
+    if not ranks or any(not 1 <= r <= size for r in ranks):
+        raise ValidationError(f"ranks must be a non-empty subset of [1, {size}], got {ranks}")
+    if replicates < 1:
+        raise ValidationError(f"need at least one replicate, got {replicates}")
+    if num_samples < 3:
+        raise ValidationError(f"need at least 3 samples to fit a copula, got {num_samples}")
+    check_vertex_count(size - 1)
+    dimensions = tuple(int(n) for n in dimensions)
+    if any(not 2 <= n <= size - 1 for n in dimensions):
+        raise ValidationError(f"dimensions must lie in [2, {size - 1}], got {dimensions}")
+    for n in dimensions:
+        check_dense_dimension(size - 1, n)
+    return ranks, dimensions, tuple(MeasureKind(m) for m in measures)
 
 
 def rank_experiment(
@@ -139,15 +161,9 @@ def rank_experiment(
     band across replicates; replicate sub-seeds are derived by a fixed counter
     scheme so adding replicates never changes earlier ones.
     """
-    ranks = tuple(int(r) for r in ranks)
-    if not ranks or any(not 1 <= r <= size for r in ranks):
-        raise ValidationError(f"ranks must be a non-empty subset of [1, {size}], got {ranks}")
-    if replicates < 1:
-        raise ValidationError(f"need at least one replicate, got {replicates}")
-    dimensions = tuple(int(n) for n in dimensions)
-    if any(not 2 <= n <= size - 1 for n in dimensions):
-        raise ValidationError(f"dimensions must lie in [2, {size - 1}], got {dimensions}")
-    measures = tuple(MeasureKind(m) for m in measures)
+    ranks, dimensions, measures = check_experiment(
+        ranks, replicates, num_samples, size, dimensions, measures
+    )
 
     curves: dict[tuple[int, int, MeasureKind], list[np.ndarray]] = {
         (rank, n, m): [] for rank in ranks for n in dimensions for m in measures
@@ -201,6 +217,5 @@ def rank_experiment(
         mean_cev=mean_cev,
         ci_low=ci_low,
         ci_high=ci_high,
-        regularized_counts=regularized,
         manifest=manifest,
     )

@@ -696,3 +696,17 @@ class TestControlSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["ranks"] == [2, 4]
         assert not (out / INCOMPLETE_MARKER).exists()
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--replicates", "0"], EXIT_VALIDATION),
+        (["--samples", "2"], EXIT_VALIDATION),
+        (["--size", "20"], EXIT_CAPACITY),
+        (["--size", "3"], EXIT_VALIDATION),
+    ])
+    def test_bad_arguments_leave_no_output_directory(self, tmp_path, flags, code):
+        out = tmp_path / "ctrl"
+        assert main([
+            "control-synth", "--ranks", "2", "--replicates", "1", "--samples", "50",
+            *flags, "--output-dir", str(out),
+        ]) == code
+        assert not out.exists()

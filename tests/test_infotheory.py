@@ -183,7 +183,7 @@ class TestEntropyTable:
         flagged = set()
         for k in range(1, size + 1):
             table = oracle.table(k)
-            for value, s in zip(table, enumerate_simplices(size - 1, k - 1)):
+            for value, s in zip(table, map(tuple, enumerate_simplices(size - 1, k - 1).tolist())):
                 expected, needed = gaussian_entropy_nats(model, s)
                 assert abs(value - expected) <= 1e-12
                 if needed:
@@ -369,8 +369,8 @@ class TestSignalSweep:
         dist, dense = random_pmf(np.random.default_rng(2), (2, 2, 2, 2))
         oracle = EntropyOracle(dist)
         values = signal_sweep(oracle, 3, 2, MeasureKind.S_INFORMATION)
-        subsets = enumerate_simplices(3, 2)
-        assert subsets == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        subsets = enumerate_simplices(3, 2).tolist()
+        assert subsets == [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
         for subset, value in zip(subsets, values):
             assert value == pytest.approx(s_information(oracle, subset), abs=1e-12)
 

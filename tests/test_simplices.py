@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hyperharmonic import (
     CapacityError,
+    EntropyOracle,
     EstimationError,
     GaussianModel,
     SimilarityMetric,
@@ -21,13 +23,10 @@ from hyperharmonic import (
     simplex_rank,
     simplex_unrank,
     structural_weights,
+    total_correlation,
 )
-from hyperharmonic.simplices import (
-    boundary_to_csv,
-    parse_simplex_label,
-    simplex_label,
-    weights_to_csv,
-)
+from hyperharmonic.distribution import gaussian_entropy_nats, marginalize
+from hyperharmonic.simplices import boundary_to_csv, simplex_label, weights_to_csv
 
 from conftest import bit_copy, dense_to_distribution, independent_bits, xor_triple
 
@@ -53,23 +52,33 @@ B3_EXPECTED = np.array([[-1], [1], [-1], [1]], dtype=float)
 
 class TestEnumeration:
     def test_edges_of_tetrahedron(self):
-        assert enumerate_simplices(3, 1) == [
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        assert enumerate_simplices(3, 1).tolist() == [
+            [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]
         ]
 
     def test_top_simplex(self):
-        assert enumerate_simplices(3, 3) == [(0, 1, 2, 3)]
+        assert enumerate_simplices(3, 3).tolist() == [[0, 1, 2, 3]]
 
     def test_vertices(self):
-        assert enumerate_simplices(2, 0) == [(0,), (1,), (2,)]
+        assert enumerate_simplices(2, 0).tolist() == [[0], [1], [2]]
 
     def test_out_of_range_dimension(self):
         with pytest.raises(ValidationError):
             enumerate_simplices(2, 3)
 
     def test_lexicographic_comparison_rule(self):
-        simplices = enumerate_simplices(4, 2)
+        simplices = enumerate_simplices(4, 2).tolist()
         assert simplices == sorted(simplices)
+
+    def test_cached_read_only_int64_array(self):
+        for N, n in ((0, 0), (3, 1), (4, 2), (9, 4), (9, 9)):
+            S = enumerate_simplices(N, n)
+            assert enumerate_simplices(N, n) is S
+            assert S.dtype == np.int64
+            assert S.shape == (math.comb(N + 1, n + 1), n + 1)
+            assert S.tolist() == [list(c) for c in itertools.combinations(range(N + 1), n + 1)]
+            with pytest.raises(ValueError):
+                S[0, 0] = 1
 
 
 class TestRankUnrank:
@@ -79,7 +88,7 @@ class TestRankUnrank:
 
     def test_matches_enumeration(self):
         for n in range(4):
-            for r, s in enumerate(enumerate_simplices(3, n)):
+            for r, s in enumerate(map(tuple, enumerate_simplices(3, n).tolist())):
                 assert simplex_rank(s, 3) == r
                 assert simplex_unrank(r, 3, n) == s
 
@@ -93,7 +102,7 @@ class TestRankUnrank:
     def test_exhaustive_roundtrip_small(self):
         for N in range(9):
             for n in range(N + 1):
-                for s in enumerate_simplices(N, n):
+                for s in map(tuple, enumerate_simplices(N, n).tolist()):
                     assert simplex_unrank(simplex_rank(s, N), N, n) == s
 
     def test_rank_rejects_bad_input(self):
@@ -106,7 +115,6 @@ class TestRankUnrank:
 
     def test_labels(self):
         assert simplex_label((0, 2, 11)) == "0-2-11"
-        assert parse_simplex_label("0-2-11") == (0, 2, 11)
 
 
 class TestBoundaryMatrix:
@@ -128,8 +136,8 @@ class TestBoundaryMatrix:
         for N in (3, 5):
             for n in range(1, N + 1):
                 B = boundary_matrix(N, n).tocsc()
-                faces = enumerate_simplices(N, n - 1)
-                for j, simplex in enumerate(enumerate_simplices(N, n)):
+                faces = enumerate_simplices(N, n - 1).tolist()
+                for j, simplex in enumerate(enumerate_simplices(N, n).tolist()):
                     col = B.getcol(j)
                     assert col.nnz == n + 1
                     for i in range(n + 1):
@@ -172,7 +180,7 @@ class TestBoundaryMatrix:
         for N in (3, 6):
             for n in range(1, N + 1):
                 F = boundary_faces(N, n)
-                for j, simplex in enumerate(enumerate_simplices(N, n)):
+                for j, simplex in enumerate(enumerate_simplices(N, n).tolist()):
                     expected = [simplex_rank(simplex[:i] + simplex[i + 1:], N)
                                 for i in range(n + 1)]
                     assert F[j].tolist() == expected
@@ -186,7 +194,55 @@ class TestBoundaryMatrix:
                 assert np.array_equal(boundary_matrix(N, n).toarray(), dense)
 
 
+# The per-simplex Python loop that structural_weights replaced, kept as the
+# bit-for-bit reference for its vectorized aggregation.
+_LOOP_AGGREGATE = {
+    WeightAggregator.MEAN: lambda vals: sum(vals) / len(vals),
+    WeightAggregator.MAX: max,
+    WeightAggregator.MIN: min,
+}
+
+
+def loop_structural_weights(mi, aggregator, floor):
+    N = mi.shape[0] - 1
+    aggregate = _LOOP_AGGREGATE[aggregator]
+    weights = [np.ones(N + 1)]
+    for n in range(1, N + 1):
+        vals = []
+        for simplex in itertools.combinations(range(N + 1), n + 1):
+            pairs = [mi[a, b] for a, b in itertools.combinations(simplex, 2)]
+            vals.append(max(aggregate(pairs), floor))
+        weights.append(np.array(vals))
+    return weights
+
+
+def random_similarity(rng, size):
+    """Symmetric, non-negative, with exact and negative zeros, magnitudes over
+    eight decades (so summation order shows in the last bits), and a lower
+    triangle that differs from the upper one within the symmetry tolerance."""
+    draw = np.exp(rng.uniform(-12.0, 6.0, size=(size, size)))
+    draw[rng.random((size, size)) < 0.25] = 0.0
+    draw[rng.random((size, size)) < 0.1] = -0.0
+    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    mi = np.where(upper, draw, draw.T)
+    noise = rng.uniform(0.0, 1e-12, size=(size, size))
+    mi = np.where(upper.T & (mi > 0), mi + noise, mi)
+    np.fill_diagonal(mi, 0.0)
+    return mi
+
+
 class TestStructuralWeights:
+    @pytest.mark.parametrize("aggregator", list(WeightAggregator))
+    @pytest.mark.parametrize("floor", [1e-9, 0.3])
+    def test_matches_the_loop_reference_bit_for_bit(self, aggregator, floor):
+        rng = np.random.default_rng(17)
+        for size in (2, 3, 5, 8, 11):
+            mi = random_similarity(rng, size)
+            got = structural_weights(mi, aggregator, floor=floor)
+            expected = loop_structural_weights(mi, aggregator, floor)
+            for n in range(size):
+                assert got.weight_vector(n).tobytes() == expected[n].tobytes(), (size, n)
+
     def test_constant_matrix_mean(self):
         mi = np.ones((4, 4)) - np.eye(4)
         simplex = structural_weights(mi, WeightAggregator.MEAN)
@@ -310,3 +366,38 @@ class TestSimilarityMatrix:
         for metric in SimilarityMetric:
             out = similarity_matrix(dist, metric)
             assert np.array_equal(out, out.T)
+
+
+
+def subset_callers():
+    """Each entry point that takes a variable subset, on three variables."""
+    dist, _ = xor_triple()
+    model = GaussianModel(correlation_matrix=np.eye(3))
+    return {
+        "marginalize": lambda s: marginalize(dist, s),
+        "gaussian_entropy_nats": lambda s: gaussian_entropy_nats(model, s),
+        "entropy": lambda s: EntropyOracle(dist).entropy(s),
+        "total_correlation": lambda s: total_correlation(EntropyOracle(dist), s),
+    }
+
+
+class TestOneSubsetValidator:
+    @pytest.mark.parametrize("caller", sorted(subset_callers()))
+    @pytest.mark.parametrize("subset", [(), (1, 1), (0, 2, 0), (0, 3), (-1, 2)])
+    def test_rejects_empty_duplicated_or_out_of_range(self, caller, subset):
+        call = subset_callers()[caller]
+        if caller == "entropy" and subset == ():
+            assert call(subset) == 0.0  # H(empty) = 0 by definition
+            return
+        with pytest.raises(ValidationError):
+            call(subset)
+
+    def test_measures_accept_unsorted_subsets(self):
+        dist, _ = xor_triple()
+        oracle = EntropyOracle(dist)
+        assert oracle.entropy((2, 0)) == oracle.entropy((0, 2))
+        assert total_correlation(oracle, (2, 1, 0)) == total_correlation(oracle, (0, 1, 2))
+        callers = subset_callers()
+        for caller in ("marginalize", "gaussian_entropy_nats"):
+            with pytest.raises(ValidationError):
+                callers[caller]((2, 0))

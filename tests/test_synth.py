@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hyperharmonic import (
+    CapacityError,
     EntropyOracle,
     MeasureKind,
     NumericalError,
@@ -136,10 +137,29 @@ class TestRankExperiment:
         with pytest.raises(ValidationError):
             rank_experiment(ranks=(2,), replicates=1, size=9, dimensions=(9,))
 
-    def test_error_tagged_with_rank_and_replicate(self):
+    @pytest.mark.parametrize("kwargs, error", [
+        (dict(num_samples=2), ValidationError),
+        (dict(size=20), CapacityError),
+        (dict(size=17, dimensions=(7,)), CapacityError),
+        (dict(replicates=0), ValidationError),
+    ])
+    def test_invalid_arguments_rejected_before_sampling(self, monkeypatch, kwargs, error):
+        def fail(*args, **kw):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(synth, "random_rank_covariance", fail)
+        arguments = dict(ranks=(2,), replicates=1, num_samples=50, size=4, dimensions=(2,))
+        with pytest.raises(error):
+            rank_experiment(**{**arguments, **kwargs})
+
+    def test_error_tagged_with_rank_and_replicate(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValidationError("bad table")
+
+        monkeypatch.setattr(synth, "copula_gaussian_fit", fail)
         with pytest.raises(ValidationError, match="rank 2, replicate 0"):
             rank_experiment(
-                ranks=(2,), replicates=1, num_samples=2, base_seed=0,
+                ranks=(2,), replicates=1, num_samples=50, base_seed=0,
                 size=4, dimensions=(2,),
             )
 
