@@ -74,7 +74,6 @@ from .transform import (
     random_basis,
     to_fourier,
 )
-from .units import entropy_units, set_entropy_units
 
 __version__ = "0.1.0"
 
@@ -108,7 +107,6 @@ __all__ = [
     "copula_gaussian_fit",
     "dual_total_correlation",
     "entropy",
-    "entropy_units",
     "enumerate_simplices",
     "estimate_empirical",
     "fourier_basis",
@@ -127,7 +125,6 @@ __all__ = [
     "read_discrete_csv",
     "s_information",
     "sample_gaussian",
-    "set_entropy_units",
     "signal_sweep",
     "similarity_matrix",
     "simplex_count",

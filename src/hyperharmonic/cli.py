@@ -22,9 +22,9 @@ import scipy
 
 from . import __version__
 from . import distribution as dist_mod
-from . import infotheory, simplices, spectral, synth, transform, units
+from . import infotheory, simplices, spectral, synth, transform
 from .errors import CapacityError, NumericalError, ValidationError
-from .jsonio import csv_writer, read_json, replacing, write_json
+from .jsonio import csv_writer, read_json, replacing, require_keys, write_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -286,10 +286,14 @@ def _weights_payload(simplex: simplices.StructuralSimplex, similarity, config) -
 
 
 def structural_simplex_from_payload(payload: dict) -> simplices.StructuralSimplex:
-    N = int(payload["num_vertices"]) - 1
-    weights = tuple(
-        np.array(payload["weights"][str(n)], dtype=float) for n in range(N + 1)
-    )
+    require_keys(payload, ("num_vertices", "weights"), "weights file")
+    try:
+        N = int(payload["num_vertices"]) - 1
+        weights = tuple(
+            np.array(payload["weights"][str(n)], dtype=float) for n in range(N + 1)
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed weights file: {exc!r}") from exc
     return simplices.StructuralSimplex(N=N, weights=weights)
 
 
@@ -338,7 +342,9 @@ def cmd_complex(args) -> int:
     )
     config.validate()
     model = dist_mod.read_model(args.distribution)
-    similarity = simplices.similarity_matrix(model, simplices.SimilarityMetric(args.metric))
+    similarity = simplices.similarity_matrix(
+        infotheory.EntropyOracle(model), simplices.SimilarityMetric(args.metric)
+    )
     simplex = simplices.structural_weights(
         similarity,
         aggregator=simplices.WeightAggregator(args.aggregator),
@@ -392,6 +398,8 @@ def cmd_spectrum(args) -> int:
     PipelineConfig(input=args.weights, kernel_tol=args.kernel_tol).validate()
     simplex = structural_simplex_from_payload(read_json(args.weights))
     dims = _resolved_dimensions(args.dimensions, simplex.N)
+    for n in dims:
+        spectral.check_dense_dimension(simplex.N, n)
     os.makedirs(args.output_dir, exist_ok=True)
     for n in dims:
         operator = spectral.laplacian(simplex, n)
@@ -487,12 +495,7 @@ def cmd_run(args) -> int:
     for n in config.dimensions:
         spectral.check_dense_dimension(N, n)
 
-    previous_units = units.entropy_units()
-    units.set_entropy_units(config.units)
-    try:
-        _run_pipeline(config, table, _resolve_output_dir(args.output_dir))
-    finally:
-        units.set_entropy_units(previous_units)
+    _run_pipeline(config, table, _resolve_output_dir(args.output_dir))
     return EXIT_OK
 
 
@@ -504,10 +507,10 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
 
     model = _estimate_model(config, table)
     dist_mod.write_model(os.path.join(outdir, "distribution.json"), model)
-    oracle = infotheory.EntropyOracle(model)
+    oracle = infotheory.EntropyOracle(model, units=config.units)
     N = model.num_variables - 1
 
-    similarity = simplices.similarity_matrix(model, simplices.SimilarityMetric(config.metric))
+    similarity = simplices.similarity_matrix(oracle, simplices.SimilarityMetric(config.metric))
     simplex = simplices.structural_weights(
         similarity,
         aggregator=simplices.WeightAggregator(config.aggregator),

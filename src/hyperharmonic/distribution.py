@@ -20,7 +20,6 @@ import numpy as np
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
 from .jsonio import read_json, require_keys, write_json
 from .simplices import validate_simplex
-from .units import from_nats
 
 Outcome = tuple[int, ...]
 
@@ -240,8 +239,8 @@ def entropy_nats(dist: JointDistribution) -> float:
 
 
 def entropy(dist: JointDistribution) -> float:
-    """Shannon entropy of the stored outcomes, in the configured unit."""
-    return from_nats(entropy_nats(dist))
+    """Shannon entropy of the stored outcomes, in bits."""
+    return entropy_nats(dist) / math.log(2.0)
 
 
 def subset_entropies_nats(source, subsets) -> tuple[np.ndarray, np.ndarray]:
@@ -367,9 +366,9 @@ def gaussian_entropy_nats(model: GaussianModel, subset) -> tuple[float, bool]:
 
 
 def gaussian_subset_entropy(model: GaussianModel, subset) -> float:
-    """Entropy of a Gaussian subset in the configured unit."""
+    """Entropy of a Gaussian subset, in bits."""
     value, _ = gaussian_entropy_nats(model, subset)
-    return from_nats(value)
+    return value / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------

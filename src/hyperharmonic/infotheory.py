@@ -13,6 +13,7 @@ noise; the signed measures are never clamped.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from enum import Enum
 
@@ -28,9 +29,10 @@ from .simplices import (
     simplex_ranks,
     validate_simplex,
 )
-from .units import from_nats
 
 NEGATIVE_NOISE_TOLERANCE = 1e-10
+
+_LOG_OF_BASE = {"bits": math.log(2.0), "nats": 1.0}
 
 
 class MeasureKind(Enum):
@@ -50,14 +52,22 @@ class EntropyOracle:
     lock, so threads may share an oracle. Storage is bounded by the 2**V - 1
     non-empty subsets. ``regularized_subsets`` records the Gaussian subsets of
     the filled levels whose entropy needed the diagonal regularization.
+
+    ``units`` ('bits' or 'nats') is the unit of every value the oracle
+    reports: ``entropy``, ``measure_values`` and the measures built on them.
+    One model should have one oracle, shared by every stage that reads it.
     """
 
-    def __init__(self, source):
+    def __init__(self, source, units: str = "bits"):
         if not isinstance(source, (dist_mod.JointDistribution, dist_mod.GaussianModel)):
             raise ValidationError(
                 f"expected JointDistribution or GaussianModel, got {type(source).__name__}"
             )
+        if units not in _LOG_OF_BASE:
+            raise ValidationError(f"unknown entropy unit {units!r}; expected 'bits' or 'nats'")
         self.source = source
+        self.units = units
+        self.log_base = _LOG_OF_BASE[units]
         self.regularized_subsets: set[tuple[int, ...]] = set()
         self._levels: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
@@ -84,12 +94,12 @@ class EntropyOracle:
         return level
 
     def entropy(self, subset) -> float:
-        """Joint entropy of the subset, in the configured unit; H(empty) = 0."""
+        """Joint entropy of the subset, in the oracle's unit; H(empty) = 0."""
         key = tuple(sorted(int(i) for i in subset))
         if not key:
             return 0.0
         rank = simplex_rank(key, self.num_variables - 1)
-        return from_nats(float(self.table(len(key))[rank]))
+        return float(self.table(len(key))[rank]) / self.log_base
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:
@@ -106,9 +116,9 @@ def measure_values(oracle: EntropyOracle, subsets: np.ndarray, kind: MeasureKind
     both clamped; O = TC - DTC and S = TC + DTC. Interaction information is
     -sum (-1)^|g| H(g) over the non-empty g in s, which reduces to mutual
     information for two variables; its sign convention is kept as implemented
-    here, other texts differ. Sums run left to right in subset order and each
-    entropy is converted to the unit before it is combined, so a value is
-    reproducible bit for bit.
+    here, other texts differ. Values are in the oracle's unit. Sums run left to
+    right in subset order and each entropy is converted to the unit before it
+    is combined, so a value is reproducible bit for bit.
     """
     kind = MeasureKind(kind)
     m, k = subsets.shape
@@ -116,7 +126,7 @@ def measure_values(oracle: EntropyOracle, subsets: np.ndarray, kind: MeasureKind
 
     def entropies(columns) -> np.ndarray:
         block = subsets[:, columns]
-        return from_nats(oracle.table(len(columns))[simplex_ranks(block, N)])
+        return oracle.table(len(columns))[simplex_ranks(block, N)] / oracle.log_base
 
     if kind is MeasureKind.INTERACTION_INFORMATION:
         total = np.zeros(m)
@@ -128,7 +138,7 @@ def measure_values(oracle: EntropyOracle, subsets: np.ndarray, kind: MeasureKind
 
     joint = entropies(list(range(k)))
     if kind is not MeasureKind.DTC:
-        singles = from_nats(oracle.table(1)[subsets])
+        singles = oracle.table(1)[subsets] / oracle.log_base
         marginal_sum = np.zeros(m)
         for i in range(k):
             marginal_sum = marginal_sum + singles[:, i]

@@ -299,26 +299,32 @@ class SimilarityMetric(Enum):
     TOTAL_VARIATION = "total_variation"
 
 
-def similarity_matrix(source, metric: SimilarityMetric) -> np.ndarray:
+def similarity_matrix(oracle, metric: SimilarityMetric) -> np.ndarray:
     """Symmetric matrix of a pairwise dependence metric, zero diagonal.
 
-    ``source`` is a JointDistribution or a GaussianModel. Total variation is
-    the distance between each pairwise joint and the product of its marginals,
-    and is only defined for discrete distributions.
+    ``oracle`` is the run's ``EntropyOracle``: mutual information reads its
+    entropy tables, in its unit, and the other metrics read ``oracle.source``,
+    a JointDistribution or a GaussianModel. Total variation is the distance
+    between each pairwise joint and the product of its marginals, and is only
+    defined for discrete distributions.
     """
     from . import distribution as dist_mod  # runtime import: avoids a module cycle
     from . import infotheory
 
+    if not isinstance(oracle, infotheory.EntropyOracle):
+        raise ValidationError(
+            f"similarity_matrix needs an EntropyOracle, got {type(oracle).__name__}; "
+            "wrap the model in EntropyOracle(...)"
+        )
     metric = SimilarityMetric(metric)
+    source = oracle.source
     k = source.num_variables
     out = np.zeros((k, k))
     if metric is SimilarityMetric.MUTUAL_INFORMATION:
         if k > 1:
             pairs = enumerate_simplices(k - 1, 1)
             # The mutual information of a pair is its total correlation.
-            mi = infotheory.measure_values(
-                infotheory.EntropyOracle(source), pairs, infotheory.MeasureKind.TC
-            )
+            mi = infotheory.measure_values(oracle, pairs, infotheory.MeasureKind.TC)
             out[pairs[:, 0], pairs[:, 1]] = out[pairs[:, 1], pairs[:, 0]] = mi
         return out
     if metric is SimilarityMetric.ABS_PEARSON:

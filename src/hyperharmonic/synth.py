@@ -176,7 +176,7 @@ def rank_experiment(
                 table = sample_gaussian(cov, num_samples, derive_rng(base_seed, rank, rep, 1))
                 model = copula_gaussian_fit(table)
                 oracle = EntropyOracle(model)
-                mi = similarity_matrix(model, SimilarityMetric.MUTUAL_INFORMATION)
+                mi = similarity_matrix(oracle, SimilarityMetric.MUTUAL_INFORMATION)
                 simplex = structural_weights(mi, aggregator=aggregator, floor=floor)
                 for n in dimensions:
                     basis = fourier_basis(

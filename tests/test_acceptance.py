@@ -306,7 +306,7 @@ def test_criterion_8_random_basis_control():
     table = hh.sample_gaussian(cov, 10_000, derive_rng(0, 2, 0, 1))
     model = hh.copula_gaussian_fit(table)
     oracle = hh.EntropyOracle(model)
-    mi = hh.similarity_matrix(model, hh.SimilarityMetric.MUTUAL_INFORMATION)
+    mi = hh.similarity_matrix(oracle, hh.SimilarityMetric.MUTUAL_INFORMATION)
     simplex = hh.structural_weights(mi)
     failures = []
     for n in (2, 3, 4):

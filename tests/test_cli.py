@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -152,6 +153,33 @@ class TestStepCommands:
         assert code == EXIT_VALIDATION
         assert "error: " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    @pytest.mark.parametrize("payload", [
+        {},
+        [],
+        {"num_vertices": 6, "weights": {str(n): [1.0] * math.comb(5, n + 1) for n in range(5)}},
+    ], ids=["empty-object", "list", "too-few-weight-keys"])
+    def test_malformed_weights_file_gives_validation_exit(self, tmp_path, payload, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps(payload))
+        out = tmp_path / "spectrum"
+        code = main(["spectrum", "--weights", str(weights), "--output-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectrum_checks_every_dimension_before_writing(self, tmp_path, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({
+            "num_vertices": 15,
+            "weights": {str(n): [1.0] * math.comb(15, n + 1) for n in range(15)},
+        }))
+        out = tmp_path / "spectrum"
+        code = main(["spectrum", "--weights", str(weights), "--dimensions", "2,7",
+                     "--output-dir", str(out)])
+        assert code == EXIT_CAPACITY
+        assert "dense cap" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def write_five_variable_csv(path):
@@ -577,23 +605,39 @@ class TestRun:
         assert tree_bytes(tmp_path) == {"eigenvalues.csv": b"index,eigenvalue\n0,0.5\n"}
 
     def test_units_restored_after_run(self, tmp_path, monkeypatch):
-        from hyperharmonic import units
+        import hyperharmonic.cli as cli_mod
 
-        data = tmp_path / "xor.csv"
-        write_xor_csv(data)
-        argv = ["run", "--input", str(data), "--dimensions", "2", "--units", "nats"]
-        assert main(argv + ["--output-dir", str(tmp_path / "ok")]) == EXIT_OK
-        assert units.entropy_units() == "bits"
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        argv = ["run", "--input", str(data), "--dimensions", "2"]
+        assert main(argv + ["--output-dir", str(tmp_path / "fresh")]) == EXIT_OK
+        nats = argv + ["--units", "nats"]
+        assert main(nats + ["--output-dir", str(tmp_path / "ok")]) == EXIT_OK
 
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
-        import hyperharmonic.cli as cli_mod
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod.spectral, "fourier_basis", boom)
+            with pytest.raises(np.linalg.LinAlgError):
+                main(nats + ["--output-dir", str(tmp_path / "failed")])
+        assert main(argv + ["--output-dir", str(tmp_path / "again")]) == EXIT_OK
+        assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "fresh")
 
-        monkeypatch.setattr(cli_mod.spectral, "fourier_basis", boom)
-        with pytest.raises(np.linalg.LinAlgError):
-            main(argv + ["--output-dir", str(tmp_path / "failed")])
-        assert units.entropy_units() == "bits"
+    def test_units_reach_the_similarity_matrix(self, tmp_path):
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        argv = ["run", "--input", str(data), "--dimensions", "2"]
+        assert main(argv + ["--output-dir", str(tmp_path / "bits")]) == EXIT_OK
+        assert main(argv + ["--units", "nats", "--output-dir", str(tmp_path / "nats")]) == EXIT_OK
+
+        def similarity(name):
+            rows = (tmp_path / name / "similarity.csv").read_text().splitlines()[1:]
+            return np.array([float(row.split(",")[2]) for row in rows])
+
+        bits = similarity("bits")
+        assert np.all(bits > 0)
+        assert np.allclose(similarity("nats"), bits * math.log(2), rtol=0.0, atol=1e-12)
 
     def test_oversized_dimension_fails_before_estimation(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hyperharmonic import (
     ContinuousSeriesTable,
     DiscreteSeriesTable,
+    EntropyOracle,
     EstimationError,
     GaussianModel,
     ValidationError,
@@ -19,8 +20,7 @@ from hyperharmonic import (
     read_continuous_csv,
     read_discrete_csv,
 )
-from hyperharmonic.distribution import average_ranks
-from hyperharmonic.units import set_entropy_units
+from hyperharmonic.distribution import average_ranks, entropy_nats
 
 from conftest import dense_to_distribution, random_pmf, xor_triple
 
@@ -137,11 +137,9 @@ class TestEntropy:
 
     def test_nats_switch(self):
         dist = dense_to_distribution(np.array([0.5, 0.5]))
-        set_entropy_units("nats")
-        try:
-            assert entropy(dist) == pytest.approx(math.log(2))
-        finally:
-            set_entropy_units("bits")
+        assert entropy_nats(dist) == pytest.approx(math.log(2))
+        assert EntropyOracle(dist, units="nats").entropy((0,)) == pytest.approx(math.log(2))
+        assert entropy(dist) == 1.0
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)

@@ -102,6 +102,21 @@ class TestOracle:
             assert len(out) == 5
             assert all(a is b for a, b in zip(out, seen[0]))
 
+    def test_unit_belongs_to_each_oracle(self):
+        dist, _ = xor_triple()
+        nats = EntropyOracle(dist, units="nats")
+        bits = EntropyOracle(dist)
+        assert (bits.units, nats.units) == ("bits", "nats")
+        assert nats.entropy((0, 1)) == pytest.approx(2 * math.log(2), abs=1e-12)
+        assert bits.entropy((0, 1)) == 2.0
+        assert o_information(nats, (0, 1, 2)) == pytest.approx(-math.log(2), abs=1e-12)
+        assert o_information(bits, (0, 1, 2)) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_unknown_unit_rejected(self):
+        dist, _ = xor_triple()
+        with pytest.raises(ValidationError, match="unknown entropy unit"):
+            EntropyOracle(dist, units="bans")
+
     def test_rejects_duplicates(self):
         dist, _ = xor_triple()
         with pytest.raises(ValidationError):

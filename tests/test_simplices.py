@@ -317,56 +317,63 @@ class TestStructuralWeights:
 class TestSimilarityMatrix:
     def test_independent_mi_is_zero(self):
         dist, _ = independent_bits(3)
-        out = similarity_matrix(dist, SimilarityMetric.MUTUAL_INFORMATION)
+        out = similarity_matrix(EntropyOracle(dist), SimilarityMetric.MUTUAL_INFORMATION)
         assert np.max(np.abs(out)) == 0.0
 
     def test_xor_mi_is_zero(self):
         dist, _ = xor_triple()
-        out = similarity_matrix(dist, SimilarityMetric.MUTUAL_INFORMATION)
+        out = similarity_matrix(EntropyOracle(dist), SimilarityMetric.MUTUAL_INFORMATION)
         assert np.max(np.abs(out)) == 0.0
 
     def test_copied_bits_pearson(self):
         dist, _ = bit_copy(3)
-        out = similarity_matrix(dist, SimilarityMetric.ABS_PEARSON)
+        out = similarity_matrix(EntropyOracle(dist), SimilarityMetric.ABS_PEARSON)
         off = out[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 1.0)
 
     def test_constant_variable_pearson_rejected(self):
         dist = dense_to_distribution(np.array([[0.5, 0.5]]))
         with pytest.raises(EstimationError):
-            similarity_matrix(dist, SimilarityMetric.ABS_PEARSON)
+            similarity_matrix(EntropyOracle(dist), SimilarityMetric.ABS_PEARSON)
 
     def test_total_variation_zero_iff_independent(self):
         dist, _ = independent_bits(3)
-        out = similarity_matrix(dist, SimilarityMetric.TOTAL_VARIATION)
+        out = similarity_matrix(EntropyOracle(dist), SimilarityMetric.TOTAL_VARIATION)
         assert np.max(np.abs(out)) <= 1e-15
         copies, _ = bit_copy(2)
-        out = similarity_matrix(copies, SimilarityMetric.TOTAL_VARIATION)
+        out = similarity_matrix(EntropyOracle(copies), SimilarityMetric.TOTAL_VARIATION)
         assert out[0, 1] == pytest.approx(0.5)
 
     def test_total_variation_needs_discrete(self):
         model = GaussianModel(correlation_matrix=np.eye(2))
         with pytest.raises(EstimationError):
-            similarity_matrix(model, SimilarityMetric.TOTAL_VARIATION)
+            similarity_matrix(EntropyOracle(model), SimilarityMetric.TOTAL_VARIATION)
 
     def test_gaussian_pearson(self):
         R = np.array([[1.0, -0.3], [-0.3, 1.0]])
-        out = similarity_matrix(GaussianModel(correlation_matrix=R), SimilarityMetric.ABS_PEARSON)
+        oracle = EntropyOracle(GaussianModel(correlation_matrix=R))
+        out = similarity_matrix(oracle, SimilarityMetric.ABS_PEARSON)
         assert out[0, 1] == pytest.approx(0.3)
         assert out[0, 0] == 0.0
 
     def test_gaussian_mi_closed_form(self):
         rho = 0.5
         R = np.array([[1.0, rho], [rho, 1.0]])
-        out = similarity_matrix(GaussianModel(correlation_matrix=R), SimilarityMetric.MUTUAL_INFORMATION)
+        oracle = EntropyOracle(GaussianModel(correlation_matrix=R))
+        out = similarity_matrix(oracle, SimilarityMetric.MUTUAL_INFORMATION)
         assert out[0, 1] == pytest.approx(-0.5 * math.log2(1 - rho**2), abs=1e-9)
 
     def test_symmetry(self):
         dist, _ = bit_copy(4)
         for metric in SimilarityMetric:
-            out = similarity_matrix(dist, metric)
+            out = similarity_matrix(EntropyOracle(dist), metric)
             assert np.array_equal(out, out.T)
 
+    def test_bare_model_rejected(self):
+        dist, _ = bit_copy(2)
+        for model in (dist, GaussianModel(correlation_matrix=np.eye(2))):
+            with pytest.raises(ValidationError, match=r"EntropyOracle\(\.\.\.\)"):
+                similarity_matrix(model, SimilarityMetric.MUTUAL_INFORMATION)
 
 
 def subset_callers():

@@ -127,6 +127,23 @@ class TestRankExperiment:
             assert np.all(result.ci_low[key] <= curve + 1e-15)
             assert np.all(curve <= result.ci_high[key] + 1e-15)
 
+    def test_replicate_fills_each_entropy_level_once(self, monkeypatch):
+        from hyperharmonic import distribution
+
+        filled = []
+        batched = distribution.subset_entropies_nats
+
+        def recording(source, subsets):
+            filled.append(subsets.shape)
+            return batched(source, subsets)
+
+        monkeypatch.setattr(distribution, "subset_entropies_nats", recording)
+        rank_experiment(
+            ranks=(2,), replicates=1, num_samples=500, base_seed=0,
+            size=9, dimensions=(2, 3),
+        )
+        assert sorted(filled, key=lambda shape: shape[1]) == [(9, 1), (36, 2), (84, 3), (126, 4)]
+
     def test_invalid_arguments(self):
         with pytest.raises(ValidationError):
             rank_experiment(ranks=(), replicates=1)

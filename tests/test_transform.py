@@ -47,7 +47,7 @@ class TestBuildSignal:
     def test_xor_single_triangle(self):
         dist, _ = xor_triple()
         oracle = EntropyOracle(dist)
-        mi = similarity_matrix(dist, SimilarityMetric.MUTUAL_INFORMATION)
+        mi = similarity_matrix(oracle, SimilarityMetric.MUTUAL_INFORMATION)
         simplex = structural_weights(mi)
         signal = build_signal(oracle, simplex, 2, MeasureKind.O_INFORMATION)
         assert signal.basis == CANONICAL
@@ -295,7 +295,7 @@ class TestPermutationBehavior:
 
         dist = dense_to_distribution(dense_pmf)
         oracle = EntropyOracle(dist)
-        mi = similarity_matrix(dist, SimilarityMetric.MUTUAL_INFORMATION)
+        mi = similarity_matrix(oracle, SimilarityMetric.MUTUAL_INFORMATION)
         simplex = structural_weights(mi, floor=1e-6)
         out = {}
         for n in dims:
