@@ -1,7 +1,8 @@
 """Joint distributions over discrete variables and Gaussian-copula models.
 
-Discrete distributions are stored sparsely: only outcomes with positive mass
-appear, which also makes the 0*log(0) = 0 convention automatic. Continuous
+A discrete distribution is one pair of arrays: an (S, V) integer support that
+lists only outcomes with positive mass, which also makes the 0*log(0) = 0
+convention automatic, and the S masses in the same order. Continuous
 data is handled through a Gaussian copula: each column is rank-transformed to
 standard-normal scores and summarized by their correlation matrix, for which
 joint entropies have a closed form.
@@ -10,8 +11,6 @@ joint entropies have a closed form.
 from __future__ import annotations
 
 import csv
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,6 @@ import numpy as np
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
 from .jsonio import read_json, require_keys, write_json
 from .simplices import validate_simplex
-
-Outcome = tuple[int, ...]
 
 MASS_TOLERANCE = 1e-12
 
@@ -110,51 +107,52 @@ class ContinuousSeriesTable:
         return len(self.columns[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Sparse probability mass function over tuples of finite-alphabet symbols.
 
-    Every stored probability is strictly positive and the total mass is 1
-    within ``MASS_TOLERANCE``. Instances are immutable once built.
+    ``outcomes`` is an (S, V) int64 array holding one distinct outcome per
+    row, and ``masses`` the S float64 probabilities in the same order. Every
+    mass is finite and strictly positive and the total is 1 within
+    ``MASS_TOLERANCE``. Both arrays are read-only copies, so instances are
+    immutable once built.
     """
 
-    num_variables: int
     alphabet_sizes: tuple[int, ...]
-    mass: dict[Outcome, float]
+    outcomes: np.ndarray
+    masses: np.ndarray
 
     def __post_init__(self):
         sizes = tuple(int(a) for a in self.alphabet_sizes)
-        if len(sizes) != self.num_variables or self.num_variables < 1:
-            raise ValidationError("alphabet sizes must match the variable count")
-        if any(a < 1 for a in sizes):
-            raise ValidationError("alphabet sizes must be >= 1")
-        if not self.mass:
-            raise ValidationError("distribution has empty support")
-        clean: dict[Outcome, float] = {}
-        for outcome, p in self.mass.items():
-            o = tuple(int(v) for v in outcome)
-            if len(o) != self.num_variables:
-                raise ValidationError(f"outcome {o} has wrong arity")
-            if any(v < 0 or v >= s for v, s in zip(o, sizes)):
-                raise ValidationError(f"outcome {o} outside the alphabets")
-            p = float(p)
-            if p <= 0:
-                raise ValidationError(f"outcome {o} has non-positive mass {p}")
-            clean[o] = p
-        total = math.fsum(clean.values())
+        if not sizes or min(sizes) < 1:
+            raise ValidationError("need at least one variable, each with alphabet size >= 1")
+        masses = np.array(self.masses, dtype=float)
+        outcomes = np.array(self.outcomes, dtype=np.int64)
+        if masses.ndim != 1 or not masses.size or outcomes.shape != (masses.size, len(sizes)):
+            raise ValidationError(f"need a non-empty (S, {len(sizes)}) outcome array and S "
+                                  f"masses, got shapes {outcomes.shape} and {masses.shape}")
+        _, groups = first_appearance_groups(outcomes)
+        for bad, problem in (
+            (np.any((outcomes < 0) | (outcomes >= sizes), axis=1), "is outside the alphabets"),
+            (~(np.isfinite(masses) & (masses > 0)), "needs a finite, positive mass"),
+            (np.bincount(groups)[groups] > 1, "appears more than once"),
+        ):
+            if bad.any():
+                raise ValidationError(f"outcome {outcomes[np.argmax(bad)].tolist()} {problem}")
+        total = math.fsum(masses.tolist())
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ValidationError(f"total mass {total} deviates from 1 beyond tolerance")
+        outcomes.flags.writeable = masses.flags.writeable = False
         object.__setattr__(self, "alphabet_sizes", sizes)
-        object.__setattr__(self, "mass", clean)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "masses", masses)
+
+    @property
+    def num_variables(self) -> int:
+        return len(self.alphabet_sizes)
 
     def support_size(self) -> int:
-        return len(self.mass)
-
-    @functools.cached_property
-    def _support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support as an (S, V) int64 array and its masses, in ``mass`` order."""
-        outcomes = np.array(list(self.mass), dtype=np.int64).reshape(-1, self.num_variables)
-        return outcomes, np.fromiter(self.mass.values(), dtype=float, count=len(self.mass))
+        return len(self.masses)
 
 
 @dataclass(frozen=True)
@@ -183,59 +181,59 @@ class GaussianModel:
         return self.correlation_matrix.shape[0]
 
 
+def first_appearance_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D array in order of first appearance, and the
+    index of each row's distinct row in that order."""
+    distinct, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    return distinct[order], np.argsort(order)[inverse.reshape(-1)]
+
+
 def estimate_empirical(table: DiscreteSeriesTable, smoothing: float = 0.0) -> JointDistribution:
     """Empirical joint distribution: the relative frequency of each observed tuple.
 
-    No smoothing is applied by default, so unobserved outcomes stay absent.
-    With ``smoothing`` alpha > 0, every outcome in the full product alphabet
-    gets mass (count + alpha) / (T + alpha * K); this densifies the support
-    and is guarded by ``SMOOTHING_SUPPORT_CAP``.
+    No smoothing is applied by default, so unobserved outcomes stay absent and
+    the support lists the observed tuples in order of first appearance. With
+    ``smoothing`` alpha > 0, every outcome in the full product alphabet, in
+    lexicographic order, gets mass (count + alpha) / (T + alpha * K); this
+    densifies the support and is guarded by ``SMOOTHING_SUPPORT_CAP``.
     """
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
     T = table.num_samples
-    counts: dict[Outcome, int] = {}
-    for row in zip(*table.columns):
-        outcome = tuple(int(v) for v in row)
-        counts[outcome] = counts.get(outcome, 0) + 1
-    if smoothing < 0:
-        raise ValidationError(f"smoothing must be >= 0, got {smoothing}")
+    samples = np.column_stack(table.columns)
     if smoothing == 0.0:
-        mass = {o: c / T for o, c in counts.items()}
+        outcomes, groups = first_appearance_groups(samples)
+        masses = np.bincount(groups) / T
     else:
-        K = math.prod(table.alphabet_sizes)
+        sizes = table.alphabet_sizes
+        K = math.prod(sizes)
         if K > SMOOTHING_SUPPORT_CAP:
             raise CapacityError(
                 f"smoothing would materialize {K} outcomes (cap {SMOOTHING_SUPPORT_CAP})"
             )
-        denom = T + smoothing * K
-        mass = {
-            o: (counts.get(o, 0) + smoothing) / denom
-            for o in itertools.product(*(range(a) for a in table.alphabet_sizes))
-        }
-    return JointDistribution(
-        num_variables=table.num_variables,
-        alphabet_sizes=table.alphabet_sizes,
-        mass=mass,
-    )
+        counts = np.bincount(np.ravel_multi_index(samples.T, sizes), minlength=K)
+        outcomes = np.column_stack(np.unravel_index(np.arange(K), sizes))
+        masses = (counts + smoothing) / (T + smoothing * K)
+    return JointDistribution(table.alphabet_sizes, outcomes, masses)
 
 
 def marginalize(dist: JointDistribution, subset) -> JointDistribution:
-    """Marginal distribution of the variables in ``subset`` (sorted indices)."""
+    """Marginal distribution of the variables in ``subset`` (sorted indices).
+
+    Projected outcomes keep their order of first appearance, and each mass
+    adds up, in support order, the masses that project onto it.
+    """
     s = validate_simplex(subset, dist.num_variables - 1)
     if len(s) == dist.num_variables:
         return dist
-    mass: dict[Outcome, float] = {}
-    for outcome, p in dist.mass.items():
-        key = tuple(outcome[i] for i in s)
-        mass[key] = mass.get(key, 0.0) + p
-    return JointDistribution(
-        num_variables=len(s),
-        alphabet_sizes=tuple(dist.alphabet_sizes[i] for i in s),
-        mass=mass,
-    )
+    outcomes, groups = first_appearance_groups(dist.outcomes[:, s])
+    sizes = tuple(dist.alphabet_sizes[i] for i in s)
+    return JointDistribution(sizes, outcomes, np.bincount(groups, weights=dist.masses))
 
 
 def entropy_nats(dist: JointDistribution) -> float:
-    return -math.fsum(p * math.log(p) for p in dist.mass.values())
+    return -math.fsum(p * math.log(p) for p in dist.masses.tolist())
 
 
 def entropy(dist: JointDistribution) -> float:
@@ -270,7 +268,7 @@ def subset_entropies_nats(source, subsets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _discrete_entropies_nats(dist: JointDistribution, subsets: np.ndarray) -> np.ndarray:
-    outcomes, masses = dist._support_arrays
+    outcomes, masses = dist.outcomes, dist.masses
     values = np.empty(len(subsets))
     for row, s in enumerate(subsets.tolist()):
         columns = outcomes[:, s]
@@ -279,9 +277,9 @@ def _discrete_entropies_nats(dist: JointDistribution, subsets: np.ndarray) -> np
             _, groups = np.unique(np.ravel_multi_index(columns.T, sizes), return_inverse=True)
         else:  # mixed-radix keys would overflow: group whole rows instead
             _, groups = np.unique(columns, axis=0, return_inverse=True)
-        # bincount adds masses in support order, as the dict loop in
-        # ``marginalize`` does, and math.log matches ``entropy_nats`` bit for
-        # bit where np.log may differ in the last place.
+        # bincount adds masses in support order, as ``marginalize`` does, and
+        # math.log matches ``entropy_nats`` bit for bit where np.log may
+        # differ in the last place.
         marginal = np.bincount(groups.reshape(-1), weights=masses).tolist()
         values[row] = -math.fsum(p * math.log(p) for p in marginal)
     return values
@@ -376,86 +374,83 @@ def gaussian_subset_entropy(model: GaussianModel, subset) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _read_csv_rows(path):
+def _read_columns(path, parse_row) -> tuple[tuple[str, ...], list[tuple]]:
+    """Header names and each column's values; ``parse_row`` converts a row's
+    cells or raises ValueError with the message reported for its line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
         raise ValidationError(f"{path}: empty file")
-    header = [name.strip() for name in rows[0]]
+    header = tuple(name.strip() for name in rows[0])
     if not header or any(not name for name in header):
         raise ValidationError(f"{path}: line 1: malformed header")
-    return header, rows[1:]
-
-
-def read_discrete_csv(path, alphabet_sizes=None) -> DiscreteSeriesTable:
-    """Read a discrete table: header of names, one sample per row, int cells.
-
-    Alphabet sizes default to one more than each column's maximum value.
-    """
-    header, body = _read_csv_rows(path)
-    if not body:
+    if len(rows) < 2:
         raise ValidationError(f"{path}: no data rows")
-    columns: list[list[int]] = [[] for _ in header]
-    for line_no, row in enumerate(body, start=2):
+    parsed = []
+    for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ValidationError(
                 f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}"
             )
-        for j, cell in enumerate(row):
-            try:
-                value = int(cell)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: line {line_no}: {cell!r} is not an integer"
-                ) from exc
-            if value < 0:
-                raise ValidationError(f"{path}: line {line_no}: negative symbol {value}")
-            columns[j].append(value)
-    if alphabet_sizes is None:
-        alphabet_sizes = tuple(max(col) + 1 for col in columns)
-    return DiscreteSeriesTable(
-        variable_names=tuple(header),
-        columns=tuple(np.array(c) for c in columns),
-        alphabet_sizes=tuple(alphabet_sizes),
-    )
+        try:
+            parsed.append(parse_row(row))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {line_no}: {exc}") from exc
+    return header, list(zip(*parsed))
+
+
+def _symbols(row: list[str]) -> list[int]:
+    values = []
+    for cell in row:
+        try:
+            value = int(cell)
+        except ValueError:
+            raise ValueError(f"{cell!r} is not an integer") from None
+        if value < 0:
+            raise ValueError(f"negative symbol {value}")
+        values.append(value)
+    return values
+
+
+def _reals(row: list[str]) -> list[float]:
+    values = []
+    for cell in row:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValueError(f"{cell!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {cell!r}")
+        values.append(value)
+    return values
+
+
+def read_discrete_csv(path) -> DiscreteSeriesTable:
+    """Read a discrete table: header of names, one sample per row, int cells.
+
+    Each alphabet size is one more than its column's maximum value.
+    """
+    header, columns = _read_columns(path, _symbols)
+    sizes = tuple(max(c) + 1 for c in columns)
+    return DiscreteSeriesTable(header, tuple(np.array(c) for c in columns), sizes)
 
 
 def read_continuous_csv(path) -> ContinuousSeriesTable:
     """Read a continuous table: header of names, one sample per row, float cells."""
-    header, body = _read_csv_rows(path)
-    if not body:
-        raise ValidationError(f"{path}: no data rows")
-    columns: list[list[float]] = [[] for _ in header]
-    for line_no, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: line {line_no}: {cell!r} is not a number"
-                ) from exc
-            if not math.isfinite(value):
-                raise ValidationError(f"{path}: line {line_no}: non-finite value {cell!r}")
-            columns[j].append(value)
-    return ContinuousSeriesTable(
-        variable_names=tuple(header),
-        columns=tuple(np.array(c) for c in columns),
-    )
+    header, columns = _read_columns(path, _reals)
+    return ContinuousSeriesTable(header, tuple(np.array(c) for c in columns))
 
 
 def model_to_jsonable(model) -> dict:
     """JSON-ready form of a JointDistribution or GaussianModel."""
     if isinstance(model, JointDistribution):
+        order = np.lexsort(model.outcomes.T[::-1])
         return {
             "kind": "discrete",
             "num_variables": model.num_variables,
             "alphabet_sizes": list(model.alphabet_sizes),
-            "mass": [[list(o), p] for o, p in sorted(model.mass.items())],
+            "mass": [[o, p] for o, p in zip(model.outcomes[order].tolist(),
+                                            model.masses[order].tolist())],
         }
     if isinstance(model, GaussianModel):
         return {
@@ -477,12 +472,13 @@ def model_from_jsonable(payload: dict):
     try:
         if kind == "gaussian":
             return GaussianModel(correlation_matrix=np.array(payload["correlation"], dtype=float))
-        return JointDistribution(
-            num_variables=int(payload["num_variables"]),
-            alphabet_sizes=tuple(payload["alphabet_sizes"]),
-            mass={tuple(o): float(p) for o, p in payload["mass"]},
-        )
-    except (TypeError, ValueError) as exc:
+        sizes = tuple(payload["alphabet_sizes"])
+        if int(payload["num_variables"]) != len(sizes):
+            raise ValidationError("alphabet sizes must match the variable count")
+        outcomes = [o for o, _ in payload["mass"]]
+        masses = [p for _, p in payload["mass"]]
+        return JointDistribution(sizes, outcomes, masses)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {kind} model: {exc}") from exc
 
 

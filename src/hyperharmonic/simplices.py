@@ -339,15 +339,15 @@ def similarity_matrix(oracle, metric: SimilarityMetric) -> np.ndarray:
 
 
 def _abs_pearson_discrete(dist) -> np.ndarray:
-    k = dist.num_variables
-    mean = np.zeros(k)
-    second = np.zeros(k)
-    cross = np.zeros((k, k))
-    for outcome, p in dist.mass.items():
-        x = np.asarray(outcome, dtype=float)
-        mean += p * x
-        second += p * x * x
-        cross += p * np.outer(x, x)
+    # Each moment adds the support rows one after another along axis 0, the
+    # order of the former per-outcome loop; a BLAS product would reorder the
+    # sums and move the last bits.
+    X = dist.outcomes.astype(float)
+    p = dist.masses[:, None]
+    weighted = p * X
+    mean = weighted.sum(axis=0)
+    second = (weighted * X).sum(axis=0)
+    cross = np.stack([(X[:, i, None] * X * p).sum(axis=0) for i in range(X.shape[1])])
     var = second - mean**2
     if np.any(var <= 0):
         bad = int(np.argmin(var))
@@ -363,12 +363,15 @@ def _total_variation_discrete(dist) -> np.ndarray:
 
     k = dist.num_variables
     out = np.zeros((k, k))
-    singles = [dist_mod.marginalize(dist, (i,)) for i in range(k)]
+    # Each variable's observed values, coded in order of first appearance,
+    # with the marginal mass of each code.
+    codes = [dist_mod.first_appearance_groups(dist.outcomes[:, [i]])[1] for i in range(k)]
+    singles = [np.bincount(c, weights=dist.masses) for c in codes]
     for i, j in itertools.combinations(range(k), 2):
-        joint = dist_mod.marginalize(dist, (i, j))
-        tv = 0.0
-        for (a,), pa in singles[i].mass.items():
-            for (b,), pb in singles[j].mass.items():
-                tv += abs(joint.mass.get((a, b), 0.0) - pa * pb)
-        out[i, j] = out[j, i] = 0.5 * tv
+        a, b = len(singles[i]), len(singles[j])
+        joint = np.bincount(codes[i] * b + codes[j], weights=dist.masses, minlength=a * b)
+        gaps = np.abs(joint - np.outer(singles[i], singles[j]).ravel())
+        # cumsum adds left to right, as the former double loop did; np.sum
+        # adds pairwise and would move the last bits.
+        out[i, j] = out[j, i] = 0.5 * np.cumsum(gaps)[-1]
     return out

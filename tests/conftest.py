@@ -9,19 +9,18 @@ import itertools
 import numpy as np
 import pytest
 
-from hyperharmonic import JointDistribution
+from hyperharmonic import DiscreteSeriesTable, JointDistribution
 
 
 def dense_to_distribution(p: np.ndarray) -> JointDistribution:
     p = np.asarray(p, dtype=float)
-    mass = {
-        idx: float(v) for idx, v in np.ndenumerate(p) if v > 0
-    }
-    return JointDistribution(
-        num_variables=p.ndim,
-        alphabet_sizes=p.shape,
-        mass=mass,
-    )
+    support = np.nonzero(p > 0)
+    return JointDistribution(p.shape, np.column_stack(support), p[support])
+
+
+def mass_dict(dist: JointDistribution) -> dict:
+    """The pmf as {outcome tuple: mass}, in support order."""
+    return dict(zip(map(tuple, dist.outcomes.tolist()), dist.masses.tolist()))
 
 
 def xor_triple():
@@ -67,6 +66,16 @@ def random_pmf(rng: np.random.Generator, shape, sparsity=0.3):
         p[(0,) * len(shape)] = 1.0
     p /= p.sum()
     return dense_to_distribution(p), p
+
+
+def random_table(seed: int, sizes, num_samples: int) -> DiscreteSeriesTable:
+    """Uniform random symbols, one column per alphabet size."""
+    rng = np.random.default_rng(seed)
+    return DiscreteSeriesTable(
+        variable_names=tuple(f"v{i}" for i in range(len(sizes))),
+        columns=tuple(rng.integers(0, a, size=num_samples) for a in sizes),
+        alphabet_sizes=tuple(sizes),
+    )
 
 
 @pytest.fixture

@@ -141,10 +141,15 @@ class TestStepCommands:
         3,
         {"kind": "discrete"},
         {"kind": "discrete", "num_variables": 2, "alphabet_sizes": [2, 2], "mass": [[0, 1]]},
+        {"kind": "discrete", "num_variables": 2, "alphabet_sizes": [2, 2],
+         "mass": [[[0, 0], 0.5], [[0, 0], 0.5], [[1, 1], 0.5]]},
+        {"kind": "discrete", "num_variables": 3, "alphabet_sizes": [2, 2],
+         "mass": [[[0, 0], 0.5], [[1, 1], 0.5]]},
         {"kind": "gaussian"},
         {"kind": "gaussian", "correlation": [[1, "x"], ["x", 1]]},
-    ], ids=["list", "number", "discrete-no-fields", "discrete-bad-mass", "gaussian-no-fields",
-            "gaussian-text-entry"])
+    ], ids=["list", "number", "discrete-no-fields", "discrete-bad-mass",
+            "discrete-repeated-outcome", "discrete-variable-count",
+            "gaussian-no-fields", "gaussian-text-entry"])
     def test_malformed_model_file_gives_validation_exit(self, tmp_path, payload, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
@@ -152,6 +157,17 @@ class TestStepCommands:
                      "--output", str(tmp_path / "weights.json")])
         assert code == EXIT_VALIDATION
         assert "error: " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    def test_non_finite_mass_rejected_by_the_model_reader(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "discrete", "num_variables": 2,
+                                     "alphabet_sizes": [2, 2],
+                                     "mass": [[[0, 0], float("nan")], [[1, 1], 1.0]]}))
+        code = main(["complex", "--distribution", str(model),
+                     "--output", str(tmp_path / "weights.json")])
+        assert code == EXIT_VALIDATION
+        assert "needs a finite, positive mass" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
 
     @pytest.mark.parametrize("payload", [

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperharmonic import (
+    CapacityError,
     ContinuousSeriesTable,
     DiscreteSeriesTable,
     EntropyOracle,
     EstimationError,
     GaussianModel,
+    JointDistribution,
     ValidationError,
     copula_gaussian_fit,
     entropy,
@@ -20,9 +22,10 @@ from hyperharmonic import (
     read_continuous_csv,
     read_discrete_csv,
 )
-from hyperharmonic.distribution import average_ranks, entropy_nats
+from hyperharmonic.distribution import SMOOTHING_SUPPORT_CAP, average_ranks, entropy_nats
 
-from conftest import dense_to_distribution, random_pmf, xor_triple
+import dict_reference
+from conftest import dense_to_distribution, mass_dict, random_pmf, random_table, xor_triple
 
 
 def make_table(*columns, alphabet_sizes=None):
@@ -39,23 +42,23 @@ def make_table(*columns, alphabet_sizes=None):
 class TestEstimateEmpirical:
     def test_uniform_counts(self):
         dist = estimate_empirical(make_table([0, 0, 1, 1], [0, 1, 0, 1]))
-        assert dist.mass == {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}
+        assert mass_dict(dist) == {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}
 
     def test_xor_rows(self):
         rows = [(a, b, a ^ b) for a in (0, 1) for b in (0, 1)]
         cols = list(zip(*rows))
         dist = estimate_empirical(make_table(*cols))
         expected, _ = xor_triple()
-        assert dist.mass == expected.mass
+        assert mass_dict(dist) == mass_dict(expected)
 
     def test_point_mass(self):
         dist = estimate_empirical(make_table([2, 2, 2], alphabet_sizes=[3]))
-        assert dist.mass == {(2,): 1.0}
+        assert mass_dict(dist) == {(2,): 1.0}
 
     def test_unobserved_absent(self):
         dist = estimate_empirical(make_table([0, 0, 1], [1, 1, 0]))
-        assert (0, 0) not in dist.mass
-        assert dist.mass[(0, 1)] == pytest.approx(2 / 3)
+        assert (0, 0) not in mass_dict(dist)
+        assert mass_dict(dist)[(0, 1)] == pytest.approx(2 / 3)
 
     def test_out_of_alphabet_symbol(self):
         with pytest.raises(ValidationError):
@@ -68,9 +71,55 @@ class TestEstimateEmpirical:
     def test_smoothing_densifies(self):
         table = make_table([0, 0], [1, 1], alphabet_sizes=[2, 2])
         dist = estimate_empirical(table, smoothing=1.0)
-        assert len(dist.mass) == 4
-        assert dist.mass[(0, 1)] == pytest.approx(3 / 6)
-        assert dist.mass[(1, 0)] == pytest.approx(1 / 6)
+        assert len(mass_dict(dist)) == 4
+        assert mass_dict(dist)[(0, 1)] == pytest.approx(3 / 6)
+        assert mass_dict(dist)[(1, 0)] == pytest.approx(1 / 6)
+
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -0.5])
+    def test_bad_smoothing_rejected_before_counting(self, smoothing):
+        # The product alphabet is past the smoothing cap, so a value that got
+        # past the check would raise CapacityError instead.
+        table = make_table([0, 1], alphabet_sizes=[SMOOTHING_SUPPORT_CAP + 1])
+        with pytest.raises(ValidationError, match="smoothing"):
+            estimate_empirical(table, smoothing=smoothing)
+        with pytest.raises(CapacityError):
+            estimate_empirical(table, smoothing=0.5)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=7),
+           st.integers(1, 400), st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_reference(self, seed, sizes, num_samples, smoothing):
+        table = random_table(seed, sizes, num_samples)
+        dict_reference.assert_same_pmf(
+            estimate_empirical(table, smoothing=smoothing),
+            dict_reference.estimate_empirical(table, smoothing=smoothing),
+        )
+
+
+class TestJointDistribution:
+    def test_arrays_are_read_only_copies(self):
+        outcomes = np.array([[0, 1], [1, 0]])
+        masses = np.array([0.5, 0.5])
+        dist = JointDistribution((2, 2), outcomes, masses)
+        outcomes[0, 0] = 1
+        masses[0] = 0.25
+        assert mass_dict(dist) == {(0, 1): 0.5, (1, 0): 0.5}
+        assert not dist.outcomes.flags.writeable and not dist.masses.flags.writeable
+        assert dist.num_variables == 2 and dist.support_size() == 2
+
+    @pytest.mark.parametrize("outcomes,masses", [
+        ([(0, 0), (0, 0), (1, 1)], [0.25, 0.25, 0.5]),
+        ([(0, 0), (1, 1)], [float("nan"), 1.0]),
+        ([(0, 0), (1, 1)], [float("inf"), 0.5]),
+        ([(0, 0), (1, 1)], [0.0, 1.0]),
+        ([(0, 0), (1, 2)], [0.5, 0.5]),
+        ([(0,), (1,)], [0.5, 0.5]),
+        ([(0, 0), (1, 1)], [0.5, 0.4]),
+        (np.zeros((0, 2)), []),
+    ], ids=["repeated", "nan", "inf", "zero", "outside", "arity", "total", "empty"])
+    def test_invalid_pmf_rejected(self, outcomes, masses):
+        with pytest.raises(ValidationError):
+            JointDistribution((2, 2), outcomes, masses)
 
 
 class TestMarginalize:
@@ -81,14 +130,14 @@ class TestMarginalize:
     def test_xor_pair_is_independent(self):
         dist, _ = xor_triple()
         pair = marginalize(dist, (0, 2))
-        assert pair.mass == {
+        assert mass_dict(pair) == {
             (0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25
         }
 
     def test_product_projects_to_factor(self):
         coins = dense_to_distribution(np.full((2, 2), 0.25))
         single = marginalize(coins, (1,))
-        assert single.mass == {(0,): 0.5, (1,): 0.5}
+        assert mass_dict(single) == {(0,): 0.5, (1,): 0.5}
 
     def test_rejects_bad_subsets(self):
         dist, _ = xor_triple()
@@ -106,7 +155,7 @@ class TestMarginalize:
         dist, _ = random_pmf(rng, (2, 3, 2, 2))
         subset = tuple(sorted(rng.choice(4, size=subset_size, replace=False)))
         marginal = marginalize(dist, subset)
-        assert math.fsum(marginal.mass.values()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(mass_dict(marginal).values()) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
@@ -119,9 +168,21 @@ class TestMarginalize:
         reference = dense.sum(axis=axes) if axes else dense
         for idx, value in np.ndenumerate(reference):
             if value > 0:
-                assert marginal.mass[idx] == pytest.approx(value, abs=1e-12)
+                assert mass_dict(marginal)[idx] == pytest.approx(value, abs=1e-12)
             else:
-                assert idx not in marginal.mass
+                assert idx not in mass_dict(marginal)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.lists(st.integers(1, 4), min_size=2, max_size=6),
+           st.integers(1, 400), st.sampled_from([0.0, 0.5]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dict_reference(self, seed, sizes, num_samples, smoothing, data):
+        dist = estimate_empirical(random_table(seed, sizes, num_samples), smoothing=smoothing)
+        for _ in range(3):
+            subset = tuple(sorted(data.draw(st.sets(
+                st.integers(0, len(sizes) - 1), min_size=1, max_size=len(sizes) - 1))))
+            dict_reference.assert_same_pmf(
+                marginalize(dist, subset), dict_reference.marginalize(mass_dict(dist), subset)
+            )
 
 
 class TestEntropy:

@@ -209,8 +209,8 @@ class TestEntropyTable:
         # Mixed-radix keys over all three variables would need 66 bits; in
         # int64 arithmetic the first two outcomes would share a key.
         sizes = (2**22,) * 3
-        mass = {(0, 0, 0): 0.5, (2**20, 0, 0): 0.25, (0, 2**21, 1): 0.25}
-        dist = JointDistribution(num_variables=3, alphabet_sizes=sizes, mass=mass)
+        outcomes = [(0, 0, 0), (2**20, 0, 0), (0, 2**21, 1)]
+        dist = JointDistribution(sizes, outcomes, [0.5, 0.25, 0.25])
         oracle = EntropyOracle(dist)
         assert oracle.table(3)[0] == entropy_nats(dist)
         assert oracle.table(3)[0] == pytest.approx(1.5 * math.log(2), abs=1e-15)

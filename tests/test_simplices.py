@@ -25,10 +25,18 @@ from hyperharmonic import (
     structural_weights,
     total_correlation,
 )
-from hyperharmonic.distribution import gaussian_entropy_nats, marginalize
+from hyperharmonic.distribution import estimate_empirical, gaussian_entropy_nats, marginalize
 from hyperharmonic.simplices import boundary_to_csv, simplex_label, weights_to_csv
 
-from conftest import bit_copy, dense_to_distribution, independent_bits, xor_triple
+import dict_reference
+from conftest import (
+    bit_copy,
+    dense_to_distribution,
+    independent_bits,
+    mass_dict,
+    random_table,
+    xor_triple,
+)
 
 # The four boundary matrices of the full simplex on four vertices, written out
 # by hand from the face/sign rule.
@@ -343,6 +351,23 @@ class TestSimilarityMatrix:
         copies, _ = bit_copy(2)
         out = similarity_matrix(EntropyOracle(copies), SimilarityMetric.TOTAL_VARIATION)
         assert out[0, 1] == pytest.approx(0.5)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.lists(st.integers(1, 4), min_size=2, max_size=7),
+           st.integers(1, 400), st.sampled_from([0.0, 0.0, 0.5]))
+    @settings(max_examples=40, deadline=None)
+    def test_discrete_metrics_match_dict_reference(self, seed, sizes, num_samples, smoothing):
+        dist = estimate_empirical(random_table(seed, sizes, num_samples), smoothing=smoothing)
+        oracle = EntropyOracle(dist)
+        mass, k = mass_dict(dist), len(sizes)
+        tv = similarity_matrix(oracle, SimilarityMetric.TOTAL_VARIATION)
+        assert tv.tobytes() == dict_reference.total_variation(mass, k).tobytes()
+        expected = dict_reference.abs_pearson(mass, k)
+        if expected is None:
+            with pytest.raises(EstimationError, match="constant"):
+                similarity_matrix(oracle, SimilarityMetric.ABS_PEARSON)
+        else:
+            assert similarity_matrix(oracle, SimilarityMetric.ABS_PEARSON).tobytes() \
+                == expected.tobytes()
 
     def test_total_variation_needs_discrete(self):
         model = GaussianModel(correlation_matrix=np.eye(2))
