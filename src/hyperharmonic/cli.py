@@ -36,6 +36,7 @@ OUTPUT_DIR_ENV = "HYPERHARMONIC_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "hyperharmonic_output"
 INCOMPLETE_MARKER = "INCOMPLETE"
 BASIS_FORMAT = 2
+TREE_FORMAT = 2
 
 
 @dataclass
@@ -297,29 +298,6 @@ def structural_simplex_from_payload(payload: dict) -> simplices.StructuralSimple
     return simplices.StructuralSimplex(N=N, weights=weights)
 
 
-def _write_similarity_csv(path, matrix) -> None:
-    matrix = np.asarray(matrix)
-    with csv_writer(path) as writer:
-        writer.writerow(["i", "j", "value"])
-        for i in range(matrix.shape[0]):
-            for j in range(i + 1, matrix.shape[1]):
-                writer.writerow([i, j, repr(float(matrix[i, j]))])
-
-
-def _write_eigenvalues_csv(path, eigenvalues) -> None:
-    with csv_writer(path) as writer:
-        writer.writerow(["index", "eigenvalue"])
-        for k, lam in enumerate(eigenvalues):
-            writer.writerow([k, repr(float(lam))])
-
-
-def _write_component_csv(path, coefficients) -> None:
-    with csv_writer(path) as writer:
-        writer.writerow(["component", "value"])
-        for k, value in enumerate(coefficients):
-            writer.writerow([k, repr(float(value))])
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -351,8 +329,6 @@ def cmd_complex(args) -> int:
         floor=args.floor,
     )
     write_json(args.output, _weights_payload(simplex, similarity, config))
-    if args.weights_csv:
-        simplices.weights_to_csv(args.weights_csv, simplex)
     if args.boundaries_dir:
         os.makedirs(args.boundaries_dir, exist_ok=True)
         for n in range(simplex.N + 1):
@@ -390,7 +366,6 @@ def cmd_signals(args) -> int:
             stem = os.path.join(args.output_dir, f"signal_{measure.value}_dim{n}")
             signal = transform.HighOrderSignal(dimension=n, coefficients=values, measure=measure)
             transform.write_signal(stem + ".json", signal, num_vertices=N + 1)
-            infotheory.sweep_to_csv(stem + ".csv", N, n, values)
     return EXIT_OK
 
 
@@ -405,9 +380,6 @@ def cmd_spectrum(args) -> int:
         operator = spectral.laplacian(simplex, n)
         basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
         write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis)
-        _write_eigenvalues_csv(
-            os.path.join(args.output_dir, f"eigenvalues_dim{n}.csv"), basis.eigenvalues
-        )
         diagnostics = basis.diagnostics.to_jsonable()
         diagnostics["kernel_dimension"] = spectral.kernel_dimension(
             basis.eigenvalues, tol=args.kernel_tol
@@ -430,7 +402,6 @@ def cmd_transform(args) -> int:
 def cmd_cev(args) -> int:
     signal = transform.read_signal(args.signal)
     report = transform.cev_report(signal)
-    transform.cev_to_csv(args.output_prefix + ".csv", report)
     transform.cev_to_json(args.output_prefix + ".json", report)
     return EXIT_OK
 
@@ -516,8 +487,6 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
         aggregator=simplices.WeightAggregator(config.aggregator),
         floor=config.floor,
     )
-    _write_similarity_csv(os.path.join(outdir, "similarity.csv"), similarity)
-    simplices.weights_to_csv(os.path.join(outdir, "weights.csv"), simplex)
     write_json(os.path.join(outdir, "weights.json"), _weights_payload(simplex, similarity, config))
 
     tags = ("canonical", "fourier")
@@ -528,7 +497,6 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
         operator = spectral.laplacian(simplex, n)
         basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
         write_basis(os.path.join(dim_dir, "basis.json"), basis)
-        _write_eigenvalues_csv(os.path.join(dim_dir, "eigenvalues.csv"), basis.eigenvalues)
 
         signals, reports, cev_status = {}, {}, {}
         for name in config.measures:
@@ -551,16 +519,12 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
             canonical, fourier = signals[name]
             stem = os.path.join(dim_dir, f"signal_{name}")
             transform.write_signal(stem + "_canonical.json", canonical, num_vertices=N + 1)
-            infotheory.sweep_to_csv(stem + "_canonical.csv", N, n, canonical.coefficients)
             transform.write_signal(stem + "_fourier.json", fourier, num_vertices=N + 1)
-            _write_component_csv(stem + "_fourier.csv", fourier.coefficients)
             for tag in tags:
                 report = reports.get((name, tag))
                 if report is None:
                     continue
-                prefix = os.path.join(dim_dir, f"cev_{name}_{tag}")
-                transform.cev_to_csv(prefix + ".csv", report)
-                transform.cev_to_json(prefix + ".json", report)
+                transform.cev_to_json(os.path.join(dim_dir, f"cev_{name}_{tag}.json"), report)
             fourier_report = reports.get((name, "fourier"))
             canonical_report = reports.get((name, "canonical"))
             if fourier_report and canonical_report:
@@ -577,7 +541,7 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
         writer.writerow(["measure", "dimension", "threshold_pct", "fourier_k", "canonical_k"])
         writer.writerows(components_rows)
 
-    manifest = {"config": asdict(config), "versions": _versions()}
+    manifest = {"tree_format": TREE_FORMAT, "config": asdict(config), "versions": _versions()}
     write_json(os.path.join(outdir, "manifest.json"), manifest)
     os.remove(marker)
 
@@ -610,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[a.value for a in simplices.WeightAggregator])
     p.add_argument("--floor", type=float, default=simplices.DEFAULT_WEIGHT_FLOOR)
     p.add_argument("--output", required=True)
-    p.add_argument("--weights-csv", default=None)
     p.add_argument("--boundaries-dir", default=None)
     p.set_defaults(func=cmd_complex)
 

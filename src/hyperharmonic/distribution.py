@@ -127,18 +127,21 @@ class JointDistribution:
         if not sizes or min(sizes) < 1:
             raise ValidationError("need at least one variable, each with alphabet size >= 1")
         masses = np.array(self.masses, dtype=float)
-        outcomes = np.array(self.outcomes, dtype=np.int64)
+        given = np.asarray(self.outcomes)
+        with np.errstate(invalid="ignore"):
+            outcomes = given.astype(np.int64)
         if masses.ndim != 1 or not masses.size or outcomes.shape != (masses.size, len(sizes)):
             raise ValidationError(f"need a non-empty (S, {len(sizes)}) outcome array and S "
                                   f"masses, got shapes {outcomes.shape} and {masses.shape}")
         _, groups = first_appearance_groups(outcomes)
         for bad, problem in (
             (np.any((outcomes < 0) | (outcomes >= sizes), axis=1), "is outside the alphabets"),
+            (np.any(outcomes != given, axis=1), "is not integral"),
             (~(np.isfinite(masses) & (masses > 0)), "needs a finite, positive mass"),
             (np.bincount(groups)[groups] > 1, "appears more than once"),
         ):
             if bad.any():
-                raise ValidationError(f"outcome {outcomes[np.argmax(bad)].tolist()} {problem}")
+                raise ValidationError(f"outcome {given[np.argmax(bad)].tolist()} {problem}")
         total = math.fsum(masses.tolist())
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ValidationError(f"total mass {total} deviates from 1 beyond tolerance")
@@ -399,6 +402,10 @@ def _read_columns(path, parse_row) -> tuple[tuple[str, ...], list[tuple]]:
     return header, list(zip(*parsed))
 
 
+# The alphabet size, one more than the largest symbol, must fit in int64.
+_MAX_SYMBOL = 2**63 - 1
+
+
 def _symbols(row: list[str]) -> list[int]:
     values = []
     for cell in row:
@@ -408,6 +415,8 @@ def _symbols(row: list[str]) -> list[int]:
             raise ValueError(f"{cell!r} is not an integer") from None
         if value < 0:
             raise ValueError(f"negative symbol {value}")
+        if value >= _MAX_SYMBOL:
+            raise ValueError(f"symbol {value} is too large; symbols must be below {_MAX_SYMBOL}")
         values.append(value)
     return values
 

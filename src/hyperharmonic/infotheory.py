@@ -21,10 +21,8 @@ import numpy as np
 
 from . import distribution as dist_mod
 from .errors import ValidationError
-from .jsonio import csv_writer
 from .simplices import (
     enumerate_simplices,
-    simplex_label,
     simplex_rank,
     simplex_ranks,
     validate_simplex,
@@ -213,11 +211,4 @@ def signal_sweep(oracle: EntropyOracle, N: int, n: int, kind: MeasureKind) -> np
     if not min_dim <= n <= N:
         raise ValidationError(f"dimension n={n} out of range [{min_dim}, {N}] for {kind.value}")
     return measure_values(oracle, enumerate_simplices(N, n), kind)
-
-
-def sweep_to_csv(path, N: int, n: int, values: np.ndarray) -> None:
-    with csv_writer(path) as writer:
-        writer.writerow(["simplex", "value"])
-        for simplex, value in zip(enumerate_simplices(N, n).tolist(), values):
-            writer.writerow([simplex_label(simplex), repr(float(value))])
 

@@ -120,11 +120,6 @@ def simplex_unrank(rank: int, N: int, n: int) -> Simplex:
     return tuple(out)
 
 
-def simplex_label(simplex: Simplex) -> str:
-    """Stable text label, e.g. (0, 2, 11) -> '0-2-11'."""
-    return "-".join(str(v) for v in simplex)
-
-
 @functools.lru_cache(maxsize=64)
 def boundary_faces(N: int, n: int) -> np.ndarray:
     """Ranks of the faces of every n-simplex, for 1 <= n <= N.
@@ -279,16 +274,6 @@ def structural_weights(
             values = pairs.min(axis=1)
         weights.append(np.maximum(values, floor))
     return StructuralSimplex(N=N, weights=tuple(weights))
-
-
-def weights_to_csv(path, simplex: StructuralSimplex) -> None:
-    """Dump all weights as (dimension, simplex, weight) rows."""
-    with csv_writer(path) as writer:
-        writer.writerow(["dimension", "simplex", "weight"])
-        for n in range(simplex.N + 1):
-            w = simplex.weight_vector(n)
-            for s, value in zip(enumerate_simplices(simplex.N, n).tolist(), w):
-                writer.writerow([n, simplex_label(s), repr(float(value))])
 
 
 class SimilarityMetric(Enum):

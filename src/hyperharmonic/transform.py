@@ -243,13 +243,6 @@ def control_comparison(
 # ---------------------------------------------------------------------------
 
 
-def cev_to_csv(path, report: CevReport) -> None:
-    with csv_writer(path) as writer:
-        writer.writerow(["k", "ev", "cev"])
-        for k, (ev, cev) in enumerate(zip(report.sorted_ev, report.cev), start=1):
-            writer.writerow([k, repr(float(ev)), repr(float(cev))])
-
-
 def cev_to_json(path, report: CevReport) -> None:
     write_json(path, report.to_jsonable())
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +45,6 @@ class TestStepCommands:
         weights = tmp_path / "weights.json"
         assert main([
             "complex", "--distribution", str(dist), "--output", str(weights),
-            "--weights-csv", str(tmp_path / "weights.csv"),
             "--boundaries-dir", str(tmp_path / "boundaries"),
         ]) == EXIT_OK
         assert (tmp_path / "boundaries" / "boundary_1.csv").exists()
@@ -82,7 +82,8 @@ class TestStepCommands:
         assert main([
             "cev", "--signal", str(hat), "--output-prefix", str(tmp_path / "cev"),
         ]) == EXIT_OK
-        assert (tmp_path / "cev.csv").read_text().splitlines()[0] == "k,ev,cev"
+        report = json.loads((tmp_path / "cev.json").read_text())
+        assert report["cev"] == [1.0]
 
         ctrl = tmp_path / "ctrl.csv"
         assert main([
@@ -145,11 +146,13 @@ class TestStepCommands:
          "mass": [[[0, 0], 0.5], [[0, 0], 0.5], [[1, 1], 0.5]]},
         {"kind": "discrete", "num_variables": 3, "alphabet_sizes": [2, 2],
          "mass": [[[0, 0], 0.5], [[1, 1], 0.5]]},
+        {"kind": "discrete", "num_variables": 2, "alphabet_sizes": [2, 2],
+         "mass": [[[0.5, 1], 0.5], [[1, 1], 0.5]]},
         {"kind": "gaussian"},
         {"kind": "gaussian", "correlation": [[1, "x"], ["x", 1]]},
     ], ids=["list", "number", "discrete-no-fields", "discrete-bad-mass",
             "discrete-repeated-outcome", "discrete-variable-count",
-            "gaussian-no-fields", "gaussian-text-entry"])
+            "discrete-fractional-outcome", "gaussian-no-fields", "gaussian-text-entry"])
     def test_malformed_model_file_gives_validation_exit(self, tmp_path, payload, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
@@ -169,6 +172,18 @@ class TestStepCommands:
         assert code == EXIT_VALIDATION
         assert "needs a finite, positive mass" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    @pytest.mark.parametrize("cell", [str(2**63 - 1), "18446744073709551615",
+                                      "99999999999999999999"])
+    def test_symbol_past_int64_gives_validation_exit(self, tmp_path, cell, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text(f"a,b\n0,1\n{cell},0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--input", str(data), "--output", str(tmp_path / "o.json")])
+        assert code == EXIT_VALIDATION
+        assert f"line 3: symbol {cell} is too large" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["huge.csv"]
 
     @pytest.mark.parametrize("payload", [
         {},
@@ -380,7 +395,7 @@ class TestRun:
         diagnostics = json.loads((out / "dim_2" / "diagnostics.json").read_text())
         status = diagnostics["cev_status"]
         assert "undefined" in status["o_information_canonical"]
-        assert not (out / "dim_2" / "cev_o_information_canonical.csv").exists()
+        assert not (out / "dim_2" / "cev_o_information_canonical.json").exists()
 
     def test_continuous_run_via_copula(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -475,8 +490,9 @@ class TestRun:
         ["run", "--seed", "1"],
         ["run", "--num-random", "3"],
         ["spectrum", "--weights", "w.json", "--output-dir", "o", "--laplacian-formula", "adjoint"],
+        ["complex", "--distribution", "d.json", "--output", "w.json", "--weights-csv", "w.csv"],
     ], ids=["run-jobs", "run-laplacian-formula", "run-seed", "run-num-random",
-            "spectrum-laplacian-formula"])
+            "spectrum-laplacian-formula", "complex-weights-csv"])
     def test_retired_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -605,20 +621,26 @@ class TestRun:
         assert tree_bytes(out) == {}
 
     def test_interrupted_csv_write_leaves_no_partial_file(self, tmp_path):
-        from hyperharmonic.cli import _write_eigenvalues_csv
+        from hyperharmonic.transform import ControlComparison, control_to_csv
 
         def interrupted():
-            yield 1.0
+            yield np.array([0.5, 1.0])
             raise RuntimeError("interrupted")
 
-        path = tmp_path / "eigenvalues.csv"
+        def comparison():
+            curve = np.array([0.75, 1.0])
+            return ControlComparison(fourier_cev=curve, random_cev=interrupted(),
+                                     random_mean=curve, ci_low=curve, ci_high=curve, seed=0)
+
+        path = tmp_path / "ctrl.csv"
         with pytest.raises(RuntimeError):
-            _write_eigenvalues_csv(path, interrupted())
+            control_to_csv(path, comparison())
         assert tree_bytes(tmp_path) == {}
-        path.write_text("index,eigenvalue\n0,0.5\n")
+        earlier = b"basis_kind,replicate,k,cev\nfourier,0,1,0.5\n"
+        path.write_bytes(earlier)
         with pytest.raises(RuntimeError):
-            _write_eigenvalues_csv(path, interrupted())
-        assert tree_bytes(tmp_path) == {"eigenvalues.csv": b"index,eigenvalue\n0,0.5\n"}
+            control_to_csv(path, comparison())
+        assert tree_bytes(tmp_path) == {"ctrl.csv": earlier}
 
     def test_units_restored_after_run(self, tmp_path, monkeypatch):
         import hyperharmonic.cli as cli_mod
@@ -648,8 +670,8 @@ class TestRun:
         assert main(argv + ["--units", "nats", "--output-dir", str(tmp_path / "nats")]) == EXIT_OK
 
         def similarity(name):
-            rows = (tmp_path / name / "similarity.csv").read_text().splitlines()[1:]
-            return np.array([float(row.split(",")[2]) for row in rows])
+            payload = json.loads((tmp_path / name / "weights.json").read_text())
+            return np.array(payload["similarity"])[np.triu_indices(5, k=1)]
 
         bits = similarity("bits")
         assert np.all(bits > 0)
@@ -680,6 +702,70 @@ class TestRun:
             "--output-dir", str(tmp_path / "out"),
         ])
         assert code == EXIT_CAPACITY
+
+
+class TestTreeInventory:
+    """Every artifact is exactly one file: a second copy of a payload fails here."""
+
+    @pytest.fixture
+    def steps(self, tmp_path):
+        data = tmp_path / "xor.csv"
+        write_xor_csv(data)
+        dist, weights = tmp_path / "dist.json", tmp_path / "weights.json"
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        assert main(["complex", "--distribution", str(dist), "--output", str(weights)]) == EXIT_OK
+        return {"data": data, "dist": dist, "weights": weights}
+
+    def test_run(self, steps, tmp_path):
+        out = tmp_path / "out"
+        assert main([
+            "run", "--input", str(steps["data"]), "--dimensions", "2", "--output-dir", str(out),
+        ]) == EXIT_OK
+        per_dimension = [
+            "basis.json", "basis_eigenvectors.npy", "diagnostics.json",
+            *(f"{kind}_{measure}_{basis}.json"
+              for kind in ("cev", "signal")
+              for measure in ("o_information", "s_information")
+              for basis in ("canonical", "fourier")),
+        ]
+        assert sorted(tree_bytes(out)) == sorted([
+            "components.csv", "distribution.json", "manifest.json", "weights.json",
+            *(os.path.join("dim_2", name) for name in per_dimension),
+        ])
+        assert json.loads((out / "manifest.json").read_text())["tree_format"] == 2
+
+    def test_signals(self, steps, tmp_path):
+        out = tmp_path / "signals"
+        assert main([
+            "signals", "--distribution", str(steps["dist"]), "--dimensions", "2",
+            "--output-dir", str(out),
+        ]) == EXIT_OK
+        assert sorted(tree_bytes(out)) == [
+            "signal_o_information_dim2.json", "signal_s_information_dim2.json",
+        ]
+
+    def test_spectrum(self, steps, tmp_path):
+        out = tmp_path / "spectrum"
+        assert main([
+            "spectrum", "--weights", str(steps["weights"]), "--dimensions", "2",
+            "--output-dir", str(out),
+        ]) == EXIT_OK
+        assert sorted(tree_bytes(out)) == [
+            "basis_dim2.json", "basis_dim2_eigenvectors.npy", "diagnostics_dim2.json",
+        ]
+
+    def test_cev(self, steps, tmp_path):
+        signals, out = tmp_path / "signals", tmp_path / "cev"
+        assert main([
+            "signals", "--distribution", str(steps["dist"]), "--dimensions", "2",
+            "--measures", "o_information", "--output-dir", str(signals),
+        ]) == EXIT_OK
+        out.mkdir()
+        assert main([
+            "cev", "--signal", str(signals / "signal_o_information_dim2.json"),
+            "--output-prefix", str(out / "report"),
+        ]) == EXIT_OK
+        assert sorted(tree_bytes(out)) == ["report.json"]
 
 
 class TestConsoleScript:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,10 +117,25 @@ class TestJointDistribution:
         ([(0,), (1,)], [0.5, 0.5]),
         ([(0, 0), (1, 1)], [0.5, 0.4]),
         (np.zeros((0, 2)), []),
-    ], ids=["repeated", "nan", "inf", "zero", "outside", "arity", "total", "empty"])
+        ([(0.5, 1), (1, 1)], [0.5, 0.5]),
+        ([(float("nan"), 0), (1, 1)], [0.5, 0.5]),
+        ([(1e30, 0), (1, 1)], [0.5, 0.5]),
+    ], ids=["repeated", "nan", "inf", "zero", "outside", "arity", "total", "empty",
+            "fractional-outcome", "nan-outcome", "huge-outcome"])
     def test_invalid_pmf_rejected(self, outcomes, masses):
-        with pytest.raises(ValidationError):
-            JointDistribution((2, 2), outcomes, masses)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                JointDistribution((2, 2), outcomes, masses)
+
+    def test_fractional_outcome_named_as_given(self):
+        with pytest.raises(ValidationError, match=r"outcome \[0\.5, 1\.0\] is not integral"):
+            JointDistribution((2, 2), [(0.5, 1), (1, 1)], [0.5, 0.5])
+
+    def test_integral_float_outcomes_accepted(self):
+        dist = JointDistribution((2, 2), np.array([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
+        assert dist.outcomes.dtype == np.int64
+        assert dist.outcomes.tolist() == [[1, 0], [0, 1]]
 
 
 class TestMarginalize:
@@ -325,6 +341,11 @@ class TestCsvIngestion:
         path.write_text("a,b\n0,1\n1\n")
         with pytest.raises(ValidationError, match="line 3"):
             read_discrete_csv(path)
+
+    def test_discrete_largest_symbol_accepted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n0,1\n{2**63 - 2},0\n")
+        assert read_discrete_csv(path).alphabet_sizes == (2**63 - 1, 2)
 
     def test_continuous_rejects_non_finite(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -22,7 +22,6 @@ from hyperharmonic import (
     total_correlation,
 )
 from hyperharmonic.distribution import entropy_nats, gaussian_entropy_nats, marginalize
-from hyperharmonic.infotheory import sweep_to_csv
 
 import bruteforce as bf
 from conftest import (
@@ -393,13 +392,3 @@ class TestSignalSweep:
         dist, _ = xor_triple()
         with pytest.raises(ValidationError):
             signal_sweep(EntropyOracle(dist), 2, 1, MeasureKind.O_INFORMATION)
-
-    def test_exports(self, tmp_path):
-        dist, _ = xor_triple()
-        oracle = EntropyOracle(dist)
-        values = signal_sweep(oracle, 2, 1, MeasureKind.TC)
-        csv_path = tmp_path / "sweep.csv"
-        sweep_to_csv(csv_path, 2, 1, values)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "simplex,value"
-        assert lines[1].startswith("0-1,")

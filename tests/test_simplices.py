@@ -26,7 +26,7 @@ from hyperharmonic import (
     total_correlation,
 )
 from hyperharmonic.distribution import estimate_empirical, gaussian_entropy_nats, marginalize
-from hyperharmonic.simplices import boundary_to_csv, simplex_label, weights_to_csv
+from hyperharmonic.simplices import boundary_to_csv
 
 import dict_reference
 from conftest import (
@@ -120,9 +120,6 @@ class TestRankUnrank:
             simplex_rank((0, 4), 3)
         with pytest.raises(ValidationError):
             simplex_unrank(6, 3, 1)
-
-    def test_labels(self):
-        assert simplex_label((0, 2, 11)) == "0-2-11"
 
 
 class TestBoundaryMatrix:
@@ -312,14 +309,6 @@ class TestStructuralWeights:
     def test_direct_construction_validates(self):
         with pytest.raises(ValidationError):
             StructuralSimplex(N=1, weights=(np.ones(2), np.zeros(1)))
-
-    def test_weights_csv(self, tmp_path):
-        simplex = structural_weights(np.zeros((3, 3)))
-        path = tmp_path / "w.csv"
-        weights_to_csv(path, simplex)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "dimension,simplex,weight"
-        assert len(lines) == 1 + 3 + 3 + 1
 
 
 class TestSimilarityMatrix:

@@ -28,7 +28,6 @@ from hyperharmonic import (
 from hyperharmonic.transform import (
     CANONICAL,
     FOURIER,
-    cev_to_csv,
     cev_to_json,
     control_to_csv,
     read_signal,
@@ -196,11 +195,9 @@ class TestCevReport:
 
     def test_serialization(self, tmp_path):
         report = cev_report(HighOrderSignal(dimension=1, coefficients=np.array([3.0, 4.0])))
-        cev_to_csv(tmp_path / "r.csv", report)
         cev_to_json(tmp_path / "r.json", report)
-        lines = (tmp_path / "r.csv").read_text().splitlines()
-        assert lines[0] == "k,ev,cev"
-        assert "0.64" in lines[1]
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["sorted_ev"][0] == pytest.approx(0.64)
         assert '"0.60": 1' in (tmp_path / "r.json").read_text()
 
 
