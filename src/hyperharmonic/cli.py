@@ -18,7 +18,6 @@ import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import distribution as dist_mod
@@ -31,6 +30,9 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 EXIT_CAPACITY = 5
+# The first class an error is an instance of sets the exit code.
+_EXIT_CODES = {ValidationError: EXIT_VALIDATION, CapacityError: EXIT_CAPACITY,
+               NumericalError: EXIT_NUMERICAL, OSError: EXIT_IO}
 
 OUTPUT_DIR_ENV = "HYPERHARMONIC_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "hyperharmonic_output"
@@ -77,6 +79,9 @@ class PipelineConfig:
             raise ValidationError("units must be 'bits' or 'nats'")
         if any(n < 2 for n in self.dimensions):
             raise ValidationError("analysis dimensions must be >= 2")
+        for name, values in (("dimensions", self.dimensions), ("measures", self.measures)):
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{name} must not repeat a value, got {values}")
 
 
 def _parse_str_list(text: str) -> tuple[str, ...]:
@@ -173,6 +178,8 @@ def _load_manifest_config(path) -> dict:
 
 
 def _versions() -> dict:
+    import scipy  # deferred: only the manifest needs it, and it costs start-up time
+
     return {
         "hyperharmonic": __version__,
         "numpy": np.__version__,
@@ -286,6 +293,13 @@ def _weights_payload(simplex: simplices.StructuralSimplex, similarity, config) -
     }
 
 
+def _weighted_simplex(oracle, config: PipelineConfig):
+    """The similarity matrix under ``config.metric`` and the simplex it weights."""
+    similarity = simplices.similarity_matrix(oracle, simplices.SimilarityMetric(config.metric))
+    aggregator = simplices.WeightAggregator(config.aggregator)
+    return similarity, simplices.structural_weights(similarity, aggregator, floor=config.floor)
+
+
 def structural_simplex_from_payload(payload: dict) -> simplices.StructuralSimplex:
     require_keys(payload, ("num_vertices", "weights"), "weights file")
     try:
@@ -320,14 +334,7 @@ def cmd_complex(args) -> int:
     )
     config.validate()
     model = dist_mod.read_model(args.distribution)
-    similarity = simplices.similarity_matrix(
-        infotheory.EntropyOracle(model), simplices.SimilarityMetric(args.metric)
-    )
-    simplex = simplices.structural_weights(
-        similarity,
-        aggregator=simplices.WeightAggregator(args.aggregator),
-        floor=args.floor,
-    )
+    similarity, simplex = _weighted_simplex(infotheory.EntropyOracle(model), config)
     write_json(args.output, _weights_payload(simplex, similarity, config))
     if args.boundaries_dir:
         os.makedirs(args.boundaries_dir, exist_ok=True)
@@ -481,17 +488,12 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
     oracle = infotheory.EntropyOracle(model, units=config.units)
     N = model.num_variables - 1
 
-    similarity = simplices.similarity_matrix(oracle, simplices.SimilarityMetric(config.metric))
-    simplex = simplices.structural_weights(
-        similarity,
-        aggregator=simplices.WeightAggregator(config.aggregator),
-        floor=config.floor,
-    )
+    similarity, simplex = _weighted_simplex(oracle, config)
     write_json(os.path.join(outdir, "weights.json"), _weights_payload(simplex, similarity, config))
 
     tags = ("canonical", "fourier")
     components_rows = []
-    for n in sorted(set(config.dimensions)):
+    for n in sorted(config.dimensions):
         dim_dir = os.path.join(outdir, f"dim_{n}")
         os.makedirs(dim_dir, exist_ok=True)
         operator = spectral.laplacian(simplex, n)
@@ -580,8 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signals", help="sweep measures into canonical signals")
     p.add_argument("--distribution", required=True)
     p.add_argument("--dimensions", type=_parse_int_list, default=())
-    p.add_argument("--measures", type=_parse_str_list,
-                   default=("o_information", "s_information"))
+    p.add_argument("--measures", type=_parse_str_list, default=PipelineConfig.measures)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_signals)
 
@@ -621,8 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=synth.DEFAULT_SAMPLES)
     p.add_argument("--size", type=int, default=synth.DEFAULT_SIZE)
     p.add_argument("--dimensions", type=_parse_int_list, default=())
-    p.add_argument("--measures", type=_parse_str_list,
-                   default=("o_information", "s_information"))
+    p.add_argument("--measures", type=_parse_str_list, default=PipelineConfig.measures)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_control_synth)
@@ -649,22 +649,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ joint entropies have a closed form.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -307,13 +308,77 @@ def _gaussian_entropies_nats(
     return 0.5 * (k * _LOG_TWO_PI_E + logdet), regularized
 
 
+# Cephes ``ndtri`` (the algorithm behind ``scipy.special.ndtri``): rational
+# approximations for |y - 1/2| <= 3/8 (P0/Q0), and in z = 1/sqrt(-2 log y) for
+# exp(-32) < y <= exp(-2) (P1/Q1) and y <= exp(-32) (P2/Q2). Each Q omits its
+# leading coefficient 1.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242e0
+
+
+def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
+    """Horner evaluation in Cephes order; ``monic`` prepends a leading 1 (``p1evl``)."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """Standard-normal quantile of each y in (0, 1): Cephes ``ndtri`` in NumPy,
+    bit-identical to ``scipy.special.ndtri``. Logarithms use ``math.log``, as
+    scipy does; ``np.log`` can differ from it in the last places."""
+    upper = y > 1.0 - _EXP_MINUS_2
+    w = np.where(upper, 1.0 - y, y)
+    out = np.empty_like(w)
+    mid = w > _EXP_MINUS_2
+    v = w[mid] - 0.5
+    v2 = v * v
+    out[mid] = (v + v * (v2 * _polevl(v2, _NDTRI_P0) / _polevl(v2, _NDTRI_Q0, True))) * _SQRT_2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * np.fromiter(map(math.log, w[tail].tolist()), float))
+    x0 = x - np.fromiter(map(math.log, x.tolist()), float) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, True),
+                  z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2, True))
+    out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _normal_scores(T: int) -> np.ndarray:
+    """Read-only normal scores of T samples: entry m is ``ndtri(r / (T + 1))``
+    for the average rank r = (m + 2) / 2, m in [0, 2T - 2]."""
+    table = _ndtri(((np.arange(2 * T - 1) + 2) / 2.0) / (T + 1))
+    table.flags.writeable = False
+    return table
+
+
 def average_ranks(values) -> np.ndarray:
     """1-based ranks of a 1-D array; tied values share the mean of their ranks.
 
-    Equal to ``scipy.stats.rankdata(values, method="average")``.
+    Equal to ``scipy.stats.rankdata(values, method="average")``. The sort need
+    not be stable: a tie group's rank depends only on where the group starts and ends.
     """
     x = np.asarray(values)
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
     ordered = x[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     ends = np.r_[starts[1:], len(x)]
@@ -329,8 +394,6 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     standard-normal quantile function; the model is the sample correlation of
     the transformed columns. Depends on the data only through column orderings.
     """
-    from scipy.special import ndtri  # deferred: importing scipy.special is slow
-
     T = table.num_samples
     if T < 3:
         raise ValidationError(f"need at least 3 samples to fit a copula, got {T}")
@@ -338,7 +401,7 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     for name, col in zip(table.variable_names, table.columns):
         if np.ptp(col) == 0.0:
             raise EstimationError(f"column {name!r} is constant; rank transform undefined")
-        scores.append(ndtri(average_ranks(col) / (T + 1)))
+        scores.append(_normal_scores(T)[(2.0 * average_ranks(col)).astype(np.int64) - 2])
     Z = np.column_stack(scores)
     R = np.corrcoef(Z, rowvar=False)
     R = np.atleast_2d(R)

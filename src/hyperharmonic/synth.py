@@ -138,7 +138,12 @@ def check_experiment(ranks, replicates, num_samples, size, dimensions, measures)
         raise ValidationError(f"dimensions must lie in [2, {size - 1}], got {dimensions}")
     for n in dimensions:
         check_dense_dimension(size - 1, n)
-    return ranks, dimensions, tuple(MeasureKind(m) for m in measures)
+    measures = tuple(MeasureKind(m) for m in measures)
+    for label, items in (("ranks", ranks), ("dimensions", dimensions), ("measures", measures)):
+        if len(set(items)) < len(items):
+            names = tuple(getattr(x, "value", x) for x in items)
+            raise ValidationError(f"{label} must not repeat a value, got {names}")
+    return ranks, dimensions, measures
 
 
 def rank_experiment(
@@ -213,9 +218,4 @@ def rank_experiment(
             for (rank, rep), count in sorted(regularized.items())
         },
     }
-    return RankExperimentResult(
-        mean_cev=mean_cev,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        manifest=manifest,
-    )
+    return RankExperimentResult(mean_cev, ci_low, ci_high, manifest)

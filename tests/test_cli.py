@@ -527,6 +527,27 @@ class TestRun:
         assert main(argv) == EXIT_VALIDATION
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--dimensions", "2,2"), ("--measures", "o_information,s_information,o_information"),
+    ], ids=["dimensions", "measures"])
+    def test_repeated_list_item_rejected_before_any_output(self, tmp_path, flag, value, capsys):
+        data = tmp_path / "xor.csv"
+        write_xor_csv(data)
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(data), flag, value, "--output-dir", str(out)]) \
+            == EXIT_VALIDATION
+        assert "must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_with_repeated_dimension_does_not_replay(self, tmp_path, capsys):
+        def repeat(manifest):
+            manifest["config"]["dimensions"] = [2, 3, 2]
+
+        _, second, code = self.replay_edited_manifest(tmp_path, repeat)
+        assert code == EXIT_VALIDATION
+        assert "dimensions must not repeat" in capsys.readouterr().err
+        assert not second.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
@@ -809,10 +830,11 @@ class TestImports:
     def test_cli_import_does_not_load_scipy_stats(self, tmp_path):
         loaded = self.run_python(
             "import sys, hyperharmonic.cli; "
-            "print([m in sys.modules for m in ('scipy.stats', 'scipy.special', 'scipy.sparse')])",
+            "print([m in sys.modules for m in "
+            "('scipy', 'scipy.stats', 'scipy.special', 'scipy.sparse')])",
             tmp_path,
         )
-        assert loaded == "[False, False, False]"
+        assert loaded == "[False, False, False, False]"
 
     def test_discrete_run_does_not_load_scipy_sparse(self, tmp_path):
         write_five_variable_csv(tmp_path / "data.csv")
@@ -825,6 +847,28 @@ class TestImports:
         )
         assert result == "0 False"
         assert (tmp_path / "out" / "dim_3" / "basis_eigenvectors.npy").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["control-synth", "--ranks", "2,4", "--replicates", "2", "--samples", "300",
+         "--size", "4", "--dimensions", "2", "--output-dir", "out"],
+        ["run", "--input", "cont.csv", "--kind", "continuous", "--dimensions", "2",
+         "--output-dir", "out"],
+    ], ids=["control-synth", "continuous-run"])
+    def test_copula_fit_does_not_load_scipy(self, tmp_path, argv):
+        # Only the top-level package loads, for the version the manifest records.
+        rng = np.random.default_rng(8)
+        rows = ["a,b,c,d"] + [",".join(f"{v:.2f}" for v in row)
+                              for row in rng.standard_normal((200, 4))]
+        (tmp_path / "cont.csv").write_text("\n".join(rows) + "\n")
+        result = self.run_python(
+            "import sys; from hyperharmonic.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, [m for m in ('scipy.special', 'scipy.stats', 'scipy.sparse', "
+            "'scipy.linalg') if m in sys.modules])",
+            tmp_path,
+        )
+        assert result == "0 []"
+        assert (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestControlSynth:
@@ -848,6 +892,9 @@ class TestControlSynth:
         (["--samples", "2"], EXIT_VALIDATION),
         (["--size", "20"], EXIT_CAPACITY),
         (["--size", "3"], EXIT_VALIDATION),
+        (["--ranks", "2,2"], EXIT_VALIDATION),
+        (["--dimensions", "2,2"], EXIT_VALIDATION),
+        (["--measures", "o_information,o_information"], EXIT_VALIDATION),
     ])
     def test_bad_arguments_leave_no_output_directory(self, tmp_path, flags, code):
         out = tmp_path / "ctrl"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperharmonic import (
@@ -23,7 +23,13 @@ from hyperharmonic import (
     read_continuous_csv,
     read_discrete_csv,
 )
-from hyperharmonic.distribution import SMOOTHING_SUPPORT_CAP, average_ranks, entropy_nats
+from hyperharmonic.distribution import (
+    SMOOTHING_SUPPORT_CAP,
+    _ndtri,
+    _normal_scores,
+    average_ranks,
+    entropy_nats,
+)
 
 import dict_reference
 from conftest import dense_to_distribution, mass_dict, random_pmf, random_table, xor_triple
@@ -276,6 +282,70 @@ class TestCopulaFit:
             )
         )
         assert np.max(np.abs(base.correlation_matrix - warped.correlation_matrix)) <= 1e-12
+
+
+class TestNormalScores:
+    """The NumPy ``ndtri`` port against ``scipy.special.ndtri``, bit for bit."""
+
+    @pytest.mark.parametrize("T", [3, 4, 7, 2000, 10000, 10001])
+    def test_table_matches_scipy_on_the_half_integer_grid(self, T):
+        from scipy.special import ndtri
+
+        # Odd T puts y = 0.5 on the grid, which pins the sign of zero.
+        grid = ((np.arange(2 * T - 1) + 2) / 2.0) / (T + 1)
+        assert _normal_scores(T).tobytes() == ndtri(grid).tobytes()
+        assert _normal_scores(T).tobytes() == _ndtri(grid).tobytes()
+
+    def test_matches_scipy_on_uniforms(self):
+        from scipy.special import ndtri
+
+        y = np.random.default_rng(20240101).random(10**5)
+        assert _ndtri(y).tobytes() == ndtri(y).tobytes()
+
+    def test_matches_scipy_in_both_tails(self):
+        from scipy.special import ndtri
+
+        tail = np.geomspace(1e-300, 0.2, 20_000)  # below exp(-32) the x >= 8 branch runs
+        assert np.any(_ndtri(tail) < -8.0)
+        assert _ndtri(tail).tobytes() == ndtri(tail).tobytes()
+        upper = 1.0 - tail[tail > 1e-16]
+        assert _ndtri(upper).tobytes() == ndtri(upper).tobytes()
+
+    def test_table_is_read_only_and_shared(self):
+        table = _normal_scores(5)
+        assert table is _normal_scores(5)
+        assert table.shape == (9,)
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+    @given(
+        st.integers(3, 60).flatmap(
+            lambda T: st.lists(
+                st.lists(st.integers(0, 4), min_size=T, max_size=T), min_size=2, max_size=4
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fit_equals_scipy_reference_with_ties(self, columns):
+        from scipy.special import ndtri
+        from scipy.stats import rankdata
+
+        cols = [np.array(c, dtype=float) for c in columns]
+        assume(all(np.ptp(c) > 0 for c in cols))
+        T = len(cols[0])
+        Z = np.column_stack([ndtri(rankdata(c) / (T + 1)) for c in cols])
+        R = np.corrcoef(Z, rowvar=False)
+        R = (R + R.T) / 2.0
+        np.fill_diagonal(R, 1.0)
+        model = copula_gaussian_fit(
+            ContinuousSeriesTable(tuple(f"v{i}" for i in range(len(cols))), tuple(cols))
+        )
+        assert model.correlation_matrix.tobytes() == R.tobytes()
+
+    def test_sample_count_checked_before_constant_columns(self):
+        table = ContinuousSeriesTable(variable_names=("a",), columns=(np.ones(2),))
+        with pytest.raises(ValidationError, match="at least 3 samples"):
+            copula_gaussian_fit(table)
 
 
 class TestAverageRanks:

@@ -159,6 +159,9 @@ class TestRankExperiment:
         (dict(size=20), CapacityError),
         (dict(size=17, dimensions=(7,)), CapacityError),
         (dict(replicates=0), ValidationError),
+        (dict(ranks=(2, 3, 2)), ValidationError),
+        (dict(dimensions=(2, 2)), ValidationError),
+        (dict(measures=("o_information", MeasureKind.O_INFORMATION)), ValidationError),
     ])
     def test_invalid_arguments_rejected_before_sampling(self, monkeypatch, kwargs, error):
         def fail(*args, **kw):
