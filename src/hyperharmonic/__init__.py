@@ -52,6 +52,7 @@ from .spectral import (
     LaplaceOperator,
     WeightedInnerProduct,
     adjoint_matrix,
+    basis_diagnostics,
     fourier_basis,
     kernel_dimension,
     laplacian,
@@ -99,6 +100,7 @@ __all__ = [
     "WeightAggregator",
     "WeightedInnerProduct",
     "adjoint_matrix",
+    "basis_diagnostics",
     "boundary_faces",
     "boundary_matrix",
     "build_signal",

@@ -79,9 +79,6 @@ class PipelineConfig:
             raise ValidationError("units must be 'bits' or 'nats'")
         if any(n < 2 for n in self.dimensions):
             raise ValidationError("analysis dimensions must be >= 2")
-        for name, values in (("dimensions", self.dimensions), ("measures", self.measures)):
-            if len(set(values)) < len(values):
-                raise ValidationError(f"{name} must not repeat a value, got {values}")
 
 
 def _parse_str_list(text: str) -> tuple[str, ...]:
@@ -114,8 +111,15 @@ def _checked_enum(enum_cls, value, label: str):
         raise ValidationError(f"unknown {label} {value!r}; expected one of: {options}") from exc
 
 
+def _check_unique(label: str, values) -> None:
+    if len(set(values)) < len(values):
+        raise ValidationError(f"{label} must not repeat a value, got {tuple(values)}")
+
+
 def _parse_measures(names) -> tuple[infotheory.MeasureKind, ...]:
-    return tuple(_checked_enum(infotheory.MeasureKind, m, "measure") for m in names)
+    measures = tuple(_checked_enum(infotheory.MeasureKind, m, "measure") for m in names)
+    _check_unique("measures", names)
+    return measures
 
 
 def _config_values(items) -> dict:
@@ -211,19 +215,19 @@ def _estimate_model(config: PipelineConfig, table):
 # ---------------------------------------------------------------------------
 
 
-def basis_to_jsonable(basis: spectral.FourierBasis, eigenvectors: str) -> dict:
+def basis_to_jsonable(basis: spectral.FourierBasis, diagnostics: dict, eigenvectors: str) -> dict:
     """Format-2 basis header; ``eigenvectors`` names the sibling ``.npy`` file."""
     return {
         "format": BASIS_FORMAT,
         "dimension": basis.dimension,
         "eigenvalues": basis.eigenvalues.tolist(),
         "weights": basis.weights.tolist(),
-        "diagnostics": basis.diagnostics.to_jsonable(),
+        "diagnostics": diagnostics,
         "eigenvectors": eigenvectors,
     }
 
 
-def write_basis(path, basis: spectral.FourierBasis) -> None:
+def write_basis(path, basis: spectral.FourierBasis, diagnostics: dict) -> None:
     """Write Q to ``<stem>_eigenvectors.npy`` beside ``path``, then the header.
 
     The matrix is in place before the header that names it, so a header never
@@ -232,7 +236,20 @@ def write_basis(path, basis: spectral.FourierBasis) -> None:
     matrix_path = os.path.splitext(path)[0] + "_eigenvectors.npy"
     with replacing(matrix_path) as tmp, open(tmp, "wb") as fh:
         np.save(fh, basis.eigenvectors, allow_pickle=False)
-    write_json(path, basis_to_jsonable(basis, os.path.basename(matrix_path)))
+    write_json(path, basis_to_jsonable(basis, diagnostics, os.path.basename(matrix_path)))
+
+
+def _write_spectrum(simplex, n: int, basis_path, kernel_tol: float):
+    """Write the n-eigenbasis of ``simplex``; return it with its diagnostics.
+
+    The operator dies on return, before the caller assembles another one.
+    """
+    operator = spectral.laplacian(simplex, n)
+    basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
+    residuals = asdict(spectral.basis_diagnostics(operator, basis))
+    write_basis(basis_path, basis, residuals)
+    kernel = spectral.kernel_dimension(basis.eigenvalues, tol=kernel_tol)
+    return basis, {**residuals, "kernel_dimension": kernel}
 
 
 def read_basis(path) -> spectral.FourierBasis:
@@ -251,9 +268,6 @@ def read_basis(path) -> spectral.FourierBasis:
         name = payload["eigenvectors"]
         eigenvalues = np.array(payload["eigenvalues"], dtype=float)
         weights = np.array(payload["weights"], dtype=float)
-        diagnostics = spectral.SpectralDiagnostics(
-            **{key: float(value) for key, value in payload["diagnostics"].items()}
-        )
         dimension = int(payload["dimension"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed basis header: {exc!r}") from exc
@@ -278,7 +292,6 @@ def read_basis(path) -> spectral.FourierBasis:
         eigenvalues=eigenvalues,
         eigenvectors=Q,
         weights=weights,
-        diagnostics=diagnostics,
     )
 
 
@@ -351,6 +364,7 @@ def _resolved_dimensions(dimensions, N: int) -> tuple[int, ...]:
         bad = [n for n in dimensions if not 2 <= n <= N]
         if bad:
             raise ValidationError(f"dimensions {bad} outside [2, {N}]")
+        _check_unique("dimensions", dimensions)
         return tuple(dimensions)
     resolved = tuple(n for n in range(2, min(5, N) + 1))
     if not resolved:
@@ -384,13 +398,8 @@ def cmd_spectrum(args) -> int:
         spectral.check_dense_dimension(simplex.N, n)
     os.makedirs(args.output_dir, exist_ok=True)
     for n in dims:
-        operator = spectral.laplacian(simplex, n)
-        basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
-        write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis)
-        diagnostics = basis.diagnostics.to_jsonable()
-        diagnostics["kernel_dimension"] = spectral.kernel_dimension(
-            basis.eigenvalues, tol=args.kernel_tol
-        )
+        basis_path = os.path.join(args.output_dir, f"basis_dim{n}.json")
+        _, diagnostics = _write_spectrum(simplex, n, basis_path, args.kernel_tol)
         write_json(os.path.join(args.output_dir, f"diagnostics_dim{n}.json"), diagnostics)
     return EXIT_OK
 
@@ -486,58 +495,12 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
     model = _estimate_model(config, table)
     dist_mod.write_model(os.path.join(outdir, "distribution.json"), model)
     oracle = infotheory.EntropyOracle(model, units=config.units)
-    N = model.num_variables - 1
 
     similarity, simplex = _weighted_simplex(oracle, config)
     write_json(os.path.join(outdir, "weights.json"), _weights_payload(simplex, similarity, config))
 
-    tags = ("canonical", "fourier")
-    components_rows = []
-    for n in sorted(config.dimensions):
-        dim_dir = os.path.join(outdir, f"dim_{n}")
-        os.makedirs(dim_dir, exist_ok=True)
-        operator = spectral.laplacian(simplex, n)
-        basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
-        write_basis(os.path.join(dim_dir, "basis.json"), basis)
-
-        signals, reports, cev_status = {}, {}, {}
-        for name in config.measures:
-            canonical = transform.build_signal(oracle, simplex, n, infotheory.MeasureKind(name))
-            signals[name] = (canonical, transform.to_fourier(canonical, basis))
-            for tag, signal in zip(tags, signals[name]):
-                try:
-                    reports[(name, tag)] = transform.cev_report(signal)
-                    cev_status[f"{name}_{tag}"] = "ok"
-                except NumericalError as exc:
-                    cev_status[f"{name}_{tag}"] = str(exc)
-        diagnostics = basis.diagnostics.to_jsonable()
-        diagnostics["kernel_dimension"] = spectral.kernel_dimension(
-            basis.eigenvalues, tol=config.kernel_tol
-        )
-        diagnostics["cev_status"] = cev_status
-        write_json(os.path.join(dim_dir, "diagnostics.json"), diagnostics)
-
-        for name in config.measures:
-            canonical, fourier = signals[name]
-            stem = os.path.join(dim_dir, f"signal_{name}")
-            transform.write_signal(stem + "_canonical.json", canonical, num_vertices=N + 1)
-            transform.write_signal(stem + "_fourier.json", fourier, num_vertices=N + 1)
-            for tag in tags:
-                report = reports.get((name, tag))
-                if report is None:
-                    continue
-                transform.cev_to_json(os.path.join(dim_dir, f"cev_{name}_{tag}.json"), report)
-            fourier_report = reports.get((name, "fourier"))
-            canonical_report = reports.get((name, "canonical"))
-            if fourier_report and canonical_report:
-                for threshold in transform.CEV_THRESHOLDS:
-                    components_rows.append([
-                        name,
-                        n,
-                        int(round(threshold * 100)),
-                        fourier_report.components_at[threshold],
-                        canonical_report.components_at[threshold],
-                    ])
+    components_rows = [row for n in sorted(config.dimensions)
+                       for row in _run_dimension(config, oracle, simplex, n, outdir)]
 
     with csv_writer(os.path.join(outdir, "components.csv")) as writer:
         writer.writerow(["measure", "dimension", "threshold_pct", "fourier_k", "canonical_k"])
@@ -546,6 +509,57 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
     manifest = {"tree_format": TREE_FORMAT, "config": asdict(config), "versions": _versions()}
     write_json(os.path.join(outdir, "manifest.json"), manifest)
     os.remove(marker)
+
+
+def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> list:
+    """Write ``dim_<n>`` of a run and return its ``components.csv`` rows.
+
+    Its basis and signals die on return, before the next dimension is assembled.
+    """
+    N = simplex.N
+    tags = ("canonical", "fourier")
+    dim_dir = os.path.join(outdir, f"dim_{n}")
+    os.makedirs(dim_dir, exist_ok=True)
+    basis, diagnostics = _write_spectrum(
+        simplex, n, os.path.join(dim_dir, "basis.json"), config.kernel_tol
+    )
+
+    signals, reports, cev_status = {}, {}, {}
+    for name in config.measures:
+        canonical = transform.build_signal(oracle, simplex, n, infotheory.MeasureKind(name))
+        signals[name] = (canonical, transform.to_fourier(canonical, basis))
+        for tag, signal in zip(tags, signals[name]):
+            try:
+                reports[(name, tag)] = transform.cev_report(signal)
+                cev_status[f"{name}_{tag}"] = "ok"
+            except NumericalError as exc:
+                cev_status[f"{name}_{tag}"] = str(exc)
+    diagnostics["cev_status"] = cev_status
+    write_json(os.path.join(dim_dir, "diagnostics.json"), diagnostics)
+
+    rows = []
+    for name in config.measures:
+        canonical, fourier = signals[name]
+        stem = os.path.join(dim_dir, f"signal_{name}")
+        transform.write_signal(stem + "_canonical.json", canonical, num_vertices=N + 1)
+        transform.write_signal(stem + "_fourier.json", fourier, num_vertices=N + 1)
+        for tag in tags:
+            report = reports.get((name, tag))
+            if report is None:
+                continue
+            transform.cev_to_json(os.path.join(dim_dir, f"cev_{name}_{tag}.json"), report)
+        fourier_report = reports.get((name, "fourier"))
+        canonical_report = reports.get((name, "canonical"))
+        if fourier_report and canonical_report:
+            for threshold in transform.CEV_THRESHOLDS:
+                rows.append([
+                    name,
+                    n,
+                    int(round(threshold * 100)),
+                    fourier_report.components_at[threshold],
+                    canonical_report.components_at[threshold],
+                ])
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -66,34 +66,33 @@ def weighted_inner_product(simplex: StructuralSimplex, n: int) -> WeightedInnerP
 
 @dataclass(frozen=True)
 class LaplaceOperator:
-    """Dense n-Laplace matrix with its up and down components kept separately."""
+    """Dense n-Laplace matrix of a structural simplex.
+
+    Only ``matrix`` is stored. Its up and down components are rebuilt from the
+    simplex on first use, by the same code that assembled ``matrix``.
+    """
 
     dimension: int
     matrix: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
+    simplex: StructuralSimplex
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    @functools.cached_property
+    def up(self) -> np.ndarray:
+        return _up_part(self.simplex, self.dimension, self.matrix.shape[0])
+
+    @functools.cached_property
+    def down(self) -> np.ndarray:
+        return _down_part(self.simplex, self.dimension, self.matrix.shape[0])
 
 
 @dataclass(frozen=True)
 class SpectralDiagnostics:
-    """Residuals emitted alongside every Fourier basis, for auditability."""
+    """Residuals of a Fourier basis against its operator, for auditability."""
 
     self_adjointness: float
     diagonalization: float
     orthonormality: float
     inversion: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "self_adjointness": self.self_adjointness,
-            "diagonalization": self.diagonalization,
-            "orthonormality": self.orthonormality,
-            "inversion": self.inversion,
-        }
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,6 @@ class FourierBasis:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     weights: np.ndarray
-    diagnostics: SpectralDiagnostics
 
     @functools.cached_property
     def forward(self) -> np.ndarray:
@@ -172,6 +170,33 @@ def _signed_gram(index: np.ndarray, sign: np.ndarray, weight: np.ndarray, size: 
     return gram
 
 
+def _up_part(simplex: StructuralSimplex, n: int, d: int) -> np.ndarray:
+    """``P_{n+1} W_{n+1}^{-1} P_{n+1}^T W_n``; zero for n = N."""
+    if n == simplex.N:
+        return np.zeros((d, d))
+    # Rows: the (n+1)-simplices, listing their n-faces.
+    faces = boundary_faces(simplex.N, n + 1)
+    sign = np.broadcast_to(np.where(np.arange(n + 2) % 2, -1.0, 1.0), faces.shape)
+    inv_up = 1.0 / simplex.weight_vector(n + 1)
+    up = _signed_gram(faces[::-1], sign, inv_up[::-1], d)
+    up *= simplex.weight_vector(n)[None, :]
+    return up
+
+
+def _down_part(simplex: StructuralSimplex, n: int, d: int) -> np.ndarray:
+    """``W_n^{-1} P_n^T W_{n-1} P_n``; zero for n = 0."""
+    if n == 0:
+        return np.zeros((d, d))
+    # Rows: the (n-1)-faces, listing the n-simplices that contain them.
+    faces = boundary_faces(simplex.N, n)
+    order = np.argsort(faces, axis=None, kind="stable")
+    cofaces = (order // (n + 1)).reshape(-1, simplex.N + 1 - n)
+    sign = np.where(order % (n + 1) % 2, -1.0, 1.0).reshape(cofaces.shape)
+    down = _signed_gram(cofaces, sign, simplex.weight_vector(n - 1), d)
+    down /= simplex.weight_vector(n)[:, None]
+    return down
+
+
 def laplacian(simplex: StructuralSimplex, n: int) -> LaplaceOperator:
     """Assemble the dense n-Laplace operator of a structural simplex.
 
@@ -188,26 +213,9 @@ def laplacian(simplex: StructuralSimplex, n: int) -> LaplaceOperator:
     if not 0 <= n <= N:
         raise ValidationError(f"simplex dimension n={n} out of range [0, {N}]")
     d = check_dense_dimension(N, n)
-    w_n = simplex.weight_vector(n)
-
-    up = np.zeros((d, d))
-    if n < N:
-        # Rows: the (n+1)-simplices, listing their n-faces.
-        faces = boundary_faces(N, n + 1)
-        sign = np.broadcast_to(np.where(np.arange(n + 2) % 2, -1.0, 1.0), faces.shape)
-        inv_up = 1.0 / simplex.weight_vector(n + 1)
-        up = _signed_gram(faces[::-1], sign, inv_up[::-1], d) * w_n[None, :]
-
-    down = np.zeros((d, d))
-    if n > 0:
-        # Rows: the (n-1)-faces, listing the n-simplices that contain them.
-        faces = boundary_faces(N, n)
-        order = np.argsort(faces, axis=None, kind="stable")
-        cofaces = (order // (n + 1)).reshape(-1, N + 1 - n)
-        sign = np.where(order % (n + 1) % 2, -1.0, 1.0).reshape(cofaces.shape)
-        down = _signed_gram(cofaces, sign, simplex.weight_vector(n - 1), d) / w_n[:, None]
-
-    return LaplaceOperator(dimension=n, matrix=up + down, up=up, down=down)
+    matrix = _up_part(simplex, n, d)
+    matrix += _down_part(simplex, n, d)
+    return LaplaceOperator(dimension=n, matrix=matrix, simplex=simplex)
 
 
 def self_adjointness_residual(operator: LaplaceOperator, inner: WeightedInnerProduct) -> float:
@@ -225,26 +233,28 @@ def fourier_basis(operator: LaplaceOperator, inner: WeightedInnerProduct) -> Fou
     The whitened matrix ``W^(1/2) L W^(-1/2)`` is symmetric, so a symmetric
     eigensolver applies; eigenvalues come out real and ascending, and the
     eigenvector sign is fixed so each one's first nonzero component in the
-    canonical order is positive.
+    canonical order is positive. ``basis_diagnostics`` measures the result.
     """
     if operator.dimension != inner.dimension:
         raise ValidationError(
             f"operator dimension {operator.dimension} != inner-product dimension {inner.dimension}"
         )
-    L = operator.matrix
-    w = inner.weights
+    L, w = operator.matrix, inner.weights
     if L.shape != (w.size, w.size):
         raise ValidationError(f"shape mismatch: L is {L.shape}, weights have {w.size} entries")
     if w.size > DENSE_DIMENSION_CAP:
         raise CapacityError(f"{w.size} components exceed the dense cap {DENSE_DIMENSION_CAP}")
 
     root = np.sqrt(w)
-    sym = (L * root[:, None]) / root[None, :]
-    sym = (sym + sym.T) / 2.0
+    sym = L * root[:, None]
+    sym /= root[None, :]
+    sym = sym + sym.T
+    sym /= 2.0
     try:
         eigenvalues, Q = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    del sym
 
     scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
     floor = -EIGENVALUE_NOISE_TOLERANCE * scale
@@ -254,34 +264,41 @@ def fourier_basis(operator: LaplaceOperator, inner: WeightedInnerProduct) -> Fou
         )
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
 
-    # Flip each column whose first entry above 1e-12 of its largest magnitude
-    # is negative; negation is exact, so forward and inverse flip bit for bit.
-    inverse = Q / root[:, None]
-    magnitude = np.abs(inverse)
+    # Flip each column of W^(-1/2) Q whose first entry above 1e-12 of its largest
+    # magnitude is negative; root > 0 keeps signs, and negation is exact.
+    magnitude = Q / root[:, None]
+    np.abs(magnitude, out=magnitude)
     lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
-    flip = inverse[lead, np.arange(w.size)] < 0
-    Q[:, flip] = -Q[:, flip]
-    inverse[:, flip] = -inverse[:, flip]
-    forward = Q.T * root[None, :]
+    flip = Q[lead, np.arange(w.size)] < 0
+    np.negative(Q, out=Q, where=flip[None, :])
+    return FourierBasis(operator.dimension, eigenvalues, Q, w)
 
-    diag = forward @ L @ inverse
+
+def basis_diagnostics(operator: LaplaceOperator, basis: FourierBasis) -> SpectralDiagnostics:
+    """The four residuals of ``basis`` as an eigenbasis of ``operator``.
+
+    The d x d products go into two reused buffers, and the identity or the
+    eigenvalues come off their diagonals in place: besides L and Q, at most
+    four d x d arrays are alive at once.
+    """
+    L, Q, w = operator.matrix, basis.eigenvectors, basis.weights
+    inner = WeightedInnerProduct(dimension=basis.dimension, weights=w)
+    self_adjointness = self_adjointness_residual(operator, inner)
     denom = max(float(np.linalg.norm(L)), np.finfo(float).tiny)
-    diag_res = float(np.linalg.norm(diag - np.diag(eigenvalues)) / denom)
-    orth_res = float(np.max(np.abs(inverse.T @ (w[:, None] * inverse) - np.eye(w.size))))
-    inv_res = float(np.max(np.abs(forward @ inverse - np.eye(w.size))))
-    diagnostics = SpectralDiagnostics(
-        self_adjointness=self_adjointness_residual(operator, inner),
-        diagonalization=diag_res,
-        orthonormality=orth_res,
-        inversion=inv_res,
-    )
-    return FourierBasis(
-        dimension=operator.dimension,
-        eigenvalues=eigenvalues,
-        eigenvectors=Q,
-        weights=w,
-        diagnostics=diagnostics,
-    )
+    forward, inverse = Q.T * np.sqrt(w)[None, :], Q / np.sqrt(w)[:, None]
+    diagonal = np.diag_indices(w.size)
+    product, result = np.empty(L.shape), np.empty(L.shape)
+
+    np.matmul(np.matmul(forward, L, out=product), inverse, out=result)
+    result[diagonal] -= basis.eigenvalues
+    diagonalization = float(np.linalg.norm(result) / denom)
+    np.matmul(inverse.T, np.multiply(w[:, None], inverse, out=product), out=result)
+    result[diagonal] -= 1.0
+    orthonormality = float(np.max(np.abs(result, out=result)))
+    np.matmul(forward, inverse, out=result)
+    result[diagonal] -= 1.0
+    inversion = float(np.max(np.abs(result, out=result)))
+    return SpectralDiagnostics(self_adjointness, diagonalization, orthonormality, inversion)
 
 
 def kernel_dimension(eigenvalues: np.ndarray, tol: float = DEFAULT_KERNEL_TOLERANCE) -> int:

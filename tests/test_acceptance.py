@@ -188,9 +188,10 @@ def test_criterion_4_spectral_invariants():
                     if eigs.min(initial=0.0) < -1e-10 * max(top, 1e-300):
                         failures.append(f"{tag}: {part_name} not PSD ({eigs.min():.2e})")
                 basis = hh.fourier_basis(operator, inner)
-                if basis.diagnostics.diagonalization > 1e-8:
+                diagnostics = hh.basis_diagnostics(operator, basis)
+                if diagnostics.diagonalization > 1e-8:
                     failures.append(f"{tag}: diagonalization residual")
-                if basis.diagnostics.orthonormality > 1e-8:
+                if diagnostics.orthonormality > 1e-8:
                     failures.append(f"{tag}: orthonormality residual")
                 expected_kernel = 1 if n == 0 else 0
                 if hh.kernel_dimension(basis.eigenvalues) != expected_kernel:

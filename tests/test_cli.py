@@ -775,6 +775,19 @@ class TestTreeInventory:
             "basis_dim2.json", "basis_dim2_eigenvectors.npy", "diagnostics_dim2.json",
         ]
 
+    @pytest.mark.parametrize("argv", [
+        ["signals", "--dimensions", "2,2"],
+        ["signals", "--dimensions", "2", "--measures", "o_information,o_information"],
+        ["spectrum", "--dimensions", "2,2"],
+    ], ids=["signals-dimensions", "signals-measures", "spectrum-dimensions"])
+    def test_repeated_list_item_rejected_before_any_output(self, steps, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        source = ["--distribution", str(steps["dist"])] if argv[0] == "signals" \
+            else ["--weights", str(steps["weights"])]
+        assert main([*argv, *source, "--output-dir", str(out)]) == EXIT_VALIDATION
+        assert "must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cev(self, steps, tmp_path):
         signals, out = tmp_path / "signals", tmp_path / "cev"
         assert main([

@@ -7,6 +7,7 @@ from hyperharmonic import (
     ValidationError,
     WeightedInnerProduct,
     adjoint_matrix,
+    basis_diagnostics,
     boundary_faces,
     boundary_matrix,
     fourier_basis,
@@ -134,6 +135,21 @@ class TestLaplacian:
                     assert np.array_equal(L.down, down), (N, n)
                     assert np.array_equal(L.matrix, up + down), (N, n)
 
+    def test_only_the_matrix_is_stored(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(LaplaceOperator)] == [
+            "dimension", "matrix", "simplex",
+        ]
+        rng = np.random.default_rng(43)
+        for N in range(1, 7):
+            S = random_structural_simplex(N, rng)
+            for n in range(N + 1):
+                L = laplacian(S, n)
+                assert set(vars(L)) == {"dimension", "matrix", "simplex"}, (N, n)
+                assert np.array_equal(L.matrix, L.up + L.down), (N, n)
+                assert L.up is L.up and L.down is L.down
+
     def test_self_adjointness_for_random_weights(self):
         rng = np.random.default_rng(5)
         for N in range(1, 6):
@@ -176,9 +192,10 @@ class TestFourierBasis:
         for n in range(N + 1):
             L = laplacian(S, n)
             basis = fourier_basis(L, weighted_inner_product(S, n))
-            assert basis.diagnostics.diagonalization < 1e-8
-            assert basis.diagnostics.orthonormality < 1e-8
-            assert basis.diagnostics.inversion < 1e-10
+            diagnostics = basis_diagnostics(L, basis)
+            assert diagnostics.diagonalization < 1e-8
+            assert diagnostics.orthonormality < 1e-8
+            assert diagnostics.inversion < 1e-10
             assert np.all(basis.eigenvalues >= 0.0)
             assert np.all(np.diff(basis.eigenvalues) >= 0.0)
 
@@ -222,8 +239,8 @@ class TestFourierBasis:
         matrix[:2, 2:] = coupling
         matrix[2:, :2] = coupling.T
         ones = WeightedInnerProduct(dimension=1, weights=np.ones(7))
-        cases.append((LaplaceOperator(dimension=1, matrix=matrix, up=matrix, down=0 * matrix),
-                       ones))
+        # No simplex: the eigensolve reads only the matrix.
+        cases.append((LaplaceOperator(dimension=1, matrix=matrix, simplex=None), ones))
         for operator, inner in cases:
             forward, inverse = loop_sign_fixed_basis(operator, inner)
             basis = fourier_basis(operator, inner)
@@ -255,7 +272,7 @@ class TestFourierBasis:
                 L = laplacian(S, n)
                 basis = fourier_basis(L, weighted_inner_product(S, n))
                 result.append((L.matrix, L.up, L.down, basis.eigenvalues, basis.forward,
-                               basis.inverse, basis.diagnostics))
+                               basis.inverse, basis_diagnostics(L, basis)))
             return result
 
         cached = outputs()
@@ -265,6 +282,30 @@ class TestFourierBasis:
             for a, b in zip(got[:-1], want[:-1]):
                 assert np.array_equal(a, b)
             assert got[-1] == want[-1]
+
+    def test_dense_arrays_alive_at_d_1001(self):
+        """tracemalloc counts, in float64 d x d arrays: the operator keeps one,
+        and the eigensolve plus its diagnostics peak at six, the operator's
+        matrix included."""
+        import tracemalloc
+
+        N, n = 13, 3
+        S = random_structural_simplex(N, np.random.default_rng(53))
+        inner = weighted_inner_product(S, n)
+        laplacian(S, n)  # fill the face-array caches before tracing
+        unit = 8.0 * simplex_count(N, n) ** 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            L = laplacian(S, n)
+            alive = (tracemalloc.get_traced_memory()[0] - base) / unit
+            tracemalloc.reset_peak()
+            basis_diagnostics(L, fourier_basis(L, inner))
+            peak = (tracemalloc.get_traced_memory()[1] - base) / unit
+        finally:
+            tracemalloc.stop()
+        assert 1.0 <= alive < 1.01
+        assert peak <= 6.1
 
     def test_dimension_mismatch_rejected(self):
         S = unit_simplex(2)

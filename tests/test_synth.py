@@ -15,7 +15,7 @@ from hyperharmonic import (
     sample_gaussian,
     total_correlation,
 )
-from hyperharmonic import synth
+from hyperharmonic import spectral, synth
 from hyperharmonic.synth import RANK_TOLERANCE, RankedCovariance
 
 
@@ -143,6 +143,35 @@ class TestRankExperiment:
             size=9, dimensions=(2, 3),
         )
         assert sorted(filled, key=lambda shape: shape[1]) == [(9, 1), (36, 2), (84, 3), (126, 4)]
+
+    def test_curves_equal_those_of_diagnosed_bases(self, monkeypatch):
+        kwargs = dict(ranks=(2, 9), replicates=2, num_samples=2000, base_seed=3)
+        plain = rank_experiment(**kwargs)
+        solve = synth.fourier_basis
+
+        def diagnosed(operator, inner):
+            basis = solve(operator, inner)
+            spectral.basis_diagnostics(operator, basis)
+            return basis
+
+        monkeypatch.setattr(synth, "fourier_basis", diagnosed)
+        checked = rank_experiment(**kwargs)
+        for name in ("mean_cev", "ci_low", "ci_high"):
+            got, want = getattr(plain, name), getattr(checked, name)
+            assert got.keys() == want.keys()
+            for key in got:
+                assert np.array_equal(got[key], want[key]), (name, key)
+
+    def test_never_computes_basis_diagnostics(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(spectral, "basis_diagnostics", spy)
+        monkeypatch.setattr(synth, "basis_diagnostics", spy, raising=False)
+        rank_experiment(ranks=(2,), replicates=1, num_samples=300, size=5, dimensions=(2, 3))
+        assert calls == []
 
     def test_invalid_arguments(self):
         with pytest.raises(ValidationError):
