@@ -23,7 +23,8 @@ from . import __version__
 from . import distribution as dist_mod
 from . import infotheory, simplices, spectral, synth, transform
 from .errors import CapacityError, NumericalError, ValidationError
-from .jsonio import csv_writer, read_json, replacing, require_keys, write_json
+from .jsonio import (csv_writer, read_header, read_json, read_sidecar, require_keys, write_json,
+                     write_sidecar)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -38,7 +39,7 @@ OUTPUT_DIR_ENV = "HYPERHARMONIC_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "hyperharmonic_output"
 INCOMPLETE_MARKER = "INCOMPLETE"
 BASIS_FORMAT = 2
-TREE_FORMAT = 2
+TREE_FORMAT = 3
 
 
 @dataclass
@@ -182,12 +183,9 @@ def _load_manifest_config(path) -> dict:
 
 
 def _versions() -> dict:
-    import scipy  # deferred: only the manifest needs it, and it costs start-up time
-
     return {
         "hyperharmonic": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": ".".join(map(str, sys.version_info[:3])),
     }
 
@@ -228,15 +226,9 @@ def basis_to_jsonable(basis: spectral.FourierBasis, diagnostics: dict, eigenvect
 
 
 def write_basis(path, basis: spectral.FourierBasis, diagnostics: dict) -> None:
-    """Write Q to ``<stem>_eigenvectors.npy`` beside ``path``, then the header.
-
-    The matrix is in place before the header that names it, so a header never
-    points at a missing or partial matrix.
-    """
-    matrix_path = os.path.splitext(path)[0] + "_eigenvectors.npy"
-    with replacing(matrix_path) as tmp, open(tmp, "wb") as fh:
-        np.save(fh, basis.eigenvectors, allow_pickle=False)
-    write_json(path, basis_to_jsonable(basis, diagnostics, os.path.basename(matrix_path)))
+    """Write Q to ``<stem>_eigenvectors.npy`` beside ``path``, then the header."""
+    name = write_sidecar(path, "eigenvectors", basis.eigenvectors)
+    write_json(path, basis_to_jsonable(basis, diagnostics, name))
 
 
 def _write_spectrum(simplex, n: int, basis_path, kernel_tol: float):
@@ -254,16 +246,7 @@ def _write_spectrum(simplex, n: int, basis_path, kernel_tol: float):
 
 def read_basis(path) -> spectral.FourierBasis:
     """Load a format-2 header and the eigenvector matrix it names."""
-    payload = read_json(path)
-    if not isinstance(payload, dict) or "format" not in payload:
-        raise ValidationError(
-            f"{path}: not a format-{BASIS_FORMAT} basis (format-1 files held the forward and "
-            "inverse matrices inline); regenerate it with `hyperharmonic spectrum`"
-        )
-    if payload["format"] != BASIS_FORMAT:
-        raise ValidationError(
-            f"{path}: unknown basis format {payload['format']!r}, expected {BASIS_FORMAT}"
-        )
+    payload = read_header(path, BASIS_FORMAT, "basis", "spectrum")
     try:
         name = payload["eigenvectors"]
         eigenvalues = np.array(payload["eigenvalues"], dtype=float)
@@ -271,18 +254,12 @@ def read_basis(path) -> spectral.FourierBasis:
         dimension = int(payload["dimension"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed basis header: {exc!r}") from exc
-    if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
-        raise ValidationError(f"{path}: eigenvectors must be a bare file name, got {name!r}")
     d = weights.size
     if weights.ndim != 1 or eigenvalues.shape != (d,):
         raise ValidationError(
             f"{path}: {eigenvalues.size} eigenvalues for {d} weights; expected one per weight"
         )
-    with open(os.path.join(os.path.dirname(path), name), "rb") as fh:
-        try:
-            Q = np.lib.format.read_array(fh, allow_pickle=False)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: unreadable eigenvector matrix {name}: {exc}") from exc
+    Q = read_sidecar(path, name, "eigenvector matrix")
     if Q.dtype != np.float64 or Q.shape != (d, d):
         raise ValidationError(
             f"{path}: eigenvector matrix {name} is {Q.dtype} {Q.shape}, expected float64 {(d, d)}"

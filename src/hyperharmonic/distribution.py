@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
-from .jsonio import read_json, require_keys, write_json
+from .jsonio import read_header, read_sidecar, require_keys, write_json, write_sidecar
 from .simplices import validate_simplex
 
 MASS_TOLERANCE = 1e-12
@@ -29,6 +29,14 @@ GAUSSIAN_DIAGONAL_REGULARIZATION = 1e-12
 
 # Support-size guard for additive smoothing, which densifies the outcome space.
 SMOOTHING_SUPPORT_CAP = 2_000_000
+
+MODEL_FORMAT = 2
+
+# Keys plus bins that one ``np.bincount`` of a block of subsets may span; a
+# subset with more bins than this is grouped by sorting instead.
+_BLOCK_BUDGET = 1 << 16
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 _LOG_TWO_PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -186,11 +194,17 @@ class GaussianModel:
 
 
 def first_appearance_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D array in order of first appearance, and the
-    index of each row's distinct row in that order."""
-    distinct, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    """Distinct rows of a non-empty (S, V) int64 array in order of first
+    appearance, and the index of each row's distinct row in that order."""
+    low = rows.min(axis=0)
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(low.tolist(), rows.max(axis=0).tolist())]
+    if math.prod(spans) <= _INT64_MAX:  # one mixed-radix key per row
+        keys = np.ravel_multi_index((rows - low).T, spans)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
-    return distinct[order], np.argsort(order)[inverse.reshape(-1)]
+    return rows[first[order]], np.argsort(order)[inverse.reshape(-1)]
 
 
 def estimate_empirical(table: DiscreteSeriesTable, smoothing: float = 0.0) -> JointDistribution:
@@ -272,21 +286,52 @@ def subset_entropies_nats(source, subsets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _discrete_entropies_nats(dist: JointDistribution, subsets: np.ndarray) -> np.ndarray:
+    """Each bin adds its masses in support order, as ``marginalize`` does;
+    only how outcomes are grouped into bins differs by path. ``math.fsum``
+    rounds the exact sum, so the order of the bins does not matter."""
     outcomes, masses = dist.outcomes, dist.masses
     values = np.empty(len(subsets))
-    for row, s in enumerate(subsets.tolist()):
-        columns = outcomes[:, s]
-        sizes = [dist.alphabet_sizes[i] for i in s]
-        if math.prod(sizes) <= np.iinfo(np.intp).max:
-            _, groups = np.unique(np.ravel_multi_index(columns.T, sizes), return_inverse=True)
-        else:  # mixed-radix keys would overflow: group whole rows instead
-            _, groups = np.unique(columns, axis=0, return_inverse=True)
-        # bincount adds masses in support order, as ``marginalize`` does, and
-        # math.log matches ``entropy_nats`` bit for bit where np.log may
-        # differ in the last place.
-        marginal = np.bincount(groups.reshape(-1), weights=masses).tolist()
-        values[row] = -math.fsum(p * math.log(p) for p in marginal)
+    sizes = np.asarray(dist.alphabet_sizes, dtype=float)
+    products = sizes[subsets].prod(axis=1)
+    # Blocks of consecutive binned subsets whose keys and bins start within one
+    # budget-wide window, so a block exceeds the budget by one subset at most.
+    binned = np.flatnonzero(products <= _BLOCK_BUDGET)
+    costs = len(masses) + products[binned].astype(np.int64)
+    window = (np.cumsum(costs) - costs) // _BLOCK_BUDGET
+    columns = np.ascontiguousarray(outcomes.T)
+    for rows in np.split(binned, np.flatnonzero(np.diff(window)) + 1):
+        if len(rows):
+            values[rows] = _binned_entropies(columns, masses, subsets[rows], sizes)
+    for row in np.flatnonzero(products > _BLOCK_BUDGET).tolist():  # too many bins: sort
+        _, groups = first_appearance_groups(outcomes[:, subsets[row]])
+        values[row] = -math.fsum(_entropy_terms(np.bincount(groups, weights=masses)))
     return values
+
+
+def _entropy_terms(p: np.ndarray) -> list[float]:
+    """p * log(p) for each p, as ``entropy_nats`` computes it: the logs use
+    math.log, which np.log may differ from in the last place, and a float64
+    product rounds in NumPy as in Python."""
+    return (p * np.fromiter(map(math.log, p.tolist()), float, len(p))).tolist()
+
+
+def _binned_entropies(columns, masses, subsets, sizes) -> list[float]:
+    """Entropies of a block of subsets from one ``np.bincount``: the outcomes
+    of subset b get mixed-radix keys, shifted past the bins of the subsets
+    before it, and its entropy sums over its non-empty bins."""
+    radix = sizes[subsets].astype(np.int64)
+    keys = columns[subsets[:, 0]]
+    for j in range(1, subsets.shape[1]):
+        keys *= radix[:, j, None]
+        keys += columns[subsets[:, j]]
+    bins = radix.prod(axis=1)
+    offsets = np.cumsum(bins) - bins
+    keys += offsets[:, None]
+    counts = np.bincount(keys.ravel(), weights=np.tile(masses, len(subsets)), minlength=bins.sum())
+    occupied = counts > 0
+    terms = _entropy_terms(counts[occupied])
+    ends = np.cumsum(np.add.reduceat(occupied, offsets, dtype=np.int64)).tolist()
+    return [-math.fsum(terms[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def _gaussian_entropies_nats(
@@ -513,50 +558,54 @@ def read_continuous_csv(path) -> ContinuousSeriesTable:
     return ContinuousSeriesTable(header, tuple(np.array(c) for c in columns))
 
 
-def model_to_jsonable(model) -> dict:
-    """JSON-ready form of a JointDistribution or GaussianModel."""
+def write_model(path, model) -> None:
+    """Write a model file: a JSON header, with a discrete pmf's arrays beside it.
+
+    A discrete model's support goes to ``<stem>_outcomes.npy`` in lexicographic
+    order, as the smallest unsigned integers that hold every symbol, and its
+    masses to ``<stem>_masses.npy``; the header names both and is written last.
+    A Gaussian model's correlation matrix stays inline.
+    """
+    header = {"format": MODEL_FORMAT, "num_variables": model.num_variables}
     if isinstance(model, JointDistribution):
         order = np.lexsort(model.outcomes.T[::-1])
-        return {
-            "kind": "discrete",
-            "num_variables": model.num_variables,
-            "alphabet_sizes": list(model.alphabet_sizes),
-            "mass": [[o, p] for o, p in zip(model.outcomes[order].tolist(),
-                                            model.masses[order].tolist())],
-        }
-    if isinstance(model, GaussianModel):
-        return {
-            "kind": "gaussian",
-            "num_variables": model.num_variables,
-            "correlation": model.correlation_matrix.tolist(),
-        }
-    raise ValidationError(f"cannot serialize {type(model).__name__}")
+        symbols = np.min_scalar_type(min(max(model.alphabet_sizes), 2**63) - 1)
+        support = model.outcomes[order].astype(symbols)
+        header.update(kind="discrete", alphabet_sizes=list(model.alphabet_sizes),
+                      outcomes=write_sidecar(path, "outcomes", support),
+                      masses=write_sidecar(path, "masses", model.masses[order]))
+    elif isinstance(model, GaussianModel):
+        header.update(kind="gaussian", correlation=model.correlation_matrix.tolist())
+    else:
+        raise ValidationError(f"cannot serialize {type(model).__name__}")
+    write_json(path, header)
 
 
-_MODEL_FIELDS = {"discrete": ("num_variables", "alphabet_sizes", "mass"), "gaussian": ("correlation",)}
+_MODEL_FIELDS = {"discrete": ("num_variables", "alphabet_sizes", "outcomes", "masses"),
+                 "gaussian": ("correlation",)}
 
 
-def model_from_jsonable(payload: dict):
-    kind = require_keys(payload, ("kind",), "model")["kind"]
-    if kind not in ("discrete", "gaussian"):
-        raise ValidationError(f"unknown model kind {kind!r}")
-    require_keys(payload, _MODEL_FIELDS[kind], f"{kind} model")
+def read_model(path):
+    """Load a model file written by ``write_model``, with the arrays it names."""
+    payload = read_header(path, MODEL_FORMAT, "model file", "estimate")
+    kind = require_keys(payload, ("kind",), f"{path}: model")["kind"]
+    if kind not in _MODEL_FIELDS:
+        raise ValidationError(f"{path}: unknown model kind {kind!r}")
+    require_keys(payload, _MODEL_FIELDS[kind], f"{path}: {kind} model")
     try:
         if kind == "gaussian":
             return GaussianModel(correlation_matrix=np.array(payload["correlation"], dtype=float))
         sizes = tuple(payload["alphabet_sizes"])
         if int(payload["num_variables"]) != len(sizes):
             raise ValidationError("alphabet sizes must match the variable count")
-        outcomes = [o for o, _ in payload["mass"]]
-        masses = [p for _, p in payload["mass"]]
-        return JointDistribution(sizes, outcomes, masses)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed {kind} model: {exc}") from exc
-
-
-def write_model(path, model) -> None:
-    write_json(path, model_to_jsonable(model))
-
-
-def read_model(path):
-    return model_from_jsonable(read_json(path))
+        raise ValidationError(f"{path}: malformed {kind} model: {exc}") from exc
+    outcomes = read_sidecar(path, payload["outcomes"], "outcomes")
+    masses = read_sidecar(path, payload["masses"], "masses")
+    if (outcomes.dtype.kind != "u" or masses.dtype != np.float64 or masses.ndim != 1
+            or outcomes.shape != (masses.size, len(sizes))):
+        raise ValidationError(
+            f"{path}: need unsigned (S, {len(sizes)}) outcomes and S float64 masses, got "
+            f"{outcomes.dtype} {outcomes.shape} and {masses.dtype} {masses.shape}"
+        )
+    return JointDistribution(sizes, outcomes.astype(np.int64), masses)

@@ -1,4 +1,5 @@
-"""Atomic file replacement, the CSV writer, and the JSON writer and reader of the package."""
+"""Atomic file replacement, the CSV writer, the JSON writer and reader, and the
+``.npy`` arrays that JSON headers name, for the whole package."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import contextlib
 import csv
 import json
 import os
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -55,3 +58,48 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def read_header(path, fmt: int, what: str, command: str) -> dict:
+    """The JSON object at ``path``, which must record ``"format": fmt``; a file
+    with no format key is older and is regenerated with ``command``."""
+    payload = read_json(path)
+    if not isinstance(payload, dict) or "format" not in payload:
+        raise ValidationError(f"{path}: not a format-{fmt} {what} (format-1 files held its arrays "
+                              f"inline); regenerate it with `hyperharmonic {command}`")
+    if payload["format"] != fmt:
+        raise ValidationError(
+            f"{path}: unknown {what} format {payload['format']!r}, expected {fmt}"
+        )
+    return payload
+
+
+def write_sidecar(header_path, key: str, array: np.ndarray) -> str:
+    """Save ``array`` atomically to ``<stem>_<key>.npy`` beside ``header_path``
+    and return the bare file name for the header to record.
+
+    An older header at ``header_path`` is removed first, and the new one is
+    written after all of its arrays: a header that exists names complete
+    arrays of one write, even after a write failed part way.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(header_path)
+    path = f"{os.path.splitext(header_path)[0]}_{key}.npy"
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        np.save(fh, array, allow_pickle=False)
+    return os.path.basename(path)
+
+
+def read_sidecar(header_path, name, what: str) -> np.ndarray:
+    """The array in the file ``name`` that the header at ``header_path`` names.
+
+    ``name`` must be a bare file name in the header's directory; a pickled or
+    unreadable array is a ValidationError, a missing file an OSError.
+    """
+    if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ValidationError(f"{header_path}: {what} must be a bare file name, got {name!r}")
+    with open(os.path.join(os.path.dirname(header_path), name), "rb") as fh:
+        try:
+            return np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValidationError(f"{header_path}: unreadable {what} {name}: {exc}") from exc

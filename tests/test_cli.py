@@ -23,6 +23,19 @@ def write_xor_csv(path):
     path.write_text("\n".join(rows) + "\n")
 
 
+DISCRETE_2X2 = {"format": 2, "kind": "discrete", "num_variables": 2, "alphabet_sizes": [2, 2]}
+
+
+def write_model_file(path, header, **arrays):
+    """A model header at ``path``; each array is saved beside it and named under its key."""
+    if arrays:
+        header = dict(header)
+    for key, array in arrays.items():
+        header[key] = f"{path.stem}_{key}.npy"
+        np.save(path.parent / header[key], array, allow_pickle=True)
+    path.write_text(json.dumps(header))
+
+
 def tree_bytes(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -39,8 +52,9 @@ class TestStepCommands:
         dist = tmp_path / "dist.json"
         assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
         payload = json.loads(dist.read_text())
-        assert payload["kind"] == "discrete"
-        assert len(payload["mass"]) == 4
+        assert payload["kind"] == "discrete" and payload["format"] == 2
+        outcomes = np.load(tmp_path / payload["outcomes"], allow_pickle=False)
+        assert outcomes.shape == (4, 3) and outcomes.dtype == np.uint8
 
         weights = tmp_path / "weights.json"
         assert main([
@@ -137,41 +151,43 @@ class TestStepCommands:
         assert "error: " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["sig.json"]
 
-    @pytest.mark.parametrize("payload", [
-        [],
-        3,
-        {"kind": "discrete"},
-        {"kind": "discrete", "num_variables": 2, "alphabet_sizes": [2, 2], "mass": [[0, 1]]},
-        {"kind": "discrete", "num_variables": 2, "alphabet_sizes": [2, 2],
-         "mass": [[[0, 0], 0.5], [[0, 0], 0.5], [[1, 1], 0.5]]},
-        {"kind": "discrete", "num_variables": 3, "alphabet_sizes": [2, 2],
-         "mass": [[[0, 0], 0.5], [[1, 1], 0.5]]},
-        {"kind": "discrete", "num_variables": 2, "alphabet_sizes": [2, 2],
-         "mass": [[[0.5, 1], 0.5], [[1, 1], 0.5]]},
-        {"kind": "gaussian"},
-        {"kind": "gaussian", "correlation": [[1, "x"], ["x", 1]]},
+    @pytest.mark.parametrize("header, arrays", [
+        ([], {}),
+        (3, {}),
+        ({"format": 2, "kind": "discrete"}, {}),
+        (DISCRETE_2X2, {"outcomes": np.array([[0, 0], [1, 1]], np.uint8),
+                        "masses": np.array([1.0])}),
+        (DISCRETE_2X2, {"outcomes": np.array([[0, 0], [0, 0], [1, 1]], np.uint8),
+                        "masses": np.full(3, 0.5)}),
+        ({**DISCRETE_2X2, "num_variables": 3}, {"outcomes": np.array([[0, 0], [1, 1]], np.uint8),
+                                                "masses": np.full(2, 0.5)}),
+        (DISCRETE_2X2, {"outcomes": np.array([[0.5, 1], [1, 1]]), "masses": np.full(2, 0.5)}),
+        ({"format": 2, "kind": "gaussian"}, {}),
+        ({"format": 2, "kind": "gaussian", "num_variables": 2,
+          "correlation": [[1, "x"], ["x", 1]]}, {}),
     ], ids=["list", "number", "discrete-no-fields", "discrete-bad-mass",
             "discrete-repeated-outcome", "discrete-variable-count",
             "discrete-fractional-outcome", "gaussian-no-fields", "gaussian-text-entry"])
-    def test_malformed_model_file_gives_validation_exit(self, tmp_path, payload, capsys):
+    def test_malformed_model_file_gives_validation_exit(self, tmp_path, header, arrays, capsys):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(payload))
+        write_model_file(model, header, **arrays)
+        before = sorted(os.listdir(tmp_path))
         code = main(["complex", "--distribution", str(model),
                      "--output", str(tmp_path / "weights.json")])
         assert code == EXIT_VALIDATION
         assert "error: " in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_non_finite_mass_rejected_by_the_model_reader(self, tmp_path, capsys):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"kind": "discrete", "num_variables": 2,
-                                     "alphabet_sizes": [2, 2],
-                                     "mass": [[[0, 0], float("nan")], [[1, 1], 1.0]]}))
+        write_model_file(model, DISCRETE_2X2, outcomes=np.array([[0, 0], [1, 1]], np.uint8),
+                         masses=np.array([float("nan"), 1.0]))
+        before = sorted(os.listdir(tmp_path))
         code = main(["complex", "--distribution", str(model),
                      "--output", str(tmp_path / "weights.json")])
         assert code == EXIT_VALIDATION
         assert "needs a finite, positive mass" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("cell", [str(2**63 - 1), "18446744073709551615",
                                       "99999999999999999999"])
@@ -364,6 +380,152 @@ class TestBasisFormat:
         assert self.transform_exit(spectrum, tmp_path) == EXIT_IO
 
 
+class TestModelFormat:
+    @pytest.fixture
+    def dist(self, tmp_path):
+        """An empirical model of a V=5 ternary table written by ``estimate``."""
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        dist = tmp_path / "dist.json"
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        return dist
+
+    @staticmethod
+    def model(kind):
+        from hyperharmonic import copula_gaussian_fit, estimate_empirical
+        from hyperharmonic.distribution import ContinuousSeriesTable, DiscreteSeriesTable
+
+        rng = np.random.default_rng(6)
+        if kind == "gaussian":
+            X = rng.standard_normal((300, 4))
+            return copula_gaussian_fit(ContinuousSeriesTable("abcd", tuple(X.T)))
+        X = rng.integers(0, 3, size=(150, 5))
+        table = DiscreteSeriesTable("abcde", tuple(X.T), (3,) * 5)
+        return estimate_empirical(table, smoothing=0.5 if kind == "smoothed" else 0.0)
+
+    @pytest.mark.parametrize("kind", ["empirical", "smoothed", "gaussian"])
+    def test_round_trip(self, tmp_path, kind):
+        from hyperharmonic.distribution import read_model, write_model
+
+        model, path = self.model(kind), tmp_path / "model.json"
+        write_model(path, model)
+        back = read_model(path)
+        header = json.loads(path.read_text())
+        assert header["format"] == 2
+        if kind == "gaussian":
+            assert np.array_equal(back.correlation_matrix, model.correlation_matrix)
+            assert sorted(os.listdir(tmp_path)) == ["model.json"]
+            return
+        order = np.lexsort(model.outcomes.T[::-1])
+        assert (kind == "smoothed") == np.array_equal(order, np.arange(len(order)))
+        assert back.outcomes.dtype == np.int64 and back.alphabet_sizes == model.alphabet_sizes
+        assert np.array_equal(back.outcomes, model.outcomes[order])
+        assert np.array_equal(back.masses, model.masses[order])
+        assert (header["outcomes"], header["masses"]) == ("model_outcomes.npy", "model_masses.npy")
+        assert np.load(tmp_path / header["outcomes"]).dtype == np.uint8
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["model.json", "model_outcomes.npy", "model_masses.npy"])
+
+    @pytest.mark.parametrize("largest, dtype", [(256, np.uint8), (257, np.uint16),
+                                                (2**32 + 1, np.uint64)])
+    def test_support_dtype_holds_the_largest_alphabet(self, tmp_path, largest, dtype):
+        from hyperharmonic import JointDistribution
+        from hyperharmonic.distribution import read_model, write_model
+
+        model = JointDistribution((2, largest), [[0, largest - 1], [1, 0]], [0.25, 0.75])
+        write_model(tmp_path / "model.json", model)
+        assert np.load(tmp_path / "model_outcomes.npy").dtype == dtype
+        assert read_model(tmp_path / "model.json").outcomes.tolist() == [[0, largest - 1], [1, 0]]
+
+    def command_exit(self, command, dist, tmp_path):
+        out = tmp_path / "out"
+        argv = {"complex": ["complex", "--output", str(out)],
+                "signals": ["signals", "--dimensions", "2", "--output-dir", str(out)]}[command]
+        code = main([*argv, "--distribution", str(dist)])
+        assert not out.exists()
+        return code
+
+    def edit_header(self, dist, **changes):
+        header = json.loads(dist.read_text())
+        dist.write_text(json.dumps({**header, **changes}))
+        return header
+
+    @pytest.mark.parametrize("command", ["complex", "signals"])
+    def test_format_1_file_rejected(self, dist, tmp_path, command, capsys):
+        from hyperharmonic.distribution import read_model
+
+        model = read_model(dist)
+        dist.write_text(json.dumps({
+            "kind": "discrete", "num_variables": model.num_variables,
+            "alphabet_sizes": list(model.alphabet_sizes),
+            "mass": [[o, p] for o, p in zip(model.outcomes.tolist(), model.masses.tolist())],
+        }))
+        assert self.command_exit(command, dist, tmp_path) == EXIT_VALIDATION
+        assert "regenerate it with `hyperharmonic estimate`" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["complex", "signals"])
+    def test_unknown_format_rejected(self, dist, tmp_path, command):
+        self.edit_header(dist, format=3)
+        assert self.command_exit(command, dist, tmp_path) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["complex", "signals"])
+    @pytest.mark.parametrize("key", ["outcomes", "masses"])
+    @pytest.mark.parametrize("name", [os.path.join("sub", "dist_masses.npy"),
+                                      os.path.join("..", "dist_masses.npy"), "..", "", 7])
+    def test_array_names_must_be_bare(self, dist, tmp_path, command, key, name, capsys):
+        self.edit_header(dist, **{key: name})
+        assert self.command_exit(command, dist, tmp_path) == EXIT_VALIDATION
+        assert "must be a bare file name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["complex", "signals"])
+    @pytest.mark.parametrize("key, edit", [
+        ("outcomes", lambda a: a.astype(float)),
+        ("outcomes", lambda a: np.where(a == 2, -1, a).astype(np.int8)),
+        ("outcomes", lambda a: np.where(a == 2, np.iinfo(np.uint64).max, a).astype(np.uint64)),
+        ("outcomes", lambda a: a[:, :4]),
+        ("outcomes", lambda a: a[1:]),
+        ("outcomes", lambda a: a.ravel()),
+        ("masses", lambda a: a.astype(np.float32)),
+        ("masses", lambda a: a[:, None]),
+        ("masses", lambda a: a[0]),
+        ("masses", lambda a: np.array([None] * len(a), dtype=object)),
+    ], ids=["float-support", "negative-support", "support-past-int64", "too-few-columns",
+            "too-few-rows", "flat-support", "float32-masses", "column-masses", "scalar-masses",
+            "object-masses"])
+    def test_bad_array_rejected(self, dist, tmp_path, command, key, edit):
+        path = tmp_path / json.loads(dist.read_text())[key]
+        np.save(path, edit(np.load(path)), allow_pickle=True)
+        assert self.command_exit(command, dist, tmp_path) == EXIT_VALIDATION
+
+    def test_missing_array_gives_io_exit(self, dist, tmp_path):
+        os.remove(tmp_path / json.loads(dist.read_text())["masses"])
+        assert self.command_exit("complex", dist, tmp_path) == EXIT_IO
+
+    @pytest.mark.parametrize("target", ["fresh", "overwrite"])
+    @pytest.mark.parametrize("failing_save", [1, 2])
+    def test_failed_write_leaves_no_header_naming_a_missing_array(
+        self, dist, tmp_path, monkeypatch, target, failing_save
+    ):
+        from hyperharmonic import jsonio
+        from hyperharmonic.distribution import write_model
+
+        path = dist if target == "overwrite" else tmp_path / "fresh.json"
+        saves, save = [], np.save
+
+        def flaky_save(fh, array, **kwargs):
+            saves.append(array)
+            if len(saves) == failing_save:
+                raise OSError("no space left on device")
+            save(fh, array, **kwargs)
+
+        monkeypatch.setattr(jsonio.np, "save", flaky_save)
+        with pytest.raises(OSError):
+            write_model(path, self.model("smoothed"))
+        monkeypatch.undo()
+        assert not path.exists()
+        assert tmp_files(tmp_path) == []
+
+
 class TestRun:
     def test_xor_run_produces_omega_signal(self, tmp_path):
         data = tmp_path / "xor.csv"
@@ -415,7 +577,9 @@ class TestRun:
             "--dimensions", "2,3", "--output-dir", str(out),
         ]) == EXIT_OK
         model = json.loads((out / "distribution.json").read_text())
-        assert model["kind"] == "gaussian"
+        assert model["kind"] == "gaussian" and model["format"] == 2
+        assert len(model["correlation"]) == 4
+        assert sorted(p.name for p in out.glob("distribution*")) == ["distribution.json"]
         diagnostics = json.loads((out / "dim_3" / "diagnostics.json").read_text())
         assert diagnostics["cev_status"]["o_information_fourier"] == "ok"
         assert diagnostics["kernel_dimension"] == 0
@@ -750,10 +914,11 @@ class TestTreeInventory:
               for basis in ("canonical", "fourier")),
         ]
         assert sorted(tree_bytes(out)) == sorted([
-            "components.csv", "distribution.json", "manifest.json", "weights.json",
+            "components.csv", "distribution.json", "distribution_masses.npy",
+            "distribution_outcomes.npy", "manifest.json", "weights.json",
             *(os.path.join("dim_2", name) for name in per_dimension),
         ])
-        assert json.loads((out / "manifest.json").read_text())["tree_format"] == 2
+        assert json.loads((out / "manifest.json").read_text())["tree_format"] == 3
 
     def test_signals(self, steps, tmp_path):
         out = tmp_path / "signals"
@@ -849,16 +1014,18 @@ class TestImports:
         )
         assert loaded == "[False, False, False, False]"
 
+    # Prints the exit code and every scipy module loaded, the package included.
+    SCIPY_MODULES = "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+
     def test_discrete_run_does_not_load_scipy_sparse(self, tmp_path):
         write_five_variable_csv(tmp_path / "data.csv")
         result = self.run_python(
             "import sys; from hyperharmonic.cli import main; "
             "code = main(['run', '--input', 'data.csv', '--kind', 'discrete', "
-            "'--dimensions', '2,3', '--output-dir', 'out']); "
-            "print(code, 'scipy.sparse' in sys.modules)",
+            "'--dimensions', '2,3', '--output-dir', 'out']); " + self.SCIPY_MODULES,
             tmp_path,
         )
-        assert result == "0 False"
+        assert result == "0 []"
         assert (tmp_path / "out" / "dim_3" / "basis_eigenvectors.npy").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -868,16 +1035,13 @@ class TestImports:
          "--output-dir", "out"],
     ], ids=["control-synth", "continuous-run"])
     def test_copula_fit_does_not_load_scipy(self, tmp_path, argv):
-        # Only the top-level package loads, for the version the manifest records.
         rng = np.random.default_rng(8)
         rows = ["a,b,c,d"] + [",".join(f"{v:.2f}" for v in row)
                               for row in rng.standard_normal((200, 4))]
         (tmp_path / "cont.csv").write_text("\n".join(rows) + "\n")
         result = self.run_python(
             "import sys; from hyperharmonic.cli import main; "
-            f"code = main({argv!r}); "
-            "print(code, [m for m in ('scipy.special', 'scipy.stats', 'scipy.sparse', "
-            "'scipy.linalg') if m in sys.modules])",
+            f"code = main({argv!r}); " + self.SCIPY_MODULES,
             tmp_path,
         )
         assert result == "0 []"

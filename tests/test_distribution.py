@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,13 +25,17 @@ from hyperharmonic import (
     read_continuous_csv,
     read_discrete_csv,
 )
+from hyperharmonic import distribution
 from hyperharmonic.distribution import (
     SMOOTHING_SUPPORT_CAP,
     _ndtri,
     _normal_scores,
     average_ranks,
     entropy_nats,
+    first_appearance_groups,
+    subset_entropies_nats,
 )
+from hyperharmonic.simplices import enumerate_simplices
 
 import dict_reference
 from conftest import dense_to_distribution, mass_dict, random_pmf, random_table, xor_triple
@@ -205,6 +211,100 @@ class TestMarginalize:
             dict_reference.assert_same_pmf(
                 marginalize(dist, subset), dict_reference.marginalize(mass_dict(dist), subset)
             )
+
+
+class TestFirstAppearanceGroups:
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_key_and_row_paths_agree(self, width, data):
+        cell = st.integers(-3, 3) | st.sampled_from([-2**63, 2**63 - 1])
+        rows = np.array(data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                                           min_size=1, max_size=40)), dtype=np.int64)
+        distinct, groups = first_appearance_groups(rows)
+        with mock.patch.object(distribution, "_INT64_MAX", 0):  # every product is too large
+            by_rows = first_appearance_groups(rows)
+        assert np.array_equal(distinct, by_rows[0]) and np.array_equal(groups, by_rows[1])
+        assert np.array_equal(distinct[groups], rows)
+        labels, first = np.unique(groups, return_index=True)
+        assert np.array_equal(labels, np.arange(len(distinct))) and np.all(np.diff(first) > 0)
+        assert len(distinct) == len(np.unique(rows, axis=0))
+
+
+@st.composite
+def sparse_pmfs(draw):
+    """A pmf of up to 40 outcomes in random support order; alphabets up to 2**40,
+    so products of two or more can pass int64."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 5, 2**40]), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    S = draw(st.integers(1, 40))
+    rows = np.unique(np.column_stack([rng.integers(0, a, size=S) for a in sizes]), axis=0)
+    rows = rows[rng.permutation(len(rows))]
+    masses = rng.random(len(rows)) + 0.05
+    return JointDistribution(tuple(sizes), rows, masses / masses.sum())
+
+
+class TestSubsetEntropies:
+    """The blocked bincount kernel against one ``entropy_nats(marginalize(...))``
+    per subset, bit for bit."""
+
+    @staticmethod
+    def per_subset(dist, subsets):
+        return np.array([entropy_nats(marginalize(dist, s)) for s in subsets.tolist()])
+
+    @given(sparse_pmfs(), st.integers(1, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_levels_equal_per_subset_entropies(self, dist, budget):
+        with mock.patch.object(distribution, "_BLOCK_BUDGET", budget):
+            for k in range(1, dist.num_variables + 1):
+                subsets = enumerate_simplices(dist.num_variables - 1, k - 1)
+                assert np.array_equal(subset_entropies_nats(dist, subsets)[0],
+                                      self.per_subset(dist, subsets))
+
+    def test_every_grouping_path_in_one_level(self):
+        # Seven bits, one alphabet of 600 and two of 2**40. With room for four
+        # binary triples per block, the 35 binary triples of level 3 form eight
+        # blocks of four and one of three. Every other triple has more bins than
+        # the budget and is sorted; the one with both large alphabets spans
+        # symbols whose key product passes int64, so it is grouped by rows.
+        rng = np.random.default_rng(3)
+        sizes = (2,) * 7 + (600, 2**40, 2**40)
+        rows = np.column_stack([rng.integers(0, a, size=200) for a in sizes])
+        dist = JointDistribution(sizes, rows, np.full(len(rows), 1.0 / len(rows)))
+        subsets = enumerate_simplices(9, 2)
+        blocks = []
+        binned = distribution._binned_entropies
+
+        def spy(columns, masses, block, radix):
+            blocks.append(len(block))
+            return binned(columns, masses, block, radix)
+
+        budget = 4 * (len(rows) + 8)
+        with mock.patch.object(distribution, "_BLOCK_BUDGET", budget), \
+                mock.patch.object(distribution, "_binned_entropies", spy):
+            values, _ = subset_entropies_nats(dist, subsets)
+        assert blocks == [4] * 8 + [3]
+        assert np.array_equal(values, self.per_subset(dist, subsets))
+
+    def test_terms_equal_python_products(self):
+        # np.log differs from math.log in the last place on a few of these.
+        p = np.random.default_rng(5).random(100_000)
+        assert distribution._entropy_terms(p) == [x * math.log(x) for x in p.tolist()]
+
+    def test_level_fill_allocates_under_4_mb(self):
+        # The discrete benchmark's size: V=11 ternary, T=2000, level k=4 (330
+        # subsets of ~2,000 outcomes). One unblocked bincount allocates ~11 MB.
+        rng = np.random.default_rng(1)
+        table = DiscreteSeriesTable(tuple(f"v{i}" for i in range(11)),
+                                    tuple(rng.integers(0, 3, size=(11, 2000))), (3,) * 11)
+        dist = estimate_empirical(table)
+        subsets = enumerate_simplices(10, 3)
+        tracemalloc.start()
+        try:
+            subset_entropies_nats(dist, subsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestEntropy:
