@@ -17,7 +17,6 @@ from .distribution import (
     copula_gaussian_fit,
     entropy,
     estimate_empirical,
-    gaussian_subset_entropy,
     marginalize,
     read_continuous_csv,
     read_discrete_csv,
@@ -39,7 +38,6 @@ from .simplices import (
     StructuralSimplex,
     WeightAggregator,
     boundary_faces,
-    boundary_matrix,
     enumerate_simplices,
     similarity_matrix,
     simplex_count,
@@ -51,7 +49,6 @@ from .spectral import (
     FourierBasis,
     LaplaceOperator,
     WeightedInnerProduct,
-    adjoint_matrix,
     basis_diagnostics,
     fourier_basis,
     kernel_dimension,
@@ -99,10 +96,8 @@ __all__ = [
     "ValidationError",
     "WeightAggregator",
     "WeightedInnerProduct",
-    "adjoint_matrix",
     "basis_diagnostics",
     "boundary_faces",
-    "boundary_matrix",
     "build_signal",
     "cev_report",
     "control_comparison",
@@ -113,7 +108,6 @@ __all__ = [
     "estimate_empirical",
     "fourier_basis",
     "from_fourier",
-    "gaussian_subset_entropy",
     "interaction_information",
     "kernel_dimension",
     "laplacian",

@@ -252,7 +252,7 @@ def read_basis(path) -> spectral.FourierBasis:
         eigenvalues = np.array(payload["eigenvalues"], dtype=float)
         weights = np.array(payload["weights"], dtype=float)
         dimension = int(payload["dimension"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed basis header: {exc!r}") from exc
     d = weights.size
     if weights.ndim != 1 or eigenvalues.shape != (d,):
@@ -297,7 +297,7 @@ def structural_simplex_from_payload(payload: dict) -> simplices.StructuralSimple
         weights = tuple(
             np.array(payload["weights"][str(n)], dtype=float) for n in range(N + 1)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed weights file: {exc!r}") from exc
     return simplices.StructuralSimplex(N=N, weights=weights)
 
@@ -329,10 +329,8 @@ def cmd_complex(args) -> int:
     if args.boundaries_dir:
         os.makedirs(args.boundaries_dir, exist_ok=True)
         for n in range(simplex.N + 1):
-            simplices.boundary_to_csv(
-                os.path.join(args.boundaries_dir, f"boundary_{n}.csv"),
-                simplices.boundary_matrix(simplex.N, n),
-            )
+            path = os.path.join(args.boundaries_dir, f"boundary_{n}.csv")
+            simplices.boundary_to_csv(path, simplex.N, n)
     return EXIT_OK
 
 

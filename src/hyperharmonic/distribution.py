@@ -474,12 +474,6 @@ def gaussian_entropy_nats(model: GaussianModel, subset) -> tuple[float, bool]:
     return 0.5 * (k * _LOG_TWO_PI_E + logdet), needed_regularization
 
 
-def gaussian_subset_entropy(model: GaussianModel, subset) -> float:
-    """Entropy of a Gaussian subset, in bits."""
-    value, _ = gaussian_entropy_nats(model, subset)
-    return value / math.log(2.0)
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion and JSON persistence
 # ---------------------------------------------------------------------------

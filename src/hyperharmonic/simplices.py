@@ -141,46 +141,22 @@ def boundary_faces(N: int, n: int) -> np.ndarray:
     return faces
 
 
-@functools.lru_cache(maxsize=64)
-def boundary_matrix(N: int, n: int):
-    """Signed incidence matrix of the n-boundary map, as a read-only scipy CSR.
+def boundary_to_csv(path, N: int, n: int) -> None:
+    """Write the n-boundary map as (row, col, value) triplets, by row then column.
 
-    Shape is C(N+1, n) x C(N+1, n+1): rows are (n-1)-simplices, columns are
-    n-simplices, both in lexicographic order. Column j carries (-1)**i at row
-    ``boundary_faces(N, n)[j, i]``. For n = 0 the map is the 1 x (N+1) zero
-    matrix. Cached per (N, n) like ``boundary_faces``; ``scipy.sparse`` is
-    imported on the first call, so callers that never need the matrix never
-    load it.
+    Rows are the face ranks of ``boundary_faces``, columns the n-simplex ranks
+    and values the signs (-1)**i. For n = 0 the map is zero: the header only.
     """
-    import scipy.sparse as sp
-
     _check_dimensions(N, n)
-    cols = simplex_count(N, n)
-    if n == 0:
-        return _read_only_csr(sp.csr_matrix((1, cols)))
-    faces = boundary_faces(N, n)
-    signs = np.tile(np.where(np.arange(n + 1) % 2, -1.0, 1.0), cols)
-    coo = sp.coo_matrix(
-        (signs, (faces.ravel(), np.repeat(np.arange(cols), n + 1))),
-        shape=(simplex_count(N, n - 1), cols),
-    )
-    return _read_only_csr(coo.tocsr())
-
-
-def _read_only_csr(matrix):
-    for array in (matrix.data, matrix.indices, matrix.indptr):
-        array.flags.writeable = False
-    return matrix
-
-
-def boundary_to_csv(path, matrix) -> None:
-    """Dump a boundary matrix as (row, col, value) triplets."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
     with csv_writer(path) as writer:
         writer.writerow(["row", "col", "value"])
-        for k in order:
-            writer.writerow([int(coo.row[k]), int(coo.col[k]), int(coo.data[k])])
+        if n > 0:
+            faces = boundary_faces(N, n)
+            rows = faces.ravel()
+            cols = np.repeat(np.arange(len(faces)), n + 1)
+            signs = np.tile(np.where(np.arange(n + 1) % 2, -1, 1), len(faces))
+            order = np.lexsort((cols, rows))
+            writer.writerows(np.stack((rows, cols, signs), axis=1)[order].tolist())
 
 
 class WeightAggregator(Enum):

@@ -1,4 +1,4 @@
-"""Weighted inner products, adjoints, simplex Laplace operators, Fourier bases.
+"""Weighted inner products, simplex Laplace operators, Fourier bases.
 
 The n-Laplace operator acts on n-signals over the standard simplex. With
 ``P_n`` the boundary matrix of dimension n and ``W_n`` the diagonal matrix of
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError
-from .simplices import StructuralSimplex, boundary_faces, boundary_matrix, simplex_count
+from .simplices import StructuralSimplex, boundary_faces, simplex_count
 
 # Dense eigendecomposition cap; larger dimensions fail fast instead of thrashing.
 DENSE_DIMENSION_CAP = 5000
@@ -53,12 +53,6 @@ class WeightedInnerProduct:
     def size(self) -> int:
         return self.weights.size
 
-    def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.dot(np.asarray(x) * self.weights, np.asarray(y)))
-
-    def norm_squared(self, x: np.ndarray) -> float:
-        return self.pairing(x, x)
-
 
 def weighted_inner_product(simplex: StructuralSimplex, n: int) -> WeightedInnerProduct:
     return WeightedInnerProduct(dimension=n, weights=simplex.weight_vector(n))
@@ -66,23 +60,10 @@ def weighted_inner_product(simplex: StructuralSimplex, n: int) -> WeightedInnerP
 
 @dataclass(frozen=True)
 class LaplaceOperator:
-    """Dense n-Laplace matrix of a structural simplex.
-
-    Only ``matrix`` is stored. Its up and down components are rebuilt from the
-    simplex on first use, by the same code that assembled ``matrix``.
-    """
+    """Dense n-Laplace matrix of a structural simplex."""
 
     dimension: int
     matrix: np.ndarray
-    simplex: StructuralSimplex
-
-    @functools.cached_property
-    def up(self) -> np.ndarray:
-        return _up_part(self.simplex, self.dimension, self.matrix.shape[0])
-
-    @functools.cached_property
-    def down(self) -> np.ndarray:
-        return _down_part(self.simplex, self.dimension, self.matrix.shape[0])
 
 
 @dataclass(frozen=True)
@@ -135,21 +116,6 @@ def check_dense_dimension(N: int, n: int) -> int:
             f"dimension n={n} has {d} simplices, above the dense cap {DENSE_DIMENSION_CAP}"
         )
     return d
-
-
-def adjoint_matrix(simplex: StructuralSimplex, n: int) -> np.ndarray:
-    """Matrix of the weighted adjoint of the (n+1)-boundary, mapping n-signals up.
-
-    Equals ``W_{n+1}^{-1} P_{n+1}^T W_n`` and satisfies
-    <P_{n+1} a, b>_{w_n} = <a, adjoint b>_{w_{n+1}} for all vectors a, b.
-    """
-    if not 0 <= n < simplex.N:
-        raise ValidationError(f"adjoint needs 0 <= n < N, got n={n}, N={simplex.N}")
-    check_dense_dimension(simplex.N, n + 1)
-    P = boundary_matrix(simplex.N, n + 1)
-    w_n = simplex.weight_vector(n)
-    w_up = simplex.weight_vector(n + 1)
-    return (P.T.toarray() * w_n[None, :]) / w_up[:, None]
 
 
 def _signed_gram(index: np.ndarray, sign: np.ndarray, weight: np.ndarray, size: int) -> np.ndarray:
@@ -215,7 +181,7 @@ def laplacian(simplex: StructuralSimplex, n: int) -> LaplaceOperator:
     d = check_dense_dimension(N, n)
     matrix = _up_part(simplex, n, d)
     matrix += _down_part(simplex, n, d)
-    return LaplaceOperator(dimension=n, matrix=matrix, simplex=simplex)
+    return LaplaceOperator(dimension=n, matrix=matrix)
 
 
 def self_adjointness_residual(operator: LaplaceOperator, inner: WeightedInnerProduct) -> float:

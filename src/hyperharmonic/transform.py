@@ -280,7 +280,7 @@ def signal_from_jsonable(payload: dict) -> HighOrderSignal:
             basis=payload.get("basis", CANONICAL),
             measure=MeasureKind(measure) if measure else None,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed signal: {exc}") from exc
 
 

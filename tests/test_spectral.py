@@ -6,17 +6,22 @@ from hyperharmonic import (
     StructuralSimplex,
     ValidationError,
     WeightedInnerProduct,
-    adjoint_matrix,
     basis_diagnostics,
     boundary_faces,
-    boundary_matrix,
     fourier_basis,
     kernel_dimension,
     laplacian,
     simplex_count,
     weighted_inner_product,
 )
-from hyperharmonic.spectral import LaplaceOperator, self_adjointness_residual
+from hyperharmonic.spectral import (
+    LaplaceOperator,
+    _down_part,
+    _up_part,
+    self_adjointness_residual,
+)
+
+from boundary_reference import adjoint_matrix, boundary_matrix
 
 
 def random_structural_simplex(N, rng, low=0.05, high=20.0):
@@ -99,14 +104,14 @@ class TestLaplacian:
         L = laplacian(unit_simplex(N), 0)
         expected = N * np.eye(N + 1) - (np.ones((N + 1, N + 1)) - np.eye(N + 1))
         assert np.allclose(L.matrix, expected)
-        assert np.max(np.abs(L.down)) == 0.0
+        assert np.max(np.abs(_down_part(unit_simplex(N), 0, N + 1))) == 0.0
 
     def test_top_dimension_has_no_up_component(self):
         rng = np.random.default_rng(3)
         S = random_structural_simplex(3, rng)
-        L = laplacian(S, 3)
-        assert np.max(np.abs(L.up)) == 0.0
-        assert np.max(np.abs(L.down)) > 0.0
+        assert np.max(np.abs(_up_part(S, 3, 1))) == 0.0
+        assert np.max(np.abs(_down_part(S, 3, 1))) > 0.0
+        assert np.array_equal(laplacian(S, 3).matrix, _down_part(S, 3, 1))
 
     def test_unit_weight_reduction_is_exact(self):
         S = unit_simplex(4)
@@ -131,24 +136,23 @@ class TestLaplacian:
                 for n in range(N + 1):
                     L = laplacian(S, n)
                     up, down = sparse_reference_laplacian(S, n)
-                    assert np.array_equal(L.up, up), (N, n)
-                    assert np.array_equal(L.down, down), (N, n)
+                    d = L.matrix.shape[0]
+                    assert np.array_equal(_up_part(S, n, d), up), (N, n)
+                    assert np.array_equal(_down_part(S, n, d), down), (N, n)
                     assert np.array_equal(L.matrix, up + down), (N, n)
 
     def test_only_the_matrix_is_stored(self):
         import dataclasses
 
-        assert [f.name for f in dataclasses.fields(LaplaceOperator)] == [
-            "dimension", "matrix", "simplex",
-        ]
+        assert [f.name for f in dataclasses.fields(LaplaceOperator)] == ["dimension", "matrix"]
         rng = np.random.default_rng(43)
         for N in range(1, 7):
             S = random_structural_simplex(N, rng)
             for n in range(N + 1):
                 L = laplacian(S, n)
-                assert set(vars(L)) == {"dimension", "matrix", "simplex"}, (N, n)
-                assert np.array_equal(L.matrix, L.up + L.down), (N, n)
-                assert L.up is L.up and L.down is L.down
+                assert set(vars(L)) == {"dimension", "matrix"}, (N, n)
+                d = L.matrix.shape[0]
+                assert np.array_equal(L.matrix, _up_part(S, n, d) + _down_part(S, n, d)), (N, n)
 
     def test_self_adjointness_for_random_weights(self):
         rng = np.random.default_rng(5)
@@ -239,8 +243,7 @@ class TestFourierBasis:
         matrix[:2, 2:] = coupling
         matrix[2:, :2] = coupling.T
         ones = WeightedInnerProduct(dimension=1, weights=np.ones(7))
-        # No simplex: the eigensolve reads only the matrix.
-        cases.append((LaplaceOperator(dimension=1, matrix=matrix, simplex=None), ones))
+        cases.append((LaplaceOperator(dimension=1, matrix=matrix), ones))
         for operator, inner in cases:
             forward, inverse = loop_sign_fixed_basis(operator, inner)
             basis = fourier_basis(operator, inner)
@@ -270,9 +273,11 @@ class TestFourierBasis:
             result = []
             for n in range(6):
                 L = laplacian(S, n)
+                d = L.matrix.shape[0]
                 basis = fourier_basis(L, weighted_inner_product(S, n))
-                result.append((L.matrix, L.up, L.down, basis.eigenvalues, basis.forward,
-                               basis.inverse, basis_diagnostics(L, basis)))
+                result.append((L.matrix, _up_part(S, n, d), _down_part(S, n, d),
+                               basis.eigenvalues, basis.forward, basis.inverse,
+                               basis_diagnostics(L, basis)))
             return result
 
         cached = outputs()
