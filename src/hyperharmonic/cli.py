@@ -39,7 +39,7 @@ OUTPUT_DIR_ENV = "HYPERHARMONIC_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "hyperharmonic_output"
 INCOMPLETE_MARKER = "INCOMPLETE"
 BASIS_FORMAT = 2
-TREE_FORMAT = 3
+TREE_FORMAT = 4
 
 
 @dataclass
@@ -209,7 +209,7 @@ def _estimate_model(config: PipelineConfig, table):
 
 
 # ---------------------------------------------------------------------------
-# Basis persistence shared by spectrum / transform / control-random
+# The eigenbasis: built by run and spectrum, stored and read as files by the other commands
 # ---------------------------------------------------------------------------
 
 
@@ -231,17 +231,16 @@ def write_basis(path, basis: spectral.FourierBasis, diagnostics: dict) -> None:
     write_json(path, basis_to_jsonable(basis, diagnostics, name))
 
 
-def _write_spectrum(simplex, n: int, basis_path, kernel_tol: float):
-    """Write the n-eigenbasis of ``simplex``; return it with its diagnostics.
+def _eigenbasis(simplex, n: int, kernel_tol: float):
+    """The n-eigenbasis of ``simplex``, its four residuals, and those plus its kernel dimension.
 
     The operator dies on return, before the caller assembles another one.
     """
     operator = spectral.laplacian(simplex, n)
     basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
     residuals = asdict(spectral.basis_diagnostics(operator, basis))
-    write_basis(basis_path, basis, residuals)
     kernel = spectral.kernel_dimension(basis.eigenvalues, tol=kernel_tol)
-    return basis, {**residuals, "kernel_dimension": kernel}
+    return basis, residuals, {**residuals, "kernel_dimension": kernel}
 
 
 def read_basis(path) -> spectral.FourierBasis:
@@ -252,10 +251,11 @@ def read_basis(path) -> spectral.FourierBasis:
         eigenvalues = np.array(payload["eigenvalues"], dtype=float)
         weights = np.array(payload["weights"], dtype=float)
         dimension = int(payload["dimension"])
+        spectral.WeightedInnerProduct(dimension, weights)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed basis header: {exc!r}") from exc
     d = weights.size
-    if weights.ndim != 1 or eigenvalues.shape != (d,):
+    if eigenvalues.shape != (d,):
         raise ValidationError(
             f"{path}: {eigenvalues.size} eigenvalues for {d} weights; expected one per weight"
         )
@@ -373,8 +373,8 @@ def cmd_spectrum(args) -> int:
         spectral.check_dense_dimension(simplex.N, n)
     os.makedirs(args.output_dir, exist_ok=True)
     for n in dims:
-        basis_path = os.path.join(args.output_dir, f"basis_dim{n}.json")
-        _, diagnostics = _write_spectrum(simplex, n, basis_path, args.kernel_tol)
+        basis, residuals, diagnostics = _eigenbasis(simplex, n, args.kernel_tol)
+        write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis, residuals)
         write_json(os.path.join(args.output_dir, f"diagnostics_dim{n}.json"), diagnostics)
     return EXIT_OK
 
@@ -495,9 +495,7 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
     tags = ("canonical", "fourier")
     dim_dir = os.path.join(outdir, f"dim_{n}")
     os.makedirs(dim_dir, exist_ok=True)
-    basis, diagnostics = _write_spectrum(
-        simplex, n, os.path.join(dim_dir, "basis.json"), config.kernel_tol
-    )
+    basis, _, diagnostics = _eigenbasis(simplex, n, config.kernel_tol)
 
     signals, reports, cev_status = {}, {}, {}
     for name in config.measures:
@@ -509,7 +507,7 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
                 cev_status[f"{name}_{tag}"] = "ok"
             except NumericalError as exc:
                 cev_status[f"{name}_{tag}"] = str(exc)
-    diagnostics["cev_status"] = cev_status
+    diagnostics.update(eigenvalues=basis.eigenvalues.tolist(), cev_status=cev_status)
     write_json(os.path.join(dim_dir, "diagnostics.json"), diagnostics)
 
     rows = []

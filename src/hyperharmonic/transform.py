@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, signal_sweep
 from .jsonio import csv_writer, read_json, require_keys, write_json
 from .seeding import as_rng, derive_rng
 from .simplices import StructuralSimplex
-from .spectral import FourierBasis, WeightedInnerProduct
+from .spectral import DENSE_DIMENSION_CAP, FourierBasis, WeightedInnerProduct
 
 CANONICAL = "canonical"
 FOURIER = "fourier"
@@ -216,13 +216,15 @@ def control_comparison(
     orthonormality: str = "w",
 ) -> ControlComparison:
     """Compare the Fourier CEV curve against ``num_random`` random bases."""
+    d = signal.size
     if num_random < 1:
         raise ValidationError(f"need at least one random basis, got {num_random}")
+    if num_random * d > DENSE_DIMENSION_CAP**2:
+        raise CapacityError(f"{num_random} curves of {d} entries exceed {DENSE_DIMENSION_CAP}**2")
     if signal.basis != CANONICAL:
         raise ValidationError("control comparison expects a canonical-basis signal")
     _, fourier_cev = _cev_curve(to_fourier(signal, basis).coefficients)
     inner = WeightedInnerProduct(dimension=basis.dimension, weights=basis.weights)
-    d = signal.size
     curves = np.empty((num_random, d))
     for k in range(num_random):
         forward, _ = random_basis(d, inner, derive_rng(seed, k), orthonormality)

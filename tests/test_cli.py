@@ -414,6 +414,32 @@ class TestBasisFormat:
         os.remove(spectrum["basis"].parent / header["eigenvectors"])
         assert self.transform_exit(spectrum, tmp_path) == EXIT_IO
 
+    @pytest.mark.parametrize("weight", ["0", "-1", "NaN", "1e400"])
+    @pytest.mark.parametrize("command", ["transform", "control-random"])
+    def test_weights_must_be_finite_and_positive(self, spectrum, tmp_path, command, weight,
+                                                 capsys):
+        header = json.loads(spectrum["basis"].read_text())
+        header["weights"][0] = "WEIGHT"
+        spectrum["basis"].write_text(json.dumps(header).replace('"WEIGHT"', weight))
+        out = tmp_path / "out"
+        assert main([
+            command, "--signal", str(spectrum["signal"]), "--basis", str(spectrum["basis"]),
+            "--output", str(out),
+        ]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(spectrum["basis"]) in err and "finite and > 0" in err
+        assert not out.exists()
+
+    def test_oversized_num_random_gives_capacity_exit(self, spectrum, tmp_path, capsys):
+        out = tmp_path / "ctrl.csv"
+        assert main([
+            "control-random", "--signal", str(spectrum["signal"]),
+            "--basis", str(spectrum["basis"]), "--num-random", "1000000000000",
+            "--output", str(out),
+        ]) == EXIT_CAPACITY
+        assert "exceed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestModelFormat:
     @pytest.fixture
@@ -573,13 +599,47 @@ class TestRun:
         signal = json.loads((out / "dim_2" / "signal_o_information_canonical.json").read_text())
         assert signal["coefficients"] == [-1.0]
         assert not (out / INCOMPLETE_MARKER).exists()
-        assert json.loads((out / "dim_2" / "basis.json").read_text())["eigenvectors"] \
-            == "basis_eigenvectors.npy"
-        assert (out / "dim_2" / "basis_eigenvectors.npy").exists()
+        assert not (out / "dim_2" / "basis.json").exists()
+        assert not (out / "dim_2" / "basis_eigenvectors.npy").exists()
         assert tmp_files(out) == []
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["dimensions"] == [2]
         assert "output_dir" not in manifest["config"]
+
+    def test_run_tree_determines_its_basis(self, tmp_path):
+        """``spectrum`` on a run's weights.json rebuilds the basis the run used:
+        the same eigenvalues, residuals and kernel, and the same Fourier signals."""
+        from hyperharmonic.transform import read_signal
+
+        data = tmp_path / "d.csv"
+        write_five_variable_csv(data)
+        out, spectrum = tmp_path / "out", tmp_path / "spectrum"
+        assert main([
+            "run", "--input", str(data), "--dimensions", "2,3", "--output-dir", str(out),
+        ]) == EXIT_OK
+        assert main([
+            "spectrum", "--weights", str(out / "weights.json"), "--dimensions", "2,3",
+            "--output-dir", str(spectrum),
+        ]) == EXIT_OK
+        for n in (2, 3):
+            stored = json.loads((out / f"dim_{n}" / "diagnostics.json").read_text())
+            header = json.loads((spectrum / f"basis_dim{n}.json").read_text())
+            assert header["eigenvalues"] == stored["eigenvalues"]
+            rebuilt = json.loads((spectrum / f"diagnostics_dim{n}.json").read_text())
+            assert rebuilt == {key: stored[key] for key in rebuilt}
+            assert sorted(rebuilt) == ["diagonalization", "inversion", "kernel_dimension",
+                                       "orthonormality", "self_adjointness"]
+            canonicals = sorted((out / f"dim_{n}").glob("signal_*_canonical.json"))
+            assert len(canonicals) == 2
+            for canonical in canonicals:
+                hat = tmp_path / f"hat_{n}_{canonical.name}"
+                assert main([
+                    "transform", "--signal", str(canonical),
+                    "--basis", str(spectrum / f"basis_dim{n}.json"), "--output", str(hat),
+                ]) == EXIT_OK
+                fourier = canonical.with_name(canonical.name.replace("canonical", "fourier"))
+                assert np.array_equal(read_signal(hat).coefficients,
+                                      read_signal(fourier).coefficients)
 
     def test_independent_data_surfaces_cev_errors_without_aborting(self, tmp_path):
         data = tmp_path / "ind.csv"
@@ -809,6 +869,9 @@ class TestRun:
     def test_interrupted_basis_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
+        dist, weights = tmp_path / "dist.json", tmp_path / "weights.json"
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        assert main(["complex", "--distribution", str(dist), "--output", str(weights)]) == EXIT_OK
         out = tmp_path / "out"
 
         def interrupted_save(fh, array, allow_pickle):
@@ -817,10 +880,10 @@ class TestRun:
 
         monkeypatch.setattr(np, "save", interrupted_save)
         with pytest.raises(RuntimeError):
-            main(["run", "--input", str(data), "--dimensions", "2", "--output-dir", str(out)])
-        assert (out / INCOMPLETE_MARKER).exists()
-        assert not (out / "dim_2" / "basis_eigenvectors.npy").exists()
-        assert not (out / "dim_2" / "basis.json").exists()
+            main(["spectrum", "--weights", str(weights), "--dimensions", "2",
+                  "--output-dir", str(out)])
+        assert not (out / "basis_dim2_eigenvectors.npy").exists()
+        assert not (out / "basis_dim2.json").exists()
         assert tmp_files(out) == []
 
     def test_interrupted_signal_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
@@ -942,7 +1005,7 @@ class TestTreeInventory:
             "run", "--input", str(steps["data"]), "--dimensions", "2", "--output-dir", str(out),
         ]) == EXIT_OK
         per_dimension = [
-            "basis.json", "basis_eigenvectors.npy", "diagnostics.json",
+            "diagnostics.json",
             *(f"{kind}_{measure}_{basis}.json"
               for kind in ("cev", "signal")
               for measure in ("o_information", "s_information")
@@ -953,7 +1016,9 @@ class TestTreeInventory:
             "distribution_outcomes.npy", "manifest.json", "weights.json",
             *(os.path.join("dim_2", name) for name in per_dimension),
         ])
-        assert json.loads((out / "manifest.json").read_text())["tree_format"] == 3
+        assert not [name for name in tree_bytes(out)
+                    if name.startswith("dim_") and name.endswith(".npy")]
+        assert json.loads((out / "manifest.json").read_text())["tree_format"] == 4
 
     def test_signals(self, steps, tmp_path):
         out = tmp_path / "signals"
@@ -1061,7 +1126,8 @@ class TestImports:
             tmp_path,
         )
         assert result == "0 []"
-        assert (tmp_path / "out" / "dim_3" / "basis_eigenvectors.npy").exists()
+        diagnostics = json.loads((tmp_path / "out" / "dim_3" / "diagnostics.json").read_text())
+        assert len(diagnostics["eigenvalues"]) == 5
 
     @pytest.mark.parametrize("argv", [
         ["control-synth", "--ranks", "2,4", "--replicates", "2", "--samples", "300",
