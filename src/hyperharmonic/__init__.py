@@ -47,13 +47,11 @@ from .simplices import (
 )
 from .spectral import (
     FourierBasis,
-    LaplaceOperator,
     WeightedInnerProduct,
     basis_diagnostics,
     fourier_basis,
     kernel_dimension,
     laplacian,
-    weighted_inner_product,
 )
 from .synth import (
     RankedCovariance,
@@ -87,7 +85,6 @@ __all__ = [
     "GaussianModel",
     "HighOrderSignal",
     "JointDistribution",
-    "LaplaceOperator",
     "MeasureKind",
     "NumericalError",
     "RankedCovariance",
@@ -129,5 +126,4 @@ __all__ = [
     "structural_weights",
     "to_fourier",
     "total_correlation",
-    "weighted_inner_product",
 ]

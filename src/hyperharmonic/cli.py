@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation, 3 I/O, 4 numerical, 5 capacity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -232,13 +233,9 @@ def write_basis(path, basis: spectral.FourierBasis, diagnostics: dict) -> None:
 
 
 def _eigenbasis(simplex, n: int, kernel_tol: float):
-    """The n-eigenbasis of ``simplex``, its four residuals, and those plus its kernel dimension.
-
-    The operator dies on return, before the caller assembles another one.
-    """
-    operator = spectral.laplacian(simplex, n)
-    basis = spectral.fourier_basis(operator, spectral.weighted_inner_product(simplex, n))
-    residuals = asdict(spectral.basis_diagnostics(operator, basis))
+    """The n-eigenbasis of ``simplex``, its four residuals, and those plus its kernel dimension."""
+    basis = spectral.fourier_basis(simplex, n)
+    residuals = spectral.basis_diagnostics(simplex, basis)
     kernel = spectral.kernel_dimension(basis.eigenvalues, tol=kernel_tol)
     return basis, residuals, {**residuals, "kernel_dimension": kernel}
 
@@ -350,18 +347,16 @@ def _resolved_dimensions(dimensions, N: int) -> tuple[int, ...]:
 
 
 def cmd_signals(args) -> int:
-    model = dist_mod.read_model(args.distribution)
-    oracle = infotheory.EntropyOracle(model)
-    N = model.num_variables - 1
-    dims = _resolved_dimensions(args.dimensions, N)
     measures = _parse_measures(args.measures)
+    oracle = infotheory.EntropyOracle(dist_mod.read_model(args.distribution))
+    N = oracle.num_variables - 1
+    dims = _resolved_dimensions(args.dimensions, N)
     os.makedirs(args.output_dir, exist_ok=True)
     for n in dims:
         for measure in measures:
-            values = infotheory.signal_sweep(oracle, N, n, measure)
-            stem = os.path.join(args.output_dir, f"signal_{measure.value}_dim{n}")
-            signal = transform.HighOrderSignal(dimension=n, coefficients=values, measure=measure)
-            transform.write_signal(stem + ".json", signal, num_vertices=N + 1)
+            path = os.path.join(args.output_dir, f"signal_{measure.value}_dim{n}.json")
+            signal = transform.build_signal(oracle, n, measure)
+            transform.write_signal(path, signal, num_vertices=N + 1)
     return EXIT_OK
 
 
@@ -416,29 +411,29 @@ def cmd_control_synth(args) -> int:
     measures = _parse_measures(args.measures)
     synth.check_experiment(args.ranks, args.replicates, args.samples, args.size, dims, measures)
     outdir = _resolve_output_dir(args.output_dir)
-    os.makedirs(outdir, exist_ok=True)
-    marker = os.path.join(outdir, INCOMPLETE_MARKER)
-    with open(marker, "w", newline="\n") as fh:
-        fh.write("run in progress or failed; outputs may be partial\n")
-    result = synth.rank_experiment(
-        ranks=args.ranks,
-        replicates=args.replicates,
-        num_samples=args.samples,
-        base_seed=args.seed,
-        size=args.size,
-        dimensions=dims,
-        measures=measures,
-    )
-    result.to_csv(os.path.join(outdir, "rank_cev.csv"))
-    manifest = dict(result.manifest)
-    manifest["versions"] = _versions()
-    write_json(os.path.join(outdir, "manifest.json"), manifest)
-    os.remove(marker)
+    with _incomplete_marker(outdir):
+        result = synth.rank_experiment(
+            ranks=args.ranks,
+            replicates=args.replicates,
+            num_samples=args.samples,
+            base_seed=args.seed,
+            size=args.size,
+            dimensions=dims,
+            measures=measures,
+        )
+        result.to_csv(os.path.join(outdir, "rank_cev.csv"))
+        manifest = dict(result.manifest)
+        manifest["versions"] = _versions()
+        write_json(os.path.join(outdir, "manifest.json"), manifest)
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     if args.manifest:
+        extra = [key for key in ("config", *_CONFIG_PARSERS) if getattr(args, key) is not None]
+        if extra:
+            flags = ", ".join("--" + key.replace("_", "-") for key in extra)
+            raise ValidationError(f"--manifest replays a run exactly; it cannot take {flags}")
         values = _load_manifest_config(args.manifest)
     else:
         values = load_config_file(args.config) if args.config else {}
@@ -461,29 +456,36 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
+@contextlib.contextmanager
+def _incomplete_marker(outdir):
+    """Create ``outdir`` with an INCOMPLETE marker that is removed only if the body succeeds."""
     os.makedirs(outdir, exist_ok=True)
     marker = os.path.join(outdir, INCOMPLETE_MARKER)
     with open(marker, "w", newline="\n") as fh:
         fh.write("run in progress or failed; outputs may be partial\n")
-
-    model = _estimate_model(config, table)
-    dist_mod.write_model(os.path.join(outdir, "distribution.json"), model)
-    oracle = infotheory.EntropyOracle(model, units=config.units)
-
-    similarity, simplex = _weighted_simplex(oracle, config)
-    write_json(os.path.join(outdir, "weights.json"), _weights_payload(simplex, similarity, config))
-
-    components_rows = [row for n in sorted(config.dimensions)
-                       for row in _run_dimension(config, oracle, simplex, n, outdir)]
-
-    with csv_writer(os.path.join(outdir, "components.csv")) as writer:
-        writer.writerow(["measure", "dimension", "threshold_pct", "fourier_k", "canonical_k"])
-        writer.writerows(components_rows)
-
-    manifest = {"tree_format": TREE_FORMAT, "config": asdict(config), "versions": _versions()}
-    write_json(os.path.join(outdir, "manifest.json"), manifest)
+    yield
     os.remove(marker)
+
+
+def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
+    with _incomplete_marker(outdir):
+        model = _estimate_model(config, table)
+        dist_mod.write_model(os.path.join(outdir, "distribution.json"), model)
+        oracle = infotheory.EntropyOracle(model, units=config.units)
+
+        similarity, simplex = _weighted_simplex(oracle, config)
+        write_json(os.path.join(outdir, "weights.json"),
+                   _weights_payload(simplex, similarity, config))
+
+        components_rows = [row for n in sorted(config.dimensions)
+                           for row in _run_dimension(config, oracle, simplex, n, outdir)]
+
+        with csv_writer(os.path.join(outdir, "components.csv")) as writer:
+            writer.writerow(["measure", "dimension", "threshold_pct", "fourier_k", "canonical_k"])
+            writer.writerows(components_rows)
+
+        manifest = {"tree_format": TREE_FORMAT, "config": asdict(config), "versions": _versions()}
+        write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> list:
@@ -499,7 +501,7 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
 
     signals, reports, cev_status = {}, {}, {}
     for name in config.measures:
-        canonical = transform.build_signal(oracle, simplex, n, infotheory.MeasureKind(name))
+        canonical = transform.build_signal(oracle, n, infotheory.MeasureKind(name))
         signals[name] = (canonical, transform.to_fourier(canonical, basis))
         for tag, signal in zip(tags, signals[name]):
             try:

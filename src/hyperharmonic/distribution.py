@@ -172,7 +172,6 @@ class GaussianModel:
     """Gaussian-copula summary: a correlation matrix with unit diagonal."""
 
     correlation_matrix: np.ndarray
-    regularization: float = GAUSSIAN_DIAGONAL_REGULARIZATION
 
     def __post_init__(self):
         R = np.asarray(self.correlation_matrix, dtype=float)
@@ -339,7 +338,7 @@ def _gaussian_entropies_nats(
 ) -> tuple[np.ndarray, np.ndarray]:
     k = subsets.shape[1]
     sub = model.correlation_matrix[subsets[:, :, None], subsets[:, None, :]]
-    sign, logdet = np.linalg.slogdet(sub + model.regularization * np.eye(k))
+    sign, logdet = np.linalg.slogdet(sub + GAUSSIAN_DIAGONAL_REGULARIZATION * np.eye(k))
     bad = (sign <= 0) | ~np.isfinite(logdet)
     if bad.any():
         s = tuple(subsets[np.argmax(bad)].tolist())
@@ -461,7 +460,7 @@ def gaussian_entropy_nats(model: GaussianModel, subset) -> tuple[float, bool]:
     s = validate_simplex(subset, model.num_variables - 1)
     k = len(s)
     sub = model.correlation_matrix[np.ix_(s, s)]
-    reg = sub + model.regularization * np.eye(k)
+    reg = sub + GAUSSIAN_DIAGONAL_REGULARIZATION * np.eye(k)
     sign, logdet = np.linalg.slogdet(reg)
     if sign <= 0 or not np.isfinite(logdet):
         raise NumericalError(

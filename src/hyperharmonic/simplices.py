@@ -23,7 +23,7 @@ from .jsonio import csv_writer
 Simplex = tuple[int, ...]
 
 # Largest supported N; weight tables hold 2^(N+1) - 1 entries in total.
-DEFAULT_MAX_N = 16
+MAX_N = 16
 
 DEFAULT_WEIGHT_FLOOR = 1e-9
 
@@ -201,17 +201,16 @@ class StructuralSimplex:
         return self.weights[n]
 
 
-def check_vertex_count(N: int, max_n: int = DEFAULT_MAX_N) -> None:
-    """CapacityError when a simplex on N + 1 vertices exceeds the cap ``max_n``."""
-    if N > max_n:
-        raise CapacityError(f"N={N} exceeds the configured cap of {max_n}")
+def check_vertex_count(N: int) -> None:
+    """CapacityError when a simplex on N + 1 vertices exceeds the cap ``MAX_N``."""
+    if N > MAX_N:
+        raise CapacityError(f"N={N} exceeds the cap of {MAX_N}")
 
 
 def structural_weights(
     mi_matrix: np.ndarray,
     aggregator: WeightAggregator = WeightAggregator.MEAN,
     floor: float = DEFAULT_WEIGHT_FLOOR,
-    max_n: int = DEFAULT_MAX_N,
 ) -> StructuralSimplex:
     """Build a structural simplex from a symmetric pairwise-similarity matrix.
 
@@ -233,7 +232,7 @@ def structural_weights(
     if not 0 < floor < math.inf:
         raise ValidationError(f"weight floor must be finite and > 0, got {floor}")
     N = mi.shape[0] - 1
-    check_vertex_count(N, max_n)
+    check_vertex_count(N)
 
     aggregator = WeightAggregator(aggregator)
     weights: list[np.ndarray] = [np.ones(N + 1)]

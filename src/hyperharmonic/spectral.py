@@ -1,4 +1,4 @@
-"""Weighted inner products, simplex Laplace operators, Fourier bases.
+"""Simplex Laplace operators and their Fourier bases.
 
 The n-Laplace operator acts on n-signals over the standard simplex. With
 ``P_n`` the boundary matrix of dimension n and ``W_n`` the diagonal matrix of
@@ -12,7 +12,9 @@ plus weighted adjoint of the boundary": ``W_n L_n`` is symmetric, so L_n is
 self-adjoint for the weighted inner product and diagonalizable with real
 non-negative spectrum. The Fourier basis is obtained by whitening with
 ``W^(1/2)`` and running a symmetric eigensolver, which yields w-orthonormal
-eigenvectors by construction.
+eigenvectors by construction. A weighted simplex and a dimension n determine
+the operator, so ``fourier_basis`` and ``basis_diagnostics`` take those two and
+assemble it themselves.
 """
 
 from __future__ import annotations
@@ -48,32 +50,6 @@ class WeightedInnerProduct:
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValidationError("inner-product weights must be finite and > 0")
         object.__setattr__(self, "weights", w)
-
-    @property
-    def size(self) -> int:
-        return self.weights.size
-
-
-def weighted_inner_product(simplex: StructuralSimplex, n: int) -> WeightedInnerProduct:
-    return WeightedInnerProduct(dimension=n, weights=simplex.weight_vector(n))
-
-
-@dataclass(frozen=True)
-class LaplaceOperator:
-    """Dense n-Laplace matrix of a structural simplex."""
-
-    dimension: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectralDiagnostics:
-    """Residuals of a Fourier basis against its operator, for auditability."""
-
-    self_adjointness: float
-    diagonalization: float
-    orthonormality: float
-    inversion: float
 
 
 @dataclass(frozen=True)
@@ -163,7 +139,7 @@ def _down_part(simplex: StructuralSimplex, n: int, d: int) -> np.ndarray:
     return down
 
 
-def laplacian(simplex: StructuralSimplex, n: int) -> LaplaceOperator:
+def laplacian(simplex: StructuralSimplex, n: int) -> np.ndarray:
     """Assemble the dense n-Laplace operator of a structural simplex.
 
     This is the self-adjoint assembly described in the module docstring. Both
@@ -181,38 +157,21 @@ def laplacian(simplex: StructuralSimplex, n: int) -> LaplaceOperator:
     d = check_dense_dimension(N, n)
     matrix = _up_part(simplex, n, d)
     matrix += _down_part(simplex, n, d)
-    return LaplaceOperator(dimension=n, matrix=matrix)
+    return matrix
 
 
-def self_adjointness_residual(operator: LaplaceOperator, inner: WeightedInnerProduct) -> float:
-    """Relative asymmetry of W L, which vanishes exactly for a self-adjoint L."""
-    WL = inner.weights[:, None] * operator.matrix
-    denom = np.linalg.norm(WL)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(WL - WL.T) / denom)
-
-
-def fourier_basis(operator: LaplaceOperator, inner: WeightedInnerProduct) -> FourierBasis:
-    """Diagonalize the Laplace operator into a w-orthonormal eigenbasis.
+def fourier_basis(simplex: StructuralSimplex, n: int) -> FourierBasis:
+    """Diagonalize the n-Laplace operator of ``simplex`` into a w-orthonormal eigenbasis.
 
     The whitened matrix ``W^(1/2) L W^(-1/2)`` is symmetric, so a symmetric
     eigensolver applies; eigenvalues come out real and ascending, and the
     eigenvector sign is fixed so each one's first nonzero component in the
     canonical order is positive. ``basis_diagnostics`` measures the result.
     """
-    if operator.dimension != inner.dimension:
-        raise ValidationError(
-            f"operator dimension {operator.dimension} != inner-product dimension {inner.dimension}"
-        )
-    L, w = operator.matrix, inner.weights
-    if L.shape != (w.size, w.size):
-        raise ValidationError(f"shape mismatch: L is {L.shape}, weights have {w.size} entries")
-    if w.size > DENSE_DIMENSION_CAP:
-        raise CapacityError(f"{w.size} components exceed the dense cap {DENSE_DIMENSION_CAP}")
-
+    sym = laplacian(simplex, n)
+    w = simplex.weight_vector(n)
     root = np.sqrt(w)
-    sym = L * root[:, None]
+    sym *= root[:, None]
     sym /= root[None, :]
     sym = sym + sym.T
     sym /= 2.0
@@ -237,19 +196,22 @@ def fourier_basis(operator: LaplaceOperator, inner: WeightedInnerProduct) -> Fou
     lead = np.argmax(magnitude > 1e-12 * magnitude.max(axis=0), axis=0)
     flip = Q[lead, np.arange(w.size)] < 0
     np.negative(Q, out=Q, where=flip[None, :])
-    return FourierBasis(operator.dimension, eigenvalues, Q, w)
+    return FourierBasis(n, eigenvalues, Q, w)
 
 
-def basis_diagnostics(operator: LaplaceOperator, basis: FourierBasis) -> SpectralDiagnostics:
-    """The four residuals of ``basis`` as an eigenbasis of ``operator``.
+def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:
+    """The four residuals of ``basis`` as an eigenbasis of the Laplacian of ``simplex``.
 
-    The d x d products go into two reused buffers, and the identity or the
-    eigenvalues come off their diagonals in place: besides L and Q, at most
-    four d x d arrays are alive at once.
+    ``self_adjointness`` is the relative asymmetry of W L, which vanishes
+    exactly for a self-adjoint L. The d x d products go into two reused
+    buffers, and the identity or the eigenvalues come off their diagonals in
+    place: besides L and Q, at most four d x d arrays are alive at once.
     """
-    L, Q, w = operator.matrix, basis.eigenvectors, basis.weights
-    inner = WeightedInnerProduct(dimension=basis.dimension, weights=w)
-    self_adjointness = self_adjointness_residual(operator, inner)
+    L, Q, w = laplacian(simplex, basis.dimension), basis.eigenvectors, basis.weights
+    WL = w[:, None] * L
+    scale = np.linalg.norm(WL)
+    self_adjointness = float(np.linalg.norm(WL - WL.T) / scale) if scale else 0.0
+    del WL
     denom = max(float(np.linalg.norm(L)), np.finfo(float).tiny)
     forward, inverse = Q.T * np.sqrt(w)[None, :], Q / np.sqrt(w)[:, None]
     diagonal = np.diag_indices(w.size)
@@ -264,7 +226,8 @@ def basis_diagnostics(operator: LaplaceOperator, basis: FourierBasis) -> Spectra
     np.matmul(forward, inverse, out=result)
     result[diagonal] -= 1.0
     inversion = float(np.max(np.abs(result, out=result)))
-    return SpectralDiagnostics(self_adjointness, diagonalization, orthonormality, inversion)
+    return {"self_adjointness": self_adjointness, "diagonalization": diagonalization,
+            "orthonormality": orthonormality, "inversion": inversion}
 
 
 def kernel_dimension(eigenvalues: np.ndarray, tol: float = DEFAULT_KERNEL_TOLERANCE) -> int:

@@ -26,7 +26,7 @@ from .simplices import (
     similarity_matrix,
     structural_weights,
 )
-from .spectral import check_dense_dimension, fourier_basis, laplacian, weighted_inner_product
+from .spectral import check_dense_dimension, fourier_basis
 from .transform import _cev_curve, build_signal, mean_with_band, to_fourier
 
 RANK_TOLERANCE = 1e-8
@@ -154,8 +154,6 @@ def rank_experiment(
     size: int = DEFAULT_SIZE,
     dimensions=DEFAULT_DIMENSIONS,
     measures=DEFAULT_MEASURES,
-    aggregator: WeightAggregator = WeightAggregator.MEAN,
-    floor: float = DEFAULT_WEIGHT_FLOOR,
 ) -> RankExperimentResult:
     """Average Fourier-basis CEV curves over replicated rank-controlled draws.
 
@@ -182,13 +180,11 @@ def rank_experiment(
                 model = copula_gaussian_fit(table)
                 oracle = EntropyOracle(model)
                 mi = similarity_matrix(oracle, SimilarityMetric.MUTUAL_INFORMATION)
-                simplex = structural_weights(mi, aggregator=aggregator, floor=floor)
+                simplex = structural_weights(mi)
                 for n in dimensions:
-                    basis = fourier_basis(
-                        laplacian(simplex, n), weighted_inner_product(simplex, n)
-                    )
+                    basis = fourier_basis(simplex, n)
                     for measure in measures:
-                        signal = build_signal(oracle, simplex, n, measure)
+                        signal = build_signal(oracle, n, measure)
                         curves[(rank, n, measure)].append(
                             _cev_curve(to_fourier(signal, basis).coefficients)[1]
                         )
@@ -208,8 +204,8 @@ def rank_experiment(
         "size": size,
         "dimensions": list(dimensions),
         "measures": [m.value for m in measures],
-        "aggregator": WeightAggregator(aggregator).value,
-        "weight_floor": floor,
+        "aggregator": WeightAggregator.MEAN.value,
+        "weight_floor": DEFAULT_WEIGHT_FLOOR,
         "similarity_metric": SimilarityMetric.MUTUAL_INFORMATION.value,
         "seed_scheme": "SeedSequence((base_seed, rank, replicate, stage))",
         "replicate_axis": "covariance draws",

@@ -17,7 +17,6 @@ from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, signal_sweep
 from .jsonio import csv_writer, read_json, require_keys, write_json
 from .seeding import as_rng, derive_rng
-from .simplices import StructuralSimplex
 from .spectral import DENSE_DIMENSION_CAP, FourierBasis, WeightedInnerProduct
 
 CANONICAL = "canonical"
@@ -55,11 +54,9 @@ class HighOrderSignal:
         return self.coefficients.size
 
 
-def build_signal(
-    oracle: EntropyOracle, simplex: StructuralSimplex, n: int, kind: MeasureKind
-) -> HighOrderSignal:
-    """Sweep a measure over all (n+1)-subsets into a canonical-basis signal."""
-    values = signal_sweep(oracle, simplex.N, n, kind)
+def build_signal(oracle: EntropyOracle, n: int, kind: MeasureKind) -> HighOrderSignal:
+    """Sweep a measure over all (n+1)-subsets of the oracle's variables into a canonical signal."""
+    values = signal_sweep(oracle, oracle.num_variables - 1, n, kind)
     return HighOrderSignal(dimension=n, coefficients=values, measure=MeasureKind(kind))
 
 
@@ -68,9 +65,9 @@ def _check_basis_match(signal: HighOrderSignal, basis: FourierBasis) -> None:
         raise ValidationError(
             f"signal dimension {signal.dimension} != basis dimension {basis.dimension}"
         )
-    if signal.size != basis.forward.shape[1]:
+    if signal.size != basis.weights.size:
         raise ValidationError(
-            f"signal has {signal.size} coefficients, basis expects {basis.forward.shape[1]}"
+            f"signal has {signal.size} coefficients, basis expects {basis.weights.size}"
         )
 
 

@@ -126,6 +126,15 @@ class TestStepCommands:
         ])
         assert code == EXIT_VALIDATION
 
+    def test_signals_checks_measures_before_reading_the_model(self, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "signals", "--distribution", str(tmp_path / "missing.json"), "--measures", "bogus",
+            "--output-dir", str(out),
+        ])
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_zero_signal_cev_gives_numerical_exit(self, tmp_path):
         from hyperharmonic import HighOrderSignal
         from hyperharmonic.transform import write_signal
@@ -306,9 +315,7 @@ class TestBasisFormat:
         from hyperharmonic.cli import read_json, structural_simplex_from_payload
 
         simplex = structural_simplex_from_payload(read_json(weights_path))
-        return spectral.fourier_basis(
-            spectral.laplacian(simplex, 2), spectral.weighted_inner_product(simplex, 2)
-        )
+        return spectral.fourier_basis(simplex, 2)
 
     def test_header_names_sibling_matrix(self, spectrum):
         header = json.loads(spectrum["basis"].read_text())
@@ -696,6 +703,29 @@ class TestRun:
         ]) == EXIT_OK
         assert tree_bytes(first) == tree_bytes(second)
 
+    @pytest.mark.parametrize("flags", [
+        ["--config", "missing.cfg"],
+        ["--dimensions", "2"],
+        ["--units", "nats"],
+        ["--floor", "0.5"],
+        ["--kernel-tol", "1e-6"],
+        ["--input", "other.csv"],
+    ], ids=["config", "dimensions", "units", "floor", "kernel-tol", "input"])
+    def test_manifest_takes_no_pipeline_flag(self, tmp_path, flags, capsys):
+        data = tmp_path / "xor.csv"
+        write_xor_csv(data)
+        first = tmp_path / "first"
+        assert main([
+            "run", "--input", str(data), "--dimensions", "2", "--output-dir", str(first),
+        ]) == EXIT_OK
+        second = tmp_path / "second"
+        assert main([
+            "run", "--manifest", str(first / "manifest.json"), *flags,
+            "--output-dir", str(second),
+        ]) == EXIT_VALIDATION
+        assert flags[0] in capsys.readouterr().err
+        assert not second.exists()
+
     def replay_edited_manifest(self, tmp_path, edit):
         """Run, apply ``edit`` to the manifest, replay it; return both roots and the exit code."""
         data = tmp_path / "d.csv"
@@ -852,7 +882,8 @@ class TestRun:
         assert main(["run", "--input", str(data), "--dimensions", "2"]) == EXIT_OK
         assert (target / "manifest.json").exists()
 
-    def test_failure_leaves_incomplete_marker(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["run", "control-synth"])
+    def test_failure_leaves_incomplete_marker(self, tmp_path, monkeypatch, command):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
         out = tmp_path / "out"
@@ -862,8 +893,14 @@ class TestRun:
             raise np.linalg.LinAlgError("forced failure")
 
         monkeypatch.setattr(cli_mod.spectral, "fourier_basis", boom)
+        monkeypatch.setattr(cli_mod.synth, "fourier_basis", boom)
+        argv = {
+            "run": ["run", "--input", str(data), "--dimensions", "2"],
+            "control-synth": ["control-synth", "--ranks", "2", "--replicates", "1",
+                              "--samples", "50", "--size", "4", "--dimensions", "2"],
+        }[command]
         with pytest.raises(np.linalg.LinAlgError):
-            main(["run", "--input", str(data), "--dimensions", "2", "--output-dir", str(out)])
+            main(argv + ["--output-dir", str(out)])
         assert (out / INCOMPLETE_MARKER).exists()
 
     def test_interrupted_basis_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
@@ -1104,6 +1141,11 @@ class TestImports:
                               env=env, cwd=cwd, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
+
+    def test_every_exported_name_resolves(self):
+        import hyperharmonic
+
+        assert [name for name in hyperharmonic.__all__ if not hasattr(hyperharmonic, name)] == []
 
     def test_cli_import_does_not_load_scipy_stats(self, tmp_path):
         loaded = self.run_python(

@@ -306,7 +306,7 @@ class TestStructuralWeights:
 
     def test_vertex_cap(self):
         with pytest.raises(CapacityError):
-            structural_weights(np.zeros((20, 20)), max_n=16)
+            structural_weights(np.zeros((20, 20)))
 
     def test_direct_construction_validates(self):
         with pytest.raises(ValidationError):

@@ -12,14 +12,8 @@ from hyperharmonic import (
     kernel_dimension,
     laplacian,
     simplex_count,
-    weighted_inner_product,
 )
-from hyperharmonic.spectral import (
-    LaplaceOperator,
-    _down_part,
-    _up_part,
-    self_adjointness_residual,
-)
+from hyperharmonic.spectral import _down_part, _up_part
 
 from boundary_reference import adjoint_matrix, boundary_matrix
 
@@ -31,11 +25,11 @@ def random_structural_simplex(N, rng, low=0.05, high=20.0):
     return StructuralSimplex(N=N, weights=weights)
 
 
-def loop_sign_fixed_basis(operator, inner):
+def loop_sign_fixed_basis(L, weights):
     """Reference (forward, inverse): eigh of the whitened operator, then the
     per-column sign loop that ``fourier_basis`` replaced with array operations."""
-    root = np.sqrt(inner.weights)
-    sym = (operator.matrix * root[:, None]) / root[None, :]
+    root = np.sqrt(weights)
+    sym = (L * root[:, None]) / root[None, :]
     sym = (sym + sym.T) / 2.0
     _, Q = np.linalg.eigh(sym)
     inverse = Q / root[:, None]
@@ -103,7 +97,7 @@ class TestLaplacian:
         N = 4
         L = laplacian(unit_simplex(N), 0)
         expected = N * np.eye(N + 1) - (np.ones((N + 1, N + 1)) - np.eye(N + 1))
-        assert np.allclose(L.matrix, expected)
+        assert np.allclose(L, expected)
         assert np.max(np.abs(_down_part(unit_simplex(N), 0, N + 1))) == 0.0
 
     def test_top_dimension_has_no_up_component(self):
@@ -111,20 +105,20 @@ class TestLaplacian:
         S = random_structural_simplex(3, rng)
         assert np.max(np.abs(_up_part(S, 3, 1))) == 0.0
         assert np.max(np.abs(_down_part(S, 3, 1))) > 0.0
-        assert np.array_equal(laplacian(S, 3).matrix, _down_part(S, 3, 1))
+        assert np.array_equal(laplacian(S, 3), _down_part(S, 3, 1))
 
     def test_unit_weight_reduction_is_exact(self):
         S = unit_simplex(4)
         for n in range(5):
             L = laplacian(S, n)
-            expected = np.zeros_like(L.matrix)
+            expected = np.zeros_like(L)
             if n < 4:
                 P = boundary_matrix(4, n + 1).toarray()
                 expected += P @ P.T
             if n > 0:
                 P = boundary_matrix(4, n).toarray()
                 expected += P.T @ P
-            assert np.array_equal(L.matrix, expected)
+            assert np.array_equal(L, expected)
 
     def test_assembly_matches_sparse_reference_bit_for_bit(self):
         rng = np.random.default_rng(41)
@@ -136,39 +130,35 @@ class TestLaplacian:
                 for n in range(N + 1):
                     L = laplacian(S, n)
                     up, down = sparse_reference_laplacian(S, n)
-                    d = L.matrix.shape[0]
+                    d = L.shape[0]
                     assert np.array_equal(_up_part(S, n, d), up), (N, n)
                     assert np.array_equal(_down_part(S, n, d), down), (N, n)
-                    assert np.array_equal(L.matrix, up + down), (N, n)
+                    assert np.array_equal(L, up + down), (N, n)
 
     def test_only_the_matrix_is_stored(self):
-        import dataclasses
-
-        assert [f.name for f in dataclasses.fields(LaplaceOperator)] == ["dimension", "matrix"]
         rng = np.random.default_rng(43)
         for N in range(1, 7):
             S = random_structural_simplex(N, rng)
             for n in range(N + 1):
                 L = laplacian(S, n)
-                assert set(vars(L)) == {"dimension", "matrix"}, (N, n)
-                d = L.matrix.shape[0]
-                assert np.array_equal(L.matrix, _up_part(S, n, d) + _down_part(S, n, d)), (N, n)
+                assert type(L) is np.ndarray, (N, n)
+                d = L.shape[0]
+                assert np.array_equal(L, _up_part(S, n, d) + _down_part(S, n, d)), (N, n)
 
     def test_self_adjointness_for_random_weights(self):
         rng = np.random.default_rng(5)
         for N in range(1, 6):
             S = random_structural_simplex(N, rng)
             for n in range(N + 1):
-                L = laplacian(S, n)
-                inner = weighted_inner_product(S, n)
-                assert self_adjointness_residual(L, inner) <= 1e-10
+                basis = fourier_basis(S, n)
+                assert basis_diagnostics(S, basis)["self_adjointness"] <= 1e-10
 
     def test_kernel_dimensions_are_betti_numbers(self):
         rng = np.random.default_rng(11)
         for N in range(1, 7):
             S = random_structural_simplex(N, rng)
             for n in range(N + 1):
-                basis = fourier_basis(laplacian(S, n), weighted_inner_product(S, n))
+                basis = fourier_basis(S, n)
                 expected = 1 if n == 0 else 0
                 assert kernel_dimension(basis.eigenvalues) == expected, (N, n)
 
@@ -183,8 +173,7 @@ class TestLaplacian:
 
 class TestFourierBasis:
     def test_single_edge_graph(self):
-        S = unit_simplex(1)
-        basis = fourier_basis(laplacian(S, 0), weighted_inner_product(S, 0))
+        basis = fourier_basis(unit_simplex(1), 0)
         assert np.allclose(basis.eigenvalues, [0.0, 2.0])
         kernel = basis.inverse[:, 0]
         assert np.allclose(kernel / kernel[0], [1.0, 1.0])
@@ -194,12 +183,11 @@ class TestFourierBasis:
         N = 5
         S = random_structural_simplex(N, rng)
         for n in range(N + 1):
-            L = laplacian(S, n)
-            basis = fourier_basis(L, weighted_inner_product(S, n))
-            diagnostics = basis_diagnostics(L, basis)
-            assert diagnostics.diagonalization < 1e-8
-            assert diagnostics.orthonormality < 1e-8
-            assert diagnostics.inversion < 1e-10
+            basis = fourier_basis(S, n)
+            diagnostics = basis_diagnostics(S, basis)
+            assert diagnostics["diagonalization"] < 1e-8
+            assert diagnostics["orthonormality"] < 1e-8
+            assert diagnostics["inversion"] < 1e-10
             assert np.all(basis.eigenvalues >= 0.0)
             assert np.all(np.diff(basis.eigenvalues) >= 0.0)
 
@@ -208,18 +196,16 @@ class TestFourierBasis:
         S = random_structural_simplex(4, rng)
         L = laplacian(S, 2)
         w = S.weight_vector(2)
-        sym = np.diag(np.sqrt(w)) @ L.matrix @ np.diag(1 / np.sqrt(w))
+        sym = np.diag(np.sqrt(w)) @ L @ np.diag(1 / np.sqrt(w))
         reference = np.linalg.eigvalsh((sym + sym.T) / 2)
-        basis = fourier_basis(L, weighted_inner_product(S, 2))
+        basis = fourier_basis(S, 2)
         assert np.allclose(basis.eigenvalues, np.clip(reference, 0, None), atol=1e-12)
 
     def test_sign_convention_and_determinism(self):
         rng = np.random.default_rng(23)
         S = random_structural_simplex(4, rng)
-        L = laplacian(S, 1)
-        inner = weighted_inner_product(S, 1)
-        first = fourier_basis(L, inner)
-        second = fourier_basis(L, inner)
+        first = fourier_basis(S, 1)
+        second = fourier_basis(S, 1)
         assert np.array_equal(first.forward, second.forward)
         assert np.array_equal(first.inverse, second.inverse)
         for j in range(first.inverse.shape[1]):
@@ -227,12 +213,14 @@ class TestFourierBasis:
             lead = col[np.abs(col) > 1e-12 * np.max(np.abs(col))][0]
             assert lead > 0
 
-    def test_sign_fix_matches_loop_reference(self):
+    def test_sign_fix_matches_loop_reference(self, monkeypatch):
+        import hyperharmonic.spectral as spectral_mod
+
         rng = np.random.default_rng(29)
         cases = []
         for N in (3, 4, 5):
             S = random_structural_simplex(N, rng)
-            cases += [(laplacian(S, n), weighted_inner_product(S, n)) for n in range(N + 1)]
+            cases += [(S, n) for n in range(N + 1)]
         # Two decoupled blocks joined by a 1e-14 coupling: the eigenvectors of
         # the second block lead with entries far below 1e-12 of their largest.
         blocks = [rng.standard_normal((k, k)) for k in (2, 5)]
@@ -242,20 +230,24 @@ class TestFourierBasis:
         coupling = 1e-14 * rng.standard_normal((2, 5))
         matrix[:2, 2:] = coupling
         matrix[2:, :2] = coupling.T
-        ones = WeightedInnerProduct(dimension=1, weights=np.ones(7))
-        cases.append((LaplaceOperator(dimension=1, matrix=matrix), ones))
-        for operator, inner in cases:
-            forward, inverse = loop_sign_fixed_basis(operator, inner)
-            basis = fourier_basis(operator, inner)
+        for S, n in cases:
+            forward, inverse = loop_sign_fixed_basis(laplacian(S, n), S.weight_vector(n))
+            basis = fourier_basis(S, n)
             assert np.array_equal(basis.forward, forward)
             assert np.array_equal(basis.inverse, inverse)
+        # unit_simplex(6) has seven 0-simplices, all of weight 1.
+        monkeypatch.setattr(spectral_mod, "laplacian", lambda simplex, n: matrix.copy())
+        forward, inverse = loop_sign_fixed_basis(matrix, np.ones(7))
+        basis = fourier_basis(unit_simplex(6), 0)
+        assert np.array_equal(basis.forward, forward)
+        assert np.array_equal(basis.inverse, inverse)
         inverse = basis.inverse
         tiny_lead = np.abs(inverse[0]) <= 1e-12 * np.max(np.abs(inverse), axis=0)
         assert np.any(tiny_lead & (inverse[0] != 0.0))
 
     def test_derived_matrices_are_cached_and_read_only(self):
         S = random_structural_simplex(3, np.random.default_rng(31))
-        basis = fourier_basis(laplacian(S, 1), weighted_inner_product(S, 1))
+        basis = fourier_basis(S, 1)
         assert basis.forward is basis.forward
         root = np.sqrt(basis.weights)
         assert np.array_equal(basis.forward, basis.eigenvectors.T * root[None, :])
@@ -273,11 +265,11 @@ class TestFourierBasis:
             result = []
             for n in range(6):
                 L = laplacian(S, n)
-                d = L.matrix.shape[0]
-                basis = fourier_basis(L, weighted_inner_product(S, n))
-                result.append((L.matrix, _up_part(S, n, d), _down_part(S, n, d),
+                d = L.shape[0]
+                basis = fourier_basis(S, n)
+                result.append((L, _up_part(S, n, d), _down_part(S, n, d),
                                basis.eigenvalues, basis.forward, basis.inverse,
-                               basis_diagnostics(L, basis)))
+                               basis_diagnostics(S, basis)))
             return result
 
         cached = outputs()
@@ -289,14 +281,13 @@ class TestFourierBasis:
             assert got[-1] == want[-1]
 
     def test_dense_arrays_alive_at_d_1001(self):
-        """tracemalloc counts, in float64 d x d arrays: the operator keeps one,
-        and the eigensolve plus its diagnostics peak at six, the operator's
-        matrix included."""
+        """tracemalloc counts, in float64 d x d arrays: the operator is one, and
+        the eigensolve plus its diagnostics, each assembling the operator
+        itself, peak at six."""
         import tracemalloc
 
         N, n = 13, 3
         S = random_structural_simplex(N, np.random.default_rng(53))
-        inner = weighted_inner_product(S, n)
         laplacian(S, n)  # fill the face-array caches before tracing
         unit = 8.0 * simplex_count(N, n) ** 2
         tracemalloc.start()
@@ -304,19 +295,14 @@ class TestFourierBasis:
             base = tracemalloc.get_traced_memory()[0]
             L = laplacian(S, n)
             alive = (tracemalloc.get_traced_memory()[0] - base) / unit
+            del L
             tracemalloc.reset_peak()
-            basis_diagnostics(L, fourier_basis(L, inner))
+            basis_diagnostics(S, fourier_basis(S, n))
             peak = (tracemalloc.get_traced_memory()[1] - base) / unit
         finally:
             tracemalloc.stop()
         assert 1.0 <= alive < 1.01
         assert peak <= 6.1
-
-    def test_dimension_mismatch_rejected(self):
-        S = unit_simplex(2)
-        L = laplacian(S, 1)
-        with pytest.raises(ValidationError):
-            fourier_basis(L, weighted_inner_product(S, 2))
 
     def test_inner_product_validation(self):
         with pytest.raises(ValidationError):

@@ -149,9 +149,9 @@ class TestRankExperiment:
         plain = rank_experiment(**kwargs)
         solve = synth.fourier_basis
 
-        def diagnosed(operator, inner):
-            basis = solve(operator, inner)
-            spectral.basis_diagnostics(operator, basis)
+        def diagnosed(simplex, n):
+            basis = solve(simplex, n)
+            spectral.basis_diagnostics(simplex, basis)
             return basis
 
         monkeypatch.setattr(synth, "fourier_basis", diagnosed)

@@ -17,13 +17,11 @@ from hyperharmonic import (
     control_comparison,
     fourier_basis,
     from_fourier,
-    laplacian,
     random_basis,
     signal_sweep,
     similarity_matrix,
     structural_weights,
     to_fourier,
-    weighted_inner_product,
 )
 from hyperharmonic.transform import (
     CANONICAL,
@@ -38,17 +36,11 @@ from conftest import random_pmf, xor_triple
 from test_spectral import random_structural_simplex
 
 
-def basis_for(simplex, n):
-    return fourier_basis(laplacian(simplex, n), weighted_inner_product(simplex, n))
-
-
 class TestBuildSignal:
     def test_xor_single_triangle(self):
         dist, _ = xor_triple()
         oracle = EntropyOracle(dist)
-        mi = similarity_matrix(oracle, SimilarityMetric.MUTUAL_INFORMATION)
-        simplex = structural_weights(mi)
-        signal = build_signal(oracle, simplex, 2, MeasureKind.O_INFORMATION)
+        signal = build_signal(oracle, 2, MeasureKind.O_INFORMATION)
         assert signal.basis == CANONICAL
         assert signal.measure is MeasureKind.O_INFORMATION
         assert np.array_equal(signal.coefficients, [-1.0])
@@ -93,7 +85,7 @@ class TestFourierRoundTrip:
     def test_basis_column_maps_to_one_hot(self):
         rng = np.random.default_rng(1)
         S = random_structural_simplex(4, rng)
-        basis = basis_for(S, 2)
+        basis = fourier_basis(S, 2)
         j = 3
         signal = HighOrderSignal(dimension=2, coefficients=basis.inverse[:, j].copy())
         hat = to_fourier(signal, basis)
@@ -105,16 +97,22 @@ class TestFourierRoundTrip:
     def test_zero_signal_transforms_to_zero(self):
         rng = np.random.default_rng(2)
         S = random_structural_simplex(3, rng)
-        basis = basis_for(S, 1)
+        basis = fourier_basis(S, 1)
         zero = HighOrderSignal(dimension=1, coefficients=np.zeros(6))
         assert np.array_equal(to_fourier(zero, basis).coefficients, np.zeros(6))
+
+    def test_inverse_transform_leaves_the_forward_matrix_unbuilt(self):
+        basis = fourier_basis(random_structural_simplex(3, np.random.default_rng(4)), 1)
+        from_fourier(HighOrderSignal(dimension=1, coefficients=np.ones(6), basis=FOURIER), basis)
+        assert "inverse" in basis.__dict__
+        assert "forward" not in basis.__dict__
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(3)
         for N in range(2, 7):
             S = random_structural_simplex(N, rng)
             for n in range(1, N + 1):
-                basis = basis_for(S, n)
+                basis = fourier_basis(S, n)
                 for _ in range(10):
                     coeffs = rng.standard_normal(basis.forward.shape[1])
                     signal = HighOrderSignal(dimension=n, coefficients=coeffs)
@@ -127,7 +125,7 @@ class TestFourierRoundTrip:
         for N in range(2, 7):
             S = random_structural_simplex(N, rng)
             for n in range(1, N + 1):
-                basis = basis_for(S, n)
+                basis = fourier_basis(S, n)
                 coeffs = rng.standard_normal(basis.forward.shape[1])
                 signal = HighOrderSignal(dimension=n, coefficients=coeffs)
                 hat = to_fourier(signal, basis)
@@ -138,7 +136,7 @@ class TestFourierRoundTrip:
     def test_tag_and_dimension_checks(self):
         rng = np.random.default_rng(5)
         S = random_structural_simplex(3, rng)
-        basis = basis_for(S, 1)
+        basis = fourier_basis(S, 1)
         fourier_signal = HighOrderSignal(
             dimension=1, coefficients=np.zeros(6), basis=FOURIER
         )
@@ -238,7 +236,7 @@ class TestControlComparison:
     def test_reproducible(self):
         rng = np.random.default_rng(10)
         S = random_structural_simplex(4, rng)
-        basis = basis_for(S, 2)
+        basis = fourier_basis(S, 2)
         signal = HighOrderSignal(dimension=2, coefficients=rng.standard_normal(10))
         first = control_comparison(signal, basis, num_random=5, seed=3)
         second = control_comparison(signal, basis, num_random=5, seed=3)
@@ -248,7 +246,7 @@ class TestControlComparison:
     def test_adding_replicates_preserves_earlier_ones(self):
         rng = np.random.default_rng(11)
         S = random_structural_simplex(3, rng)
-        basis = basis_for(S, 1)
+        basis = fourier_basis(S, 1)
         signal = HighOrderSignal(dimension=1, coefficients=rng.standard_normal(6))
         small = control_comparison(signal, basis, num_random=3, seed=0)
         large = control_comparison(signal, basis, num_random=6, seed=0)
@@ -257,7 +255,7 @@ class TestControlComparison:
     def test_concentrated_signal_beats_random_mean_at_first_component(self):
         rng = np.random.default_rng(12)
         S = random_structural_simplex(4, rng)
-        basis = basis_for(S, 2)
+        basis = fourier_basis(S, 2)
         signal = HighOrderSignal(dimension=2, coefficients=basis.inverse[:, 4].copy())
         result = control_comparison(signal, basis, num_random=10, seed=7)
         assert result.fourier_cev[0] == pytest.approx(1.0, abs=1e-10)
@@ -268,7 +266,7 @@ class TestControlComparison:
     def test_long_format_csv(self, tmp_path):
         rng = np.random.default_rng(13)
         S = random_structural_simplex(3, rng)
-        basis = basis_for(S, 1)
+        basis = fourier_basis(S, 1)
         signal = HighOrderSignal(dimension=1, coefficients=rng.standard_normal(6))
         result = control_comparison(signal, basis, num_random=2, seed=0)
         path = tmp_path / "ctrl.csv"
@@ -295,8 +293,8 @@ class TestPermutationBehavior:
         simplex = structural_weights(mi, floor=1e-6)
         out = {}
         for n in dims:
-            basis = basis_for(simplex, n)
-            signal = build_signal(oracle, simplex, n, MeasureKind.S_INFORMATION)
+            basis = fourier_basis(simplex, n)
+            signal = build_signal(oracle, n, MeasureKind.S_INFORMATION)
             out[n] = (signal, basis)
         return out
 
