@@ -77,6 +77,10 @@ class PipelineConfig:
             raise ValidationError("floor and kernel_tol must be positive")
         if self.smoothing < 0:
             raise ValidationError("smoothing must be >= 0")
+        if self.kind == "continuous" and self.smoothing > 0:
+            raise ValidationError("smoothing applies to discrete input only")
+        if self.kind == "continuous" and self.metric == "total_variation":
+            raise ValidationError("the total_variation metric needs discrete input")
         if self.units not in ("bits", "nats"):
             raise ValidationError("units must be 'bits' or 'nats'")
         if any(n < 2 for n in self.dimensions):

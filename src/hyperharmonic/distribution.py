@@ -1,11 +1,11 @@
 """Joint distributions over discrete variables and Gaussian-copula models.
 
-A discrete distribution is one pair of arrays: an (S, V) integer support that
-lists only outcomes with positive mass, which also makes the 0*log(0) = 0
-convention automatic, and the S masses in the same order. Continuous
-data is handled through a Gaussian copula: each column is rank-transformed to
-standard-normal scores and summarized by their correlation matrix, for which
-joint entropies have a closed form.
+A discrete distribution is one pair of arrays: an (S, V) integer support in
+lexicographic order that lists only outcomes with positive mass, which also
+makes the 0*log(0) = 0 convention automatic, and the S masses in the same
+order. Continuous data is handled through a Gaussian copula: each column is
+rank-transformed to standard-normal scores and summarized by their
+correlation matrix, for which joint entropies have a closed form.
 """
 
 from __future__ import annotations
@@ -121,10 +121,11 @@ class JointDistribution:
     """Sparse probability mass function over tuples of finite-alphabet symbols.
 
     ``outcomes`` is an (S, V) int64 array holding one distinct outcome per
-    row, and ``masses`` the S float64 probabilities in the same order. Every
-    mass is finite and strictly positive and the total is 1 within
-    ``MASS_TOLERANCE``. Both arrays are read-only copies, so instances are
-    immutable once built.
+    row, in lexicographic order, and ``masses`` the S float64 probabilities in
+    the same order; a support given in another order is sorted, each mass
+    moving with its outcome. Every mass is finite and strictly positive and
+    the total is 1 within ``MASS_TOLERANCE``. Both arrays are read-only
+    copies, so instances are immutable once built.
     """
 
     alphabet_sizes: tuple[int, ...]
@@ -142,7 +143,7 @@ class JointDistribution:
         if masses.ndim != 1 or not masses.size or outcomes.shape != (masses.size, len(sizes)):
             raise ValidationError(f"need a non-empty (S, {len(sizes)}) outcome array and S "
                                   f"masses, got shapes {outcomes.shape} and {masses.shape}")
-        _, groups = first_appearance_groups(outcomes)
+        _, groups = distinct_rows(outcomes)
         for bad, problem in (
             (np.any((outcomes < 0) | (outcomes >= sizes), axis=1), "is outside the alphabets"),
             (np.any(outcomes != given, axis=1), "is not integral"),
@@ -154,6 +155,9 @@ class JointDistribution:
         total = math.fsum(masses.tolist())
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ValidationError(f"total mass {total} deviates from 1 beyond tolerance")
+        if np.any(np.diff(groups) < 0):
+            order = np.argsort(groups)
+            outcomes, masses = outcomes[order], masses[order]
         outcomes.flags.writeable = masses.flags.writeable = False
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "outcomes", outcomes)
@@ -192,9 +196,9 @@ class GaussianModel:
         return self.correlation_matrix.shape[0]
 
 
-def first_appearance_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a non-empty (S, V) int64 array in order of first
-    appearance, and the index of each row's distinct row in that order."""
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a non-empty (S, V) int64 array in lexicographic order,
+    and the index of each row's distinct row in that order."""
     low = rows.min(axis=0)
     spans = [int(hi) - int(lo) + 1 for lo, hi in zip(low.tolist(), rows.max(axis=0).tolist())]
     if math.prod(spans) <= _INT64_MAX:  # one mixed-radix key per row
@@ -202,25 +206,24 @@ def first_appearance_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     else:
         _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    return rows[first[order]], np.argsort(order)[inverse.reshape(-1)]
+    return rows[first], inverse.reshape(-1)
 
 
 def estimate_empirical(table: DiscreteSeriesTable, smoothing: float = 0.0) -> JointDistribution:
     """Empirical joint distribution: the relative frequency of each observed tuple.
 
-    No smoothing is applied by default, so unobserved outcomes stay absent and
-    the support lists the observed tuples in order of first appearance. With
-    ``smoothing`` alpha > 0, every outcome in the full product alphabet, in
-    lexicographic order, gets mass (count + alpha) / (T + alpha * K); this
-    densifies the support and is guarded by ``SMOOTHING_SUPPORT_CAP``.
+    No smoothing is applied by default, so unobserved outcomes stay absent.
+    With ``smoothing`` alpha > 0, every outcome in the full product alphabet
+    gets mass (count + alpha) / (T + alpha * K); this densifies the support
+    and is guarded by ``SMOOTHING_SUPPORT_CAP``. The masses do not depend on
+    the order of the samples.
     """
     if not (math.isfinite(smoothing) and smoothing >= 0):
         raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
     T = table.num_samples
     samples = np.column_stack(table.columns)
     if smoothing == 0.0:
-        outcomes, groups = first_appearance_groups(samples)
+        outcomes, groups = distinct_rows(samples)
         masses = np.bincount(groups) / T
     else:
         sizes = table.alphabet_sizes
@@ -238,13 +241,12 @@ def estimate_empirical(table: DiscreteSeriesTable, smoothing: float = 0.0) -> Jo
 def marginalize(dist: JointDistribution, subset) -> JointDistribution:
     """Marginal distribution of the variables in ``subset`` (sorted indices).
 
-    Projected outcomes keep their order of first appearance, and each mass
-    adds up, in support order, the masses that project onto it.
+    Each mass adds up, in support order, the masses that project onto it.
     """
     s = validate_simplex(subset, dist.num_variables - 1)
     if len(s) == dist.num_variables:
         return dist
-    outcomes, groups = first_appearance_groups(dist.outcomes[:, s])
+    outcomes, groups = distinct_rows(dist.outcomes[:, s])
     sizes = tuple(dist.alphabet_sizes[i] for i in s)
     return JointDistribution(sizes, outcomes, np.bincount(groups, weights=dist.masses))
 
@@ -302,7 +304,7 @@ def _discrete_entropies_nats(dist: JointDistribution, subsets: np.ndarray) -> np
         if len(rows):
             values[rows] = _binned_entropies(columns, masses, subsets[rows], sizes)
     for row in np.flatnonzero(products > _BLOCK_BUDGET).tolist():  # too many bins: sort
-        _, groups = first_appearance_groups(outcomes[:, subsets[row]])
+        _, groups = distinct_rows(outcomes[:, subsets[row]])
         values[row] = -math.fsum(_entropy_terms(np.bincount(groups, weights=masses)))
     return values
 
@@ -554,19 +556,18 @@ def read_continuous_csv(path) -> ContinuousSeriesTable:
 def write_model(path, model) -> None:
     """Write a model file: a JSON header, with a discrete pmf's arrays beside it.
 
-    A discrete model's support goes to ``<stem>_outcomes.npy`` in lexicographic
-    order, as the smallest unsigned integers that hold every symbol, and its
-    masses to ``<stem>_masses.npy``; the header names both and is written last.
+    A discrete model's support goes to ``<stem>_outcomes.npy``, as the
+    smallest unsigned integers that hold every symbol, and its masses to
+    ``<stem>_masses.npy``; the header names both and is written last.
     A Gaussian model's correlation matrix stays inline.
     """
     header = {"format": MODEL_FORMAT, "num_variables": model.num_variables}
     if isinstance(model, JointDistribution):
-        order = np.lexsort(model.outcomes.T[::-1])
         symbols = np.min_scalar_type(min(max(model.alphabet_sizes), 2**63) - 1)
-        support = model.outcomes[order].astype(symbols)
+        support = model.outcomes.astype(symbols)
         header.update(kind="discrete", alphabet_sizes=list(model.alphabet_sizes),
                       outcomes=write_sidecar(path, "outcomes", support),
-                      masses=write_sidecar(path, "masses", model.masses[order]))
+                      masses=write_sidecar(path, "masses", model.masses))
     elif isinstance(model, GaussianModel):
         header.update(kind="gaussian", correlation=model.correlation_matrix.tolist())
     else:

@@ -200,13 +200,11 @@ def _measure_one(oracle: EntropyOracle, subset, kind: MeasureKind) -> float:
     return float(measure_values(oracle, np.array([s]), kind)[0])
 
 
-def signal_sweep(oracle: EntropyOracle, N: int, n: int, kind: MeasureKind) -> np.ndarray:
-    """The measure evaluated on every (n+1)-subset, in canonical simplex order."""
+def signal_sweep(oracle: EntropyOracle, n: int, kind: MeasureKind) -> np.ndarray:
+    """The measure evaluated on every (n+1)-subset of the oracle's variables,
+    in canonical simplex order."""
     kind = MeasureKind(kind)
-    if oracle.num_variables != N + 1:
-        raise ValidationError(
-            f"oracle covers {oracle.num_variables} variables, expected {N + 1}"
-        )
+    N = oracle.num_variables - 1
     min_dim = _min_size(kind) - 1
     if not min_dim <= n <= N:
         raise ValidationError(f"dimension n={n} out of range [{min_dim}, {N}] for {kind.value}")

@@ -323,9 +323,9 @@ def _total_variation_discrete(dist) -> np.ndarray:
 
     k = dist.num_variables
     out = np.zeros((k, k))
-    # Each variable's observed values, coded in order of first appearance,
-    # with the marginal mass of each code.
-    codes = [dist_mod.first_appearance_groups(dist.outcomes[:, [i]])[1] for i in range(k)]
+    # Each variable's observed values, coded in increasing order, with the
+    # marginal mass of each code.
+    codes = [dist_mod.distinct_rows(dist.outcomes[:, [i]])[1] for i in range(k)]
     singles = [np.bincount(c, weights=dist.masses) for c in codes]
     for i, j in itertools.combinations(range(k), 2):
         a, b = len(singles[i]), len(singles[j])

@@ -203,17 +203,19 @@ def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:
     """The four residuals of ``basis`` as an eigenbasis of the Laplacian of ``simplex``.
 
     ``self_adjointness`` is the relative asymmetry of W L, which vanishes
-    exactly for a self-adjoint L. The d x d products go into two reused
-    buffers, and the identity or the eigenvalues come off their diagonals in
-    place: besides L and Q, at most four d x d arrays are alive at once.
+    exactly for a self-adjoint L. The basis's cached ``forward`` and
+    ``inverse`` are used and stay cached for later transforms. The d x d
+    products go into two reused buffers, and the identity or the eigenvalues
+    come off their diagonals in place: besides L and Q, at most four d x d
+    arrays are alive at once.
     """
-    L, Q, w = laplacian(simplex, basis.dimension), basis.eigenvectors, basis.weights
+    L, w = laplacian(simplex, basis.dimension), basis.weights
     WL = w[:, None] * L
     scale = np.linalg.norm(WL)
     self_adjointness = float(np.linalg.norm(WL - WL.T) / scale) if scale else 0.0
     del WL
     denom = max(float(np.linalg.norm(L)), np.finfo(float).tiny)
-    forward, inverse = Q.T * np.sqrt(w)[None, :], Q / np.sqrt(w)[:, None]
+    forward, inverse = basis.forward, basis.inverse
     diagonal = np.diag_indices(w.size)
     product, result = np.empty(L.shape), np.empty(L.shape)
 

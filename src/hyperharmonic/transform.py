@@ -56,7 +56,7 @@ class HighOrderSignal:
 
 def build_signal(oracle: EntropyOracle, n: int, kind: MeasureKind) -> HighOrderSignal:
     """Sweep a measure over all (n+1)-subsets of the oracle's variables into a canonical signal."""
-    values = signal_sweep(oracle, oracle.num_variables - 1, n, kind)
+    values = signal_sweep(oracle, n, kind)
     return HighOrderSignal(dimension=n, coefficients=values, measure=MeasureKind(kind))
 
 
@@ -149,25 +149,19 @@ def cev_report(signal: HighOrderSignal) -> CevReport:
 
 
 def random_basis(
-    d: int,
-    inner: WeightedInnerProduct,
-    seed,
-    orthonormality: str = "w",
+    inner: WeightedInnerProduct, seed, orthonormality: str = "w"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded random basis pair (forward, inverse), w-orthonormal like a Fourier basis.
 
-    A standard-normal matrix is drawn and QR-orthonormalized (signs fixed so
-    the draw is deterministic), then scaled by W^(-1/2) so that
-    inverse^T W inverse = I. With ``orthonormality='euclidean'`` the plain
-    orthonormal pair is returned instead, for sensitivity analysis.
+    A standard-normal d x d matrix, d the number of weights of ``inner``, is
+    drawn and QR-orthonormalized (signs fixed so the draw is deterministic),
+    then scaled by W^(-1/2) so that inverse^T W inverse = I. With
+    ``orthonormality='euclidean'`` the plain orthonormal pair is returned
+    instead, for sensitivity analysis.
     """
-    if d < 1:
-        raise ValidationError(f"basis size must be >= 1, got {d}")
-    if inner.weights.size != d:
-        raise ValidationError(f"inner product has {inner.weights.size} weights, expected {d}")
     if orthonormality not in ("w", "euclidean"):
         raise ValidationError(f"unknown orthonormality mode {orthonormality!r}")
-    rng = as_rng(seed)
+    rng, d = as_rng(seed), inner.weights.size
     Q = None
     for _ in range(3):
         draw = rng.standard_normal((d, d))
@@ -224,7 +218,7 @@ def control_comparison(
     inner = WeightedInnerProduct(dimension=basis.dimension, weights=basis.weights)
     curves = np.empty((num_random, d))
     for k in range(num_random):
-        forward, _ = random_basis(d, inner, derive_rng(seed, k), orthonormality)
+        forward, _ = random_basis(inner, derive_rng(seed, k), orthonormality)
         _, curves[k] = _cev_curve(forward @ signal.coefficients)
     mean, low, high = mean_with_band(curves)
     return ControlComparison(

@@ -3,7 +3,9 @@
 ``estimate_empirical``, ``marginalize`` and the two discrete similarity
 metrics once walked a ``{outcome tuple: mass}`` dict in Python loops. Those
 loops are kept here, unchanged in their arithmetic, as references: the array
-versions must give the same support order and the same bytes.
+versions must give the same bytes. The array support is in lexicographic
+order, so the tests compare against a reference dict sorted by outcome, and
+total variation walks each variable's values in increasing order.
 """
 
 import itertools
@@ -61,14 +63,15 @@ def total_variation(mass: dict, k: int) -> np.ndarray:
     for i, j in itertools.combinations(range(k), 2):
         joint = marginalize(mass, (i, j))
         tv = 0.0
-        for (a,), pa in singles[i].items():
-            for (b,), pb in singles[j].items():
+        for (a,), pa in sorted(singles[i].items()):
+            for (b,), pb in sorted(singles[j].items()):
                 tv += abs(joint.get((a, b), 0.0) - pa * pb)
         out[i, j] = out[j, i] = 0.5 * tv
     return out
 
 
 def assert_same_pmf(dist, mass: dict) -> None:
-    """Same outcomes in the same order, and masses equal byte for byte."""
-    assert [tuple(o) for o in dist.outcomes.tolist()] == list(mass)
-    assert dist.masses.tobytes() == np.array(list(mass.values()), dtype=float).tobytes()
+    """The outcomes of ``mass`` in sorted order, and masses equal byte for byte."""
+    outcomes, masses = zip(*sorted(mass.items()))
+    assert [tuple(o) for o in dist.outcomes.tolist()] == list(outcomes)
+    assert dist.masses.tobytes() == np.array(masses, dtype=float).tobytes()

@@ -484,11 +484,10 @@ class TestModelFormat:
             assert np.array_equal(back.correlation_matrix, model.correlation_matrix)
             assert sorted(os.listdir(tmp_path)) == ["model.json"]
             return
-        order = np.lexsort(model.outcomes.T[::-1])
-        assert (kind == "smoothed") == np.array_equal(order, np.arange(len(order)))
         assert back.outcomes.dtype == np.int64 and back.alphabet_sizes == model.alphabet_sizes
-        assert np.array_equal(back.outcomes, model.outcomes[order])
-        assert np.array_equal(back.masses, model.masses[order])
+        assert np.array_equal(np.lexsort(back.outcomes.T[::-1]), np.arange(len(back.masses)))
+        assert back.outcomes.tobytes() == model.outcomes.tobytes()
+        assert back.masses.tobytes() == model.masses.tobytes()
         assert (header["outcomes"], header["masses"]) == ("model_outcomes.npy", "model_masses.npy")
         assert np.load(tmp_path / header["outcomes"]).dtype == np.uint8
         assert sorted(os.listdir(tmp_path)) == sorted(
@@ -836,6 +835,71 @@ class TestRun:
         assert code == EXIT_VALIDATION
         assert "dimensions must not repeat" in capsys.readouterr().err
         assert not second.exists()
+
+    def test_manifest_smoothing_continuous_input_does_not_replay(self, tmp_path, capsys):
+        def smooth_continuous(manifest):
+            manifest["config"].update(kind="continuous", smoothing=0.5)
+
+        _, second, code = self.replay_edited_manifest(tmp_path, smooth_continuous)
+        assert code == EXIT_VALIDATION
+        assert "smoothing applies to discrete input only" in capsys.readouterr().err
+        assert not second.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--smoothing", "0.5", "--output-dir"], "smoothing applies to discrete input"),
+        (["estimate", "--smoothing", "0.5", "--output"], "smoothing applies to discrete input"),
+        (["run", "--metric", "total_variation", "--output-dir"], "needs discrete input"),
+    ], ids=["run-smoothing", "estimate-smoothing", "run-total-variation"])
+    def test_continuous_input_option_rejected_before_reading(self, tmp_path, argv, message,
+                                                             capsys):
+        out = tmp_path / "out"
+        assert main([*argv, str(out), "--input", str(tmp_path / "unread.csv"),
+                     "--kind", "continuous"]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric", ["mutual_information", "abs_pearson", "total_variation"])
+    def test_run_equals_the_stage_commands(self, tmp_path, metric):
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        # The sample outcomes first appear out of lexicographic order.
+        _, first = np.unique(np.loadtxt(data, delimiter=",", skiprows=1, dtype=np.int64),
+                             axis=0, return_index=True)
+        assert np.any(np.diff(first) < 0)
+        model = str(tmp_path / "dist.json")
+        for argv in (["estimate", "--input", str(data), "--output", model],
+                     ["complex", "--distribution", model, "--metric", metric,
+                      "--output", str(tmp_path / "weights.json")],
+                     ["signals", "--distribution", model, "--dimensions", "2,3",
+                      "--output-dir", str(tmp_path / "signals")],
+                     ["run", "--input", str(data), "--metric", metric, "--dimensions", "2,3",
+                      "--output-dir", str(tmp_path / "run")]):
+            assert main(argv) == EXIT_OK
+        run = tmp_path / "run"
+        pairs = [(run / "weights.json", tmp_path / "weights.json")]
+        pairs += [(run / f"distribution_{key}.npy", tmp_path / f"dist_{key}.npy")
+                  for key in ("outcomes", "masses")]
+        pairs += [(run / f"dim_{n}" / f"signal_{measure}_canonical.json",
+                   tmp_path / "signals" / f"signal_{measure}_dim{n}.json")
+                  for n in (2, 3) for measure in ("o_information", "s_information")]
+        for got, expected in pairs:
+            assert got.read_bytes() == expected.read_bytes(), got.name
+
+    def test_row_order_of_the_input_does_not_matter(self, tmp_path):
+        data, shuffled = tmp_path / "five.csv", tmp_path / "shuffled.csv"
+        write_five_variable_csv(data)
+        header, *rows = data.read_text().splitlines()
+        order = np.random.default_rng(0).permutation(len(rows))
+        shuffled.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+        trees = []
+        for path in (data, shuffled):
+            out = tmp_path / path.stem
+            assert main(["run", "--input", str(path), "--dimensions", "2,3",
+                         "--output-dir", str(out)]) == EXIT_OK
+            tree = tree_bytes(out)
+            assert json.loads(tree.pop("manifest.json"))["config"]["input"] == str(path)
+            trees.append(tree)
+        assert trees[0] == trees[1]
 
     def test_config_file_with_flag_override(self, tmp_path):
         data = tmp_path / "xor.csv"

@@ -30,9 +30,11 @@ from hyperharmonic.distribution import (
     _ndtri,
     _normal_scores,
     average_ranks,
+    distinct_rows,
     entropy_nats,
-    first_appearance_groups,
+    read_model,
     subset_entropies_nats,
+    write_model,
 )
 from hyperharmonic.simplices import enumerate_simplices
 
@@ -49,6 +51,26 @@ def make_table(*columns, alphabet_sizes=None):
         columns=tuple(columns),
         alphabet_sizes=tuple(alphabet_sizes),
     )
+
+
+@st.composite
+def sorted_pmfs_and_orders(draw):
+    """(sizes, support, masses) of up to 40 outcomes, the support in
+    lexicographic order, and a permutation of its rows. Alphabets go up to
+    2**40, so products of two or more can pass int64."""
+    sizes = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 5, 2**40]), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    S = draw(st.integers(1, 40))
+    rows = np.unique(np.column_stack([rng.integers(0, a, size=S) for a in sizes]), axis=0)
+    masses = rng.random(len(rows)) + 0.05
+    return (sizes, rows, masses / masses.sum()), draw(st.permutations(range(len(rows))))
+
+
+@st.composite
+def sparse_pmfs(draw):
+    """A pmf built from a support in random order."""
+    (sizes, rows, masses), order = draw(sorted_pmfs_and_orders())
+    return JointDistribution(sizes, rows[order], masses[order])
 
 
 class TestEstimateEmpirical:
@@ -144,9 +166,30 @@ class TestJointDistribution:
             JointDistribution((2, 2), [(0.5, 1), (1, 1)], [0.5, 0.5])
 
     def test_integral_float_outcomes_accepted(self):
-        dist = JointDistribution((2, 2), np.array([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
+        dist = JointDistribution((2, 2), np.array([[1.0, 0.0], [0.0, 1.0]]), [0.25, 0.75])
         assert dist.outcomes.dtype == np.int64
-        assert dist.outcomes.tolist() == [[1, 0], [0, 1]]
+        assert mass_dict(dist) == {(0, 1): 0.75, (1, 0): 0.25}
+
+    @given(sorted_pmfs_and_orders())
+    @settings(max_examples=80, deadline=None)
+    def test_support_held_in_lexicographic_order(self, case):
+        (sizes, rows, masses), order = case
+        dist = JointDistribution(sizes, rows[order], masses[order])
+        assert dist.outcomes.tobytes() == rows.tobytes()
+        assert dist.masses.tobytes() == masses.tobytes()
+        assert not dist.outcomes.flags.writeable and not dist.masses.flags.writeable
+
+    @given(sorted_pmfs_and_orders())
+    @settings(max_examples=40, deadline=None)
+    def test_model_file_round_trip(self, tmp_path_factory, case):
+        (sizes, rows, masses), order = case
+        dist = JointDistribution(sizes, rows[order], masses[order])
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        write_model(path, dist)
+        back = read_model(path)
+        assert back.alphabet_sizes == dist.alphabet_sizes
+        assert back.outcomes.tobytes() == dist.outcomes.tobytes()
+        assert back.masses.tobytes() == dist.masses.tobytes()
 
 
 class TestMarginalize:
@@ -212,34 +255,19 @@ class TestMarginalize:
             )
 
 
-class TestFirstAppearanceGroups:
+class TestDistinctRows:
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=80, deadline=None)
     def test_key_and_row_paths_agree(self, width, data):
         cell = st.integers(-3, 3) | st.sampled_from([-2**63, 2**63 - 1])
         rows = np.array(data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
                                            min_size=1, max_size=40)), dtype=np.int64)
-        distinct, groups = first_appearance_groups(rows)
+        distinct, groups = distinct_rows(rows)
         with mock.patch.object(distribution, "_INT64_MAX", 0):  # every product is too large
-            by_rows = first_appearance_groups(rows)
+            by_rows = distinct_rows(rows)
         assert np.array_equal(distinct, by_rows[0]) and np.array_equal(groups, by_rows[1])
         assert np.array_equal(distinct[groups], rows)
-        labels, first = np.unique(groups, return_index=True)
-        assert np.array_equal(labels, np.arange(len(distinct))) and np.all(np.diff(first) > 0)
-        assert len(distinct) == len(np.unique(rows, axis=0))
-
-
-@st.composite
-def sparse_pmfs(draw):
-    """A pmf of up to 40 outcomes in random support order; alphabets up to 2**40,
-    so products of two or more can pass int64."""
-    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 5, 2**40]), min_size=1, max_size=6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    S = draw(st.integers(1, 40))
-    rows = np.unique(np.column_stack([rng.integers(0, a, size=S) for a in sizes]), axis=0)
-    rows = rows[rng.permutation(len(rows))]
-    masses = rng.random(len(rows)) + 0.05
-    return JointDistribution(tuple(sizes), rows, masses / masses.sum())
+        assert [tuple(r) for r in distinct.tolist()] == sorted(set(map(tuple, rows.tolist())))
 
 
 class TestSubsetEntropies:

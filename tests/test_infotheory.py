@@ -145,11 +145,11 @@ class TestOracle:
 
         dist, _ = random_pmf(np.random.default_rng(55), (2, 2, 2, 2))
         serial_oracle = EntropyOracle(dist)
-        serial = signal_sweep(serial_oracle, 3, 2, MeasureKind.S_INFORMATION)
+        serial = signal_sweep(serial_oracle, 2, MeasureKind.S_INFORMATION)
         shared = EntropyOracle(dist)
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
-                pool.submit(signal_sweep, shared, 3, 2, MeasureKind.S_INFORMATION)
+                pool.submit(signal_sweep, shared, 2, MeasureKind.S_INFORMATION)
                 for _ in range(8)
             ]
             results = [f.result() for f in futures]
@@ -369,20 +369,20 @@ class TestAxioms:
 class TestSignalSweep:
     def test_single_subset(self):
         dist, _ = xor_triple()
-        values = signal_sweep(EntropyOracle(dist), 2, 2, MeasureKind.O_INFORMATION)
+        values = signal_sweep(EntropyOracle(dist), 2, MeasureKind.O_INFORMATION)
         assert values.shape == (1,)
         assert values[0] == -1.0
 
     def test_independent_gives_zero_vector(self):
         dist, _ = independent_bits(4)
-        values = signal_sweep(EntropyOracle(dist), 3, 2, MeasureKind.TC)
+        values = signal_sweep(EntropyOracle(dist), 2, MeasureKind.TC)
         assert values.shape == (4,)
         assert np.max(np.abs(values)) <= 1e-10
 
     def test_order_matches_simplex_enumeration(self):
         dist, dense = random_pmf(np.random.default_rng(2), (2, 2, 2, 2))
         oracle = EntropyOracle(dist)
-        values = signal_sweep(oracle, 3, 2, MeasureKind.S_INFORMATION)
+        values = signal_sweep(oracle, 2, MeasureKind.S_INFORMATION)
         subsets = enumerate_simplices(3, 2).tolist()
         assert subsets == [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
         for subset, value in zip(subsets, values):
@@ -391,4 +391,4 @@ class TestSignalSweep:
     def test_rejects_low_dimension_for_o_information(self):
         dist, _ = xor_triple()
         with pytest.raises(ValidationError):
-            signal_sweep(EntropyOracle(dist), 2, 1, MeasureKind.O_INFORMATION)
+            signal_sweep(EntropyOracle(dist), 1, MeasureKind.O_INFORMATION)

@@ -48,7 +48,7 @@ class TestBuildSignal:
     def test_length_matches_simplex_count(self):
         dist, _ = random_pmf(np.random.default_rng(0), (2,) * 6)
         oracle = EntropyOracle(dist)
-        values = signal_sweep(oracle, 5, 2, MeasureKind.S_INFORMATION)
+        values = signal_sweep(oracle, 2, MeasureKind.S_INFORMATION)
         assert values.shape == (20,)
 
     def test_rejects_non_finite(self):
@@ -201,11 +201,11 @@ class TestCevReport:
 class TestRandomBasis:
     def test_deterministic_per_seed(self):
         inner = WeightedInnerProduct(dimension=1, weights=np.ones(8))
-        a_fwd, a_inv = random_basis(8, inner, seed=42)
-        b_fwd, b_inv = random_basis(8, inner, seed=42)
+        a_fwd, a_inv = random_basis(inner, seed=42)
+        b_fwd, b_inv = random_basis(inner, seed=42)
         assert np.array_equal(a_fwd, b_fwd)
         assert np.array_equal(a_inv, b_inv)
-        c_fwd, _ = random_basis(8, inner, seed=43)
+        c_fwd, _ = random_basis(inner, seed=43)
         assert not np.array_equal(a_fwd, c_fwd)
 
     def test_w_orthonormality_over_seeds(self):
@@ -214,20 +214,20 @@ class TestRandomBasis:
             weights = rng.uniform(0.1, 5.0, size=d)
             inner = WeightedInnerProduct(dimension=1, weights=weights)
             for seed in range(20 if d <= 10 else 3):
-                forward, inverse = random_basis(d, inner, seed=seed)
+                forward, inverse = random_basis(inner, seed=seed)
                 gram = inverse.T @ (weights[:, None] * inverse)
                 assert np.max(np.abs(gram - np.eye(d))) < 1e-8
                 assert np.max(np.abs(forward @ inverse - np.eye(d))) < 1e-10
 
     def test_single_component(self):
         inner = WeightedInnerProduct(dimension=0, weights=np.array([4.0]))
-        forward, inverse = random_basis(1, inner, seed=0)
+        forward, inverse = random_basis(inner, seed=0)
         assert inverse[0, 0] == pytest.approx(0.5)
         assert forward[0, 0] == pytest.approx(2.0)
 
     def test_euclidean_mode(self):
         inner = WeightedInnerProduct(dimension=1, weights=np.full(5, 3.0))
-        forward, inverse = random_basis(5, inner, seed=1, orthonormality="euclidean")
+        forward, inverse = random_basis(inner, seed=1, orthonormality="euclidean")
         assert np.max(np.abs(inverse.T @ inverse - np.eye(5))) < 1e-10
         assert np.max(np.abs(forward @ inverse - np.eye(5))) < 1e-10
 
