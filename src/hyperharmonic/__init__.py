@@ -15,9 +15,7 @@ from .distribution import (
     GaussianModel,
     JointDistribution,
     copula_gaussian_fit,
-    entropy,
     estimate_empirical,
-    marginalize,
     read_continuous_csv,
     read_discrete_csv,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "control_comparison",
     "copula_gaussian_fit",
     "dual_total_correlation",
-    "entropy",
     "enumerate_simplices",
     "estimate_empirical",
     "fourier_basis",
@@ -108,7 +105,6 @@ __all__ = [
     "interaction_information",
     "kernel_dimension",
     "laplacian",
-    "marginalize",
     "mutual_information",
     "o_information",
     "random_basis",

@@ -308,7 +308,15 @@ def structural_simplex_from_payload(payload: dict) -> simplices.StructuralSimple
 # ---------------------------------------------------------------------------
 
 
+def _require_output_parent(path) -> None:
+    """Exit 3 before any work, naming ``path``, if its parent directory is missing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"{path}: output directory {parent} does not exist")
+
+
 def cmd_estimate(args) -> int:
+    _require_output_parent(args.output)
     config = PipelineConfig(input=args.input, kind=args.kind, smoothing=args.smoothing)
     config.validate()
     model = _estimate_model(config, _read_table(config))
@@ -317,6 +325,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_complex(args) -> int:
+    _require_output_parent(args.output)
     config = PipelineConfig(
         input=args.distribution,
         metric=args.metric,
@@ -379,6 +388,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _require_output_parent(args.output)
     signal = transform.read_signal(args.signal)
     basis = read_basis(args.basis)
     if args.inverse:
@@ -390,6 +400,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_cev(args) -> int:
+    _require_output_parent(args.output_prefix)
     signal = transform.read_signal(args.signal)
     report = transform.cev_report(signal)
     transform.cev_to_json(args.output_prefix + ".json", report)
@@ -397,6 +408,7 @@ def cmd_cev(args) -> int:
 
 
 def cmd_control_random(args) -> int:
+    _require_output_parent(args.output)
     signal = transform.read_signal(args.signal)
     basis = read_basis(args.basis)
     comparison = transform.control_comparison(

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
 from .jsonio import read_header, read_sidecar, require_keys, write_json, write_sidecar
-from .simplices import validate_simplex
 
 MASS_TOLERANCE = 1e-12
 
@@ -238,36 +237,14 @@ def estimate_empirical(table: DiscreteSeriesTable, smoothing: float = 0.0) -> Jo
     return JointDistribution(table.alphabet_sizes, outcomes, masses)
 
 
-def marginalize(dist: JointDistribution, subset) -> JointDistribution:
-    """Marginal distribution of the variables in ``subset`` (sorted indices).
-
-    Each mass adds up, in support order, the masses that project onto it.
-    """
-    s = validate_simplex(subset, dist.num_variables - 1)
-    if len(s) == dist.num_variables:
-        return dist
-    outcomes, groups = distinct_rows(dist.outcomes[:, s])
-    sizes = tuple(dist.alphabet_sizes[i] for i in s)
-    return JointDistribution(sizes, outcomes, np.bincount(groups, weights=dist.masses))
-
-
-def entropy_nats(dist: JointDistribution) -> float:
-    return -math.fsum(p * math.log(p) for p in dist.masses.tolist())
-
-
-def entropy(dist: JointDistribution) -> float:
-    """Shannon entropy of the stored outcomes, in bits."""
-    return entropy_nats(dist) / math.log(2.0)
-
-
 def subset_entropies_nats(source, subsets) -> tuple[np.ndarray, np.ndarray]:
     """Joint entropies, in nats, of each row of an (m, k) array of sorted subsets.
 
     ``source`` is a JointDistribution or a GaussianModel. Returns the entropies
     and a boolean array marking Gaussian subsets whose entropy needed the
     diagonal regularization (all False for discrete sources). Each value
-    equals the per-subset ``entropy_nats(marginalize(...))`` or
-    ``gaussian_entropy_nats`` result, with the same floating-point operations.
+    equals, with the same floating-point operations, the one-subset-at-a-time
+    entropy that the tests keep as a reference.
     """
     s = np.asarray(subsets, dtype=np.int64)
     if s.ndim != 2 or s.shape[1] < 1:
@@ -287,9 +264,9 @@ def subset_entropies_nats(source, subsets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _discrete_entropies_nats(dist: JointDistribution, subsets: np.ndarray) -> np.ndarray:
-    """Each bin adds its masses in support order, as ``marginalize`` does;
-    only how outcomes are grouped into bins differs by path. ``math.fsum``
-    rounds the exact sum, so the order of the bins does not matter."""
+    """Each bin adds its masses in support order; only how outcomes are
+    grouped into bins differs by path. ``math.fsum`` rounds the exact sum,
+    so the order of the bins does not matter."""
     outcomes, masses = dist.outcomes, dist.masses
     values = np.empty(len(subsets))
     sizes = np.asarray(dist.alphabet_sizes, dtype=float)
@@ -310,9 +287,9 @@ def _discrete_entropies_nats(dist: JointDistribution, subsets: np.ndarray) -> np
 
 
 def _entropy_terms(p: np.ndarray) -> list[float]:
-    """p * log(p) for each p, as ``entropy_nats`` computes it: the logs use
-    math.log, which np.log may differ from in the last place, and a float64
-    product rounds in NumPy as in Python."""
+    """p * log(p) for each p, as a per-mass Python loop computes it: the logs
+    use math.log, which np.log may differ from in the last place, and a
+    float64 product rounds in NumPy as in Python."""
     return (p * np.fromiter(map(math.log, p.tolist()), float, len(p))).tolist()
 
 
@@ -454,25 +431,6 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     R = (R + R.T) / 2.0
     np.fill_diagonal(R, 1.0)
     return GaussianModel(correlation_matrix=R)
-
-
-def gaussian_entropy_nats(model: GaussianModel, subset) -> tuple[float, bool]:
-    """Closed-form entropy of a variable subset, plus a flag marking cases
-    where the diagonal regularization changed the log-determinant materially."""
-    s = validate_simplex(subset, model.num_variables - 1)
-    k = len(s)
-    sub = model.correlation_matrix[np.ix_(s, s)]
-    reg = sub + GAUSSIAN_DIAGONAL_REGULARIZATION * np.eye(k)
-    sign, logdet = np.linalg.slogdet(reg)
-    if sign <= 0 or not np.isfinite(logdet):
-        raise NumericalError(
-            f"regularized correlation submatrix for {s} is not positive definite"
-        )
-    raw_sign, raw_logdet = np.linalg.slogdet(sub)
-    needed_regularization = bool(
-        raw_sign <= 0 or not np.isfinite(raw_logdet) or abs(logdet - raw_logdet) > 1e-6
-    )
-    return 0.5 * (k * _LOG_TWO_PI_E + logdet), needed_regularization
 
 
 # ---------------------------------------------------------------------------

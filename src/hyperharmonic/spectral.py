@@ -202,34 +202,34 @@ def fourier_basis(simplex: StructuralSimplex, n: int) -> FourierBasis:
 def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:
     """The four residuals of ``basis`` as an eigenbasis of the Laplacian of ``simplex``.
 
-    ``self_adjointness`` is the relative asymmetry of W L, which vanishes
-    exactly for a self-adjoint L. The basis's cached ``forward`` and
-    ``inverse`` are used and stay cached for later transforms. The d x d
-    products go into two reused buffers, and the identity or the eigenvalues
-    come off their diagonals in place: besides L and Q, at most four d x d
-    arrays are alive at once.
+    ``self_adjointness`` is the relative asymmetry of W L, zero for a
+    self-adjoint L. With S = W^(1/2) L W^(-1/2), ``diagonalization`` is
+    |S Q - Q diag(eigenvalues)| / |L| and ``orthonormality`` the largest
+    entry of |Q^T Q - I|, which ``inversion`` repeats: ``forward @ inverse``
+    is Q^T Q in exact arithmetic, and neither is built. Besides Q, only the
+    operator buffer (L, then W L, then S) and one product buffer are alive.
     """
-    L, w = laplacian(simplex, basis.dimension), basis.weights
-    WL = w[:, None] * L
-    scale = np.linalg.norm(WL)
-    self_adjointness = float(np.linalg.norm(WL - WL.T) / scale) if scale else 0.0
-    del WL
-    denom = max(float(np.linalg.norm(L)), np.finfo(float).tiny)
-    forward, inverse = basis.forward, basis.inverse
-    diagonal = np.diag_indices(w.size)
-    product, result = np.empty(L.shape), np.empty(L.shape)
+    Q, w = basis.eigenvectors, basis.weights
+    operator = laplacian(simplex, basis.dimension)
+    denom = max(float(np.linalg.norm(operator)), np.finfo(float).tiny)
+    operator *= w[:, None]
+    scale = np.linalg.norm(operator)
+    rows = max(1, 2**16 // w.size)  # row blocks keep the asymmetry free of a d x d temporary
+    asymmetry = np.linalg.norm([np.linalg.norm(operator[i:i + rows] - operator[:, i:i + rows].T)
+                                for i in range(0, w.size, rows)])
+    self_adjointness = float(asymmetry / scale) if scale else 0.0
+    root = np.sqrt(w)
+    operator /= root[:, None]
+    operator /= root[None, :]
 
-    np.matmul(np.matmul(forward, L, out=product), inverse, out=result)
-    result[diagonal] -= basis.eigenvalues
-    diagonalization = float(np.linalg.norm(result) / denom)
-    np.matmul(inverse.T, np.multiply(w[:, None], inverse, out=product), out=result)
-    result[diagonal] -= 1.0
-    orthonormality = float(np.max(np.abs(result, out=result)))
-    np.matmul(forward, inverse, out=result)
-    result[diagonal] -= 1.0
-    inversion = float(np.max(np.abs(result, out=result)))
+    product = np.matmul(operator, Q)
+    product -= np.multiply(Q, basis.eigenvalues[None, :], out=operator)
+    diagonalization = float(np.linalg.norm(product) / denom)
+    np.matmul(Q.T, Q, out=product)
+    product[np.diag_indices(w.size)] -= 1.0
+    orthonormality = float(np.max(np.abs(product, out=product)))
     return {"self_adjointness": self_adjointness, "diagonalization": diagonalization,
-            "orthonormality": orthonormality, "inversion": inversion}
+            "orthonormality": orthonormality, "inversion": orthonormality}
 
 
 def kernel_dimension(eigenvalues: np.ndarray, tol: float = DEFAULT_KERNEL_TOLERANCE) -> int:

@@ -1,0 +1,97 @@
+"""Library functions that left the package, kept unchanged as references.
+
+- ``marginalize``, ``entropy_nats``, ``entropy`` and ``gaussian_entropy_nats``
+  compute one subset's entropy at a time. The package fills whole levels with
+  ``distribution.subset_entropies_nats``, which must equal them.
+- ``basis_diagnostics`` is the dense residual check that built ``forward``
+  and ``inverse`` and ran four d x d products. The package's version runs
+  two, and both must pass and fail on the same bases.
+"""
+
+import math
+
+import numpy as np
+
+from hyperharmonic import JointDistribution, NumericalError
+from hyperharmonic.distribution import (
+    _LOG_TWO_PI_E,
+    GAUSSIAN_DIAGONAL_REGULARIZATION,
+    GaussianModel,
+    distinct_rows,
+)
+from hyperharmonic.simplices import StructuralSimplex, validate_simplex
+from hyperharmonic.spectral import FourierBasis, laplacian
+
+
+def marginalize(dist: JointDistribution, subset) -> JointDistribution:
+    """Marginal distribution of the variables in ``subset`` (sorted indices).
+
+    Each mass adds up, in support order, the masses that project onto it.
+    """
+    s = validate_simplex(subset, dist.num_variables - 1)
+    if len(s) == dist.num_variables:
+        return dist
+    outcomes, groups = distinct_rows(dist.outcomes[:, s])
+    sizes = tuple(dist.alphabet_sizes[i] for i in s)
+    return JointDistribution(sizes, outcomes, np.bincount(groups, weights=dist.masses))
+
+
+def entropy_nats(dist: JointDistribution) -> float:
+    return -math.fsum(p * math.log(p) for p in dist.masses.tolist())
+
+
+def entropy(dist: JointDistribution) -> float:
+    """Shannon entropy of the stored outcomes, in bits."""
+    return entropy_nats(dist) / math.log(2.0)
+
+
+def gaussian_entropy_nats(model: GaussianModel, subset) -> tuple[float, bool]:
+    """Closed-form entropy of a variable subset, plus a flag marking cases
+    where the diagonal regularization changed the log-determinant materially."""
+    s = validate_simplex(subset, model.num_variables - 1)
+    k = len(s)
+    sub = model.correlation_matrix[np.ix_(s, s)]
+    reg = sub + GAUSSIAN_DIAGONAL_REGULARIZATION * np.eye(k)
+    sign, logdet = np.linalg.slogdet(reg)
+    if sign <= 0 or not np.isfinite(logdet):
+        raise NumericalError(
+            f"regularized correlation submatrix for {s} is not positive definite"
+        )
+    raw_sign, raw_logdet = np.linalg.slogdet(sub)
+    needed_regularization = bool(
+        raw_sign <= 0 or not np.isfinite(raw_logdet) or abs(logdet - raw_logdet) > 1e-6
+    )
+    return 0.5 * (k * _LOG_TWO_PI_E + logdet), needed_regularization
+
+
+def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:
+    """The four residuals of ``basis`` as an eigenbasis of the Laplacian of ``simplex``.
+
+    ``self_adjointness`` is the relative asymmetry of W L, which vanishes
+    exactly for a self-adjoint L. The basis's cached ``forward`` and
+    ``inverse`` are used and stay cached for later transforms. The d x d
+    products go into two reused buffers, and the identity or the eigenvalues
+    come off their diagonals in place: besides L and Q, at most four d x d
+    arrays are alive at once.
+    """
+    L, w = laplacian(simplex, basis.dimension), basis.weights
+    WL = w[:, None] * L
+    scale = np.linalg.norm(WL)
+    self_adjointness = float(np.linalg.norm(WL - WL.T) / scale) if scale else 0.0
+    del WL
+    denom = max(float(np.linalg.norm(L)), np.finfo(float).tiny)
+    forward, inverse = basis.forward, basis.inverse
+    diagonal = np.diag_indices(w.size)
+    product, result = np.empty(L.shape), np.empty(L.shape)
+
+    np.matmul(np.matmul(forward, L, out=product), inverse, out=result)
+    result[diagonal] -= basis.eigenvalues
+    diagonalization = float(np.linalg.norm(result) / denom)
+    np.matmul(inverse.T, np.multiply(w[:, None], inverse, out=product), out=result)
+    result[diagonal] -= 1.0
+    orthonormality = float(np.max(np.abs(result, out=result)))
+    np.matmul(forward, inverse, out=result)
+    result[diagonal] -= 1.0
+    inversion = float(np.max(np.abs(result, out=result)))
+    return {"self_adjointness": self_adjointness, "diagonalization": diagonalization,
+            "orthonormality": orthonormality, "inversion": inversion}

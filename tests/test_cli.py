@@ -111,6 +111,22 @@ class TestStepCommands:
         code = main(["estimate", "--input", str(tmp_path / "nope.csv"), "--output", str(out)])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("command", ["estimate", "complex", "transform", "cev",
+                                         "control-random"])
+    def test_missing_output_parent_fails_before_any_input_is_read(self, tmp_path, command,
+                                                                    capsys):
+        """The inputs are missing too: the output's parent is checked first."""
+        absent, target = str(tmp_path / "absent.json"), str(tmp_path / "nodir" / "out.json")
+        inputs = {"estimate": ["--input"], "complex": ["--distribution"],
+                  "transform": ["--signal", "--basis"], "cev": ["--signal"],
+                  "control-random": ["--signal", "--basis"]}[command]
+        output = "--output-prefix" if command == "cev" else "--output"
+        argv = [command, *(arg for flag in inputs for arg in (flag, absent)), output, target]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert target in err and "absent" not in err and ".tmp" not in err
+        assert not (tmp_path / "nodir").exists()
+
     def test_malformed_csv_gives_validation_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n0,x\n")

@@ -18,9 +18,7 @@ from hyperharmonic import (
     JointDistribution,
     ValidationError,
     copula_gaussian_fit,
-    entropy,
     estimate_empirical,
-    marginalize,
     read_continuous_csv,
     read_discrete_csv,
 )
@@ -31,7 +29,6 @@ from hyperharmonic.distribution import (
     _normal_scores,
     average_ranks,
     distinct_rows,
-    entropy_nats,
     read_model,
     subset_entropies_nats,
     write_model,
@@ -39,6 +36,7 @@ from hyperharmonic.distribution import (
 from hyperharmonic.simplices import enumerate_simplices
 
 import dict_reference
+from reference import entropy, entropy_nats, marginalize
 from conftest import dense_to_distribution, mass_dict, random_pmf, random_table, xor_triple
 
 

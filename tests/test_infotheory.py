@@ -21,9 +21,9 @@ from hyperharmonic import (
     signal_sweep,
     total_correlation,
 )
-from hyperharmonic.distribution import entropy_nats, gaussian_entropy_nats, marginalize
 
 import bruteforce as bf
+from reference import entropy_nats, gaussian_entropy_nats, marginalize
 from conftest import (
     bit_copy,
     correlated_pair,

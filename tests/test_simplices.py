@@ -24,7 +24,7 @@ from hyperharmonic import (
     structural_weights,
     total_correlation,
 )
-from hyperharmonic.distribution import estimate_empirical, gaussian_entropy_nats, marginalize
+from hyperharmonic.distribution import estimate_empirical, subset_entropies_nats
 from hyperharmonic.simplices import boundary_to_csv
 
 import dict_reference
@@ -397,8 +397,8 @@ def subset_callers():
     dist, _ = xor_triple()
     model = GaussianModel(correlation_matrix=np.eye(3))
     return {
-        "marginalize": lambda s: marginalize(dist, s),
-        "gaussian_entropy_nats": lambda s: gaussian_entropy_nats(model, s),
+        "marginal_entropies": lambda s: subset_entropies_nats(dist, [s]),
+        "gaussian_entropies": lambda s: subset_entropies_nats(model, [s]),
         "entropy": lambda s: EntropyOracle(dist).entropy(s),
         "total_correlation": lambda s: total_correlation(EntropyOracle(dist), s),
     }
@@ -421,6 +421,6 @@ class TestOneSubsetValidator:
         assert oracle.entropy((2, 0)) == oracle.entropy((0, 2))
         assert total_correlation(oracle, (2, 1, 0)) == total_correlation(oracle, (0, 1, 2))
         callers = subset_callers()
-        for caller in ("marginalize", "gaussian_entropy_nats"):
+        for caller in ("marginal_entropies", "gaussian_entropies"):
             with pytest.raises(ValidationError):
                 callers[caller]((2, 0))

@@ -13,8 +13,9 @@ from hyperharmonic import (
     laplacian,
     simplex_count,
 )
-from hyperharmonic.spectral import _down_part, _up_part
+from hyperharmonic.spectral import FourierBasis, _down_part, _up_part
 
+import reference
 from boundary_reference import adjoint_matrix, boundary_matrix
 
 
@@ -283,7 +284,7 @@ class TestFourierBasis:
     def test_dense_arrays_alive_at_d_1001(self):
         """tracemalloc counts, in float64 d x d arrays: the operator is one, and
         the eigensolve plus its diagnostics, each assembling the operator
-        itself, peak at six."""
+        itself, peak at 3.13 (six with the dense reference diagnostics)."""
         import tracemalloc
 
         N, n = 13, 3
@@ -297,12 +298,14 @@ class TestFourierBasis:
             alive = (tracemalloc.get_traced_memory()[0] - base) / unit
             del L
             tracemalloc.reset_peak()
-            basis_diagnostics(S, fourier_basis(S, n))
+            basis = fourier_basis(S, n)
+            basis_diagnostics(S, basis)
             peak = (tracemalloc.get_traced_memory()[1] - base) / unit
         finally:
             tracemalloc.stop()
         assert 1.0 <= alive < 1.01
-        assert peak <= 6.1
+        assert peak <= 3.24
+        assert "forward" not in vars(basis) and "inverse" not in vars(basis)
 
     def test_inner_product_validation(self):
         with pytest.raises(ValidationError):
@@ -311,3 +314,51 @@ class TestFourierBasis:
     def test_kernel_dimension_of_zero_matrix(self):
         assert kernel_dimension(np.zeros(4)) == 4
         assert kernel_dimension(np.array([0.0, 1e-12, 1.0])) == 2
+
+
+class TestDiagnosticsAgainstDenseReference:
+    """``basis_diagnostics`` against the four-product check it replaced."""
+
+    def test_both_pass_on_random_weights(self):
+        rng = np.random.default_rng(59)
+        for N in range(1, 9):
+            S = random_structural_simplex(N, rng)
+            for n in range(1, N + 1):
+                basis = fourier_basis(S, n)
+                for check in (basis_diagnostics, reference.basis_diagnostics):
+                    residuals = check(S, basis)
+                    assert max(residuals.values()) <= 1e-13, (N, n, check, residuals)
+
+    @staticmethod
+    def shifted_eigenvalue(basis):
+        eigenvalues = basis.eigenvalues.copy()
+        eigenvalues[1] += 1e-8 * eigenvalues.max()
+        return eigenvalues, basis.eigenvectors
+
+    @staticmethod
+    def scaled(basis):
+        return basis.eigenvalues, basis.eigenvectors * (1 + 1e-9)
+
+    @staticmethod
+    def rotated_pair(basis):
+        Q, angle = basis.eigenvectors.copy(), 1e-6
+        first, last = Q[:, 0].copy(), Q[:, -1].copy()
+        Q[:, 0] = np.cos(angle) * first - np.sin(angle) * last
+        Q[:, -1] = np.sin(angle) * first + np.cos(angle) * last
+        return basis.eigenvalues, Q
+
+    @pytest.mark.parametrize("corrupt, keys", [
+        ("shifted_eigenvalue", {"diagonalization"}),
+        ("scaled", {"orthonormality", "inversion"}),
+        ("rotated_pair", {"diagonalization"}),
+    ])
+    def test_both_fail_in_the_same_key_on_corrupted_bases(self, corrupt, keys):
+        rng = np.random.default_rng(61)
+        for N, n in ((5, 2), (7, 3), (8, 1)):
+            S = random_structural_simplex(N, rng)
+            basis = fourier_basis(S, n)
+            eigenvalues, Q = getattr(self, corrupt)(basis)
+            bad = FourierBasis(n, eigenvalues, Q, basis.weights)
+            for check in (basis_diagnostics, reference.basis_diagnostics):
+                residuals = check(S, bad)
+                assert all(residuals[key] > 1e-10 for key in keys), (N, n, check, residuals)
