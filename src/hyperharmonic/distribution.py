@@ -416,18 +416,29 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     Each column is mapped through rank/(T+1) (average ranks on ties) and the
     standard-normal quantile function; the model is the sample correlation of
     the transformed columns. Depends on the data only through column orderings.
+    The table is not written: the fit works on one stacked copy.
     """
-    T = table.num_samples
+    return _copula_fit(np.column_stack(table.columns), table.variable_names)
+
+
+def _copula_fit(X: np.ndarray, names) -> GaussianModel:
+    """``copula_gaussian_fit`` of the (T, V) float64 samples X, made in X's
+    buffer, which ends up holding the centered normal scores. The correlation
+    takes the float steps of ``np.corrcoef(X, rowvar=False)`` in order."""
+    T = len(X)
     if T < 3:
         raise ValidationError(f"need at least 3 samples to fit a copula, got {T}")
-    scores = []
-    for name, col in zip(table.variable_names, table.columns):
-        if np.ptp(col) == 0.0:
+    for j, name in enumerate(names):
+        if np.ptp(X[:, j]) == 0.0:
             raise EstimationError(f"column {name!r} is constant; rank transform undefined")
-        scores.append(_normal_scores(T)[(2.0 * average_ranks(col)).astype(np.int64) - 2])
-    Z = np.column_stack(scores)
-    R = np.corrcoef(Z, rowvar=False)
-    R = np.atleast_2d(R)
+        X[:, j] = _normal_scores(T)[(2.0 * average_ranks(X[:, j])).astype(np.int64) - 2]
+    X -= X.mean(axis=0)
+    R = np.dot(X.T, X)
+    R *= np.true_divide(1, T - 1)
+    stddev = np.sqrt(np.diag(R))
+    R /= stddev[:, None]
+    R /= stddev[None, :]
+    np.clip(R, -1, 1, out=R)
     R = (R + R.T) / 2.0
     np.fill_diagonal(R, 1.0)
     return GaussianModel(correlation_matrix=R)

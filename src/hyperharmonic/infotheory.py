@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from enum import Enum
 
 import numpy as np
@@ -46,10 +45,10 @@ class EntropyOracle:
 
     Backed either by marginalization of a sparse ``JointDistribution`` or by
     the closed Gaussian form of a ``GaussianModel``. ``table(k)`` holds the
-    entropies in nats of all k-subsets; each level is filled once, under a
-    lock, so threads may share an oracle. Storage is bounded by the 2**V - 1
-    non-empty subsets. ``regularized_subsets`` records the Gaussian subsets of
-    the filled levels whose entropy needed the diagonal regularization.
+    entropies in nats of all k-subsets; each level is filled once. Storage is
+    bounded by the 2**V - 1 non-empty subsets. ``regularized_subsets`` records
+    the Gaussian subsets of the filled levels whose entropy needed the diagonal
+    regularization.
 
     ``units`` ('bits' or 'nats') is the unit of every value the oracle
     reports: ``entropy``, ``measure_values`` and the measures built on them.
@@ -68,7 +67,6 @@ class EntropyOracle:
         self.log_base = _LOG_OF_BASE[units]
         self.regularized_subsets: set[tuple[int, ...]] = set()
         self._levels: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     @property
     def num_variables(self) -> int:
@@ -81,14 +79,11 @@ class EntropyOracle:
             return level
         if not 1 <= k <= self.num_variables:
             raise ValidationError(f"subset size {k} out of range [1, {self.num_variables}]")
-        with self._lock:
-            level = self._levels.get(k)
-            if level is None:
-                subsets = enumerate_simplices(self.num_variables - 1, k - 1)
-                level, regularized = dist_mod.subset_entropies_nats(self.source, subsets)
-                level.flags.writeable = False
-                self.regularized_subsets.update(map(tuple, subsets[regularized].tolist()))
-                self._levels[k] = level
+        subsets = enumerate_simplices(self.num_variables - 1, k - 1)
+        level, regularized = dist_mod.subset_entropies_nats(self.source, subsets)
+        level.flags.writeable = False
+        self.regularized_subsets.update(map(tuple, subsets[regularized].tolist()))
+        self._levels[k] = level
         return level
 
     def entropy(self, subset) -> float:

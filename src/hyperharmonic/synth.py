@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import ContinuousSeriesTable, copula_gaussian_fit
+from .distribution import ContinuousSeriesTable, _copula_fit
 from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind
 from .jsonio import csv_writer
@@ -64,35 +64,51 @@ class RankedCovariance:
 
 def random_rank_covariance(size: int, rank: int, seed) -> RankedCovariance:
     """Draw M with iid standard-normal entries, form A = M M^T, zero all but
-    the ``rank`` largest eigenvalues, and reassemble."""
+    the ``rank`` largest eigenvalues, and reassemble.
+
+    A draw whose kept eigenvalues span more than 1 / RANK_TOLERANCE misses its
+    declared rank; it is drawn again from the same stream, at most three times.
+    """
     if not 1 <= rank <= size:
         raise ValidationError(f"rank must lie in [1, {size}], got {rank}")
     rng = as_rng(seed)
-    M = rng.standard_normal((size, size))
-    A = M @ M.T
-    eigenvalues, V = np.linalg.eigh(A)
-    eigenvalues = eigenvalues.copy()
-    eigenvalues[: size - rank] = 0.0
-    C = (V * eigenvalues) @ V.T
-    return RankedCovariance(size=size, rank=rank, matrix=(C + C.T) / 2.0)
+    for _ in range(3):
+        M = rng.standard_normal((size, size))
+        eigenvalues, V = np.linalg.eigh(M @ M.T)
+        eigenvalues[: size - rank] = 0.0
+        C = (V * eigenvalues) @ V.T
+        try:
+            return RankedCovariance(size=size, rank=rank, matrix=(C + C.T) / 2.0)
+        except ValidationError:  # (C + C.T) / 2 is symmetric, so only the rank can miss
+            continue
+    raise NumericalError(f"covariance draw missed rank {rank} three times in a row")
 
 
 def sample_gaussian(cov: RankedCovariance, num_samples: int, seed) -> ContinuousSeriesTable:
     """Draw zero-mean Gaussian samples via the eigenfactor transform."""
     if num_samples < 1:
         raise ValidationError(f"need at least one sample, got {num_samples}")
-    rng = as_rng(seed)
-    eigenvalues, V = np.linalg.eigh(cov.matrix)
-    # Eigenvalues below the rank tolerance are reconstruction dust; zeroing
-    # them keeps the samples inside the span the declared rank promises.
-    cut = RANK_TOLERANCE * max(float(eigenvalues.max(initial=0.0)), 0.0)
-    eigenvalues = np.where(eigenvalues < cut, 0.0, eigenvalues)
-    Z = rng.standard_normal((num_samples, cov.size))
-    X = Z @ (V * np.sqrt(eigenvalues)).T
+    X = _gaussian_draw(cov, num_samples, as_rng(seed))
     return ContinuousSeriesTable(
         variable_names=tuple(f"X{i}" for i in range(cov.size)),
         columns=tuple(X[:, i] for i in range(cov.size)),
     )
+
+
+def _gaussian_draw(cov: RankedCovariance, num_samples: int, rng) -> np.ndarray:
+    """The (T, V) samples of ``sample_gaussian``, transformed in the draw's buffer."""
+    eigenvalues, V = np.linalg.eigh(cov.matrix)
+    # Eigenvalues below the rank tolerance are reconstruction dust; zeroing
+    # them keeps the samples inside the span the declared rank promises.
+    cut = RANK_TOLERANCE * max(float(eigenvalues.max(initial=0.0)), 0.0)
+    factor = (V * np.sqrt(np.where(eigenvalues < cut, 0.0, eigenvalues))).T
+    X = rng.standard_normal((num_samples, cov.size))
+    # Row blocks bound the product's temporary. No block has one row unless
+    # T = 1: NumPy multiplies a single row with gemv, which rounds unlike gemm.
+    edges = [*range(0, max(num_samples - 1, 1), 1024), num_samples]
+    for start, stop in zip(edges, edges[1:]):
+        X[start:stop] = X[start:stop] @ factor
+    return X
 
 
 @dataclass
@@ -176,8 +192,9 @@ def rank_experiment(
         for rep in range(replicates):
             try:
                 cov = random_rank_covariance(size, rank, derive_rng(base_seed, rank, rep, 0))
-                table = sample_gaussian(cov, num_samples, derive_rng(base_seed, rank, rep, 1))
-                model = copula_gaussian_fit(table)
+                X = _gaussian_draw(cov, num_samples, derive_rng(base_seed, rank, rep, 1))
+                model = _copula_fit(X, [f"X{i}" for i in range(size)])
+                del X
                 oracle = EntropyOracle(model)
                 mi = similarity_matrix(oracle, SimilarityMetric.MUTUAL_INFORMATION)
                 simplex = structural_weights(mi)

@@ -3,6 +3,11 @@
 - ``marginalize``, ``entropy_nats``, ``entropy`` and ``gaussian_entropy_nats``
   compute one subset's entropy at a time. The package fills whole levels with
   ``distribution.subset_entropies_nats``, which must equal them.
+- ``sample_gaussian`` and ``copula_gaussian_fit`` drew the whole sample
+  array and then multiplied it by the covariance factor, and fitted the copula
+  from a list of score columns, a stacked copy and ``np.corrcoef``. The
+  package transforms the draw in its own buffer and correlates in the same
+  buffer; both must equal these bit for bit.
 - ``basis_diagnostics`` is the dense residual check that built ``forward``
   and ``inverse`` and ran four d x d products. The package's version runs
   two, and both must pass and fail on the same bases.
@@ -12,15 +17,25 @@ import math
 
 import numpy as np
 
-from hyperharmonic import JointDistribution, NumericalError
+from hyperharmonic import (
+    ContinuousSeriesTable,
+    EstimationError,
+    JointDistribution,
+    NumericalError,
+    ValidationError,
+)
 from hyperharmonic.distribution import (
     _LOG_TWO_PI_E,
     GAUSSIAN_DIAGONAL_REGULARIZATION,
     GaussianModel,
+    _normal_scores,
+    average_ranks,
     distinct_rows,
 )
+from hyperharmonic.seeding import as_rng
 from hyperharmonic.simplices import StructuralSimplex, validate_simplex
 from hyperharmonic.spectral import FourierBasis, laplacian
+from hyperharmonic.synth import RANK_TOLERANCE, RankedCovariance
 
 
 def marginalize(dist: JointDistribution, subset) -> JointDistribution:
@@ -62,6 +77,47 @@ def gaussian_entropy_nats(model: GaussianModel, subset) -> tuple[float, bool]:
         raw_sign <= 0 or not np.isfinite(raw_logdet) or abs(logdet - raw_logdet) > 1e-6
     )
     return 0.5 * (k * _LOG_TWO_PI_E + logdet), needed_regularization
+
+
+def sample_gaussian(cov: RankedCovariance, num_samples: int, seed) -> ContinuousSeriesTable:
+    """Draw zero-mean Gaussian samples via the eigenfactor transform."""
+    if num_samples < 1:
+        raise ValidationError(f"need at least one sample, got {num_samples}")
+    rng = as_rng(seed)
+    eigenvalues, V = np.linalg.eigh(cov.matrix)
+    # Eigenvalues below the rank tolerance are reconstruction dust; zeroing
+    # them keeps the samples inside the span the declared rank promises.
+    cut = RANK_TOLERANCE * max(float(eigenvalues.max(initial=0.0)), 0.0)
+    eigenvalues = np.where(eigenvalues < cut, 0.0, eigenvalues)
+    Z = rng.standard_normal((num_samples, cov.size))
+    X = Z @ (V * np.sqrt(eigenvalues)).T
+    return ContinuousSeriesTable(
+        variable_names=tuple(f"X{i}" for i in range(cov.size)),
+        columns=tuple(X[:, i] for i in range(cov.size)),
+    )
+
+
+def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
+    """Fit a Gaussian copula: rank-transform columns, correlate the scores.
+
+    Each column is mapped through rank/(T+1) (average ranks on ties) and the
+    standard-normal quantile function; the model is the sample correlation of
+    the transformed columns. Depends on the data only through column orderings.
+    """
+    T = table.num_samples
+    if T < 3:
+        raise ValidationError(f"need at least 3 samples to fit a copula, got {T}")
+    scores = []
+    for name, col in zip(table.variable_names, table.columns):
+        if np.ptp(col) == 0.0:
+            raise EstimationError(f"column {name!r} is constant; rank transform undefined")
+        scores.append(_normal_scores(T)[(2.0 * average_ranks(col)).astype(np.int64) - 2])
+    Z = np.column_stack(scores)
+    R = np.corrcoef(Z, rowvar=False)
+    R = np.atleast_2d(R)
+    R = (R + R.T) / 2.0
+    np.fill_diagonal(R, 1.0)
+    return GaussianModel(correlation_matrix=R)
 
 
 def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:

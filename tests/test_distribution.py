@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperharmonic import (
@@ -384,6 +384,12 @@ class TestCopulaFit:
         )
         assert model.correlation_matrix[0, 1] == pytest.approx(-1.0, abs=1e-6)
 
+    def test_table_is_left_unchanged(self):
+        X = np.random.default_rng(6).standard_normal((500, 3))
+        before = X.tobytes()
+        copula_gaussian_fit(ContinuousSeriesTable(("a", "b", "c"), tuple(X.T)))
+        assert X.tobytes() == before
+
     def test_constant_column_rejected(self):
         with pytest.raises(EstimationError):
             copula_gaussian_fit(
@@ -444,13 +450,17 @@ class TestNormalScores:
             table[0] = 0.0
 
     @given(
-        st.integers(3, 60).flatmap(
-            lambda T: st.lists(
-                st.lists(st.integers(0, 4), min_size=T, max_size=T), min_size=2, max_size=4
+        st.tuples(st.integers(3, 60), st.integers(1, 4)).flatmap(
+            lambda shape: st.lists(
+                st.lists(st.integers(0, shape[1]), min_size=shape[0], max_size=shape[0]),
+                min_size=1, max_size=4,
             )
         )
     )
-    @settings(max_examples=60, deadline=None)
+    @example([[0, 1, 1]])
+    @example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    @example([[0] * 59 + [1], [1] + [0] * 59])
+    @settings(max_examples=80, deadline=None)
     def test_fit_equals_scipy_reference_with_ties(self, columns):
         from scipy.special import ndtri
         from scipy.stats import rankdata
@@ -459,7 +469,7 @@ class TestNormalScores:
         assume(all(np.ptp(c) > 0 for c in cols))
         T = len(cols[0])
         Z = np.column_stack([ndtri(rankdata(c) / (T + 1)) for c in cols])
-        R = np.corrcoef(Z, rowvar=False)
+        R = np.atleast_2d(np.corrcoef(Z, rowvar=False))
         R = (R + R.T) / 2.0
         np.fill_diagonal(R, 1.0)
         model = copula_gaussian_fit(

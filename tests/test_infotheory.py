@@ -59,48 +59,6 @@ class TestOracle:
                 oracle.entropy(s)
         assert sum(len(level) for level in oracle._levels.values()) == 7
 
-    def test_each_level_is_filled_once_under_contention(self, monkeypatch):
-        import sys
-        import threading
-        import time
-
-        from hyperharmonic import distribution
-
-        filled = []
-        batched = distribution.subset_entropies_nats
-
-        def counting(source, subsets):
-            filled.append(subsets.shape[1])
-            time.sleep(0.01)  # widen the window in which a second fill could start
-            return batched(source, subsets)
-
-        monkeypatch.setattr(distribution, "subset_entropies_nats", counting)
-        dist, _ = random_pmf(np.random.default_rng(5), (2, 3, 2, 2, 3))
-        oracle = EntropyOracle(dist)
-        seen = [[] for _ in range(16)]
-        start = threading.Barrier(len(seen), timeout=60)
-
-        def worker(out):
-            start.wait()
-            for k in range(1, 6):
-                out.append(oracle.table(k))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(out,)) for out in seen]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(filled) == [1, 2, 3, 4, 5]
-        for out in seen:
-            assert len(out) == 5
-            assert all(a is b for a, b in zip(out, seen[0]))
-
     def test_unit_belongs_to_each_oracle(self):
         dist, _ = xor_triple()
         nats = EntropyOracle(dist, units="nats")
@@ -139,22 +97,6 @@ class TestOracle:
         assert (0, 1) in oracle.regularized_subsets
         oracle.entropy((0, 2))
         assert (0, 2) not in oracle.regularized_subsets
-
-    def test_concurrent_queries_match_serial(self):
-        import concurrent.futures
-
-        dist, _ = random_pmf(np.random.default_rng(55), (2, 2, 2, 2))
-        serial_oracle = EntropyOracle(dist)
-        serial = signal_sweep(serial_oracle, 2, MeasureKind.S_INFORMATION)
-        shared = EntropyOracle(dist)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(signal_sweep, shared, 2, MeasureKind.S_INFORMATION)
-                for _ in range(8)
-            ]
-            results = [f.result() for f in futures]
-        for got in results:
-            assert np.array_equal(got, serial)
 
 
 def random_correlation(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from hyperharmonic import (
     sample_gaussian,
     total_correlation,
 )
-from hyperharmonic import spectral, synth
+from hyperharmonic import distribution, spectral, synth
+from hyperharmonic.seeding import derive_rng
 from hyperharmonic.synth import RANK_TOLERANCE, RankedCovariance
+
+import reference
 
 
 class TestRankedCovariance:
@@ -42,6 +46,22 @@ class TestRankedCovariance:
         cov = random_rank_covariance(5, 2, seed=3)
         with pytest.raises(ValidationError):
             RankedCovariance(size=5, rank=4, matrix=cov.matrix)
+
+    def test_draw_that_misses_full_rank_is_drawn_again(self):
+        first = derive_rng(219, 9, 6, 0).standard_normal((9, 9))
+        eigs = np.linalg.eigvalsh(first @ first.T)
+        assert eigs.min() < RANK_TOLERANCE * eigs.max()
+        cov = random_rank_covariance(9, 9, derive_rng(219, 9, 6, 0))
+        eigs = np.linalg.eigvalsh(cov.matrix)
+        assert np.all(eigs > RANK_TOLERANCE * eigs.max())
+
+    def test_three_misses_raise_numerical_error(self, monkeypatch):
+        def miss(**kwargs):
+            raise ValidationError("numerical rank 8 does not match declared rank 9")
+
+        monkeypatch.setattr(synth, "RankedCovariance", miss)
+        with pytest.raises(NumericalError, match="three times"):
+            random_rank_covariance(9, 9, seed=0)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -71,6 +91,29 @@ class TestSampleGaussian:
         table = sample_gaussian(cov, 50, seed=19)
         X = np.column_stack(table.columns)
         assert np.linalg.matrix_rank(X, tol=1e-8) == 1
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 1024, 1025, 1026, 2049, 10_000])
+    def test_blocked_draw_equals_reference(self, T):
+        for rank in (1, 4, 9):
+            cov = random_rank_covariance(9, rank, seed=T)
+            got = sample_gaussian(cov, T, seed=rank)
+            want = reference.sample_gaussian(cov, T, seed=rank)
+            assert np.column_stack(got.columns).tobytes() \
+                == np.column_stack(want.columns).tobytes(), rank
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_replicate_draw_and_fit_equal_reference(self, seed):
+        """Every replicate of ``control-synth --ranks 2,9 --replicates 10
+        --samples 10000 --size 9 --seed <seed>``, as ``rank_experiment`` runs it."""
+        for rank in (2, 9):
+            for rep in range(10):
+                cov = random_rank_covariance(9, rank, derive_rng(seed, rank, rep, 0))
+                X = synth._gaussian_draw(cov, 10_000, derive_rng(seed, rank, rep, 1))
+                table = reference.sample_gaussian(cov, 10_000, derive_rng(seed, rank, rep, 1))
+                assert X.tobytes() == np.column_stack(table.columns).tobytes(), (rank, rep)
+                got = synth._copula_fit(X, table.variable_names).correlation_matrix
+                want = reference.copula_gaussian_fit(table).correlation_matrix
+                assert got.tobytes() == want.tobytes(), (rank, rep)
 
 
 class TestGaussianOracleCrossCheck:
@@ -144,6 +187,23 @@ class TestRankExperiment:
         )
         assert sorted(filled, key=lambda shape: shape[1]) == [(9, 1), (36, 2), (84, 3), (126, 4)]
 
+    def test_replicate_holds_one_sample_array(self):
+        T, V = 10_000, 9
+        kwargs = dict(ranks=(9,), replicates=1, size=V, dimensions=(2,),
+                      measures=(MeasureKind.O_INFORMATION,))
+        rank_experiment(num_samples=50, **kwargs)  # fill the caches that do not scale with T
+        distribution._normal_scores.cache_clear()
+        tracemalloc.start()
+        try:
+            rank_experiment(num_samples=T, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The draw, the score table (2T - 1 floats) and per-column rank
+        # temporaries: 2.70 arrays of T x V float64. A stacked copy of the
+        # scores and the copy np.corrcoef makes took it to 4.33.
+        assert peak / (T * V * 8) <= 3.0
+
     def test_curves_equal_those_of_diagnosed_bases(self, monkeypatch):
         kwargs = dict(ranks=(2, 9), replicates=2, num_samples=2000, base_seed=3)
         plain = rank_experiment(**kwargs)
@@ -205,7 +265,7 @@ class TestRankExperiment:
         def fail(*args, **kwargs):
             raise ValidationError("bad table")
 
-        monkeypatch.setattr(synth, "copula_gaussian_fit", fail)
+        monkeypatch.setattr(synth, "_copula_fit", fail)
         with pytest.raises(ValidationError, match="rank 2, replicate 0"):
             rank_experiment(
                 ranks=(2,), replicates=1, num_samples=50, base_seed=0,
@@ -216,7 +276,7 @@ class TestRankExperiment:
         def fail(*args, **kwargs):
             raise NumericalError("boom")
 
-        monkeypatch.setattr(synth, "sample_gaussian", fail)
+        monkeypatch.setattr(synth, "_gaussian_draw", fail)
         with pytest.raises(NumericalError, match=r"^rank 2, replicate 0: boom$"):
             rank_experiment(ranks=(2,), replicates=1, num_samples=50, size=4, dimensions=(2,))
 
@@ -226,7 +286,7 @@ class TestRankExperiment:
         def fail(*args, **kwargs):
             raise original
 
-        monkeypatch.setattr(synth, "sample_gaussian", fail)
+        monkeypatch.setattr(synth, "_gaussian_draw", fail)
         with pytest.raises(UnicodeDecodeError) as excinfo:
             rank_experiment(ranks=(2,), replicates=1, num_samples=50, size=4, dimensions=(2,))
         assert excinfo.value is original
