@@ -45,7 +45,6 @@ from .simplices import (
 )
 from .spectral import (
     FourierBasis,
-    WeightedInnerProduct,
     basis_diagnostics,
     fourier_basis,
     kernel_dimension,
@@ -90,7 +89,6 @@ __all__ = [
     "StructuralSimplex",
     "ValidationError",
     "WeightAggregator",
-    "WeightedInnerProduct",
     "basis_diagnostics",
     "boundary_faces",
     "build_signal",

@@ -95,6 +95,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in _parse_str_list(text))
 
 
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 _CONFIG_PARSERS = {
     "input": str,
     "kind": str,
@@ -252,25 +259,15 @@ def read_basis(path) -> spectral.FourierBasis:
         eigenvalues = np.array(payload["eigenvalues"], dtype=float)
         weights = np.array(payload["weights"], dtype=float)
         dimension = int(payload["dimension"])
-        spectral.WeightedInnerProduct(dimension, weights)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed basis header: {exc!r}") from exc
-    d = weights.size
-    if eigenvalues.shape != (d,):
-        raise ValidationError(
-            f"{path}: {eigenvalues.size} eigenvalues for {d} weights; expected one per weight"
-        )
     Q = read_sidecar(path, name, "eigenvector matrix")
-    if Q.dtype != np.float64 or Q.shape != (d, d):
-        raise ValidationError(
-            f"{path}: eigenvector matrix {name} is {Q.dtype} {Q.shape}, expected float64 {(d, d)}"
-        )
-    return spectral.FourierBasis(
-        dimension=dimension,
-        eigenvalues=eigenvalues,
-        eigenvectors=Q,
-        weights=weights,
-    )
+    if Q.dtype != np.float64:
+        raise ValidationError(f"{path}: eigenvector matrix {name} is {Q.dtype}, expected float64")
+    try:
+        return spectral.FourierBasis(dimension, eigenvalues, Q, weights)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _weights_payload(simplex: simplices.StructuralSimplex, similarity, config) -> dict:
@@ -423,7 +420,7 @@ def cmd_control_random(args) -> int:
 
 
 def cmd_control_synth(args) -> int:
-    dims = args.dimensions or synth.DEFAULT_DIMENSIONS
+    dims = _resolved_dimensions(args.dimensions, args.size - 1)
     measures = _parse_measures(args.measures)
     synth.check_experiment(args.ranks, args.replicates, args.samples, args.size, dims, measures)
     outdir = _resolve_output_dir(args.output_dir)
@@ -616,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", required=True)
     p.add_argument("--num-random", dest="num_random", type=int,
                    default=transform.DEFAULT_RANDOM_BASES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--orthonormality", choices=("w", "euclidean"), default="w")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_control_random)
@@ -628,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=synth.DEFAULT_SIZE)
     p.add_argument("--dimensions", type=_parse_int_list, default=())
     p.add_argument("--measures", type=_parse_str_list, default=PipelineConfig.measures)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_control_synth)
 

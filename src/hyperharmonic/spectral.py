@@ -19,7 +19,6 @@ assemble it themselves.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,30 +36,13 @@ EIGENVALUE_NOISE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
-class WeightedInnerProduct:
-    """Diagonal inner product <x, y> = sum_i w_i x_i y_i on n-signals."""
-
-    dimension: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("weights must be a non-empty vector")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValidationError("inner-product weights must be finite and > 0")
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
 class FourierBasis:
     """Eigenvalues and the eigenvectors of the whitened operator W^(1/2) L W^(-1/2).
 
-    ``eigenvectors`` is the orthonormal matrix Q; the change-of-basis matrices
-    derive from it and the weights on first use. The columns of ``inverse`` are
-    the eigenvectors of L, orthonormal for the weighted inner product:
-    inverse^T W inverse = I. ``forward @ inverse`` is the identity, and
-    ``forward @ L @ inverse`` is diagonal.
+    ``eigenvectors`` is the orthonormal matrix Q. With the weights it fixes
+    both changes of basis: Q^T W^(1/2) takes canonical coefficients to Fourier
+    ones and W^(-1/2) Q takes them back. The columns of W^(-1/2) Q are the
+    eigenvectors of L, orthonormal for the inner product <x, y> = sum_i w_i x_i y_i.
     """
 
     dimension: int
@@ -68,20 +50,13 @@ class FourierBasis:
     eigenvectors: np.ndarray
     weights: np.ndarray
 
-    @functools.cached_property
-    def forward(self) -> np.ndarray:
-        """Q^T W^(1/2): canonical coefficients to Fourier coefficients (read-only)."""
-        return _read_only(self.eigenvectors.T * np.sqrt(self.weights)[None, :])
-
-    @functools.cached_property
-    def inverse(self) -> np.ndarray:
-        """W^(-1/2) Q: Fourier coefficients back to canonical ones (read-only)."""
-        return _read_only(self.eigenvectors / np.sqrt(self.weights)[:, None])
-
-
-def _read_only(matrix: np.ndarray) -> np.ndarray:
-    matrix.setflags(write=False)
-    return matrix
+    def __post_init__(self):
+        w, d = self.weights, self.weights.size
+        if w.ndim != 1 or d == 0 or not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise ValidationError("weights must be a non-empty vector, finite and > 0")
+        if self.eigenvalues.shape != (d,) or self.eigenvectors.shape != (d, d):
+            raise ValidationError(f"{d} weights need {d} eigenvalues and a {(d, d)} matrix, got "
+                                  f"{self.eigenvalues.shape} and {self.eigenvectors.shape}")
 
 
 def check_dense_dimension(N: int, n: int) -> int:
@@ -205,9 +180,9 @@ def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:
     ``self_adjointness`` is the relative asymmetry of W L, zero for a
     self-adjoint L. With S = W^(1/2) L W^(-1/2), ``diagonalization`` is
     |S Q - Q diag(eigenvalues)| / |L| and ``orthonormality`` the largest
-    entry of |Q^T Q - I|, which ``inversion`` repeats: ``forward @ inverse``
-    is Q^T Q in exact arithmetic, and neither is built. Besides Q, only the
-    operator buffer (L, then W L, then S) and one product buffer are alive.
+    entry of |Q^T Q - I|, which ``inversion`` repeats: the two changes of basis
+    multiply to Q^T Q in exact arithmetic. Besides Q, only the operator buffer
+    (L, then W L, then S) and one product buffer are alive.
     """
     Q, w = basis.eigenvectors, basis.weights
     operator = laplacian(simplex, basis.dimension)

@@ -26,7 +26,7 @@ from .simplices import (
     similarity_matrix,
     structural_weights,
 )
-from .spectral import check_dense_dimension, fourier_basis
+from .spectral import DENSE_DIMENSION_CAP, check_dense_dimension, fourier_basis
 from .transform import _cev_curve, build_signal, mean_with_band, to_fourier
 
 RANK_TOLERANCE = 1e-8
@@ -148,6 +148,9 @@ def check_experiment(ranks, replicates, num_samples, size, dimensions, measures)
         raise ValidationError(f"need at least one replicate, got {replicates}")
     if num_samples < 3:
         raise ValidationError(f"need at least 3 samples to fit a copula, got {num_samples}")
+    if num_samples * size > DENSE_DIMENSION_CAP**2:
+        raise CapacityError(
+            f"{num_samples} samples of {size} variables exceed {DENSE_DIMENSION_CAP}**2 entries")
     check_vertex_count(size - 1)
     dimensions = tuple(int(n) for n in dimensions)
     if any(not 2 <= n <= size - 1 for n in dimensions):

@@ -1,10 +1,10 @@
 """High-order signals, the spectral change of basis, and compression reports.
 
 A signal is a coefficient vector over the n-simplices in canonical order,
-tagged with the basis it is expressed in. ``to_fourier`` multiplies by the
-forward matrix of a ``FourierBasis``; because the basis is w-orthonormal, the
-energy of the Fourier coefficients equals the weighted norm of the canonical
-signal, which is what makes cumulative explained variance meaningful.
+tagged with the basis it is expressed in. ``to_fourier`` takes a signal's
+weighted inner products with the eigenvectors of a ``FourierBasis``; as they are
+w-orthonormal, the energy of the Fourier coefficients equals the weighted norm
+of the canonical signal, which is what makes cumulative explained variance meaningful.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, signal_sweep
 from .jsonio import csv_writer, read_json, require_keys, write_json
 from .seeding import as_rng, derive_rng
-from .spectral import DENSE_DIMENSION_CAP, FourierBasis, WeightedInnerProduct
+from .spectral import DENSE_DIMENSION_CAP, FourierBasis
 
 CANONICAL = "canonical"
 FOURIER = "fourier"
@@ -72,27 +72,23 @@ def _check_basis_match(signal: HighOrderSignal, basis: FourierBasis) -> None:
 
 
 def to_fourier(signal: HighOrderSignal, basis: FourierBasis) -> HighOrderSignal:
+    """Fourier coefficients Q^T W^(1/2) x of a canonical signal x."""
     if signal.basis != CANONICAL:
         raise ValidationError(f"expected a canonical-basis signal, got {signal.basis!r}")
     _check_basis_match(signal, basis)
-    return HighOrderSignal(
-        dimension=signal.dimension,
-        coefficients=basis.forward @ signal.coefficients,
-        basis=FOURIER,
-        measure=signal.measure,
-    )
+    forward = basis.eigenvectors.T * np.sqrt(basis.weights)[None, :]
+    return HighOrderSignal(signal.dimension, forward @ signal.coefficients, FOURIER,
+                           signal.measure)
 
 
 def from_fourier(signal: HighOrderSignal, basis: FourierBasis) -> HighOrderSignal:
+    """Canonical coefficients W^(-1/2) Q y of a Fourier signal y."""
     if signal.basis != FOURIER:
         raise ValidationError(f"expected a fourier-basis signal, got {signal.basis!r}")
     _check_basis_match(signal, basis)
-    return HighOrderSignal(
-        dimension=signal.dimension,
-        coefficients=basis.inverse @ signal.coefficients,
-        basis=CANONICAL,
-        measure=signal.measure,
-    )
+    inverse = basis.eigenvectors / np.sqrt(basis.weights)[:, None]
+    return HighOrderSignal(signal.dimension, inverse @ signal.coefficients, CANONICAL,
+                           signal.measure)
 
 
 @dataclass(frozen=True)
@@ -148,20 +144,16 @@ def cev_report(signal: HighOrderSignal) -> CevReport:
     return CevReport(sorted_ev=sorted_ev, cev=cev, components_at=components_at)
 
 
-def random_basis(
-    inner: WeightedInnerProduct, seed, orthonormality: str = "w"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded random basis pair (forward, inverse), w-orthonormal like a Fourier basis.
+def random_basis(basis: FourierBasis, seed, orthonormality: str = "w") -> np.ndarray:
+    """Seeded random forward matrix Q^T W^(1/2), with the weights W of ``basis``.
 
-    A standard-normal d x d matrix, d the number of weights of ``inner``, is
-    drawn and QR-orthonormalized (signs fixed so the draw is deterministic),
-    then scaled by W^(-1/2) so that inverse^T W inverse = I. With
-    ``orthonormality='euclidean'`` the plain orthonormal pair is returned
-    instead, for sensitivity analysis.
+    Q is a standard-normal d x d draw, QR-orthonormalized with signs fixed so
+    the draw is deterministic; its inverse W^(-1/2) Q is w-orthonormal like a
+    Fourier basis. ``orthonormality='euclidean'`` gives Q^T, for sensitivity analysis.
     """
     if orthonormality not in ("w", "euclidean"):
         raise ValidationError(f"unknown orthonormality mode {orthonormality!r}")
-    rng, d = as_rng(seed), inner.weights.size
+    rng, d = as_rng(seed), basis.weights.size
     Q = None
     for _ in range(3):
         draw = rng.standard_normal((d, d))
@@ -174,11 +166,8 @@ def random_basis(
     if Q is None:
         raise NumericalError("random basis draw was singular three times in a row")
     if orthonormality == "euclidean":
-        return Q.T.copy(), Q
-    root = np.sqrt(inner.weights)
-    inverse = Q / root[:, None]
-    forward = Q.T * root[None, :]
-    return forward, inverse
+        return Q.T.copy()
+    return Q.T * np.sqrt(basis.weights)[None, :]
 
 
 @dataclass(frozen=True)
@@ -215,10 +204,9 @@ def control_comparison(
     if signal.basis != CANONICAL:
         raise ValidationError("control comparison expects a canonical-basis signal")
     _, fourier_cev = _cev_curve(to_fourier(signal, basis).coefficients)
-    inner = WeightedInnerProduct(dimension=basis.dimension, weights=basis.weights)
     curves = np.empty((num_random, d))
     for k in range(num_random):
-        forward, _ = random_basis(inner, derive_rng(seed, k), orthonormality)
+        forward = random_basis(basis, derive_rng(seed, k), orthonormality)
         _, curves[k] = _cev_curve(forward @ signal.coefficients)
     mean, low, high = mean_with_band(curves)
     return ControlComparison(

@@ -8,6 +8,11 @@
   from a list of score columns, a stacked copy and ``np.corrcoef``. The
   package transforms the draw in its own buffer and correlates in the same
   buffer; both must equal these bit for bit.
+- ``forward_matrix`` and ``inverse_matrix`` are the change-of-basis matrices
+  Q^T W^(1/2) and W^(-1/2) Q that a ``FourierBasis`` cached, and
+  ``random_basis`` is the draw that returned both for a random basis.
+  ``to_fourier``, ``from_fourier`` and the package's ``random_basis`` apply
+  the same float operations, and their outputs must equal these bit for bit.
 - ``basis_diagnostics`` is the dense residual check that built ``forward``
   and ``inverse`` and ran four d x d products. The package's version runs
   two, and both must pass and fail on the same bases.
@@ -120,15 +125,55 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     return GaussianModel(correlation_matrix=R)
 
 
+def forward_matrix(basis: FourierBasis) -> np.ndarray:
+    """Q^T W^(1/2): canonical coefficients to Fourier coefficients."""
+    return basis.eigenvectors.T * np.sqrt(basis.weights)[None, :]
+
+
+def inverse_matrix(basis: FourierBasis) -> np.ndarray:
+    """W^(-1/2) Q: Fourier coefficients back to canonical ones."""
+    return basis.eigenvectors / np.sqrt(basis.weights)[:, None]
+
+
+def random_basis(inner, seed, orthonormality: str = "w") -> tuple[np.ndarray, np.ndarray]:
+    """Seeded random basis pair (forward, inverse), w-orthonormal like a Fourier basis.
+
+    A standard-normal d x d matrix, d the number of weights of ``inner``, is
+    drawn and QR-orthonormalized (signs fixed so the draw is deterministic),
+    then scaled by W^(-1/2) so that inverse^T W inverse = I. With
+    ``orthonormality='euclidean'`` the plain orthonormal pair is returned
+    instead, for sensitivity analysis.
+    """
+    if orthonormality not in ("w", "euclidean"):
+        raise ValidationError(f"unknown orthonormality mode {orthonormality!r}")
+    rng, d = as_rng(seed), inner.weights.size
+    Q = None
+    for _ in range(3):
+        draw = rng.standard_normal((d, d))
+        q, r = np.linalg.qr(draw)
+        rdiag = np.diag(r)
+        if np.min(np.abs(rdiag)) <= 1e-12 * max(np.max(np.abs(rdiag)), 1.0):
+            continue
+        Q = q * np.sign(rdiag)[None, :]
+        break
+    if Q is None:
+        raise NumericalError("random basis draw was singular three times in a row")
+    if orthonormality == "euclidean":
+        return Q.T.copy(), Q
+    root = np.sqrt(inner.weights)
+    inverse = Q / root[:, None]
+    forward = Q.T * root[None, :]
+    return forward, inverse
+
+
 def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:
     """The four residuals of ``basis`` as an eigenbasis of the Laplacian of ``simplex``.
 
     ``self_adjointness`` is the relative asymmetry of W L, which vanishes
-    exactly for a self-adjoint L. The basis's cached ``forward`` and
-    ``inverse`` are used and stay cached for later transforms. The d x d
-    products go into two reused buffers, and the identity or the eigenvalues
-    come off their diagonals in place: besides L and Q, at most four d x d
-    arrays are alive at once.
+    exactly for a self-adjoint L. ``forward`` and ``inverse`` are built from Q
+    and the weights. The d x d products go into two reused buffers, and the
+    identity or the eigenvalues come off their diagonals in place: besides L
+    and Q, at most four d x d arrays are alive at once.
     """
     L, w = laplacian(simplex, basis.dimension), basis.weights
     WL = w[:, None] * L
@@ -136,7 +181,7 @@ def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:
     self_adjointness = float(np.linalg.norm(WL - WL.T) / scale) if scale else 0.0
     del WL
     denom = max(float(np.linalg.norm(L)), np.finfo(float).tiny)
-    forward, inverse = basis.forward, basis.inverse
+    forward, inverse = forward_matrix(basis), inverse_matrix(basis)
     diagonal = np.diag_indices(w.size)
     product, result = np.empty(L.shape), np.empty(L.shape)
 

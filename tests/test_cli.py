@@ -1372,7 +1372,7 @@ class TestControlSynth:
         (["--replicates", "0"], EXIT_VALIDATION),
         (["--samples", "2"], EXIT_VALIDATION),
         (["--size", "20"], EXIT_CAPACITY),
-        (["--size", "3"], EXIT_VALIDATION),
+        (["--size", "3", "--dimensions", "3"], EXIT_VALIDATION),
         (["--ranks", "2,2"], EXIT_VALIDATION),
         (["--dimensions", "2,2"], EXIT_VALIDATION),
         (["--measures", "o_information,o_information"], EXIT_VALIDATION),
@@ -1383,4 +1383,33 @@ class TestControlSynth:
             "control-synth", "--ranks", "2", "--replicates", "1", "--samples", "50",
             *flags, "--output-dir", str(out),
         ]) == code
+        assert not out.exists()
+
+    def test_default_dimensions_follow_the_size(self, tmp_path):
+        out = tmp_path / "ctrl"
+        assert main([
+            "control-synth", "--size", "5", "--ranks", "2,5", "--replicates", "1",
+            "--samples", "300", "--output-dir", str(out),
+        ]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["dimensions"] == [2, 3, 4]
+
+    @pytest.mark.parametrize("command", ["control-synth", "control-random"])
+    def test_negative_seed_exits_before_any_work(self, tmp_path, command, capsys):
+        out = tmp_path / "ctrl"
+        argv = {"control-synth": ["--output-dir", str(out)],
+                "control-random": ["--signal", "s.json", "--basis", "b.json",
+                                   "--output", str(out)]}[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--seed", "-1", *argv])
+        assert excinfo.value.code == EXIT_VALIDATION
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_samples_give_capacity_exit(self, tmp_path, capsys):
+        out = tmp_path / "ctrl"
+        assert main([
+            "control-synth", "--ranks", "2", "--replicates", "1",
+            "--samples", "100000000000", "--output-dir", str(out),
+        ]) == EXIT_CAPACITY
+        assert "exceed" in capsys.readouterr().err
         assert not out.exists()

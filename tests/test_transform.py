@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hyperharmonic import (
     NumericalError,
     SimilarityMetric,
     ValidationError,
-    WeightedInnerProduct,
     build_signal,
     cev_report,
     control_comparison,
@@ -23,6 +23,7 @@ from hyperharmonic import (
     structural_weights,
     to_fourier,
 )
+from hyperharmonic.spectral import FourierBasis
 from hyperharmonic.transform import (
     CANONICAL,
     FOURIER,
@@ -32,8 +33,20 @@ from hyperharmonic.transform import (
     write_signal,
 )
 
+import reference
 from conftest import random_pmf, xor_triple
 from test_spectral import random_structural_simplex
+
+
+def weighted(weights) -> FourierBasis:
+    """A basis that only carries ``weights``, for ``random_basis``."""
+    d = weights.size
+    return FourierBasis(1, np.zeros(d), np.eye(d), weights)
+
+
+@pytest.fixture(scope="module")
+def basis_1001():
+    return fourier_basis(random_structural_simplex(13, np.random.default_rng(61)), 3)
 
 
 class TestBuildSignal:
@@ -87,7 +100,8 @@ class TestFourierRoundTrip:
         S = random_structural_simplex(4, rng)
         basis = fourier_basis(S, 2)
         j = 3
-        signal = HighOrderSignal(dimension=2, coefficients=basis.inverse[:, j].copy())
+        signal = HighOrderSignal(dimension=2,
+                                 coefficients=reference.inverse_matrix(basis)[:, j].copy())
         hat = to_fourier(signal, basis)
         expected = np.zeros(signal.size)
         expected[j] = 1.0
@@ -101,12 +115,6 @@ class TestFourierRoundTrip:
         zero = HighOrderSignal(dimension=1, coefficients=np.zeros(6))
         assert np.array_equal(to_fourier(zero, basis).coefficients, np.zeros(6))
 
-    def test_inverse_transform_leaves_the_forward_matrix_unbuilt(self):
-        basis = fourier_basis(random_structural_simplex(3, np.random.default_rng(4)), 1)
-        from_fourier(HighOrderSignal(dimension=1, coefficients=np.ones(6), basis=FOURIER), basis)
-        assert "inverse" in basis.__dict__
-        assert "forward" not in basis.__dict__
-
     def test_round_trip_identity(self):
         rng = np.random.default_rng(3)
         for N in range(2, 7):
@@ -114,7 +122,7 @@ class TestFourierRoundTrip:
             for n in range(1, N + 1):
                 basis = fourier_basis(S, n)
                 for _ in range(10):
-                    coeffs = rng.standard_normal(basis.forward.shape[1])
+                    coeffs = rng.standard_normal(basis.weights.size)
                     signal = HighOrderSignal(dimension=n, coefficients=coeffs)
                     back = from_fourier(to_fourier(signal, basis), basis)
                     scale = max(np.max(np.abs(coeffs)), 1.0)
@@ -126,7 +134,7 @@ class TestFourierRoundTrip:
             S = random_structural_simplex(N, rng)
             for n in range(1, N + 1):
                 basis = fourier_basis(S, n)
-                coeffs = rng.standard_normal(basis.forward.shape[1])
+                coeffs = rng.standard_normal(basis.weights.size)
                 signal = HighOrderSignal(dimension=n, coefficients=coeffs)
                 hat = to_fourier(signal, basis)
                 energy = float(np.sum(hat.coefficients**2))
@@ -200,36 +208,83 @@ class TestCevReport:
 
 class TestRandomBasis:
     def test_deterministic_per_seed(self):
-        inner = WeightedInnerProduct(dimension=1, weights=np.ones(8))
-        a_fwd, a_inv = random_basis(inner, seed=42)
-        b_fwd, b_inv = random_basis(inner, seed=42)
+        basis = weighted(np.ones(8))
+        a_fwd = random_basis(basis, seed=42)
+        b_fwd = random_basis(basis, seed=42)
         assert np.array_equal(a_fwd, b_fwd)
-        assert np.array_equal(a_inv, b_inv)
-        c_fwd, _ = random_basis(inner, seed=43)
+        c_fwd = random_basis(basis, seed=43)
         assert not np.array_equal(a_fwd, c_fwd)
 
     def test_w_orthonormality_over_seeds(self):
         rng = np.random.default_rng(9)
         for d in (1, 3, 10, 40, 126):
             weights = rng.uniform(0.1, 5.0, size=d)
-            inner = WeightedInnerProduct(dimension=1, weights=weights)
+            basis = weighted(weights)
             for seed in range(20 if d <= 10 else 3):
-                forward, inverse = random_basis(inner, seed=seed)
+                forward = random_basis(basis, seed=seed)
+                _, inverse = reference.random_basis(basis, seed=seed)
                 gram = inverse.T @ (weights[:, None] * inverse)
                 assert np.max(np.abs(gram - np.eye(d))) < 1e-8
                 assert np.max(np.abs(forward @ inverse - np.eye(d))) < 1e-10
 
     def test_single_component(self):
-        inner = WeightedInnerProduct(dimension=0, weights=np.array([4.0]))
-        forward, inverse = random_basis(inner, seed=0)
+        basis = weighted(np.array([4.0]))
+        forward = random_basis(basis, seed=0)
+        _, inverse = reference.random_basis(basis, seed=0)
         assert inverse[0, 0] == pytest.approx(0.5)
         assert forward[0, 0] == pytest.approx(2.0)
 
     def test_euclidean_mode(self):
-        inner = WeightedInnerProduct(dimension=1, weights=np.full(5, 3.0))
-        forward, inverse = random_basis(inner, seed=1, orthonormality="euclidean")
+        basis = weighted(np.full(5, 3.0))
+        forward = random_basis(basis, seed=1, orthonormality="euclidean")
+        _, inverse = reference.random_basis(basis, seed=1, orthonormality="euclidean")
         assert np.max(np.abs(inverse.T @ inverse - np.eye(5))) < 1e-10
         assert np.max(np.abs(forward @ inverse - np.eye(5))) < 1e-10
+
+
+class TestAgainstCachedMatrices:
+    """The products against the change-of-basis matrices a basis once cached."""
+
+    @pytest.fixture(params=[1, 56, 330, 1001])
+    def basis(self, request, basis_1001):
+        if request.param == 1001:
+            return basis_1001
+        N, n = {1: (2, 2), 56: (7, 2), 330: (10, 3)}[request.param]
+        return fourier_basis(random_structural_simplex(N, np.random.default_rng(N)), n)
+
+    def test_transforms_are_bit_identical(self, basis):
+        d = basis.weights.size
+        for seed in range(3):
+            coeffs = np.random.default_rng(seed).standard_normal(d)
+            hat = to_fourier(HighOrderSignal(basis.dimension, coeffs), basis)
+            expected = reference.forward_matrix(basis) @ coeffs
+            assert hat.coefficients.tobytes() == expected.tobytes()
+            back = from_fourier(HighOrderSignal(basis.dimension, coeffs, FOURIER), basis)
+            expected = reference.inverse_matrix(basis) @ coeffs
+            assert back.coefficients.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("orthonormality", ["w", "euclidean"])
+    def test_random_basis_is_bit_identical(self, basis, orthonormality):
+        for seed in range(3):
+            forward, _ = reference.random_basis(basis, seed, orthonormality)
+            assert random_basis(basis, seed, orthonormality).tobytes() == forward.tobytes()
+
+    def test_no_dense_array_outlives_the_transforms(self, basis_1001):
+        """tracemalloc counts, in float64 d x d arrays, what stays alive after
+        one transform each way: the two signals only, against two cached
+        matrices when a basis kept them."""
+        d = basis_1001.weights.size
+        signal = HighOrderSignal(3, np.random.default_rng(67).standard_normal(d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            hat = to_fourier(signal, basis_1001)
+            back = from_fourier(hat, basis_1001)
+            alive = (tracemalloc.get_traced_memory()[0] - base) / (8.0 * d * d)
+        finally:
+            tracemalloc.stop()
+        assert back.size == d
+        assert alive < 0.01
 
 
 class TestControlComparison:
@@ -256,7 +311,8 @@ class TestControlComparison:
         rng = np.random.default_rng(12)
         S = random_structural_simplex(4, rng)
         basis = fourier_basis(S, 2)
-        signal = HighOrderSignal(dimension=2, coefficients=basis.inverse[:, 4].copy())
+        signal = HighOrderSignal(dimension=2,
+                                 coefficients=reference.inverse_matrix(basis)[:, 4].copy())
         result = control_comparison(signal, basis, num_random=10, seed=7)
         assert result.fourier_cev[0] == pytest.approx(1.0, abs=1e-10)
         assert result.random_mean[0] < 1.0
