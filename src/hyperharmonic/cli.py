@@ -124,14 +124,10 @@ def _checked_enum(enum_cls, value, label: str):
         raise ValidationError(f"unknown {label} {value!r}; expected one of: {options}") from exc
 
 
-def _check_unique(label: str, values) -> None:
-    if len(set(values)) < len(values):
-        raise ValidationError(f"{label} must not repeat a value, got {tuple(values)}")
-
-
 def _parse_measures(names) -> tuple[infotheory.MeasureKind, ...]:
     measures = tuple(_checked_enum(infotheory.MeasureKind, m, "measure") for m in names)
-    _check_unique("measures", names)
+    if len(set(names)) < len(names):
+        raise ValidationError(f"measures must not repeat a value, got {tuple(names)}")
     return measures
 
 
@@ -341,26 +337,11 @@ def cmd_complex(args) -> int:
     return EXIT_OK
 
 
-def _resolved_dimensions(dimensions, N: int) -> tuple[int, ...]:
-    if dimensions:
-        bad = [n for n in dimensions if not 2 <= n <= N]
-        if bad:
-            raise ValidationError(f"dimensions {bad} outside [2, {N}]")
-        _check_unique("dimensions", dimensions)
-        return tuple(dimensions)
-    resolved = tuple(n for n in range(2, min(5, N) + 1))
-    if not resolved:
-        raise ValidationError(
-            f"no analyzable dimensions: need at least 3 variables, got {N + 1}"
-        )
-    return resolved
-
-
 def cmd_signals(args) -> int:
     measures = _parse_measures(args.measures)
     oracle = infotheory.EntropyOracle(dist_mod.read_model(args.distribution))
     N = oracle.num_variables - 1
-    dims = _resolved_dimensions(args.dimensions, N)
+    dims = simplices.resolved_dimensions(args.dimensions, N)
     os.makedirs(args.output_dir, exist_ok=True)
     for n in dims:
         for measure in measures:
@@ -373,7 +354,7 @@ def cmd_signals(args) -> int:
 def cmd_spectrum(args) -> int:
     PipelineConfig(input=args.weights, kernel_tol=args.kernel_tol).validate()
     simplex = structural_simplex_from_payload(read_json(args.weights))
-    dims = _resolved_dimensions(args.dimensions, simplex.N)
+    dims = simplices.resolved_dimensions(args.dimensions, simplex.N)
     for n in dims:
         spectral.check_dense_dimension(simplex.N, n)
     os.makedirs(args.output_dir, exist_ok=True)
@@ -420,9 +401,9 @@ def cmd_control_random(args) -> int:
 
 
 def cmd_control_synth(args) -> int:
-    dims = _resolved_dimensions(args.dimensions, args.size - 1)
     measures = _parse_measures(args.measures)
-    synth.check_experiment(args.ranks, args.replicates, args.samples, args.size, dims, measures)
+    _, dims, _ = synth.check_experiment(args.ranks, args.replicates, args.samples, args.size,
+                                        args.dimensions, measures)
     outdir = _resolve_output_dir(args.output_dir)
     with _incomplete_marker(outdir):
         result = synth.rank_experiment(
@@ -457,11 +438,12 @@ def cmd_run(args) -> int:
     config = PipelineConfig(**values)
     config.validate()
 
-    # Every size limit is checked on the table, before any estimation.
+    # Every size limit is checked on the table, before any estimation, and the
+    # output directory is made only once the model and the weights are built.
     table = _read_table(config)
     N = table.num_variables - 1
     simplices.check_vertex_count(N)
-    config.dimensions = _resolved_dimensions(config.dimensions, N)
+    config.dimensions = simplices.resolved_dimensions(config.dimensions, N)
     for n in config.dimensions:
         spectral.check_dense_dimension(N, n)
 
@@ -481,12 +463,11 @@ def _incomplete_marker(outdir):
 
 
 def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
+    model = _estimate_model(config, table)
+    oracle = infotheory.EntropyOracle(model, units=config.units)
+    similarity, simplex = _weighted_simplex(oracle, config)
     with _incomplete_marker(outdir):
-        model = _estimate_model(config, table)
         dist_mod.write_model(os.path.join(outdir, "distribution.json"), model)
-        oracle = infotheory.EntropyOracle(model, units=config.units)
-
-        similarity, simplex = _weighted_simplex(oracle, config)
         write_json(os.path.join(outdir, "weights.json"),
                    _weights_payload(simplex, similarity, config))
 

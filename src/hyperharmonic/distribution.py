@@ -40,79 +40,67 @@ _INT64_MAX = np.iinfo(np.int64).max
 _LOG_TWO_PI_E = math.log(2.0 * math.pi * math.e)
 
 
-@dataclass(frozen=True)
-class DiscreteSeriesTable:
-    """Aligned integer-valued samples: one column per variable."""
+@dataclass(frozen=True, eq=False)
+class _SampleTable:
+    """Aligned samples: a read-only (T, V) ``samples`` array, one row per
+    sample and one column per named variable. A table keeps its own copy of
+    the array it is given."""
 
     variable_names: tuple[str, ...]
-    columns: tuple[np.ndarray, ...]
+    samples: np.ndarray
+
+    def _store(self, dtype) -> np.ndarray:
+        """Keep the names and a read-only C-order ``dtype`` copy of the
+        samples: T >= 1 rows, each with one value per name, and V >= 1."""
+        names = tuple(str(n) for n in self.variable_names)
+        try:
+            X = np.array(self.samples, dtype=dtype, order="C")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"samples must form a (T, V) array: {exc}") from None
+        if X.ndim != 2 or X.shape[1] != len(names) or not X.size:
+            raise ValidationError(f"need a (T, {len(names)}) sample array with T, V >= 1, "
+                                  f"got shape {X.shape}")
+        X.flags.writeable = False
+        object.__setattr__(self, "variable_names", names)
+        object.__setattr__(self, "samples", X)
+        return X
+
+    def _reject(self, bad: np.ndarray, problem: str) -> None:
+        """Raise for the first column that ``bad`` marks."""
+        if bad.any():
+            raise ValidationError(f"column {self.variable_names[np.argmax(bad)]!r} {problem}")
+
+    @property
+    def num_variables(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def num_samples(self) -> int:
+        return len(self.samples)
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteSeriesTable(_SampleTable):
+    """Integer-valued samples: int64, column j within [0, alphabet_sizes[j])."""
+
     alphabet_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        names = tuple(str(n) for n in self.variable_names)
-        cols = tuple(np.asarray(c, dtype=np.int64) for c in self.columns)
+        X = self._store(np.int64)
         sizes = tuple(int(a) for a in self.alphabet_sizes)
-        if not (len(names) == len(cols) == len(sizes)):
-            raise ValidationError("names, columns and alphabet sizes must align")
-        if not cols:
-            raise ValidationError("table needs at least one variable")
-        T = len(cols[0])
-        if T < 1:
-            raise ValidationError("table needs at least one sample")
-        for name, col, size in zip(names, cols, sizes):
-            if len(col) != T:
-                raise ValidationError(f"column {name!r} has length {len(col)}, expected {T}")
-            if size < 1:
-                raise ValidationError(f"alphabet size for {name!r} must be >= 1")
-            if col.min() < 0 or col.max() >= size:
-                raise ValidationError(
-                    f"column {name!r} has values outside [0, {size - 1}]"
-                )
-        object.__setattr__(self, "variable_names", names)
-        object.__setattr__(self, "columns", cols)
+        if len(sizes) != X.shape[1]:
+            raise ValidationError("names, samples and alphabet sizes must align")
+        bad = (X.min(axis=0) < 0) | (X.max(axis=0) >= sizes)
+        self._reject(bad, f"has values outside [0, {sizes[np.argmax(bad)] - 1}]")
         object.__setattr__(self, "alphabet_sizes", sizes)
 
-    @property
-    def num_variables(self) -> int:
-        return len(self.columns)
 
-    @property
-    def num_samples(self) -> int:
-        return len(self.columns[0])
-
-
-@dataclass(frozen=True)
-class ContinuousSeriesTable:
-    """Aligned real-valued samples: one column per variable."""
-
-    variable_names: tuple[str, ...]
-    columns: tuple[np.ndarray, ...]
+@dataclass(frozen=True, eq=False)
+class ContinuousSeriesTable(_SampleTable):
+    """Real-valued samples: finite float64."""
 
     def __post_init__(self):
-        names = tuple(str(n) for n in self.variable_names)
-        cols = tuple(np.asarray(c, dtype=float) for c in self.columns)
-        if len(names) != len(cols):
-            raise ValidationError("names and columns must align")
-        if not cols:
-            raise ValidationError("table needs at least one variable")
-        T = len(cols[0])
-        if T < 1:
-            raise ValidationError("table needs at least one sample")
-        for name, col in zip(names, cols):
-            if len(col) != T:
-                raise ValidationError(f"column {name!r} has length {len(col)}, expected {T}")
-            if not np.all(np.isfinite(col)):
-                raise ValidationError(f"column {name!r} contains non-finite values")
-        object.__setattr__(self, "variable_names", names)
-        object.__setattr__(self, "columns", cols)
-
-    @property
-    def num_variables(self) -> int:
-        return len(self.columns)
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.columns[0])
+        self._reject(~np.isfinite(self._store(float)).all(axis=0), "contains non-finite values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,8 +207,7 @@ def estimate_empirical(table: DiscreteSeriesTable, smoothing: float = 0.0) -> Jo
     """
     if not (math.isfinite(smoothing) and smoothing >= 0):
         raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
-    T = table.num_samples
-    samples = np.column_stack(table.columns)
+    T, samples = table.num_samples, table.samples
     if smoothing == 0.0:
         outcomes, groups = distinct_rows(samples)
         masses = np.bincount(groups) / T
@@ -394,31 +381,15 @@ def _normal_scores(T: int) -> np.ndarray:
     return table
 
 
-def average_ranks(values) -> np.ndarray:
-    """1-based ranks of a 1-D array; tied values share the mean of their ranks.
-
-    Equal to ``scipy.stats.rankdata(values, method="average")``. The sort need
-    not be stable: a tie group's rank depends only on where the group starts and ends.
-    """
-    x = np.asarray(values)
-    order = np.argsort(x)
-    ordered = x[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(x)]
-    ranks = np.empty(len(x))
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
-
-
 def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     """Fit a Gaussian copula: rank-transform columns, correlate the scores.
 
     Each column is mapped through rank/(T+1) (average ranks on ties) and the
     standard-normal quantile function; the model is the sample correlation of
     the transformed columns. Depends on the data only through column orderings.
-    The table is not written: the fit works on one stacked copy.
+    The table is not written: the fit works on a copy of its samples.
     """
-    return _copula_fit(np.column_stack(table.columns), table.variable_names)
+    return _copula_fit(table.samples.copy(), table.variable_names)
 
 
 def _copula_fit(X: np.ndarray, names) -> GaussianModel:
@@ -428,10 +399,17 @@ def _copula_fit(X: np.ndarray, names) -> GaussianModel:
     T = len(X)
     if T < 3:
         raise ValidationError(f"need at least 3 samples to fit a copula, got {T}")
+    scores = _normal_scores(T)
     for j, name in enumerate(names):
         if np.ptp(X[:, j]) == 0.0:
             raise EstimationError(f"column {name!r} is constant; rank transform undefined")
-        X[:, j] = _normal_scores(T)[(2.0 * average_ranks(X[:, j])).astype(np.int64) - 2]
+        # A tie group at sorted positions [start, end) shares the average rank
+        # r = (start + end + 1) / 2, whose score is entry 2r - 2 = start + end - 1.
+        order = np.argsort(X[:, j])
+        ordered = X[order, j]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        ends = np.r_[starts[1:], T]
+        X[order, j] = scores[np.repeat(starts + ends - 1, ends - starts)]
     X -= X.mean(axis=0)
     R = np.dot(X.T, X)
     R *= np.true_divide(1, T - 1)
@@ -449,8 +427,8 @@ def _copula_fit(X: np.ndarray, names) -> GaussianModel:
 # ---------------------------------------------------------------------------
 
 
-def _read_columns(path, parse_row) -> tuple[tuple[str, ...], list[tuple]]:
-    """Header names and each column's values; ``parse_row`` converts a row's
+def _read_rows(path, parse_row) -> tuple[tuple[str, ...], list[list]]:
+    """Header names and each data row's values; ``parse_row`` converts a row's
     cells or raises ValueError with the message reported for its line."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -471,7 +449,7 @@ def _read_columns(path, parse_row) -> tuple[tuple[str, ...], list[tuple]]:
             parsed.append(parse_row(row))
         except ValueError as exc:
             raise ValidationError(f"{path}: line {line_no}: {exc}") from exc
-    return header, list(zip(*parsed))
+    return header, parsed
 
 
 # The alphabet size, one more than the largest symbol, must fit in int64.
@@ -509,17 +487,17 @@ def _reals(row: list[str]) -> list[float]:
 def read_discrete_csv(path) -> DiscreteSeriesTable:
     """Read a discrete table: header of names, one sample per row, int cells.
 
-    Each alphabet size is one more than its column's maximum value.
+    Each alphabet size is one more than its column's maximum value. The sizes
+    are read off the parsed rows, so the table's copy is the only (T, V) array.
     """
-    header, columns = _read_columns(path, _symbols)
-    sizes = tuple(max(c) + 1 for c in columns)
-    return DiscreteSeriesTable(header, tuple(np.array(c) for c in columns), sizes)
+    header, rows = _read_rows(path, _symbols)
+    return DiscreteSeriesTable(header, rows, tuple(max(c) + 1 for c in zip(*rows)))
 
 
 def read_continuous_csv(path) -> ContinuousSeriesTable:
     """Read a continuous table: header of names, one sample per row, float cells."""
-    header, columns = _read_columns(path, _reals)
-    return ContinuousSeriesTable(header, tuple(np.array(c) for c in columns))
+    header, rows = _read_rows(path, _reals)
+    return ContinuousSeriesTable(header, rows)
 
 
 def write_model(path, model) -> None:

@@ -207,6 +207,20 @@ def check_vertex_count(N: int) -> None:
         raise CapacityError(f"N={N} exceeds the cap of {MAX_N}")
 
 
+def resolved_dimensions(dimensions, N: int) -> tuple[int, ...]:
+    """The signal dimensions analysed on N + 1 vertices: ``dimensions``, each
+    in [2, N] and none repeated, or 2..min(5, N) when it is empty."""
+    dims = tuple(int(n) for n in dimensions) or tuple(range(2, min(5, N) + 1))
+    if not dims:
+        raise ValidationError(f"no analyzable dimensions: need at least 3 variables, got {N + 1}")
+    bad = [n for n in dims if not 2 <= n <= N]
+    if bad:
+        raise ValidationError(f"dimensions {bad} outside [2, {N}]")
+    if len(set(dims)) < len(dims):
+        raise ValidationError(f"dimensions must not repeat a value, got {dims}")
+    return dims
+
+
 def structural_weights(
     mi_matrix: np.ndarray,
     aggregator: WeightAggregator = WeightAggregator.MEAN,

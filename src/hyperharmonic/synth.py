@@ -23,6 +23,7 @@ from .simplices import (
     SimilarityMetric,
     WeightAggregator,
     check_vertex_count,
+    resolved_dimensions,
     similarity_matrix,
     structural_weights,
 )
@@ -34,7 +35,6 @@ RANK_TOLERANCE = 1e-8
 DEFAULT_SIZE = 9
 DEFAULT_SAMPLES = 10_000
 DEFAULT_REPLICATES = 50
-DEFAULT_DIMENSIONS = (2, 3, 4, 5)
 DEFAULT_MEASURES = (MeasureKind.O_INFORMATION, MeasureKind.S_INFORMATION)
 
 
@@ -89,10 +89,7 @@ def sample_gaussian(cov: RankedCovariance, num_samples: int, seed) -> Continuous
     if num_samples < 1:
         raise ValidationError(f"need at least one sample, got {num_samples}")
     X = _gaussian_draw(cov, num_samples, as_rng(seed))
-    return ContinuousSeriesTable(
-        variable_names=tuple(f"X{i}" for i in range(cov.size)),
-        columns=tuple(X[:, i] for i in range(cov.size)),
-    )
+    return ContinuousSeriesTable(tuple(f"X{i}" for i in range(cov.size)), X)
 
 
 def _gaussian_draw(cov: RankedCovariance, num_samples: int, rng) -> np.ndarray:
@@ -152,13 +149,11 @@ def check_experiment(ranks, replicates, num_samples, size, dimensions, measures)
         raise CapacityError(
             f"{num_samples} samples of {size} variables exceed {DENSE_DIMENSION_CAP}**2 entries")
     check_vertex_count(size - 1)
-    dimensions = tuple(int(n) for n in dimensions)
-    if any(not 2 <= n <= size - 1 for n in dimensions):
-        raise ValidationError(f"dimensions must lie in [2, {size - 1}], got {dimensions}")
+    dimensions = resolved_dimensions(dimensions, size - 1)
     for n in dimensions:
         check_dense_dimension(size - 1, n)
     measures = tuple(MeasureKind(m) for m in measures)
-    for label, items in (("ranks", ranks), ("dimensions", dimensions), ("measures", measures)):
+    for label, items in (("ranks", ranks), ("measures", measures)):
         if len(set(items)) < len(items):
             names = tuple(getattr(x, "value", x) for x in items)
             raise ValidationError(f"{label} must not repeat a value, got {names}")
@@ -171,7 +166,7 @@ def rank_experiment(
     num_samples: int = DEFAULT_SAMPLES,
     base_seed: int = 0,
     size: int = DEFAULT_SIZE,
-    dimensions=DEFAULT_DIMENSIONS,
+    dimensions=(),
     measures=DEFAULT_MEASURES,
 ) -> RankExperimentResult:
     """Average Fourier-basis CEV curves over replicated rank-controlled draws.
@@ -179,9 +174,10 @@ def rank_experiment(
     Each replicate generates a fresh covariance of the given rank, samples it,
     fits the copula model, seeds the structural simplex with pairwise mutual
     information, and pushes both measures through Laplacians and Fourier bases
-    for every requested dimension. Curves are averaged pointwise with a 95%
-    band across replicates; replicate sub-seeds are derived by a fixed counter
-    scheme so adding replicates never changes earlier ones.
+    for every requested dimension, by default 2..min(5, size - 1). Curves are
+    averaged pointwise with a 95% band across replicates; replicate sub-seeds
+    are derived by a fixed counter scheme so adding replicates never changes
+    earlier ones.
     """
     ranks, dimensions, measures = check_experiment(
         ranks, replicates, num_samples, size, dimensions, measures

@@ -73,7 +73,7 @@ def random_table(seed: int, sizes, num_samples: int) -> DiscreteSeriesTable:
     rng = np.random.default_rng(seed)
     return DiscreteSeriesTable(
         variable_names=tuple(f"v{i}" for i in range(len(sizes))),
-        columns=tuple(rng.integers(0, a, size=num_samples) for a in sizes),
+        samples=np.column_stack([rng.integers(0, a, size=num_samples) for a in sizes]),
         alphabet_sizes=tuple(sizes),
     )
 

@@ -17,7 +17,7 @@ import numpy as np
 def estimate_empirical(table, smoothing=0.0) -> dict:
     T = table.num_samples
     counts = {}
-    for row in zip(*table.columns):
+    for row in table.samples.tolist():
         outcome = tuple(int(v) for v in row)
         counts[outcome] = counts.get(outcome, 0) + 1
     if smoothing == 0.0:

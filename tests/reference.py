@@ -8,6 +8,9 @@
   from a list of score columns, a stacked copy and ``np.corrcoef``. The
   package transforms the draw in its own buffer and correlates in the same
   buffer; both must equal these bit for bit.
+- ``average_ranks`` is the float rank transform that the fit indexed its
+  score table with, at ``2 * rank - 2``. The package indexes the table with
+  the integer a tie group's start plus its end minus 1, which is equal.
 - ``forward_matrix`` and ``inverse_matrix`` are the change-of-basis matrices
   Q^T W^(1/2) and W^(-1/2) Q that a ``FourierBasis`` cached, and
   ``random_basis`` is the draw that returned both for a random basis.
@@ -34,7 +37,6 @@ from hyperharmonic.distribution import (
     GAUSSIAN_DIAGONAL_REGULARIZATION,
     GaussianModel,
     _normal_scores,
-    average_ranks,
     distinct_rows,
 )
 from hyperharmonic.seeding import as_rng
@@ -98,7 +100,7 @@ def sample_gaussian(cov: RankedCovariance, num_samples: int, seed) -> Continuous
     X = Z @ (V * np.sqrt(eigenvalues)).T
     return ContinuousSeriesTable(
         variable_names=tuple(f"X{i}" for i in range(cov.size)),
-        columns=tuple(X[:, i] for i in range(cov.size)),
+        samples=X,
     )
 
 
@@ -113,7 +115,7 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     if T < 3:
         raise ValidationError(f"need at least 3 samples to fit a copula, got {T}")
     scores = []
-    for name, col in zip(table.variable_names, table.columns):
+    for name, col in zip(table.variable_names, table.samples.T):
         if np.ptp(col) == 0.0:
             raise EstimationError(f"column {name!r} is constant; rank transform undefined")
         scores.append(_normal_scores(T)[(2.0 * average_ranks(col)).astype(np.int64) - 2])
@@ -123,6 +125,22 @@ def copula_gaussian_fit(table: ContinuousSeriesTable) -> GaussianModel:
     R = (R + R.T) / 2.0
     np.fill_diagonal(R, 1.0)
     return GaussianModel(correlation_matrix=R)
+
+
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of their ranks.
+
+    Equal to ``scipy.stats.rankdata(values, method="average")``. The sort need
+    not be stable: a tie group's rank depends only on where the group starts and ends.
+    """
+    x = np.asarray(values)
+    order = np.argsort(x)
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def forward_matrix(basis: FourierBasis) -> np.ndarray:

@@ -247,7 +247,8 @@ def test_criterion_6_gaussian_analytic_check():
         z = rng.standard_normal((10_000, 2))
         x = z[:, 0]
         y = rho * z[:, 0] + math.sqrt(1 - rho * rho) * z[:, 1]
-        table = hh.ContinuousSeriesTable(variable_names=("x", "y"), columns=(x, y))
+        table = hh.ContinuousSeriesTable(variable_names=("x", "y"),
+                                         samples=np.column_stack([x, y]))
         model = hh.copula_gaussian_fit(table)
         estimates.append(hh.total_correlation(hh.EntropyOracle(model), (0, 1)))
     mean_estimate = float(np.mean(estimates))

@@ -482,9 +482,9 @@ class TestModelFormat:
         rng = np.random.default_rng(6)
         if kind == "gaussian":
             X = rng.standard_normal((300, 4))
-            return copula_gaussian_fit(ContinuousSeriesTable("abcd", tuple(X.T)))
+            return copula_gaussian_fit(ContinuousSeriesTable("abcd", samples=X))
         X = rng.integers(0, 3, size=(150, 5))
-        table = DiscreteSeriesTable("abcde", tuple(X.T), (3,) * 5)
+        table = DiscreteSeriesTable("abcde", samples=X, alphabet_sizes=(3,) * 5)
         return estimate_empirical(table, smoothing=0.5 if kind == "smoothed" else 0.0)
 
     @pytest.mark.parametrize("kind", ["empirical", "smoothed", "gaussian"])
@@ -982,6 +982,25 @@ class TestRun:
         with pytest.raises(np.linalg.LinAlgError):
             main(argv + ["--output-dir", str(out)])
         assert (out / INCOMPLETE_MARKER).exists()
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--smoothing", "1"], EXIT_CAPACITY),
+        (["--kind", "continuous"], EXIT_VALIDATION),
+        (["--metric", "abs_pearson"], EXIT_VALIDATION),
+    ], ids=["smoothing-cap", "continuous-constant-column", "abs-pearson-constant-column"])
+    def test_failed_model_or_weights_leave_no_output_directory(self, tmp_path, flags, code):
+        # Fourteen ternary columns (3**14 outcomes, past the smoothing cap) and
+        # one constant column, on which the copula and abs_pearson are undefined.
+        rng = np.random.default_rng(4)
+        samples = np.hstack([rng.integers(0, 3, size=(40, 14)), np.zeros((40, 1), dtype=int)])
+        samples[0, :14] = 2
+        data = tmp_path / "v15.csv"
+        rows = [",".join(f"v{i}" for i in range(15))]
+        data.write_text("\n".join(rows + [",".join(map(str, r)) for r in samples.tolist()]))
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(data), "--dimensions", "2", *flags,
+                     "--output-dir", str(out)]) == code
+        assert not out.exists()
 
     def test_interrupted_basis_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         data = tmp_path / "xor.csv"

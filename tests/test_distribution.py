@@ -27,7 +27,6 @@ from hyperharmonic.distribution import (
     SMOOTHING_SUPPORT_CAP,
     _ndtri,
     _normal_scores,
-    average_ranks,
     distinct_rows,
     read_model,
     subset_entropies_nats,
@@ -36,7 +35,7 @@ from hyperharmonic.distribution import (
 from hyperharmonic.simplices import enumerate_simplices
 
 import dict_reference
-from reference import entropy, entropy_nats, marginalize
+from reference import average_ranks, entropy, entropy_nats, marginalize
 from conftest import dense_to_distribution, mass_dict, random_pmf, random_table, xor_triple
 
 
@@ -46,7 +45,7 @@ def make_table(*columns, alphabet_sizes=None):
         alphabet_sizes = [int(c.max()) + 1 for c in columns]
     return DiscreteSeriesTable(
         variable_names=tuple(f"v{i}" for i in range(len(columns))),
-        columns=tuple(columns),
+        samples=np.column_stack(columns),
         alphabet_sizes=tuple(alphabet_sizes),
     )
 
@@ -69,6 +68,41 @@ def sparse_pmfs(draw):
     """A pmf built from a support in random order."""
     (sizes, rows, masses), order = draw(sorted_pmfs_and_orders())
     return JointDistribution(sizes, rows[order], masses[order])
+
+
+class TestSampleTables:
+    @pytest.mark.parametrize("dtype, make", [
+        (np.int64, lambda X: DiscreteSeriesTable(("a", "b"), samples=X, alphabet_sizes=(3, 3))),
+        (np.float64, lambda X: ContinuousSeriesTable(("a", "b"), samples=X)),
+    ], ids=["discrete", "continuous"])
+    def test_table_keeps_its_own_read_only_copy(self, dtype, make):
+        X = np.array([[0, 1], [2, 0], [1, 1]], dtype=dtype)
+        table = make(X)
+        X[0, 0] = 2
+        assert table.samples.tolist() == [[0, 1], [2, 0], [1, 1]]
+        assert table.samples.dtype == dtype
+        assert (table.num_samples, table.num_variables) == (3, 2)
+        with pytest.raises(ValueError):
+            table.samples[0, 0] = 1
+
+    @pytest.mark.parametrize("names, samples", [
+        (("a", "b"), [[0, 1], [1]]),
+        (("a",), [0, 1, 1]),
+        (("a", "b", "c"), [[0, 1], [1, 0]]),
+        (("a", "b"), np.zeros((0, 2), dtype=np.int64)),
+        ((), np.zeros((3, 0), dtype=np.int64)),
+    ], ids=["ragged", "one-dimensional", "name-count", "no-samples", "no-variables"])
+    def test_malformed_samples_rejected(self, names, samples):
+        with pytest.raises(ValidationError):
+            DiscreteSeriesTable(names, samples=samples, alphabet_sizes=(2,) * len(names))
+        with pytest.raises(ValidationError):
+            ContinuousSeriesTable(names, samples=samples)
+
+    def test_first_bad_column_is_named(self):
+        with pytest.raises(ValidationError, match=r"column 'b' has values outside \[0, 1\]"):
+            DiscreteSeriesTable("abc", samples=[[0, 2, 5], [1, 0, 0]], alphabet_sizes=(2, 2, 2))
+        with pytest.raises(ValidationError, match="column 'c' contains non-finite values"):
+            ContinuousSeriesTable("abcd", samples=[[0, 1, np.nan, np.inf], [1, 2, 0, 0]])
 
 
 class TestEstimateEmpirical:
@@ -320,7 +354,8 @@ class TestSubsetEntropies:
         # subsets of ~2,000 outcomes). One unblocked bincount allocates ~11 MB.
         rng = np.random.default_rng(1)
         table = DiscreteSeriesTable(tuple(f"v{i}" for i in range(11)),
-                                    tuple(rng.integers(0, 3, size=(11, 2000))), (3,) * 11)
+                                    samples=rng.integers(0, 3, size=(11, 2000)).T,
+                                    alphabet_sizes=(3,) * 11)
         dist = estimate_empirical(table)
         subsets = enumerate_simplices(10, 3)
         tracemalloc.start()
@@ -365,7 +400,7 @@ class TestCopulaFit:
         rng = np.random.default_rng(11)
         table = ContinuousSeriesTable(
             variable_names=("a", "b"),
-            columns=(rng.standard_normal(10_000), rng.standard_normal(10_000)),
+            samples=np.column_stack([rng.standard_normal(10_000), rng.standard_normal(10_000)]),
         )
         model = copula_gaussian_fit(table)
         assert abs(model.correlation_matrix[0, 1]) < 0.05
@@ -373,21 +408,21 @@ class TestCopulaFit:
     def test_duplicated_column(self):
         x = np.random.default_rng(3).standard_normal(500)
         model = copula_gaussian_fit(
-            ContinuousSeriesTable(variable_names=("a", "b"), columns=(x, x.copy()))
+            ContinuousSeriesTable(variable_names=("a", "b"), samples=np.column_stack([x, x]))
         )
         assert model.correlation_matrix[0, 1] == pytest.approx(1.0, abs=1e-6)
 
     def test_negated_column(self):
         x = np.random.default_rng(4).standard_normal(500)
         model = copula_gaussian_fit(
-            ContinuousSeriesTable(variable_names=("a", "b"), columns=(x, -x))
+            ContinuousSeriesTable(variable_names=("a", "b"), samples=np.column_stack([x, -x]))
         )
         assert model.correlation_matrix[0, 1] == pytest.approx(-1.0, abs=1e-6)
 
     def test_table_is_left_unchanged(self):
         X = np.random.default_rng(6).standard_normal((500, 3))
         before = X.tobytes()
-        copula_gaussian_fit(ContinuousSeriesTable(("a", "b", "c"), tuple(X.T)))
+        copula_gaussian_fit(ContinuousSeriesTable(("a", "b", "c"), samples=X))
         assert X.tobytes() == before
 
     def test_constant_column_rejected(self):
@@ -395,7 +430,7 @@ class TestCopulaFit:
             copula_gaussian_fit(
                 ContinuousSeriesTable(
                     variable_names=("a", "b"),
-                    columns=(np.ones(10), np.arange(10.0)),
+                    samples=np.column_stack([np.ones(10), np.arange(10.0)]),
                 )
             )
 
@@ -404,12 +439,12 @@ class TestCopulaFit:
         x = rng.standard_normal(200)
         y = rng.standard_normal(200) + 0.5 * x
         base = copula_gaussian_fit(
-            ContinuousSeriesTable(variable_names=("a", "b"), columns=(x, y))
+            ContinuousSeriesTable(variable_names=("a", "b"), samples=np.column_stack([x, y]))
         )
         warped = copula_gaussian_fit(
             ContinuousSeriesTable(
                 variable_names=("a", "b"),
-                columns=(np.exp(x), y**3),
+                samples=np.column_stack([np.exp(x), y**3]),
             )
         )
         assert np.max(np.abs(base.correlation_matrix - warped.correlation_matrix)) <= 1e-12
@@ -473,12 +508,13 @@ class TestNormalScores:
         R = (R + R.T) / 2.0
         np.fill_diagonal(R, 1.0)
         model = copula_gaussian_fit(
-            ContinuousSeriesTable(tuple(f"v{i}" for i in range(len(cols))), tuple(cols))
+            ContinuousSeriesTable(tuple(f"v{i}" for i in range(len(cols))),
+                                  samples=np.column_stack(cols))
         )
         assert model.correlation_matrix.tobytes() == R.tobytes()
 
     def test_sample_count_checked_before_constant_columns(self):
-        table = ContinuousSeriesTable(variable_names=("a",), columns=(np.ones(2),))
+        table = ContinuousSeriesTable(variable_names=("a",), samples=np.ones((2, 1)))
         with pytest.raises(ValidationError, match="at least 3 samples"):
             copula_gaussian_fit(table)
 
@@ -564,4 +600,4 @@ class TestCsvIngestion:
         path.write_text("a,b\n1.5,2.0\n-0.25,1e-3\n")
         table = read_continuous_csv(path)
         assert table.num_samples == 2
-        assert table.columns[1][1] == pytest.approx(1e-3)
+        assert table.samples[1, 1] == pytest.approx(1e-3)

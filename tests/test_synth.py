@@ -75,13 +75,13 @@ class TestSampleGaussian:
         cov = random_rank_covariance(4, 4, seed=5)
         a = sample_gaussian(cov, 100, seed=7)
         b = sample_gaussian(cov, 100, seed=7)
-        for col_a, col_b in zip(a.columns, b.columns):
+        for col_a, col_b in zip(a.samples.T, b.samples.T):
             assert np.array_equal(col_a, col_b)
 
     def test_sample_covariance_converges(self):
         cov = random_rank_covariance(4, 4, seed=11)
         table = sample_gaussian(cov, 100_000, seed=13)
-        X = np.column_stack(table.columns)
+        X = table.samples
         sample_cov = np.cov(X.T)
         scale = np.max(np.abs(cov.matrix))
         assert np.max(np.abs(sample_cov - cov.matrix)) < 0.05 * max(scale, 1.0)
@@ -89,7 +89,7 @@ class TestSampleGaussian:
     def test_rank_one_columns_are_collinear(self):
         cov = random_rank_covariance(5, 1, seed=17)
         table = sample_gaussian(cov, 50, seed=19)
-        X = np.column_stack(table.columns)
+        X = table.samples
         assert np.linalg.matrix_rank(X, tol=1e-8) == 1
 
     @pytest.mark.parametrize("T", [1, 2, 3, 1024, 1025, 1026, 2049, 10_000])
@@ -98,8 +98,7 @@ class TestSampleGaussian:
             cov = random_rank_covariance(9, rank, seed=T)
             got = sample_gaussian(cov, T, seed=rank)
             want = reference.sample_gaussian(cov, T, seed=rank)
-            assert np.column_stack(got.columns).tobytes() \
-                == np.column_stack(want.columns).tobytes(), rank
+            assert got.samples.tobytes() == want.samples.tobytes(), rank
 
     @pytest.mark.parametrize("seed", [1, 3, 5])
     def test_replicate_draw_and_fit_equal_reference(self, seed):
@@ -110,7 +109,7 @@ class TestSampleGaussian:
                 cov = random_rank_covariance(9, rank, derive_rng(seed, rank, rep, 0))
                 X = synth._gaussian_draw(cov, 10_000, derive_rng(seed, rank, rep, 1))
                 table = reference.sample_gaussian(cov, 10_000, derive_rng(seed, rank, rep, 1))
-                assert X.tobytes() == np.column_stack(table.columns).tobytes(), (rank, rep)
+                assert X.tobytes() == table.samples.tobytes(), (rank, rep)
                 got = synth._copula_fit(X, table.variable_names).correlation_matrix
                 want = reference.copula_gaussian_fit(table).correlation_matrix
                 assert got.tobytes() == want.tobytes(), (rank, rep)
@@ -232,6 +231,11 @@ class TestRankExperiment:
         monkeypatch.setattr(synth, "basis_diagnostics", spy, raising=False)
         rank_experiment(ranks=(2,), replicates=1, num_samples=300, size=5, dimensions=(2, 3))
         assert calls == []
+
+    def test_default_dimensions_follow_the_size(self):
+        result = rank_experiment([2], 1, num_samples=50, size=5)
+        assert result.manifest["dimensions"] == [2, 3, 4]
+        assert {n for _, n, _ in result.mean_cev} == {2, 3, 4}
 
     def test_invalid_arguments(self):
         with pytest.raises(ValidationError):
