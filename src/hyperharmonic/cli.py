@@ -65,11 +65,12 @@ class PipelineConfig:
     def validate(self) -> None:
         if not self.input:
             raise ValidationError("an input file is required")
-        if self.kind not in ("discrete", "continuous"):
-            raise ValidationError(f"kind must be 'discrete' or 'continuous', got {self.kind!r}")
+        for key, allowed in _CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValidationError(
+                    f"unknown {key} {value!r}; expected one of: {', '.join(allowed)}")
         _parse_measures(self.measures)
-        _checked_enum(simplices.SimilarityMetric, self.metric, "metric")
-        _checked_enum(simplices.WeightAggregator, self.aggregator, "aggregator")
         for name in ("floor", "kernel_tol", "smoothing"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
@@ -81,8 +82,6 @@ class PipelineConfig:
             raise ValidationError("smoothing applies to discrete input only")
         if self.kind == "continuous" and self.metric == "total_variation":
             raise ValidationError("the total_variation metric needs discrete input")
-        if self.units not in ("bits", "nats"):
-            raise ValidationError("units must be 'bits' or 'nats'")
         if any(n < 2 for n in self.dimensions):
             raise ValidationError("analysis dimensions must be >= 2")
 
@@ -102,6 +101,7 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+# Each ``run`` setting's parser, shared by its flag, its config-file key and its manifest key.
 _CONFIG_PARSERS = {
     "input": str,
     "kind": str,
@@ -113,6 +113,14 @@ _CONFIG_PARSERS = {
     "kernel_tol": float,
     "smoothing": float,
     "units": str,
+}
+
+# The allowed values of each enumerated setting; measures are checked one by one.
+_CHOICES = {
+    "kind": ("discrete", "continuous"),
+    "metric": tuple(m.value for m in simplices.SimilarityMetric),
+    "aggregator": tuple(a.value for a in simplices.WeightAggregator),
+    "units": ("bits", "nats"),
 }
 
 
@@ -132,23 +140,9 @@ def _parse_measures(names) -> tuple[infotheory.MeasureKind, ...]:
 
 
 def _config_values(items) -> dict:
-    """Parse ``(where, key, text)`` items from a config file or a manifest.
-
-    Both sources follow one rule for the keys of retired options: ``seed`` and
-    ``num_random`` never affected a run and are dropped whatever their value;
-    ``laplacian_formula`` is dropped when it names the one assembly there is.
-    """
+    """Parse ``(where, key, text)`` items from a config file or a manifest."""
     values: dict = {}
     for where, key, text in items:
-        if key in ("seed", "num_random"):
-            continue
-        if key == "laplacian_formula":
-            if text != "adjoint":
-                raise ValidationError(
-                    f"{where}: laplacian_formula {text!r}: the alternate Laplacian was "
-                    "removed; only 'adjoint' remains"
-                )
-            continue
         if key not in _CONFIG_PARSERS:
             raise ValidationError(f"{where}: unknown key {key!r}")
         try:
@@ -342,12 +336,12 @@ def cmd_signals(args) -> int:
     oracle = infotheory.EntropyOracle(dist_mod.read_model(args.distribution))
     N = oracle.num_variables - 1
     dims = simplices.resolved_dimensions(args.dimensions, N)
-    os.makedirs(args.output_dir, exist_ok=True)
-    for n in dims:
-        for measure in measures:
-            path = os.path.join(args.output_dir, f"signal_{measure.value}_dim{n}.json")
-            signal = transform.build_signal(oracle, n, measure)
-            transform.write_signal(path, signal, num_vertices=N + 1)
+    with _incomplete_marker(args.output_dir):
+        for n in dims:
+            for measure in measures:
+                path = os.path.join(args.output_dir, f"signal_{measure.value}_dim{n}.json")
+                signal = transform.build_signal(oracle, n, measure)
+                transform.write_signal(path, signal, num_vertices=N + 1)
     return EXIT_OK
 
 
@@ -357,11 +351,11 @@ def cmd_spectrum(args) -> int:
     dims = simplices.resolved_dimensions(args.dimensions, simplex.N)
     for n in dims:
         spectral.check_dense_dimension(simplex.N, n)
-    os.makedirs(args.output_dir, exist_ok=True)
-    for n in dims:
-        basis, residuals, diagnostics = _eigenbasis(simplex, n, args.kernel_tol)
-        write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis, residuals)
-        write_json(os.path.join(args.output_dir, f"diagnostics_dim{n}.json"), diagnostics)
+    with _incomplete_marker(args.output_dir):
+        for n in dims:
+            basis, residuals, diagnostics = _eigenbasis(simplex, n, args.kernel_tol)
+            write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis, residuals)
+            write_json(os.path.join(args.output_dir, f"diagnostics_dim{n}.json"), diagnostics)
     return EXIT_OK
 
 
@@ -423,18 +417,15 @@ def cmd_control_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
+    given = {key: getattr(args, key) for key in _CONFIG_PARSERS if getattr(args, key) is not None}
     if args.manifest:
-        extra = [key for key in ("config", *_CONFIG_PARSERS) if getattr(args, key) is not None]
+        extra = (["config"] if args.config is not None else []) + list(given)
         if extra:
             flags = ", ".join("--" + key.replace("_", "-") for key in extra)
             raise ValidationError(f"--manifest replays a run exactly; it cannot take {flags}")
         values = _load_manifest_config(args.manifest)
     else:
-        values = load_config_file(args.config) if args.config else {}
-        for key in _CONFIG_PARSERS:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                values[key] = flag
+        values = {**(load_config_file(args.config) if args.config else {}), **given}
     config = PipelineConfig(**values)
     config.validate()
 
@@ -485,55 +476,54 @@ def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
 def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> list:
     """Write ``dim_<n>`` of a run and return its ``components.csv`` rows.
 
-    Its basis and signals die on return, before the next dimension is assembled.
+    One measure's signal pair is alive at a time; the basis dies on return,
+    before the next dimension is assembled.
     """
-    N = simplex.N
-    tags = ("canonical", "fourier")
     dim_dir = os.path.join(outdir, f"dim_{n}")
     os.makedirs(dim_dir, exist_ok=True)
     basis, _, diagnostics = _eigenbasis(simplex, n, config.kernel_tol)
 
-    signals, reports, cev_status = {}, {}, {}
+    cev_status, rows = {}, []
     for name in config.measures:
         canonical = transform.build_signal(oracle, n, infotheory.MeasureKind(name))
-        signals[name] = (canonical, transform.to_fourier(canonical, basis))
-        for tag, signal in zip(tags, signals[name]):
+        reports = {}
+        for tag, signal in (("canonical", canonical),
+                            ("fourier", transform.to_fourier(canonical, basis))):
+            transform.write_signal(os.path.join(dim_dir, f"signal_{name}_{tag}.json"), signal,
+                                   num_vertices=simplex.N + 1)
             try:
-                reports[(name, tag)] = transform.cev_report(signal)
-                cev_status[f"{name}_{tag}"] = "ok"
+                reports[tag] = transform.cev_report(signal)
             except NumericalError as exc:
                 cev_status[f"{name}_{tag}"] = str(exc)
+            else:
+                cev_status[f"{name}_{tag}"] = "ok"
+                transform.cev_to_json(os.path.join(dim_dir, f"cev_{name}_{tag}.json"),
+                                      reports[tag])
+        if len(reports) == 2:
+            rows += [[name, n, int(round(threshold * 100)),
+                      reports["fourier"].components_at[threshold],
+                      reports["canonical"].components_at[threshold]]
+                     for threshold in transform.CEV_THRESHOLDS]
     diagnostics.update(eigenvalues=basis.eigenvalues.tolist(), cev_status=cev_status)
     write_json(os.path.join(dim_dir, "diagnostics.json"), diagnostics)
-
-    rows = []
-    for name in config.measures:
-        canonical, fourier = signals[name]
-        stem = os.path.join(dim_dir, f"signal_{name}")
-        transform.write_signal(stem + "_canonical.json", canonical, num_vertices=N + 1)
-        transform.write_signal(stem + "_fourier.json", fourier, num_vertices=N + 1)
-        for tag in tags:
-            report = reports.get((name, tag))
-            if report is None:
-                continue
-            transform.cev_to_json(os.path.join(dim_dir, f"cev_{name}_{tag}.json"), report)
-        fourier_report = reports.get((name, "fourier"))
-        canonical_report = reports.get((name, "canonical"))
-        if fourier_report and canonical_report:
-            for threshold in transform.CEV_THRESHOLDS:
-                rows.append([
-                    name,
-                    n,
-                    int(round(threshold * 100)),
-                    fourier_report.components_at[threshold],
-                    canonical_report.components_at[threshold],
-                ])
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _add_settings(parser, *keys, unset: bool = False) -> None:
+    """Add a ``--key`` flag per ``run`` setting, parsed as its config-file value.
+
+    Each defaults to the ``PipelineConfig`` default, or to None with ``unset``
+    so that ``run`` can tell which flags were given.
+    """
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), type=_CONFIG_PARSERS[key],
+                            choices=_CHOICES.get(key),
+                            default=None if unset else getattr(PipelineConfig, key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,34 +536,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate a distribution or copula model from CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--kind", choices=("discrete", "continuous"), default="discrete")
-    p.add_argument("--smoothing", type=float, default=0.0)
+    _add_settings(p, "kind", "smoothing")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("complex", help="build the structural simplex weights")
     p.add_argument("--distribution", required=True)
-    p.add_argument("--metric", default="mutual_information",
-                   choices=[m.value for m in simplices.SimilarityMetric])
-    p.add_argument("--aggregator", default="mean",
-                   choices=[a.value for a in simplices.WeightAggregator])
-    p.add_argument("--floor", type=float, default=simplices.DEFAULT_WEIGHT_FLOOR)
+    _add_settings(p, "metric", "aggregator", "floor")
     p.add_argument("--output", required=True)
     p.add_argument("--boundaries-dir", default=None)
     p.set_defaults(func=cmd_complex)
 
     p = sub.add_parser("signals", help="sweep measures into canonical signals")
     p.add_argument("--distribution", required=True)
-    p.add_argument("--dimensions", type=_parse_int_list, default=())
-    p.add_argument("--measures", type=_parse_str_list, default=PipelineConfig.measures)
+    _add_settings(p, "dimensions", "measures")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_signals)
 
     p = sub.add_parser("spectrum", help="diagonalize Laplacians into Fourier bases")
     p.add_argument("--weights", required=True)
-    p.add_argument("--dimensions", type=_parse_int_list, default=())
-    p.add_argument("--kernel-tol", dest="kernel_tol", type=float,
-                   default=spectral.DEFAULT_KERNEL_TOLERANCE)
+    _add_settings(p, "dimensions", "kernel_tol")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_spectrum)
 
@@ -604,25 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=synth.DEFAULT_REPLICATES)
     p.add_argument("--samples", type=int, default=synth.DEFAULT_SAMPLES)
     p.add_argument("--size", type=int, default=synth.DEFAULT_SIZE)
-    p.add_argument("--dimensions", type=_parse_int_list, default=())
-    p.add_argument("--measures", type=_parse_str_list, default=PipelineConfig.measures)
+    _add_settings(p, "dimensions", "measures")
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_control_synth)
 
     p = sub.add_parser("run", help="full pipeline into an output directory")
-    p.add_argument("--input", default=None)
-    p.add_argument("--kind", choices=("discrete", "continuous"), default=None)
-    p.add_argument("--dimensions", type=_parse_int_list, default=None)
-    p.add_argument("--measures", type=_parse_str_list, default=None)
-    p.add_argument("--metric", default=None,
-                   choices=[m.value for m in simplices.SimilarityMetric])
-    p.add_argument("--aggregator", default=None,
-                   choices=[a.value for a in simplices.WeightAggregator])
-    p.add_argument("--floor", type=float, default=None)
-    p.add_argument("--kernel-tol", dest="kernel_tol", type=float, default=None)
-    p.add_argument("--smoothing", type=float, default=None)
-    p.add_argument("--units", choices=("bits", "nats"), default=None)
+    _add_settings(p, *_CONFIG_PARSERS, unset=True)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--manifest", default=None, help="replay a previous run exactly")
     p.add_argument("--output-dir", default=None)

@@ -265,9 +265,11 @@ def test_criterion_7_synthetic_rank_experiment():
     mean Fourier-basis CEV of the O-information signal for rank 2 must exceed
     rank 9 at every k <= 10 for dimensions 3 and 4.
 
-    The dimension-4 clause is not a stable property of this pipeline: the
-    orderings at k <= 2 sit within replicate noise of a tie, and at the
-    reference scale of 50 replicates they invert. See the decisions ledger
+    The dimension-4 clause fails at k = 1 because of the pipeline, not the
+    sample: at n = 4 the rank-2 O-information signal is close to a constant
+    (about +6 bits, 96-99% of its energy), and no eigenvector of the signed
+    Laplacian on the full simplex is constant, so the Fourier basis spreads
+    that offset and the rank-2 curve ties rank 9. See the decisions ledger
     for the measured evidence. The criterion is asserted as written, with the
     package-wide default seed, rather than tuned until green.
     """

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,15 +8,21 @@ import numpy as np
 import pytest
 
 from hyperharmonic.cli import (
+    _CHOICES,
+    _CONFIG_PARSERS,
     EXIT_CAPACITY,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     INCOMPLETE_MARKER,
     OUTPUT_DIR_ENV,
+    PipelineConfig,
+    build_parser,
     load_config_file,
     main,
 )
+from hyperharmonic.errors import NumericalError, ValidationError
 
 
 def write_xor_csv(path):
@@ -758,22 +765,23 @@ class TestRun:
             "run", "--manifest", str(edited), "--output-dir", str(second),
         ])
 
-    def test_manifest_with_retired_keys_replays_byte_identical(self, tmp_path):
-        def add_retired(manifest):
-            manifest["config"].update(seed=11, num_random=80, laplacian_formula="adjoint")
+    # Manifests from before tree format 2 carried seed, num_random and
+    # laplacian_formula; they are unknown keys now, like any other.
+    def test_manifest_with_retired_keys_rejected(self, tmp_path, capsys):
+        for key, value in (("seed", 11), ("num_random", 80)):
+            _, second, code = self.replay_edited_manifest(
+                tmp_path, lambda manifest: manifest["config"].update({key: value}))
+            assert code == EXIT_VALIDATION
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+            assert not second.exists()
 
-        first, second, code = self.replay_edited_manifest(tmp_path, add_retired)
-        assert code == EXIT_OK
-        assert tree_bytes(first) == tree_bytes(second)
-
-    def test_manifest_asking_for_alternate_laplacian_rejected(self, tmp_path, capsys):
-        def alternate(manifest):
-            manifest["config"]["laplacian_formula"] = "alternate"
-
-        _, second, code = self.replay_edited_manifest(tmp_path, alternate)
-        assert code == EXIT_VALIDATION
-        assert "alternate Laplacian was removed" in capsys.readouterr().err
-        assert not second.exists()
+    def test_manifest_with_laplacian_formula_rejected(self, tmp_path, capsys):
+        for value in ("adjoint", "alternate"):
+            _, second, code = self.replay_edited_manifest(
+                tmp_path, lambda manifest: manifest["config"].update(laplacian_formula=value))
+            assert code == EXIT_VALIDATION
+            assert "unknown key 'laplacian_formula'" in capsys.readouterr().err
+            assert not second.exists()
 
     @pytest.mark.parametrize("payload", [
         {"config": {"input": "x.csv", "floor": "abc"}},
@@ -934,18 +942,17 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["floor"] == 0.25
 
-    def test_config_file_retired_keys(self, tmp_path):
+    def test_config_file_retired_keys_rejected(self, tmp_path, capsys):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            f"input = {data}\nseed = 5\nnum_random = x\nlaplacian_formula = adjoint\n"
-        )
-        assert load_config_file(cfg) == {"input": str(data)}
-        cfg.write_text(f"input = {data}\nlaplacian_formula = alternate\n")
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == EXIT_VALIDATION
-        assert not out.exists()
+        for key, value in (("seed", "5"), ("num_random", "80"), ("laplacian_formula", "adjoint")):
+            cfg.write_text(f"input = {data}\n{key} = {value}\n")
+            assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) \
+                == EXIT_VALIDATION
+            assert f"line 2: unknown key {key!r}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -982,6 +989,34 @@ class TestRun:
         with pytest.raises(np.linalg.LinAlgError):
             main(argv + ["--output-dir", str(out)])
         assert (out / INCOMPLETE_MARKER).exists()
+
+    @pytest.mark.parametrize("command", ["signals", "spectrum"])
+    def test_step_failure_leaves_incomplete_marker(self, tmp_path, monkeypatch, command):
+        data, dist, weights = (tmp_path / name for name in ("five.csv", "dist.json",
+                                                            "weights.json"))
+        write_five_variable_csv(data)
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        assert main(["complex", "--distribution", str(dist), "--output", str(weights)]) == EXIT_OK
+        import hyperharmonic.cli as cli_mod
+
+        owner, name, argv = {
+            "signals": (cli_mod.transform, "build_signal", ["--distribution", str(dist)]),
+            "spectrum": (cli_mod.spectral, "fourier_basis", ["--weights", str(weights)]),
+        }[command]
+        real = getattr(owner, name)
+
+        def fail_at_dimension_3(first, n, *rest):
+            if n == 3:
+                raise NumericalError("forced failure at dimension 3")
+            return real(first, n, *rest)
+
+        monkeypatch.setattr(owner, name, fail_at_dimension_3)
+        out = tmp_path / "out"
+        assert main([command, *argv, "--dimensions", "2,3", "--output-dir", str(out)]) \
+            == EXIT_NUMERICAL
+        written = tree_bytes(out)
+        assert INCOMPLETE_MARKER in written
+        assert all("dim2" in path for path in written if path != INCOMPLETE_MARKER)
 
     @pytest.mark.parametrize("flags, code", [
         (["--smoothing", "1"], EXIT_CAPACITY),
@@ -1037,7 +1072,7 @@ class TestRun:
         with pytest.raises(RuntimeError):
             main(["signals", "--distribution", str(dist), "--dimensions", "2",
                   "--output-dir", str(out)])
-        assert tree_bytes(out) == {}
+        assert list(tree_bytes(out)) == [INCOMPLETE_MARKER]
 
     def test_interrupted_csv_write_leaves_no_partial_file(self, tmp_path):
         from hyperharmonic.transform import ControlComparison, control_to_csv
@@ -1121,6 +1156,44 @@ class TestRun:
             "--output-dir", str(tmp_path / "out"),
         ])
         assert code == EXIT_CAPACITY
+
+
+class TestSettingsTable:
+    """``run``'s flags, config-file keys and manifest keys are one table."""
+
+    TEXTS = {
+        "input": "table.csv", "kind": "continuous", "dimensions": "2, 4",
+        "measures": "tc,o_information", "metric": "abs_pearson", "aggregator": "max",
+        "floor": "0.25", "kernel_tol": "1e-6", "smoothing": "0.5", "units": "nats",
+    }
+
+    @pytest.mark.parametrize("key", list(_CONFIG_PARSERS))
+    def test_flag_parses_as_config_key(self, tmp_path, key):
+        text = self.TEXTS[key]
+        args = build_parser().parse_args(["run", "--" + key.replace("_", "-"), text])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        from_file = load_config_file(cfg)[key]
+        assert getattr(args, key) == from_file
+        assert type(getattr(args, key)) is type(from_file)
+
+    def test_run_flags_are_the_settings(self):
+        args = vars(build_parser().parse_args(["run"]))
+        assert set(args) - {"command", "func"} == \
+            set(_CONFIG_PARSERS) | {"config", "manifest", "output_dir"}
+        assert list(_CONFIG_PARSERS) == [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert set(self.TEXTS) == set(_CONFIG_PARSERS)
+
+    @pytest.mark.parametrize("key", list(_CHOICES))
+    def test_flag_and_validate_allow_the_same_values(self, key, capsys):
+        for value in _CHOICES[key]:
+            build_parser().parse_args(["run", "--" + key, value])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--" + key, "other"])
+        assert "invalid choice: 'other'" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match=f"unknown {key} 'other'; expected one of: "
+                           + ", ".join(_CHOICES[key])):
+            PipelineConfig(input="table.csv", **{key: "other"}).validate()
 
 
 class TestTreeInventory:
