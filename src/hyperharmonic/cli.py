@@ -24,7 +24,7 @@ from . import __version__
 from . import distribution as dist_mod
 from . import infotheory, simplices, spectral, synth, transform
 from .errors import CapacityError, NumericalError, ValidationError
-from .jsonio import (csv_writer, read_header, read_json, read_sidecar, require_keys, write_json,
+from .jsonio import (csv_writer, integer, parsing, read_header, read_json, read_sidecar, write_json,
                      write_sidecar)
 
 EXIT_OK = 0
@@ -133,6 +133,8 @@ def _checked_enum(enum_cls, value, label: str):
 
 
 def _parse_measures(names) -> tuple[infotheory.MeasureKind, ...]:
+    if not names:
+        raise ValidationError("measures must name at least one measure")
     measures = tuple(_checked_enum(infotheory.MeasureKind, m, "measure") for m in names)
     if len(set(names)) < len(names):
         raise ValidationError(f"measures must not repeat a value, got {tuple(names)}")
@@ -174,13 +176,9 @@ def _load_manifest_config(path) -> dict:
     round-trips every float exactly, so a replay rebuilds the same config.
     """
     payload = read_json(path)
-    stored = payload.get("config") if isinstance(payload, dict) else None
-    if not isinstance(stored, dict):
-        raise ValidationError(f"{path}: missing 'config' section")
-    texts = {
-        key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        for key, value in stored.items()
-    }
+    with parsing(f"{path}: malformed manifest"):
+        texts = {key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                 for key, value in payload["config"].items()}
     return _config_values((f"{path}: config", key, text) for key, text in texts.items())
 
 
@@ -215,22 +213,16 @@ def _estimate_model(config: PipelineConfig, table):
 # ---------------------------------------------------------------------------
 
 
-def basis_to_jsonable(basis: spectral.FourierBasis, diagnostics: dict, eigenvectors: str) -> dict:
-    """Format-2 basis header; ``eigenvectors`` names the sibling ``.npy`` file."""
-    return {
+def write_basis(path, basis: spectral.FourierBasis, diagnostics: dict) -> None:
+    """Write Q to ``<stem>_eigenvectors.npy`` beside ``path``, then the header naming it."""
+    write_json(path, {
         "format": BASIS_FORMAT,
         "dimension": basis.dimension,
         "eigenvalues": basis.eigenvalues.tolist(),
         "weights": basis.weights.tolist(),
         "diagnostics": diagnostics,
-        "eigenvectors": eigenvectors,
-    }
-
-
-def write_basis(path, basis: spectral.FourierBasis, diagnostics: dict) -> None:
-    """Write Q to ``<stem>_eigenvectors.npy`` beside ``path``, then the header."""
-    name = write_sidecar(path, "eigenvectors", basis.eigenvectors)
-    write_json(path, basis_to_jsonable(basis, diagnostics, name))
+        "eigenvectors": write_sidecar(path, "eigenvectors", basis.eigenvectors),
+    })
 
 
 def _eigenbasis(simplex, n: int, kernel_tol: float):
@@ -244,20 +236,15 @@ def _eigenbasis(simplex, n: int, kernel_tol: float):
 def read_basis(path) -> spectral.FourierBasis:
     """Load a format-2 header and the eigenvector matrix it names."""
     payload = read_header(path, BASIS_FORMAT, "basis", "spectrum")
-    try:
-        name = payload["eigenvectors"]
+    with parsing(f"{path}: malformed basis file"):
+        dimension = integer(payload["dimension"], "dimension")
         eigenvalues = np.array(payload["eigenvalues"], dtype=float)
         weights = np.array(payload["weights"], dtype=float)
-        dimension = int(payload["dimension"])
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed basis header: {exc!r}") from exc
-    Q = read_sidecar(path, name, "eigenvector matrix")
-    if Q.dtype != np.float64:
-        raise ValidationError(f"{path}: eigenvector matrix {name} is {Q.dtype}, expected float64")
-    try:
+        name = payload["eigenvectors"]
+        Q = read_sidecar(path, name, "eigenvector matrix")
+        if Q.dtype != np.float64:
+            raise ValidationError(f"eigenvector matrix {name} is {Q.dtype}, expected float64")
         return spectral.FourierBasis(dimension, eigenvalues, Q, weights)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _weights_payload(simplex: simplices.StructuralSimplex, similarity, config) -> dict:
@@ -278,16 +265,13 @@ def _weighted_simplex(oracle, config: PipelineConfig):
     return similarity, simplices.structural_weights(similarity, aggregator, floor=config.floor)
 
 
-def structural_simplex_from_payload(payload: dict) -> simplices.StructuralSimplex:
-    require_keys(payload, ("num_vertices", "weights"), "weights file")
-    try:
-        N = int(payload["num_vertices"]) - 1
-        weights = tuple(
-            np.array(payload["weights"][str(n)], dtype=float) for n in range(N + 1)
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed weights file: {exc!r}") from exc
-    return simplices.StructuralSimplex(N=N, weights=weights)
+def read_weights(path) -> simplices.StructuralSimplex:
+    """The weighted simplex of a weights file written by ``complex`` or ``run``."""
+    payload = read_json(path)
+    with parsing(f"{path}: malformed weights file"):
+        N = integer(payload["num_vertices"], "num_vertices") - 1
+        weights = tuple(np.array(payload["weights"][str(n)], dtype=float) for n in range(N + 1))
+        return simplices.StructuralSimplex(N=N, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +331,7 @@ def cmd_signals(args) -> int:
 
 def cmd_spectrum(args) -> int:
     PipelineConfig(input=args.weights, kernel_tol=args.kernel_tol).validate()
-    simplex = structural_simplex_from_payload(read_json(args.weights))
+    simplex = read_weights(args.weights)
     dims = simplices.resolved_dimensions(args.dimensions, simplex.N)
     for n in dims:
         spectral.check_dense_dimension(simplex.N, n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
-from .jsonio import read_header, read_sidecar, require_keys, write_json, write_sidecar
+from .jsonio import integer, parsing, read_header, read_sidecar, write_json, write_sidecar
 
 MASS_TOLERANCE = 1e-12
 
@@ -87,7 +87,7 @@ class DiscreteSeriesTable(_SampleTable):
 
     def __post_init__(self):
         X = self._store(np.int64)
-        sizes = tuple(int(a) for a in self.alphabet_sizes)
+        sizes = tuple(integer(a, "alphabet size") for a in self.alphabet_sizes)
         if len(sizes) != X.shape[1]:
             raise ValidationError("names, samples and alphabet sizes must align")
         bad = (X.min(axis=0) < 0) | (X.max(axis=0) >= sizes)
@@ -120,7 +120,7 @@ class JointDistribution:
     masses: np.ndarray
 
     def __post_init__(self):
-        sizes = tuple(int(a) for a in self.alphabet_sizes)
+        sizes = tuple(integer(a, "alphabet size") for a in self.alphabet_sizes)
         if not sizes or min(sizes) < 1:
             raise ValidationError("need at least one variable, each with alphabet size >= 1")
         masses = np.array(self.masses, dtype=float)
@@ -522,31 +522,26 @@ def write_model(path, model) -> None:
     write_json(path, header)
 
 
-_MODEL_FIELDS = {"discrete": ("num_variables", "alphabet_sizes", "outcomes", "masses"),
-                 "gaussian": ("correlation",)}
-
-
 def read_model(path):
-    """Load a model file written by ``write_model``, with the arrays it names."""
+    """Load a model file written by ``write_model``: its header, then the arrays it names."""
     payload = read_header(path, MODEL_FORMAT, "model file", "estimate")
-    kind = require_keys(payload, ("kind",), f"{path}: model")["kind"]
-    if kind not in _MODEL_FIELDS:
-        raise ValidationError(f"{path}: unknown model kind {kind!r}")
-    require_keys(payload, _MODEL_FIELDS[kind], f"{path}: {kind} model")
-    try:
+    with parsing(f"{path}: malformed model file"):
+        kind, count = payload["kind"], integer(payload["num_variables"], "num_variables")
+        if kind not in ("discrete", "gaussian"):
+            raise ValidationError(f"unknown model kind {kind!r}")
+        # One entry per variable: a row of the correlation matrix, or an alphabet size.
+        variables = (payload["correlation"] if kind == "gaussian" else
+                     tuple(integer(a, "alphabet size") for a in payload["alphabet_sizes"]))
+        if len(variables) != count:
+            raise ValidationError(f"num_variables is {count}, but the model has {len(variables)}")
         if kind == "gaussian":
-            return GaussianModel(correlation_matrix=np.array(payload["correlation"], dtype=float))
-        sizes = tuple(payload["alphabet_sizes"])
-        if int(payload["num_variables"]) != len(sizes):
-            raise ValidationError("alphabet sizes must match the variable count")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed {kind} model: {exc}") from exc
-    outcomes = read_sidecar(path, payload["outcomes"], "outcomes")
-    masses = read_sidecar(path, payload["masses"], "masses")
-    if (outcomes.dtype.kind != "u" or masses.dtype != np.float64 or masses.ndim != 1
-            or outcomes.shape != (masses.size, len(sizes))):
-        raise ValidationError(
-            f"{path}: need unsigned (S, {len(sizes)}) outcomes and S float64 masses, got "
-            f"{outcomes.dtype} {outcomes.shape} and {masses.dtype} {masses.shape}"
-        )
-    return JointDistribution(sizes, outcomes.astype(np.int64), masses)
+            return GaussianModel(np.array(variables, dtype=float))
+        outcomes = read_sidecar(path, payload["outcomes"], "outcomes")
+        masses = read_sidecar(path, payload["masses"], "masses")
+        if (outcomes.dtype.kind != "u" or masses.dtype != np.float64 or masses.ndim != 1
+                or outcomes.shape != (masses.size, count)):
+            raise ValidationError(
+                f"need unsigned (S, {count}) outcomes and S float64 masses, got "
+                f"{outcomes.dtype} {outcomes.shape} and {masses.dtype} {masses.shape}"
+            )
+        return JointDistribution(variables, outcomes.astype(np.int64), masses)

@@ -1,11 +1,12 @@
-"""Atomic file replacement, the CSV writer, the JSON writer and reader, and the
-``.npy`` arrays that JSON headers name, for the whole package."""
+"""Atomic file replacement, the CSV writer, the JSON writer, reader and parsing
+rule, and the ``.npy`` arrays that JSON headers name, for the whole package."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import json
+import numbers
 import os
 
 import numpy as np
@@ -42,29 +43,45 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def require_keys(payload, keys, what: str) -> dict:
-    """``payload`` when it is a JSON object holding every key; ValidationError otherwise."""
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{what}: expected a JSON object, got {type(payload).__name__}")
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise ValidationError(f"{what}: missing {', '.join(map(repr, missing))}")
-    return payload
+@contextlib.contextmanager
+def parsing(what: str):
+    """Read a payload's fields inside the block: a missing key, a value of the
+    wrong type or range, or a ValidationError of the object built from them,
+    leaves it as a ValidationError that starts with ``what``, the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{what}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
 
 
-def read_json(path):
+def integer(value, name: str) -> int:
+    """``value`` as an int: an integer, or a float with no fractional part.
+    A bool, a string or anything else is a ValidationError naming ``name``."""
+    if not isinstance(value, bool) and (isinstance(value, numbers.Integral)
+                                        or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file at ``path``: every artifact is one."""
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def read_header(path, fmt: int, what: str, command: str) -> dict:
     """The JSON object at ``path``, which must record ``"format": fmt``; a file
     with no format key is older and is regenerated with ``command``."""
     payload = read_json(path)
-    if not isinstance(payload, dict) or "format" not in payload:
+    if "format" not in payload:
         raise ValidationError(f"{path}: not a format-{fmt} {what} (format-1 files held its arrays "
                               f"inline); regenerate it with `hyperharmonic {command}`")
     if payload["format"] != fmt:
@@ -94,12 +111,13 @@ def read_sidecar(header_path, name, what: str) -> np.ndarray:
     """The array in the file ``name`` that the header at ``header_path`` names.
 
     ``name`` must be a bare file name in the header's directory; a pickled or
-    unreadable array is a ValidationError, a missing file an OSError.
+    unreadable array is a ValidationError (``parsing`` names the header), a
+    missing file an OSError.
     """
     if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
-        raise ValidationError(f"{header_path}: {what} must be a bare file name, got {name!r}")
+        raise ValidationError(f"{what} must be a bare file name, got {name!r}")
     with open(os.path.join(os.path.dirname(header_path), name), "rb") as fh:
         try:
             return np.lib.format.read_array(fh, allow_pickle=False)
         except ValueError as exc:
-            raise ValidationError(f"{header_path}: unreadable {what} {name}: {exc}") from exc
+            raise ValidationError(f"unreadable {what} {name}: {exc}") from exc

@@ -179,10 +179,9 @@ class StructuralSimplex:
     weights: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.weights) != self.N + 1:
-            raise ValidationError(
-                f"expected {self.N + 1} weight vectors, got {len(self.weights)}"
-            )
+        if self.N < 0 or len(self.weights) != self.N + 1:
+            raise ValidationError(f"need N >= 0 and N + 1 weight vectors, got N = {self.N} "
+                                  f"and {len(self.weights)} vectors")
         converted = []
         for n, w in enumerate(self.weights):
             w = np.asarray(w, dtype=float)

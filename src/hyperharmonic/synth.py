@@ -153,6 +153,8 @@ def check_experiment(ranks, replicates, num_samples, size, dimensions, measures)
     for n in dimensions:
         check_dense_dimension(size - 1, n)
     measures = tuple(MeasureKind(m) for m in measures)
+    if not measures:
+        raise ValidationError("measures must name at least one measure")
     for label, items in (("ranks", ranks), ("measures", measures)):
         if len(set(items)) < len(items):
             names = tuple(getattr(x, "value", x) for x in items)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, signal_sweep
-from .jsonio import csv_writer, read_json, require_keys, write_json
+from .jsonio import csv_writer, integer, parsing, read_json, write_json
 from .seeding import as_rng, derive_rng
 from .spectral import DENSE_DIMENSION_CAP, FourierBasis
 
@@ -102,13 +102,6 @@ class CevReport:
     sorted_ev: np.ndarray
     cev: np.ndarray
     components_at: dict[float, int]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "sorted_ev": self.sorted_ev.tolist(),
-            "cev": self.cev.tolist(),
-            "components_at": {f"{t:.2f}": k for t, k in sorted(self.components_at.items())},
-        }
 
 
 def _cev_curve(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +218,11 @@ def control_comparison(
 
 
 def cev_to_json(path, report: CevReport) -> None:
-    write_json(path, report.to_jsonable())
+    write_json(path, {
+        "sorted_ev": report.sorted_ev.tolist(),
+        "cev": report.cev.tolist(),
+        "components_at": {f"{t:.2f}": k for t, k in sorted(report.components_at.items())},
+    })
 
 
 def control_to_csv(path, comparison: ControlComparison) -> None:
@@ -239,7 +236,7 @@ def control_to_csv(path, comparison: ControlComparison) -> None:
                 writer.writerow(["random", rep, k, repr(float(value))])
 
 
-def signal_to_jsonable(signal: HighOrderSignal, num_vertices: int | None = None) -> dict:
+def write_signal(path, signal: HighOrderSignal, num_vertices: int | None = None) -> None:
     payload = {
         "dimension": signal.dimension,
         "basis": signal.basis,
@@ -248,26 +245,16 @@ def signal_to_jsonable(signal: HighOrderSignal, num_vertices: int | None = None)
     }
     if num_vertices is not None:
         payload["num_vertices"] = num_vertices
-    return payload
-
-
-def signal_from_jsonable(payload: dict) -> HighOrderSignal:
-    require_keys(payload, ("dimension", "coefficients"), "signal")
-    measure = payload.get("measure")
-    try:
-        return HighOrderSignal(
-            dimension=int(payload["dimension"]),
-            coefficients=np.array(payload["coefficients"], dtype=float),
-            basis=payload.get("basis", CANONICAL),
-            measure=MeasureKind(measure) if measure else None,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed signal: {exc}") from exc
-
-
-def write_signal(path, signal: HighOrderSignal, num_vertices: int | None = None) -> None:
-    write_json(path, signal_to_jsonable(signal, num_vertices))
+    write_json(path, payload)
 
 
 def read_signal(path) -> HighOrderSignal:
-    return signal_from_jsonable(read_json(path))
+    payload = read_json(path)
+    with parsing(f"{path}: malformed signal file"):
+        measure = payload.get("measure")
+        return HighOrderSignal(
+            dimension=integer(payload["dimension"], "dimension"),
+            coefficients=np.array(payload["coefficients"], dtype=float),
+            basis=payload.get("basis", CANONICAL),
+            measure=None if measure is None else MeasureKind(measure),
+        )

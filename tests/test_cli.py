@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hyperharmonic.cli import (
     _CHOICES,
@@ -23,6 +27,7 @@ from hyperharmonic.cli import (
     main,
 )
 from hyperharmonic.errors import NumericalError, ValidationError
+from hyperharmonic.infotheory import MeasureKind
 
 
 def write_xor_csv(path):
@@ -31,6 +36,7 @@ def write_xor_csv(path):
 
 
 DISCRETE_2X2 = {"format": 2, "kind": "discrete", "num_variables": 2, "alphabet_sizes": [2, 2]}
+TWO_OUTCOMES = {"outcomes": np.array([[0, 0], [1, 1]], np.uint8), "masses": np.full(2, 0.5)}
 
 
 def write_model_file(path, header, **arrays):
@@ -174,13 +180,17 @@ class TestStepCommands:
         {"dimension": 2},
         {"dimension": 2, "coefficients": "abc"},
         {"dimension": 2, "coefficients": [1.0], "measure": "bogus"},
-    ], ids=["list", "number", "no-coefficients", "text-coefficients", "unknown-measure"])
+        {"dimension": 2, "coefficients": [1.0], "measure": False},
+        {"dimension": 2.5, "coefficients": [1.0]},
+        b"\xff\xfe{}",
+    ], ids=["list", "number", "no-coefficients", "text-coefficients", "unknown-measure",
+            "false-measure", "fractional-dimension", "not-utf8"])
     def test_malformed_signal_file_gives_validation_exit(self, tmp_path, payload, capsys):
         sig = tmp_path / "sig.json"
-        sig.write_text(json.dumps(payload))
+        sig.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
         code = main(["cev", "--signal", str(sig), "--output-prefix", str(tmp_path / "r")])
         assert code == EXIT_VALIDATION
-        assert "error: " in capsys.readouterr().err
+        assert f"error: {sig}: " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["sig.json"]
 
     @pytest.mark.parametrize("header, arrays", [
@@ -197,9 +207,20 @@ class TestStepCommands:
         ({"format": 2, "kind": "gaussian"}, {}),
         ({"format": 2, "kind": "gaussian", "num_variables": 2,
           "correlation": [[1, "x"], ["x", 1]]}, {}),
+        ({**DISCRETE_2X2, "kind": ["discrete"]}, TWO_OUTCOMES),
+        ({**DISCRETE_2X2, "kind": {"discrete": 1}}, TWO_OUTCOMES),
+        ({**DISCRETE_2X2, "alphabet_sizes": [2, "x"]}, TWO_OUTCOMES),
+        ({**DISCRETE_2X2, "alphabet_sizes": [2, [1]]}, TWO_OUTCOMES),
+        ({**DISCRETE_2X2, "alphabet_sizes": [2, 2.5]}, TWO_OUTCOMES),
+        ({**DISCRETE_2X2, "alphabet_sizes": [2, True]},
+         {**TWO_OUTCOMES, "outcomes": np.array([[0, 0], [1, 0]], np.uint8)}),
+        ({"format": 2, "kind": "gaussian", "num_variables": 7,
+          "correlation": np.eye(3).tolist()}, {}),
     ], ids=["list", "number", "discrete-no-fields", "discrete-bad-mass",
             "discrete-repeated-outcome", "discrete-variable-count",
-            "discrete-fractional-outcome", "gaussian-no-fields", "gaussian-text-entry"])
+            "discrete-fractional-outcome", "gaussian-no-fields", "gaussian-text-entry",
+            "kind-list", "kind-object", "size-text", "size-list", "size-fractional", "size-bool",
+            "gaussian-variable-count"])
     def test_malformed_model_file_gives_validation_exit(self, tmp_path, header, arrays, capsys):
         model = tmp_path / "model.json"
         write_model_file(model, header, **arrays)
@@ -207,7 +228,7 @@ class TestStepCommands:
         code = main(["complex", "--distribution", str(model),
                      "--output", str(tmp_path / "weights.json")])
         assert code == EXIT_VALIDATION
-        assert "error: " in capsys.readouterr().err
+        assert f"error: {model}: " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_non_finite_mass_rejected_by_the_model_reader(self, tmp_path, capsys):
@@ -244,7 +265,7 @@ class TestStepCommands:
         out = tmp_path / "spectrum"
         code = main(["spectrum", "--weights", str(weights), "--output-dir", str(out)])
         assert code == EXIT_VALIDATION
-        assert "error: " in capsys.readouterr().err
+        assert f"error: {weights}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_spectrum_checks_every_dimension_before_writing(self, tmp_path, capsys):
@@ -335,10 +356,9 @@ class TestBasisFormat:
 
     def in_process_basis(self, weights_path):
         from hyperharmonic import spectral
-        from hyperharmonic.cli import read_json, structural_simplex_from_payload
+        from hyperharmonic.cli import read_weights
 
-        simplex = structural_simplex_from_payload(read_json(weights_path))
-        return spectral.fourier_basis(simplex, 2)
+        return spectral.fourier_basis(read_weights(weights_path), 2)
 
     def test_header_names_sibling_matrix(self, spectrum):
         header = json.loads(spectrum["basis"].read_text())
@@ -616,6 +636,117 @@ class TestModelFormat:
         assert tmp_files(tmp_path) == []
 
 
+# Arbitrary JSON values. No list or object has more than four entries, so
+# none can stand in for the five alphabet sizes, the 5 x 5 correlation, the
+# five weight vectors or the ten entries of a basis that the property edits.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def _integral(value):
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer())
+
+
+def _vector(value):
+    """Whether NumPy reads ``value`` as a non-empty finite float vector, as the
+    signal reader does (numeric strings included)."""
+    try:
+        x = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return x.ndim == 1 and x.size > 0 and bool(np.isfinite(x).all())
+
+
+# (file, field): the values a command accepts in that field besides the one
+# written. `cev` reads no dimension, takes any finite coefficients (an all-zero
+# signal then exits 4, as it should) and either basis tag; a basis whose dimension differs from its signal's is a mismatch
+# of two good files, which `transform` reports without naming either.
+ALSO_VALID = {
+    ("signal", "dimension"): _integral,
+    ("signal", "coefficients"): _vector,
+    ("signal", "basis"): lambda v: v in ("canonical", "fourier"),
+    ("signal", "measure"): lambda v: v is None or v in [m.value for m in MeasureKind],
+    ("basis", "dimension"): _integral,
+}
+
+# Each file's header, the files beside it and the command that reads it. Every
+# field the command reads is edited; `spectrum` reads only two of the weights
+# file's, and `transform` does not read a basis's diagnostics.
+FUZZ_FILES = {
+    "discrete": ("dist.json", ["dist_outcomes.npy", "dist_masses.npy"],
+                 ["complex", "--distribution", "{file}", "--output", "{dir}/out.json"],
+                 ["format", "kind", "num_variables", "alphabet_sizes", "outcomes", "masses"]),
+    "gaussian": ("gauss.json", [],
+                 ["complex", "--distribution", "{file}", "--output", "{dir}/out.json"],
+                 ["format", "kind", "num_variables", "correlation"]),
+    "basis": ("basis_dim2.json", ["basis_dim2_eigenvectors.npy", "signal_o_information_dim2.json"],
+              ["transform", "--signal", "{dir}/signal_o_information_dim2.json", "--basis", "{file}",
+               "--output", "{dir}/out.json"],
+              ["format", "dimension", "eigenvalues", "weights", "eigenvectors"]),
+    "weights": ("weights.json", [],
+                ["spectrum", "--weights", "{file}", "--dimensions", "2", "--output-dir", "{dir}/out"],
+                ["num_vertices", "weights"]),
+    "signal": ("signal_o_information_dim2.json", [],
+               ["cev", "--signal", "{file}", "--output-prefix", "{dir}/out"],
+               ["dimension", "coefficients", "basis", "measure"]),
+}
+ARRAY_FIELDS = ("outcomes", "masses", "eigenvectors")
+
+
+class TestReaderFuzz:
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        """Good files of each kind: V = 5 models, their weights, a d = 10 basis and signal."""
+        root = tmp_path_factory.mktemp("valid")
+        write_five_variable_csv(root / "five.csv")
+        X = np.random.default_rng(8).standard_normal((200, 5))
+        (root / "real.csv").write_text(
+            "a,b,c,d,e\n" + "".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
+        r = str(root)
+        for argv in (
+            ["estimate", "--input", f"{r}/five.csv", "--output", f"{r}/dist.json"],
+            ["estimate", "--kind", "continuous", "--input", f"{r}/real.csv",
+             "--output", f"{r}/gauss.json"],
+            ["complex", "--distribution", f"{r}/dist.json", "--output", f"{r}/weights.json"],
+            ["signals", "--distribution", f"{r}/dist.json", "--dimensions", "2",
+             "--measures", "o_information", "--output-dir", r],
+            ["spectrum", "--weights", f"{r}/weights.json", "--dimensions", "2", "--output-dir", r],
+        ):
+            assert main(argv) == EXIT_OK
+        return root
+
+    @given(case=st.sampled_from([(kind, field) for kind, spec in FUZZ_FILES.items()
+                                 for field in spec[3]]),
+           value=JSON_VALUES)
+    @example(case=("discrete", "kind"), value=["discrete"])
+    @example(case=("gaussian", "num_variables"), value=7)
+    @example(case=("weights", "num_vertices"), value=0)
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_field_exits_2_naming_the_file(self, valid, tmp_path_factory, case, value):
+        kind, field = case
+        name, beside, argv, _ = FUZZ_FILES[kind]
+        header = json.loads((valid / name).read_text())
+        assume(value != header[field] and not ALSO_VALID.get(case, lambda v: False)(value))
+        work = tmp_path_factory.mktemp("fuzz")
+        for other in beside:
+            (work / other).write_bytes((valid / other).read_bytes())
+        (work / name).write_text(json.dumps({**header, field: value}))
+        before = sorted(os.listdir(work))
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = main([arg.format(file=work / name, dir=work) for arg in argv])
+        err = stderr.getvalue()
+        if code == EXIT_IO:  # only an array file the header names, which cannot be opened
+            assert field in ARRAY_FIELDS and repr(os.path.join(work, value)) in err, err
+        else:
+            assert code == EXIT_VALIDATION and f"error: {work / name}: " in err, (code, err)
+        assert sorted(os.listdir(work)) == before
+
+
 class TestRun:
     def test_xor_run_produces_omega_signal(self, tmp_path):
         data = tmp_path / "xor.csv"
@@ -849,6 +980,26 @@ class TestRun:
         assert main(["run", "--input", str(data), flag, value, "--output-dir", str(out)]) \
             == EXIT_VALIDATION
         assert "must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+    def test_empty_measure_list_rejected_before_any_output(self, tmp_path, source, capsys):
+        def empty(manifest):
+            manifest["config"]["measures"] = []
+
+        out = tmp_path / "out"
+        if source == "manifest":
+            _, out, code = self.replay_edited_manifest(tmp_path, empty)
+        else:
+            data = tmp_path / "xor.csv"
+            write_xor_csv(data)
+            config = tmp_path / "run.cfg"
+            config.write_text(f"input = {data}\nmeasures =\n")
+            given = ["--input", str(data), "--measures", ""] if source == "flag" \
+                else ["--config", str(config)]
+            code = main(["run", *given, "--output-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "measures must name at least one measure" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_with_repeated_dimension_does_not_replay(self, tmp_path, capsys):
@@ -1262,6 +1413,13 @@ class TestTreeInventory:
         assert "must not repeat" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_measure_list_rejected_before_any_output(self, steps, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["signals", "--distribution", str(steps["dist"]), "--measures", "",
+                     "--output-dir", str(out)]) == EXIT_VALIDATION
+        assert "measures must name at least one measure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cev(self, steps, tmp_path):
         signals, out = tmp_path / "signals", tmp_path / "cev"
         assert main([
@@ -1468,6 +1626,7 @@ class TestControlSynth:
         (["--ranks", "2,2"], EXIT_VALIDATION),
         (["--dimensions", "2,2"], EXIT_VALIDATION),
         (["--measures", "o_information,o_information"], EXIT_VALIDATION),
+        (["--measures", ""], EXIT_VALIDATION),
     ])
     def test_bad_arguments_leave_no_output_directory(self, tmp_path, flags, code):
         out = tmp_path / "ctrl"

@@ -98,6 +98,16 @@ class TestSampleTables:
         with pytest.raises(ValidationError):
             ContinuousSeriesTable(names, samples=samples)
 
+    @pytest.mark.parametrize("sizes", [(2, 3.9), (2, "3"), (True, 3)],
+                             ids=["fractional", "text", "bool"])
+    def test_alphabet_sizes_must_be_integers(self, sizes):
+        with pytest.raises(ValidationError, match="alphabet size must be an integer"):
+            DiscreteSeriesTable(("a", "b"), samples=[[0, 1], [1, 2]], alphabet_sizes=sizes)
+
+    def test_integral_float_alphabet_size_accepted(self):
+        table = DiscreteSeriesTable(("a", "b"), samples=[[0, 1], [1, 2]], alphabet_sizes=(2.0, 3))
+        assert table.alphabet_sizes == (2, 3) and type(table.alphabet_sizes[0]) is int
+
     def test_first_bad_column_is_named(self):
         with pytest.raises(ValidationError, match=r"column 'b' has values outside \[0, 1\]"):
             DiscreteSeriesTable("abc", samples=[[0, 2, 5], [1, 0, 0]], alphabet_sizes=(2, 2, 2))
@@ -173,25 +183,29 @@ class TestJointDistribution:
         assert not dist.outcomes.flags.writeable and not dist.masses.flags.writeable
         assert dist.num_variables == 2 and dist.support_size() == 2
 
-    @pytest.mark.parametrize("outcomes,masses", [
-        ([(0, 0), (0, 0), (1, 1)], [0.25, 0.25, 0.5]),
-        ([(0, 0), (1, 1)], [float("nan"), 1.0]),
-        ([(0, 0), (1, 1)], [float("inf"), 0.5]),
-        ([(0, 0), (1, 1)], [0.0, 1.0]),
-        ([(0, 0), (1, 2)], [0.5, 0.5]),
-        ([(0,), (1,)], [0.5, 0.5]),
-        ([(0, 0), (1, 1)], [0.5, 0.4]),
-        (np.zeros((0, 2)), []),
-        ([(0.5, 1), (1, 1)], [0.5, 0.5]),
-        ([(float("nan"), 0), (1, 1)], [0.5, 0.5]),
-        ([(1e30, 0), (1, 1)], [0.5, 0.5]),
+    @pytest.mark.parametrize("sizes,outcomes,masses", [
+        ((2, 2), [(0, 0), (0, 0), (1, 1)], [0.25, 0.25, 0.5]),
+        ((2, 2), [(0, 0), (1, 1)], [float("nan"), 1.0]),
+        ((2, 2), [(0, 0), (1, 1)], [float("inf"), 0.5]),
+        ((2, 2), [(0, 0), (1, 1)], [0.0, 1.0]),
+        ((2, 2), [(0, 0), (1, 2)], [0.5, 0.5]),
+        ((2, 2), [(0,), (1,)], [0.5, 0.5]),
+        ((2, 2), [(0, 0), (1, 1)], [0.5, 0.4]),
+        ((2, 2), np.zeros((0, 2)), []),
+        ((2, 2), [(0.5, 1), (1, 1)], [0.5, 0.5]),
+        ((2, 2), [(float("nan"), 0), (1, 1)], [0.5, 0.5]),
+        ((2, 2), [(1e30, 0), (1, 1)], [0.5, 0.5]),
+        ((2, 2.5), [(0, 0), (1, 1)], [0.5, 0.5]),
+        (("2", True), [(0, 0), (1, 0)], [0.5, 0.5]),
+        ((2, [2]), [(0, 0), (1, 1)], [0.5, 0.5]),
     ], ids=["repeated", "nan", "inf", "zero", "outside", "arity", "total", "empty",
-            "fractional-outcome", "nan-outcome", "huge-outcome"])
-    def test_invalid_pmf_rejected(self, outcomes, masses):
+            "fractional-outcome", "nan-outcome", "huge-outcome", "fractional-size",
+            "text-and-bool-sizes", "list-size"])
+    def test_invalid_pmf_rejected(self, sizes, outcomes, masses):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError):
-                JointDistribution((2, 2), outcomes, masses)
+                JointDistribution(sizes, outcomes, masses)
 
     def test_fractional_outcome_named_as_given(self):
         with pytest.raises(ValidationError, match=r"outcome \[0\.5, 1\.0\] is not integral"):
