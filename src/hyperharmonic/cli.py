@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
 import os
 import sys
@@ -24,8 +25,8 @@ from . import __version__
 from . import distribution as dist_mod
 from . import infotheory, simplices, spectral, synth, transform
 from .errors import CapacityError, NumericalError, ValidationError
-from .jsonio import (csv_writer, integer, parsing, read_header, read_json, read_sidecar, write_json,
-                     write_sidecar)
+from .jsonio import (csv_writer, integer, parsing, read_header, read_json, read_sidecar, read_text,
+                     write_json, write_sidecar)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -70,7 +71,7 @@ class PipelineConfig:
             if value not in allowed:
                 raise ValidationError(
                     f"unknown {key} {value!r}; expected one of: {', '.join(allowed)}")
-        _parse_measures(self.measures)
+        infotheory.resolved_measures(self.measures)
         for name in ("floor", "kernel_tol", "smoothing"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
@@ -82,8 +83,6 @@ class PipelineConfig:
             raise ValidationError("smoothing applies to discrete input only")
         if self.kind == "continuous" and self.metric == "total_variation":
             raise ValidationError("the total_variation metric needs discrete input")
-        if any(n < 2 for n in self.dimensions):
-            raise ValidationError("analysis dimensions must be >= 2")
 
 
 def _parse_str_list(text: str) -> tuple[str, ...]:
@@ -124,23 +123,6 @@ _CHOICES = {
 }
 
 
-def _checked_enum(enum_cls, value, label: str):
-    try:
-        return enum_cls(value)
-    except ValueError as exc:
-        options = ", ".join(member.value for member in enum_cls)
-        raise ValidationError(f"unknown {label} {value!r}; expected one of: {options}") from exc
-
-
-def _parse_measures(names) -> tuple[infotheory.MeasureKind, ...]:
-    if not names:
-        raise ValidationError("measures must name at least one measure")
-    measures = tuple(_checked_enum(infotheory.MeasureKind, m, "measure") for m in names)
-    if len(set(names)) < len(names):
-        raise ValidationError(f"measures must not repeat a value, got {tuple(names)}")
-    return measures
-
-
 def _config_values(items) -> dict:
     """Parse ``(where, key, text)`` items from a config file or a manifest."""
     values: dict = {}
@@ -157,15 +139,15 @@ def _config_values(items) -> dict:
 def load_config_file(path) -> dict:
     """Parse a flat 'key = value' config file ('#' starts a comment)."""
     items = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}: line {line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            items.append((f"{path}: line {line_no}", key.strip(), value.strip()))
+    for line_no, raw in enumerate(io.StringIO(read_text(path, "config file"), newline=None),
+                                  start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}: line {line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        items.append((f"{path}: line {line_no}", key.strip(), value.strip()))
     return _config_values(items)
 
 
@@ -316,7 +298,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_signals(args) -> int:
-    measures = _parse_measures(args.measures)
+    measures = infotheory.resolved_measures(args.measures)
     oracle = infotheory.EntropyOracle(dist_mod.read_model(args.distribution))
     N = oracle.num_variables - 1
     dims = simplices.resolved_dimensions(args.dimensions, N)
@@ -333,8 +315,6 @@ def cmd_spectrum(args) -> int:
     PipelineConfig(input=args.weights, kernel_tol=args.kernel_tol).validate()
     simplex = read_weights(args.weights)
     dims = simplices.resolved_dimensions(args.dimensions, simplex.N)
-    for n in dims:
-        spectral.check_dense_dimension(simplex.N, n)
     with _incomplete_marker(args.output_dir):
         for n in dims:
             basis, residuals, diagnostics = _eigenbasis(simplex, n, args.kernel_tol)
@@ -379,9 +359,8 @@ def cmd_control_random(args) -> int:
 
 
 def cmd_control_synth(args) -> int:
-    measures = _parse_measures(args.measures)
-    _, dims, _ = synth.check_experiment(args.ranks, args.replicates, args.samples, args.size,
-                                        args.dimensions, measures)
+    _, dims, measures = synth.check_experiment(args.ranks, args.replicates, args.samples,
+                                               args.size, args.dimensions, args.measures)
     outdir = _resolve_output_dir(args.output_dir)
     with _incomplete_marker(outdir):
         result = synth.rank_experiment(
@@ -416,13 +395,17 @@ def cmd_run(args) -> int:
     # Every size limit is checked on the table, before any estimation, and the
     # output directory is made only once the model and the weights are built.
     table = _read_table(config)
-    N = table.num_variables - 1
-    simplices.check_vertex_count(N)
-    config.dimensions = simplices.resolved_dimensions(config.dimensions, N)
-    for n in config.dimensions:
-        spectral.check_dense_dimension(N, n)
-
-    _run_pipeline(config, table, _resolve_output_dir(args.output_dir))
+    config.dimensions = simplices.resolved_dimensions(config.dimensions, table.num_variables - 1)
+    # Nor may the directory hold another tree's files that this run would not
+    # replace: a dim_<m> it does not write, or a discrete model's arrays.
+    outdir = _resolve_output_dir(args.output_dir)
+    ours = {f"dim_{n}" for n in config.dimensions}
+    arrays = ("distribution_outcomes.npy", "distribution_masses.npy")
+    for name in sorted(os.listdir(outdir)) if os.path.isdir(outdir) else ():
+        if (name.startswith("dim_") and name[4:].isdecimal() and name not in ours
+                or config.kind == "continuous" and name in arrays):
+            raise FileExistsError(f"{os.path.join(outdir, name)}: left by another run")
+    _run_pipeline(config, table, outdir)
     return EXIT_OK
 
 

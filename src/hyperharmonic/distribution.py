@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
-from .jsonio import integer, parsing, read_header, read_sidecar, write_json, write_sidecar
+from .jsonio import (integer, parsing, read_header, read_sidecar, read_text, write_json,
+                     write_sidecar)
 
 MASS_TOLERANCE = 1e-12
 
@@ -430,8 +432,7 @@ def _copula_fit(X: np.ndarray, names) -> GaussianModel:
 def _read_rows(path, parse_row) -> tuple[tuple[str, ...], list[list]]:
     """Header names and each data row's values; ``parse_row`` converts a row's
     cells or raises ValueError with the message reported for its line."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_text(path, "CSV"), newline="")))
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header = tuple(name.strip() for name in rows[0])

@@ -40,6 +40,23 @@ class MeasureKind(Enum):
     INTERACTION_INFORMATION = "interaction_information"
 
 
+def resolved_measures(names) -> tuple[MeasureKind, ...]:
+    """``names``, measure values or members, as members: at least one, none repeated."""
+    measures = []
+    for name in names:
+        try:
+            measures.append(MeasureKind(name))
+        except ValueError as exc:
+            options = ", ".join(member.value for member in MeasureKind)
+            raise ValidationError(f"unknown measure {name!r}; expected one of: {options}") from exc
+    if not measures:
+        raise ValidationError("measures must name at least one measure")
+    if len(set(measures)) < len(measures):
+        raise ValidationError(f"measures must not repeat a value, got "
+                              f"{tuple(m.value for m in measures)}")
+    return tuple(measures)
+
+
 class EntropyOracle:
     """Maps sorted variable-index subsets to joint entropies.
 

@@ -1,5 +1,5 @@
-"""Atomic file replacement, the CSV writer, the JSON writer, reader and parsing
-rule, and the ``.npy`` arrays that JSON headers name, for the whole package."""
+"""Atomic file replacement, the UTF-8 text reader, the CSV and JSON writers, the
+JSON reader and parsing rule, and the ``.npy`` arrays that JSON headers name."""
 
 from __future__ import annotations
 
@@ -65,13 +65,19 @@ def integer(value, name: str) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def read_text(path, what: str) -> str:
+    """The text of the file at ``path``, line ends untranslated. Every input is
+    UTF-8; other bytes are a ValidationError naming the file as invalid ``what``."""
+    with parsing(f"{path}: invalid {what}"), open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 def read_json(path) -> dict:
     """The JSON object in the file at ``path``: every artifact is one."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        payload = json.loads(read_text(path, "JSON"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     return payload

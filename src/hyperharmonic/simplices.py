@@ -25,6 +25,9 @@ Simplex = tuple[int, ...]
 # Largest supported N; weight tables hold 2^(N+1) - 1 entries in total.
 MAX_N = 16
 
+# Dense eigendecomposition cap; larger dimensions fail fast instead of thrashing.
+DENSE_DIMENSION_CAP = 5000
+
 DEFAULT_WEIGHT_FLOOR = 1e-9
 
 
@@ -206,9 +209,19 @@ def check_vertex_count(N: int) -> None:
         raise CapacityError(f"N={N} exceeds the cap of {MAX_N}")
 
 
+def check_dense_dimension(N: int, n: int) -> int:
+    """Number of n-simplices on N + 1 vertices; CapacityError above the dense cap."""
+    d = simplex_count(N, n)
+    if d > DENSE_DIMENSION_CAP:
+        raise CapacityError(f"dimension n={n} has {d} simplices, above the dense cap "
+                            f"{DENSE_DIMENSION_CAP}")
+    return d
+
+
 def resolved_dimensions(dimensions, N: int) -> tuple[int, ...]:
-    """The signal dimensions analysed on N + 1 vertices: ``dimensions``, each
-    in [2, N] and none repeated, or 2..min(5, N) when it is empty."""
+    """The signal dimensions analysed on N + 1 vertices, N <= ``MAX_N``: ``dimensions``,
+    each in [2, N], none repeated and none over the dense cap, or 2..min(5, N)."""
+    check_vertex_count(N)
     dims = tuple(int(n) for n in dimensions) or tuple(range(2, min(5, N) + 1))
     if not dims:
         raise ValidationError(f"no analyzable dimensions: need at least 3 variables, got {N + 1}")
@@ -217,6 +230,8 @@ def resolved_dimensions(dimensions, N: int) -> tuple[int, ...]:
         raise ValidationError(f"dimensions {bad} outside [2, {N}]")
     if len(set(dims)) < len(dims):
         raise ValidationError(f"dimensions must not repeat a value, got {dims}")
+    for n in dims:
+        check_dense_dimension(N, n)
     return dims
 
 

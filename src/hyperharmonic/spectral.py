@@ -23,11 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError, ValidationError
-from .simplices import StructuralSimplex, boundary_faces, simplex_count
-
-# Dense eigendecomposition cap; larger dimensions fail fast instead of thrashing.
-DENSE_DIMENSION_CAP = 5000
+from .errors import NumericalError, ValidationError
+from .simplices import StructuralSimplex, boundary_faces, check_dense_dimension
 
 DEFAULT_KERNEL_TOLERANCE = 1e-8
 
@@ -57,16 +54,6 @@ class FourierBasis:
         if self.eigenvalues.shape != (d,) or self.eigenvectors.shape != (d, d):
             raise ValidationError(f"{d} weights need {d} eigenvalues and a {(d, d)} matrix, got "
                                   f"{self.eigenvalues.shape} and {self.eigenvectors.shape}")
-
-
-def check_dense_dimension(N: int, n: int) -> int:
-    """Number of n-simplices on N + 1 vertices; CapacityError above the dense cap."""
-    d = simplex_count(N, n)
-    if d > DENSE_DIMENSION_CAP:
-        raise CapacityError(
-            f"dimension n={n} has {d} simplices, above the dense cap {DENSE_DIMENSION_CAP}"
-        )
-    return d
 
 
 def _signed_gram(index: np.ndarray, sign: np.ndarray, weight: np.ndarray, size: int) -> np.ndarray:

@@ -15,19 +15,19 @@ import numpy as np
 
 from .distribution import ContinuousSeriesTable, _copula_fit
 from .errors import CapacityError, NumericalError, ValidationError
-from .infotheory import EntropyOracle, MeasureKind
+from .infotheory import EntropyOracle, MeasureKind, resolved_measures
 from .jsonio import csv_writer
 from .seeding import as_rng, derive_rng
 from .simplices import (
     DEFAULT_WEIGHT_FLOOR,
+    DENSE_DIMENSION_CAP,
     SimilarityMetric,
     WeightAggregator,
-    check_vertex_count,
     resolved_dimensions,
     similarity_matrix,
     structural_weights,
 )
-from .spectral import DENSE_DIMENSION_CAP, check_dense_dimension, fourier_basis
+from .spectral import fourier_basis
 from .transform import _cev_curve, build_signal, mean_with_band, to_fourier
 
 RANK_TOLERANCE = 1e-8
@@ -138,6 +138,7 @@ def check_experiment(ranks, replicates, num_samples, size, dimensions, measures)
     Raises ValidationError or CapacityError for any argument the experiment
     cannot run with, before anything is sampled.
     """
+    measures = resolved_measures(measures)
     ranks = tuple(int(r) for r in ranks)
     if not ranks or any(not 1 <= r <= size for r in ranks):
         raise ValidationError(f"ranks must be a non-empty subset of [1, {size}], got {ranks}")
@@ -148,17 +149,9 @@ def check_experiment(ranks, replicates, num_samples, size, dimensions, measures)
     if num_samples * size > DENSE_DIMENSION_CAP**2:
         raise CapacityError(
             f"{num_samples} samples of {size} variables exceed {DENSE_DIMENSION_CAP}**2 entries")
-    check_vertex_count(size - 1)
     dimensions = resolved_dimensions(dimensions, size - 1)
-    for n in dimensions:
-        check_dense_dimension(size - 1, n)
-    measures = tuple(MeasureKind(m) for m in measures)
-    if not measures:
-        raise ValidationError("measures must name at least one measure")
-    for label, items in (("ranks", ranks), ("measures", measures)):
-        if len(set(items)) < len(items):
-            names = tuple(getattr(x, "value", x) for x in items)
-            raise ValidationError(f"{label} must not repeat a value, got {names}")
+    if len(set(ranks)) < len(ranks):
+        raise ValidationError(f"ranks must not repeat a value, got {ranks}")
     return ranks, dimensions, measures
 
 

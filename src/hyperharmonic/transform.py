@@ -17,7 +17,8 @@ from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, signal_sweep
 from .jsonio import csv_writer, integer, parsing, read_json, write_json
 from .seeding import as_rng, derive_rng
-from .spectral import DENSE_DIMENSION_CAP, FourierBasis
+from .simplices import DENSE_DIMENSION_CAP
+from .spectral import FourierBasis
 
 CANONICAL = "canonical"
 FOURIER = "fourier"

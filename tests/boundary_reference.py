@@ -14,8 +14,7 @@ import scipy.sparse as sp
 
 from hyperharmonic import ValidationError, simplex_count
 from hyperharmonic.jsonio import csv_writer
-from hyperharmonic.simplices import boundary_faces
-from hyperharmonic.spectral import check_dense_dimension
+from hyperharmonic.simplices import boundary_faces, check_dense_dimension
 
 
 @functools.lru_cache(maxsize=64)

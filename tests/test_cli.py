@@ -146,6 +146,26 @@ class TestStepCommands:
         code = main(["estimate", "--input", str(bad), "--output", str(tmp_path / "o.json")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv, name", [
+        (["estimate", "--input", "bad.csv", "--output", "out.json"], "bad.csv"),
+        (["estimate", "--kind", "continuous", "--input", "bad.csv", "--output", "out.json"],
+         "bad.csv"),
+        (["run", "--input", "bad.csv", "--output-dir", "out"], "bad.csv"),
+        (["run", "--kind", "continuous", "--input", "bad.csv", "--output-dir", "out"],
+         "bad.csv"),
+        (["run", "--config", "bad.cfg", "--output-dir", "out"], "bad.cfg"),
+    ], ids=["estimate-discrete", "estimate-continuous", "run-discrete", "run-continuous",
+            "run-config"])
+    def test_non_utf8_text_gives_validation_exit(self, tmp_path, monkeypatch, argv, name,
+                                                 capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_bytes(b"a,b,c\n0,1,0\n1,\xff,1\n")
+        (tmp_path / "bad.cfg").write_bytes(b"input = \xff\n")
+        before = tree_bytes(tmp_path)
+        assert main(argv) == EXIT_VALIDATION
+        assert f"error: {name}: invalid " in capsys.readouterr().err
+        assert tree_bytes(tmp_path) == before
+
     def test_unknown_measure_gives_validation_exit(self, tmp_path):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
@@ -279,6 +299,32 @@ class TestStepCommands:
                      "--output-dir", str(out)])
         assert code == EXIT_CAPACITY
         assert "dense cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, variables, dimensions, message", [
+        ("signals", 18, ["--dimensions", "2"], "N=17 exceeds the cap of 16"),
+        ("spectrum", 18, ["--dimensions", "2"], "N=17 exceeds the cap of 16"),
+        ("signals", 15, ["--dimensions", "7"], "n=7 has 6435 simplices, above the dense cap"),
+    ], ids=["signals-vertex-cap", "spectrum-vertex-cap", "signals-dense-cap"])
+    def test_oversized_request_exits_before_writing(self, tmp_path, command, variables,
+                                                    dimensions, message, capsys):
+        source = tmp_path / "source.json"
+        if command == "signals":
+            write_model_file(source, {**DISCRETE_2X2, "num_variables": variables,
+                                      "alphabet_sizes": [2] * variables},
+                             outcomes=np.eye(2, variables, dtype=np.uint8),
+                             masses=np.full(2, 0.5))
+        else:
+            source.write_text(json.dumps({
+                "num_vertices": variables,
+                "weights": {str(n): [1.0] * math.comb(variables, n + 1)
+                            for n in range(variables)},
+            }))
+        flag = "--distribution" if command == "signals" else "--weights"
+        out = tmp_path / "out"
+        assert main([command, flag, str(source), *dimensions, "--output-dir", str(out)]) \
+            == EXIT_CAPACITY
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     # JSON reads 1e400 as inf, and int(inf) raises OverflowError.
@@ -1119,6 +1165,25 @@ class TestRun:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--input", str(data), "--dimensions", "2"]) == EXIT_OK
         assert (target / "manifest.json").exists()
+
+    @pytest.mark.parametrize("first, second, entry", [
+        (["--dimensions", "2,3"], ["--dimensions", "2"], "dim_3"),
+        (["--dimensions", "2"], ["--dimensions", "2", "--kind", "continuous"],
+         "distribution_masses.npy"),
+    ], ids=["dimension", "discrete-model-arrays"])
+    def test_refuses_a_directory_holding_another_tree(self, tmp_path, first, second, entry,
+                                                      capsys):
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        out = tmp_path / "out"
+        argv = ["run", "--input", str(data), "--output-dir", str(out)]
+        assert main(argv + first) == EXIT_OK
+        before = tree_bytes(out)
+        assert main(argv + second) == EXIT_IO
+        assert f"error: {out / entry}: " in capsys.readouterr().err
+        assert tree_bytes(out) == before
+        assert main(argv + first) == EXIT_OK
+        assert tree_bytes(out) == before
 
     @pytest.mark.parametrize("command", ["run", "control-synth"])
     def test_failure_leaves_incomplete_marker(self, tmp_path, monkeypatch, command):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from hyperharmonic import (
     signal_sweep,
     total_correlation,
 )
+
+from hyperharmonic.infotheory import resolved_measures
 
 import bruteforce as bf
 from reference import entropy_nats, gaussian_entropy_nats, marginalize
@@ -334,3 +337,18 @@ class TestSignalSweep:
         dist, _ = xor_triple()
         with pytest.raises(ValidationError):
             signal_sweep(EntropyOracle(dist), 1, MeasureKind.O_INFORMATION)
+
+
+class TestResolvedMeasures:
+    def test_values_and_members_become_members(self):
+        assert resolved_measures(["tc", MeasureKind.DTC]) == (MeasureKind.TC, MeasureKind.DTC)
+
+    @pytest.mark.parametrize("names, message", [
+        (("foo",), "unknown measure 'foo'; expected one of: tc, dtc, o_information, "
+                   "s_information, interaction_information"),
+        ((), "measures must name at least one measure"),
+        (("tc", MeasureKind.TC), "measures must not repeat a value, got ('tc', 'tc')"),
+    ], ids=["unknown", "empty", "repeated"])
+    def test_rejected_with_the_cli_message(self, names, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            resolved_measures(names)

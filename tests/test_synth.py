@@ -256,6 +256,7 @@ class TestRankExperiment:
         (dict(dimensions=(2, 2)), ValidationError),
         (dict(measures=("o_information", MeasureKind.O_INFORMATION)), ValidationError),
         (dict(measures=()), ValidationError),
+        (dict(measures=("foo",)), ValidationError),
     ])
     def test_invalid_arguments_rejected_before_sampling(self, monkeypatch, kwargs, error):
         def fail(*args, **kw):
