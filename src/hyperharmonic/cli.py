@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import io
 import math
 import os
@@ -25,8 +26,8 @@ from . import __version__
 from . import distribution as dist_mod
 from . import infotheory, simplices, spectral, synth, transform
 from .errors import CapacityError, NumericalError, ValidationError
-from .jsonio import (csv_writer, integer, parsing, read_header, read_json, read_sidecar, read_text,
-                     write_json, write_sidecar)
+from .jsonio import (csv_writer, integer, number_array, parsing, read_header, read_json,
+                     read_sidecar, read_text, write_json, write_sidecar)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -208,11 +209,11 @@ def write_basis(path, basis: spectral.FourierBasis, diagnostics: dict) -> None:
 
 
 def _eigenbasis(simplex, n: int, kernel_tol: float):
-    """The n-eigenbasis of ``simplex``, its four residuals, and those plus its kernel dimension."""
+    """The n-eigenbasis of ``simplex``, and its four residuals and kernel dimension."""
     basis = spectral.fourier_basis(simplex, n)
-    residuals = spectral.basis_diagnostics(simplex, basis)
-    kernel = spectral.kernel_dimension(basis.eigenvalues, tol=kernel_tol)
-    return basis, residuals, {**residuals, "kernel_dimension": kernel}
+    diagnostics = spectral.basis_diagnostics(simplex, basis)
+    diagnostics["kernel_dimension"] = spectral.kernel_dimension(basis.eigenvalues, tol=kernel_tol)
+    return basis, diagnostics
 
 
 def read_basis(path) -> spectral.FourierBasis:
@@ -220,8 +221,8 @@ def read_basis(path) -> spectral.FourierBasis:
     payload = read_header(path, BASIS_FORMAT, "basis", "spectrum")
     with parsing(f"{path}: malformed basis file"):
         dimension = integer(payload["dimension"], "dimension")
-        eigenvalues = np.array(payload["eigenvalues"], dtype=float)
-        weights = np.array(payload["weights"], dtype=float)
+        eigenvalues = number_array(payload["eigenvalues"], "eigenvalues")
+        weights = number_array(payload["weights"], "weights")
         name = payload["eigenvectors"]
         Q = read_sidecar(path, name, "eigenvector matrix")
         if Q.dtype != np.float64:
@@ -252,7 +253,7 @@ def read_weights(path) -> simplices.StructuralSimplex:
     payload = read_json(path)
     with parsing(f"{path}: malformed weights file"):
         N = integer(payload["num_vertices"], "num_vertices") - 1
-        weights = tuple(np.array(payload["weights"][str(n)], dtype=float) for n in range(N + 1))
+        weights = tuple(number_array(payload["weights"][str(n)], "weights") for n in range(N + 1))
         return simplices.StructuralSimplex(N=N, weights=weights)
 
 
@@ -266,6 +267,21 @@ def _require_output_parent(path) -> None:
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"{path}: output directory {parent} does not exist")
+
+
+def _refuse_other_requests(outdir, patterns, ours) -> None:
+    """Exit 3, naming the entry, if ``outdir`` holds an entry that one of the
+    command's name ``patterns`` matches but that is not among ``ours``, the
+    paths this request writes: it would outlive the request beside its outputs.
+    The entries of a matched directory must be ``ours`` too. Nothing is deleted.
+    """
+    for name in sorted(os.listdir(outdir)) if os.path.isdir(outdir) else ():
+        if any(fnmatch.fnmatchcase(name, pattern) for pattern in patterns):
+            path = os.path.join(outdir, name)
+            inner = sorted(os.listdir(path)) if os.path.isdir(path) else ()
+            for entry in (name, *(os.path.join(name, child) for child in inner)):
+                if entry not in ours:
+                    raise FileExistsError(f"{os.path.join(outdir, entry)}: left by another request")
 
 
 def cmd_estimate(args) -> int:
@@ -302,12 +318,14 @@ def cmd_signals(args) -> int:
     oracle = infotheory.EntropyOracle(dist_mod.read_model(args.distribution))
     N = oracle.num_variables - 1
     dims = simplices.resolved_dimensions(args.dimensions, N)
+    names = {(n, measure): f"signal_{measure.value}_dim{n}.json"
+             for n in dims for measure in measures}
+    _refuse_other_requests(args.output_dir, ("signal_*_dim*.json",), set(names.values()))
     with _incomplete_marker(args.output_dir):
-        for n in dims:
-            for measure in measures:
-                path = os.path.join(args.output_dir, f"signal_{measure.value}_dim{n}.json")
-                signal = transform.build_signal(oracle, n, measure)
-                transform.write_signal(path, signal, num_vertices=N + 1)
+        for (n, measure), name in names.items():
+            signal = transform.build_signal(oracle, n, measure)
+            transform.write_signal(os.path.join(args.output_dir, name), signal,
+                                   num_vertices=N + 1)
     return EXIT_OK
 
 
@@ -315,11 +333,14 @@ def cmd_spectrum(args) -> int:
     PipelineConfig(input=args.weights, kernel_tol=args.kernel_tol).validate()
     simplex = read_weights(args.weights)
     dims = simplices.resolved_dimensions(args.dimensions, simplex.N)
+    # diagnostics_dim<n>.json held a basis's residuals before they moved into its header.
+    _refuse_other_requests(args.output_dir, ("basis_dim*", "diagnostics_dim*"),
+                           {f"basis_dim{n}{end}" for n in dims
+                            for end in (".json", "_eigenvectors.npy")})
     with _incomplete_marker(args.output_dir):
         for n in dims:
-            basis, residuals, diagnostics = _eigenbasis(simplex, n, args.kernel_tol)
-            write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis, residuals)
-            write_json(os.path.join(args.output_dir, f"diagnostics_dim{n}.json"), diagnostics)
+            write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"),
+                        *_eigenbasis(simplex, n, args.kernel_tol))
     return EXIT_OK
 
 
@@ -347,13 +368,8 @@ def cmd_control_random(args) -> int:
     _require_output_parent(args.output)
     signal = transform.read_signal(args.signal)
     basis = read_basis(args.basis)
-    comparison = transform.control_comparison(
-        signal,
-        basis,
-        num_random=args.num_random,
-        seed=args.seed,
-        orthonormality=args.orthonormality,
-    )
+    comparison = transform.control_comparison(signal, basis, num_random=args.num_random,
+                                              seed=args.seed)
     transform.control_to_csv(args.output, comparison)
     return EXIT_OK
 
@@ -396,15 +412,14 @@ def cmd_run(args) -> int:
     # output directory is made only once the model and the weights are built.
     table = _read_table(config)
     config.dimensions = simplices.resolved_dimensions(config.dimensions, table.num_variables - 1)
-    # Nor may the directory hold another tree's files that this run would not
-    # replace: a dim_<m> it does not write, or a discrete model's arrays.
     outdir = _resolve_output_dir(args.output_dir)
-    ours = {f"dim_{n}" for n in config.dimensions}
-    arrays = ("distribution_outcomes.npy", "distribution_masses.npy")
-    for name in sorted(os.listdir(outdir)) if os.path.isdir(outdir) else ():
-        if (name.startswith("dim_") and name[4:].isdecimal() and name not in ours
-                or config.kind == "continuous" and name in arrays):
-            raise FileExistsError(f"{os.path.join(outdir, name)}: left by another run")
+    files = ["diagnostics.json", *(f"{kind}_{name}_{tag}.json" for kind in ("signal", "cev")
+                                   for name in config.measures for tag in ("canonical", "fourier"))]
+    ours = {path for n in config.dimensions
+            for path in (f"dim_{n}", *(os.path.join(f"dim_{n}", name) for name in files))}
+    if config.kind == "discrete":
+        ours |= {"distribution_outcomes.npy", "distribution_masses.npy"}
+    _refuse_other_requests(outdir, ("dim_*", "distribution_*.npy"), ours)
     _run_pipeline(config, table, outdir)
     return EXIT_OK
 
@@ -448,7 +463,7 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
     """
     dim_dir = os.path.join(outdir, f"dim_{n}")
     os.makedirs(dim_dir, exist_ok=True)
-    basis, _, diagnostics = _eigenbasis(simplex, n, config.kernel_tol)
+    basis, diagnostics = _eigenbasis(simplex, n, config.kernel_tol)
 
     cev_status, rows = {}, []
     for name in config.measures:
@@ -544,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-random", dest="num_random", type=int,
                    default=transform.DEFAULT_RANDOM_BASES)
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--orthonormality", choices=("w", "euclidean"), default="w")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_control_random)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, EstimationError, NumericalError, ValidationError
-from .jsonio import (integer, parsing, read_header, read_sidecar, read_text, write_json,
-                     write_sidecar)
+from .jsonio import (integer, number_array, parsing, read_header, read_sidecar, read_text,
+                     write_json, write_sidecar)
 
 MASS_TOLERANCE = 1e-12
 
@@ -531,12 +531,12 @@ def read_model(path):
         if kind not in ("discrete", "gaussian"):
             raise ValidationError(f"unknown model kind {kind!r}")
         # One entry per variable: a row of the correlation matrix, or an alphabet size.
-        variables = (payload["correlation"] if kind == "gaussian" else
+        variables = (number_array(payload["correlation"], "correlation") if kind == "gaussian" else
                      tuple(integer(a, "alphabet size") for a in payload["alphabet_sizes"]))
         if len(variables) != count:
             raise ValidationError(f"num_variables is {count}, but the model has {len(variables)}")
         if kind == "gaussian":
-            return GaussianModel(np.array(variables, dtype=float))
+            return GaussianModel(variables)
         outcomes = read_sidecar(path, payload["outcomes"], "outcomes")
         masses = read_sidecar(path, payload["masses"], "masses")
         if (outcomes.dtype.kind != "u" or masses.dtype != np.float64 or masses.ndim != 1

@@ -65,6 +65,16 @@ def integer(value, name: str) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def number_array(value, name: str) -> np.ndarray:
+    """``value``, a list (of lists) of numbers, as a float array. A bool, a
+    string or anything else among its items is a ValidationError naming ``name``."""
+    array = np.array(value, dtype=object)
+    for item in array.flat:
+        if isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise ValidationError(f"{name} must hold numbers only, got {item!r}")
+    return array.astype(float)
+
+
 def read_text(path, what: str) -> str:
     """The text of the file at ``path``, line ends untranslated. Every input is
     UTF-8; other bytes are a ValidationError naming the file as invalid ``what``."""

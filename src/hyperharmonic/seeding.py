@@ -13,9 +13,3 @@ import numpy as np
 def derive_rng(base_seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(base_seed), *map(int, keys))))
 
-
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)

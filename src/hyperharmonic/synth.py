@@ -17,7 +17,7 @@ from .distribution import ContinuousSeriesTable, _copula_fit
 from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, resolved_measures
 from .jsonio import csv_writer
-from .seeding import as_rng, derive_rng
+from .seeding import derive_rng
 from .simplices import (
     DEFAULT_WEIGHT_FLOOR,
     DENSE_DIMENSION_CAP,
@@ -71,7 +71,7 @@ def random_rank_covariance(size: int, rank: int, seed) -> RankedCovariance:
     """
     if not 1 <= rank <= size:
         raise ValidationError(f"rank must lie in [1, {size}], got {rank}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(3):
         M = rng.standard_normal((size, size))
         eigenvalues, V = np.linalg.eigh(M @ M.T)
@@ -88,7 +88,7 @@ def sample_gaussian(cov: RankedCovariance, num_samples: int, seed) -> Continuous
     """Draw zero-mean Gaussian samples via the eigenfactor transform."""
     if num_samples < 1:
         raise ValidationError(f"need at least one sample, got {num_samples}")
-    X = _gaussian_draw(cov, num_samples, as_rng(seed))
+    X = _gaussian_draw(cov, num_samples, np.random.default_rng(seed))
     return ContinuousSeriesTable(tuple(f"X{i}" for i in range(cov.size)), X)
 
 

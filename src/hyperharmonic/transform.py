@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, signal_sweep
-from .jsonio import csv_writer, integer, parsing, read_json, write_json
-from .seeding import as_rng, derive_rng
+from .jsonio import csv_writer, integer, number_array, parsing, read_json, write_json
+from .seeding import derive_rng
 from .simplices import DENSE_DIMENSION_CAP
 from .spectral import FourierBasis
 
@@ -138,16 +138,14 @@ def cev_report(signal: HighOrderSignal) -> CevReport:
     return CevReport(sorted_ev=sorted_ev, cev=cev, components_at=components_at)
 
 
-def random_basis(basis: FourierBasis, seed, orthonormality: str = "w") -> np.ndarray:
+def random_basis(basis: FourierBasis, seed) -> np.ndarray:
     """Seeded random forward matrix Q^T W^(1/2), with the weights W of ``basis``.
 
     Q is a standard-normal d x d draw, QR-orthonormalized with signs fixed so
     the draw is deterministic; its inverse W^(-1/2) Q is w-orthonormal like a
-    Fourier basis. ``orthonormality='euclidean'`` gives Q^T, for sensitivity analysis.
+    Fourier basis.
     """
-    if orthonormality not in ("w", "euclidean"):
-        raise ValidationError(f"unknown orthonormality mode {orthonormality!r}")
-    rng, d = as_rng(seed), basis.weights.size
+    rng, d = np.random.default_rng(seed), basis.weights.size
     Q = None
     for _ in range(3):
         draw = rng.standard_normal((d, d))
@@ -159,8 +157,6 @@ def random_basis(basis: FourierBasis, seed, orthonormality: str = "w") -> np.nda
         break
     if Q is None:
         raise NumericalError("random basis draw was singular three times in a row")
-    if orthonormality == "euclidean":
-        return Q.T.copy()
     return Q.T * np.sqrt(basis.weights)[None, :]
 
 
@@ -169,8 +165,7 @@ class ControlComparison:
     """Fourier-basis CEV next to the spread of randomly generated bases.
 
     ``random_cev`` holds one CEV curve per replicate basis; the mean and its
-    95% confidence band use a normal approximation across replicates. The
-    replicate axis is recorded explicitly so plots can label it.
+    95% confidence band use a normal approximation across replicates.
     """
 
     fourier_cev: np.ndarray
@@ -178,17 +173,10 @@ class ControlComparison:
     random_mean: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    seed: int
-    replicate_axis: str = "basis draws"
 
 
-def control_comparison(
-    signal: HighOrderSignal,
-    basis: FourierBasis,
-    num_random: int = DEFAULT_RANDOM_BASES,
-    seed: int = 0,
-    orthonormality: str = "w",
-) -> ControlComparison:
+def control_comparison(signal: HighOrderSignal, basis: FourierBasis,
+                       num_random: int = DEFAULT_RANDOM_BASES, seed: int = 0) -> ControlComparison:
     """Compare the Fourier CEV curve against ``num_random`` random bases."""
     d = signal.size
     if num_random < 1:
@@ -200,17 +188,9 @@ def control_comparison(
     _, fourier_cev = _cev_curve(to_fourier(signal, basis).coefficients)
     curves = np.empty((num_random, d))
     for k in range(num_random):
-        forward = random_basis(basis, derive_rng(seed, k), orthonormality)
+        forward = random_basis(basis, derive_rng(seed, k))
         _, curves[k] = _cev_curve(forward @ signal.coefficients)
-    mean, low, high = mean_with_band(curves)
-    return ControlComparison(
-        fourier_cev=fourier_cev,
-        random_cev=curves,
-        random_mean=mean,
-        ci_low=low,
-        ci_high=high,
-        seed=seed,
-    )
+    return ControlComparison(fourier_cev, curves, *mean_with_band(curves))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +235,7 @@ def read_signal(path) -> HighOrderSignal:
         measure = payload.get("measure")
         return HighOrderSignal(
             dimension=integer(payload["dimension"], "dimension"),
-            coefficients=np.array(payload["coefficients"], dtype=float),
+            coefficients=number_array(payload["coefficients"], "coefficients"),
             basis=payload.get("basis", CANONICAL),
             measure=None if measure is None else MeasureKind(measure),
         )

@@ -39,7 +39,6 @@ from hyperharmonic.distribution import (
     _normal_scores,
     distinct_rows,
 )
-from hyperharmonic.seeding import as_rng
 from hyperharmonic.simplices import StructuralSimplex, validate_simplex
 from hyperharmonic.spectral import FourierBasis, laplacian
 from hyperharmonic.synth import RANK_TOLERANCE, RankedCovariance
@@ -90,7 +89,7 @@ def sample_gaussian(cov: RankedCovariance, num_samples: int, seed) -> Continuous
     """Draw zero-mean Gaussian samples via the eigenfactor transform."""
     if num_samples < 1:
         raise ValidationError(f"need at least one sample, got {num_samples}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     eigenvalues, V = np.linalg.eigh(cov.matrix)
     # Eigenvalues below the rank tolerance are reconstruction dust; zeroing
     # them keeps the samples inside the span the declared rank promises.
@@ -153,18 +152,14 @@ def inverse_matrix(basis: FourierBasis) -> np.ndarray:
     return basis.eigenvectors / np.sqrt(basis.weights)[:, None]
 
 
-def random_basis(inner, seed, orthonormality: str = "w") -> tuple[np.ndarray, np.ndarray]:
+def random_basis(inner, seed) -> tuple[np.ndarray, np.ndarray]:
     """Seeded random basis pair (forward, inverse), w-orthonormal like a Fourier basis.
 
     A standard-normal d x d matrix, d the number of weights of ``inner``, is
     drawn and QR-orthonormalized (signs fixed so the draw is deterministic),
-    then scaled by W^(-1/2) so that inverse^T W inverse = I. With
-    ``orthonormality='euclidean'`` the plain orthonormal pair is returned
-    instead, for sensitivity analysis.
+    then scaled by W^(-1/2) so that inverse^T W inverse = I.
     """
-    if orthonormality not in ("w", "euclidean"):
-        raise ValidationError(f"unknown orthonormality mode {orthonormality!r}")
-    rng, d = as_rng(seed), inner.weights.size
+    rng, d = np.random.default_rng(seed), inner.weights.size
     Q = None
     for _ in range(3):
         draw = rng.standard_normal((d, d))
@@ -176,8 +171,6 @@ def random_basis(inner, seed, orthonormality: str = "w") -> tuple[np.ndarray, np
         break
     if Q is None:
         raise NumericalError("random basis draw was singular three times in a row")
-    if orthonormality == "euclidean":
-        return Q.T.copy(), Q
     root = np.sqrt(inner.weights)
     inverse = Q / root[:, None]
     forward = Q.T * root[None, :]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -202,9 +203,12 @@ class TestStepCommands:
         {"dimension": 2, "coefficients": [1.0], "measure": "bogus"},
         {"dimension": 2, "coefficients": [1.0], "measure": False},
         {"dimension": 2.5, "coefficients": [1.0]},
+        {"dimension": 2, "coefficients": ["0.5", "1.0"]},
+        {"dimension": 2, "coefficients": [True, 0.5]},
         b"\xff\xfe{}",
     ], ids=["list", "number", "no-coefficients", "text-coefficients", "unknown-measure",
-            "false-measure", "fractional-dimension", "not-utf8"])
+            "false-measure", "fractional-dimension", "string-coefficients", "bool-coefficients",
+            "not-utf8"])
     def test_malformed_signal_file_gives_validation_exit(self, tmp_path, payload, capsys):
         sig = tmp_path / "sig.json"
         sig.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
@@ -236,11 +240,15 @@ class TestStepCommands:
          {**TWO_OUTCOMES, "outcomes": np.array([[0, 0], [1, 0]], np.uint8)}),
         ({"format": 2, "kind": "gaussian", "num_variables": 7,
           "correlation": np.eye(3).tolist()}, {}),
+        ({"format": 2, "kind": "gaussian", "num_variables": 2,
+          "correlation": [["1", "0"], ["0", "1"]]}, {}),
+        ({"format": 2, "kind": "gaussian", "num_variables": 2,
+          "correlation": [[True, 0], [0, True]]}, {}),
     ], ids=["list", "number", "discrete-no-fields", "discrete-bad-mass",
             "discrete-repeated-outcome", "discrete-variable-count",
             "discrete-fractional-outcome", "gaussian-no-fields", "gaussian-text-entry",
             "kind-list", "kind-object", "size-text", "size-list", "size-fractional", "size-bool",
-            "gaussian-variable-count"])
+            "gaussian-variable-count", "gaussian-string-entry", "gaussian-bool-entry"])
     def test_malformed_model_file_gives_validation_exit(self, tmp_path, header, arrays, capsys):
         model = tmp_path / "model.json"
         write_model_file(model, header, **arrays)
@@ -278,7 +286,9 @@ class TestStepCommands:
         {},
         [],
         {"num_vertices": 6, "weights": {str(n): [1.0] * math.comb(5, n + 1) for n in range(5)}},
-    ], ids=["empty-object", "list", "too-few-weight-keys"])
+        {"num_vertices": 3, "weights": {"0": [1.0] * 3, "1": ["1.0"] * 3, "2": [1.0]}},
+        {"num_vertices": 3, "weights": {"0": [1.0] * 3, "1": [True] * 3, "2": [1.0]}},
+    ], ids=["empty-object", "list", "too-few-weight-keys", "string-weights", "bool-weights"])
     def test_malformed_weights_file_gives_validation_exit(self, tmp_path, payload, capsys):
         weights = tmp_path / "weights.json"
         weights.write_text(json.dumps(payload))
@@ -525,6 +535,17 @@ class TestBasisFormat:
         err = capsys.readouterr().err
         assert str(spectrum["basis"]) in err and "finite and > 0" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("item", ['"1.5"', "true"], ids=["string", "bool"])
+    @pytest.mark.parametrize("key", ["eigenvalues", "weights"])
+    def test_number_arrays_take_numbers_only(self, spectrum, tmp_path, key, item, capsys):
+        header = json.loads(spectrum["basis"].read_text())
+        header[key][0] = "ITEM"
+        spectrum["basis"].write_text(json.dumps(header).replace('"ITEM"', item))
+        assert self.transform_exit(spectrum, tmp_path) == EXIT_VALIDATION
+        assert f"error: {spectrum['basis']}: malformed basis file: {key} must hold numbers only" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "hat.json").exists()
 
     def test_oversized_num_random_gives_capacity_exit(self, spectrum, tmp_path, capsys):
         out = tmp_path / "ctrl.csv"
@@ -831,7 +852,7 @@ class TestRun:
             stored = json.loads((out / f"dim_{n}" / "diagnostics.json").read_text())
             header = json.loads((spectrum / f"basis_dim{n}.json").read_text())
             assert header["eigenvalues"] == stored["eigenvalues"]
-            rebuilt = json.loads((spectrum / f"diagnostics_dim{n}.json").read_text())
+            rebuilt = header["diagnostics"]
             assert rebuilt == {key: stored[key] for key in rebuilt}
             assert sorted(rebuilt) == ["diagonalization", "inversion", "kernel_dimension",
                                        "orthonormality", "self_adjointness"]
@@ -1170,7 +1191,9 @@ class TestRun:
         (["--dimensions", "2,3"], ["--dimensions", "2"], "dim_3"),
         (["--dimensions", "2"], ["--dimensions", "2", "--kind", "continuous"],
          "distribution_masses.npy"),
-    ], ids=["dimension", "discrete-model-arrays"])
+        (["--dimensions", "2"], ["--dimensions", "2", "--measures", "tc"],
+         os.path.join("dim_2", "cev_o_information_canonical.json")),
+    ], ids=["dimension", "discrete-model-arrays", "measures"])
     def test_refuses_a_directory_holding_another_tree(self, tmp_path, first, second, entry,
                                                       capsys):
         data = tmp_path / "five.csv"
@@ -1183,6 +1206,44 @@ class TestRun:
         assert f"error: {out / entry}: " in capsys.readouterr().err
         assert tree_bytes(out) == before
         assert main(argv + first) == EXIT_OK
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("command, entry", [
+        ("signals", "signal_o_information_dim3.json"),
+        ("spectrum", "basis_dim3.json"),
+    ])
+    def test_step_refuses_a_directory_holding_another_request(self, tmp_path, command, entry,
+                                                              capsys):
+        data, dist, weights = (tmp_path / name for name in ("five.csv", "dist.json",
+                                                            "weights.json"))
+        write_five_variable_csv(data)
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        assert main(["complex", "--distribution", str(dist), "--output", str(weights)]) == EXIT_OK
+        source = ["--distribution", str(dist)] if command == "signals" \
+            else ["--weights", str(weights)]
+        out = tmp_path / "out"
+        argv = [command, *source, "--output-dir", str(out), "--dimensions"]
+        assert main(argv + ["2,3"]) == EXIT_OK
+        before = tree_bytes(out)
+        assert main(argv + ["2"]) == EXIT_IO
+        assert f"error: {out / entry}: left by another request" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+        assert main(argv + ["2,3"]) == EXIT_OK
+        assert tree_bytes(out) == before
+
+    def test_spectrum_refuses_a_residual_file_of_the_earlier_layout(self, tmp_path, capsys):
+        data, dist, weights = (tmp_path / name for name in ("five.csv", "dist.json",
+                                                            "weights.json"))
+        write_five_variable_csv(data)
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        assert main(["complex", "--distribution", str(dist), "--output", str(weights)]) == EXIT_OK
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "diagnostics_dim2.json").write_text('{"kernel_dimension": 0}\n')
+        before = tree_bytes(out)
+        assert main(["spectrum", "--weights", str(weights), "--dimensions", "2",
+                     "--output-dir", str(out)]) == EXIT_IO
+        assert f"error: {out / 'diagnostics_dim2.json'}: " in capsys.readouterr().err
         assert tree_bytes(out) == before
 
     @pytest.mark.parametrize("command", ["run", "control-synth"])
@@ -1300,7 +1361,7 @@ class TestRun:
         def comparison():
             curve = np.array([0.75, 1.0])
             return ControlComparison(fourier_cev=curve, random_cev=interrupted(),
-                                     random_mean=curve, ci_low=curve, ci_high=curve, seed=0)
+                                     random_mean=curve, ci_low=curve, ci_high=curve)
 
         path = tmp_path / "ctrl.csv"
         with pytest.raises(RuntimeError):
@@ -1412,6 +1473,44 @@ class TestSettingsTable:
             PipelineConfig(input="table.csv", **{key: "other"}).validate()
 
 
+class TestOptionInventory:
+    """Every subcommand's options, as one table: a flag added or dropped edits it."""
+
+    OPTIONS = {
+        "estimate": ["--input", "--kind", "--smoothing", "--output"],
+        "complex": ["--distribution", "--metric", "--aggregator", "--floor", "--output",
+                    "--boundaries-dir"],
+        "signals": ["--distribution", "--dimensions", "--measures", "--output-dir"],
+        "spectrum": ["--weights", "--dimensions", "--kernel-tol", "--output-dir"],
+        "transform": ["--signal", "--basis", "--inverse", "--output"],
+        "cev": ["--signal", "--output-prefix"],
+        "control-random": ["--signal", "--basis", "--num-random", "--seed", "--output"],
+        "control-synth": ["--ranks", "--replicates", "--samples", "--size", "--dimensions",
+                          "--measures", "--seed", "--output-dir"],
+        "run": ["--input", "--kind", "--dimensions", "--measures", "--metric", "--aggregator",
+                "--floor", "--kernel-tol", "--smoothing", "--units", "--config", "--manifest",
+                "--output-dir"],
+    }
+
+    def test_each_subcommand_takes_exactly_its_options(self):
+        parser = build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        found = {name: sorted(option for action in command._actions
+                              for option in action.option_strings if option not in ("-h", "--help"))
+                 for name, command in sub.choices.items()}
+        assert found == {name: sorted(options) for name, options in self.OPTIONS.items()}
+
+    def test_retired_orthonormality_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["control-random", "--signal", str(tmp_path / "s.json"),
+                  "--basis", str(tmp_path / "b.json"), "--orthonormality", "w",
+                  "--output", str(tmp_path / "ctrl.csv")])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments: --orthonormality w" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTreeInventory:
     """Every artifact is exactly one file: a second copy of a payload fails here."""
 
@@ -1462,7 +1561,7 @@ class TestTreeInventory:
             "--output-dir", str(out),
         ]) == EXIT_OK
         assert sorted(tree_bytes(out)) == [
-            "basis_dim2.json", "basis_dim2_eigenvectors.npy", "diagnostics_dim2.json",
+            "basis_dim2.json", "basis_dim2_eigenvectors.npy",
         ]
 
     @pytest.mark.parametrize("argv", [

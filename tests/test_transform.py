@@ -234,13 +234,6 @@ class TestRandomBasis:
         assert inverse[0, 0] == pytest.approx(0.5)
         assert forward[0, 0] == pytest.approx(2.0)
 
-    def test_euclidean_mode(self):
-        basis = weighted(np.full(5, 3.0))
-        forward = random_basis(basis, seed=1, orthonormality="euclidean")
-        _, inverse = reference.random_basis(basis, seed=1, orthonormality="euclidean")
-        assert np.max(np.abs(inverse.T @ inverse - np.eye(5))) < 1e-10
-        assert np.max(np.abs(forward @ inverse - np.eye(5))) < 1e-10
-
 
 class TestAgainstCachedMatrices:
     """The products against the change-of-basis matrices a basis once cached."""
@@ -263,11 +256,11 @@ class TestAgainstCachedMatrices:
             expected = reference.inverse_matrix(basis) @ coeffs
             assert back.coefficients.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("orthonormality", ["w", "euclidean"])
+    @pytest.mark.parametrize("orthonormality", ["w"])
     def test_random_basis_is_bit_identical(self, basis, orthonormality):
         for seed in range(3):
-            forward, _ = reference.random_basis(basis, seed, orthonormality)
-            assert random_basis(basis, seed, orthonormality).tobytes() == forward.tobytes()
+            forward, _ = reference.random_basis(basis, seed)
+            assert random_basis(basis, seed).tobytes() == forward.tobytes()
 
     def test_no_dense_array_outlives_the_transforms(self, basis_1001):
         """tracemalloc counts, in float64 d x d arrays, what stays alive after
