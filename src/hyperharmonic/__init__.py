@@ -64,7 +64,6 @@ from .transform import (
     cev_report,
     control_comparison,
     from_fourier,
-    random_basis,
     to_fourier,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "laplacian",
     "mutual_information",
     "o_information",
-    "random_basis",
     "random_rank_covariance",
     "rank_experiment",
     "read_continuous_csv",

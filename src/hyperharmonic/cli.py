@@ -303,6 +303,9 @@ def cmd_complex(args) -> int:
     )
     config.validate()
     model = dist_mod.read_model(args.distribution)
+    if args.boundaries_dir:
+        _refuse_other_requests(args.boundaries_dir, ("boundary_*.csv",),
+                               {f"boundary_{n}.csv" for n in range(model.num_variables)})
     similarity, simplex = _weighted_simplex(infotheory.EntropyOracle(model), config)
     write_json(args.output, _weights_payload(simplex, similarity, config))
     if args.boundaries_dir:
@@ -473,14 +476,17 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
                             ("fourier", transform.to_fourier(canonical, basis))):
             transform.write_signal(os.path.join(dim_dir, f"signal_{name}_{tag}.json"), signal,
                                    num_vertices=simplex.N + 1)
+            cev_path = os.path.join(dim_dir, f"cev_{name}_{tag}.json")
             try:
                 reports[tag] = transform.cev_report(signal)
             except NumericalError as exc:
                 cev_status[f"{name}_{tag}"] = str(exc)
+                # An earlier request's CEV file would contradict this status.
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(cev_path)
             else:
                 cev_status[f"{name}_{tag}"] = "ok"
-                transform.cev_to_json(os.path.join(dim_dir, f"cev_{name}_{tag}.json"),
-                                      reports[tag])
+                transform.cev_to_json(cev_path, reports[tag])
         if len(reports) == 2:
             rows += [[name, n, int(round(threshold * 100)),
                       reports["fourier"].components_at[threshold],

@@ -138,28 +138,6 @@ def cev_report(signal: HighOrderSignal) -> CevReport:
     return CevReport(sorted_ev=sorted_ev, cev=cev, components_at=components_at)
 
 
-def random_basis(basis: FourierBasis, seed) -> np.ndarray:
-    """Seeded random forward matrix Q^T W^(1/2), with the weights W of ``basis``.
-
-    Q is a standard-normal d x d draw, QR-orthonormalized with signs fixed so
-    the draw is deterministic; its inverse W^(-1/2) Q is w-orthonormal like a
-    Fourier basis.
-    """
-    rng, d = np.random.default_rng(seed), basis.weights.size
-    Q = None
-    for _ in range(3):
-        draw = rng.standard_normal((d, d))
-        q, r = np.linalg.qr(draw)
-        rdiag = np.diag(r)
-        if np.min(np.abs(rdiag)) <= 1e-12 * max(np.max(np.abs(rdiag)), 1.0):
-            continue
-        Q = q * np.sign(rdiag)[None, :]
-        break
-    if Q is None:
-        raise NumericalError("random basis draw was singular three times in a row")
-    return Q.T * np.sqrt(basis.weights)[None, :]
-
-
 @dataclass(frozen=True)
 class ControlComparison:
     """Fourier-basis CEV next to the spread of randomly generated bases.
@@ -177,7 +155,12 @@ class ControlComparison:
 
 def control_comparison(signal: HighOrderSignal, basis: FourierBasis,
                        num_random: int = DEFAULT_RANDOM_BASES, seed: int = 0) -> ControlComparison:
-    """Compare the Fourier CEV curve against ``num_random`` random bases."""
+    """Compare the Fourier CEV curve against ``num_random`` random bases.
+
+    In a Haar-random w-orthonormal basis the coefficients of any nonzero signal
+    lie uniformly on a sphere, so each random curve is drawn as the CEV of a
+    standard-normal d-vector from ``derive_rng(seed, k)``: it depends on d alone.
+    """
     d = signal.size
     if num_random < 1:
         raise ValidationError(f"need at least one random basis, got {num_random}")
@@ -188,8 +171,7 @@ def control_comparison(signal: HighOrderSignal, basis: FourierBasis,
     _, fourier_cev = _cev_curve(to_fourier(signal, basis).coefficients)
     curves = np.empty((num_random, d))
     for k in range(num_random):
-        forward = random_basis(basis, derive_rng(seed, k))
-        _, curves[k] = _cev_curve(forward @ signal.coefficients)
+        _, curves[k] = _cev_curve(derive_rng(seed, k).standard_normal(d))
     return ControlComparison(fourier_cev, curves, *mean_with_band(curves))
 
 

@@ -12,10 +12,13 @@
   score table with, at ``2 * rank - 2``. The package indexes the table with
   the integer a tie group's start plus its end minus 1, which is equal.
 - ``forward_matrix`` and ``inverse_matrix`` are the change-of-basis matrices
-  Q^T W^(1/2) and W^(-1/2) Q that a ``FourierBasis`` cached, and
-  ``random_basis`` is the draw that returned both for a random basis.
-  ``to_fourier``, ``from_fourier`` and the package's ``random_basis`` apply
-  the same float operations, and their outputs must equal these bit for bit.
+  Q^T W^(1/2) and W^(-1/2) Q that a ``FourierBasis`` cached. ``to_fourier``
+  and ``from_fourier`` apply the same float operations, and their outputs
+  must equal these bit for bit.
+- ``random_basis`` is the sign-fixed QR draw of a Haar-random basis that the
+  random-basis control once applied to each signal. The package draws the
+  control's curves from the sphere instead, and their distribution must
+  match the curves of this draw.
 - ``basis_diagnostics`` is the dense residual check that built ``forward``
   and ``inverse`` and ran four d x d products. The package's version runs
   two, and both must pass and fail on the same bases.

@@ -357,6 +357,29 @@ class TestStepCommands:
         assert "error: " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    def test_complex_refuses_boundary_files_of_another_complex(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        models = {}
+        for V in (6, 4):
+            data, models[V] = tmp_path / f"v{V}.csv", tmp_path / f"v{V}.json"
+            rows = [",".join(map(str, row)) for row in rng.integers(0, 2, size=(100, V))]
+            data.write_text("\n".join([",".join("abcdef"[:V])] + rows) + "\n")
+            assert main(["estimate", "--input", str(data), "--output", str(models[V])]) == EXIT_OK
+        out, weights = tmp_path / "bd", tmp_path / "weights.json"
+
+        def complex_(V):
+            return main(["complex", "--distribution", str(models[V]), "--output", str(weights),
+                         "--boundaries-dir", str(out)])
+
+        assert complex_(6) == EXIT_OK
+        before = {**tree_bytes(out), "weights": weights.read_bytes()}
+        assert complex_(4) == EXIT_IO
+        assert f"error: {out / 'boundary_4.csv'}: left by another request" \
+            in capsys.readouterr().err
+        assert {**tree_bytes(out), "weights": weights.read_bytes()} == before
+        assert complex_(6) == EXIT_OK
+        assert {**tree_bytes(out), "weights": weights.read_bytes()} == before
+
     def test_boundary_files_equal_the_scipy_reference(self, tmp_path):
         from boundary_reference import boundary_matrix, boundary_to_csv
 
@@ -1230,6 +1253,24 @@ class TestRun:
         assert tree_bytes(out) == before
         assert main(argv + ["2,3"]) == EXIT_OK
         assert tree_bytes(out) == before
+
+    def test_undefined_cev_removes_the_file_an_earlier_request_wrote(self, tmp_path):
+        ternary, binary = tmp_path / "ternary.csv", tmp_path / "binary.csv"
+        X = np.random.default_rng(5).integers(0, 3, size=(200, 4))
+        X[:, 2] = (X[:, 0] + X[:, 1]) % 3
+        ternary.write_text("\n".join(["a,b,c,d"] + [",".join(map(str, row)) for row in X]) + "\n")
+        # Every 4-bit row once: independent fair bits, so every signal is zero.
+        rows = [",".join(f"{i:04b}") for i in range(16)]
+        binary.write_text("\n".join(["a,b,c,d"] + rows) + "\n")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        argv = ["run", "--dimensions", "2", "--input"]
+        assert main(argv + [str(ternary), "--output-dir", str(out)]) == EXIT_OK
+        assert len([name for name in os.listdir(out / "dim_2") if name.startswith("cev_")]) == 4
+        assert main(argv + [str(binary), "--output-dir", str(out)]) == EXIT_OK
+        status = json.loads((out / "dim_2" / "diagnostics.json").read_text())["cev_status"]
+        assert len(status) == 4 and "ok" not in status.values()
+        assert main(argv + [str(binary), "--output-dir", str(fresh)]) == EXIT_OK
+        assert tree_bytes(out) == tree_bytes(fresh)
 
     def test_spectrum_refuses_a_residual_file_of_the_earlier_layout(self, tmp_path, capsys):
         data, dist, weights = (tmp_path / name for name in ("five.csv", "dist.json",

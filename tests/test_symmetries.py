@@ -1,0 +1,130 @@
+"""Symmetries of the whole ``run`` pipeline.
+
+Each test transforms the input in a way that leaves the paper's quantities
+unchanged and compares the two output trees: byte for byte where the
+arithmetic is order-free, and otherwise every CEV curve within 1e-9.
+``manifest.json`` names the input file, so it is left out of every comparison.
+
+Permuting the columns is a symmetry of the information measures but not, at
+present, of the Fourier CEV: the signed Laplacian puts each signal in the
+orientation of ascending column index (``test_transform.TestPermutationBehavior``).
+That row is absent until the operator no longer depends on the column order.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+import hyperharmonic
+from hyperharmonic.cli import EXIT_OK, main
+
+from test_cli import tree_bytes
+
+CEV_TOLERANCE = 1e-9
+
+
+def write_csv(path, X) -> None:
+    names = [f"x{j}" for j in range(X.shape[1])]
+    cell = str if X.dtype.kind == "i" else lambda v: repr(float(v))
+    rows = [",".join(map(cell, row)) for row in X]
+    path.write_text("\n".join([",".join(names)] + rows) + "\n")
+
+
+def run_tree(tmp_path, name, X, kind, dimensions="2,3") -> dict:
+    """The ``run`` tree of table ``X``, without ``manifest.json``."""
+    data, out = tmp_path / f"{name}.csv", tmp_path / name
+    write_csv(data, X)
+    assert main(["run", "--input", str(data), "--kind", kind, "--dimensions", dimensions,
+                 "--output-dir", str(out)]) == EXIT_OK
+    tree = tree_bytes(out)
+    del tree["manifest.json"]
+    return tree
+
+
+def assert_cevs_close(first: dict, second: dict) -> None:
+    """The two trees hold the same CEV files, each curve within ``CEV_TOLERANCE``."""
+    names = sorted(name for name in first if os.path.basename(name).startswith("cev_"))
+    assert names
+    assert names == sorted(name for name in second if os.path.basename(name).startswith("cev_"))
+    for name in names:
+        a, b = (np.array(json.loads(tree[name])["cev"]) for tree in (first, second))
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b)) <= CEV_TOLERANCE, name
+
+
+def discrete_table(seed: int) -> np.ndarray:
+    """Six ternary columns: a synergy triple, a noisy copy and two free columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(600, 6))
+    X[:, 2] = (X[:, 0] + X[:, 1]) % 3
+    X[:, 3] = np.where(rng.random(600) < 0.8, X[:, 0], X[:, 3])
+    return X
+
+
+def continuous_table(seed: int, V: int = 6, T: int = 600) -> np.ndarray:
+    """A rank-2 latent seen through V noisy columns."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((T, 2)) @ rng.standard_normal((2, V)) \
+        + 0.5 * rng.standard_normal((T, V))
+
+
+def test_discrete_row_order_leaves_the_tree_unchanged(tmp_path):
+    X = discrete_table(1)
+    shuffled = X[np.random.default_rng(2).permutation(len(X))]
+    assert run_tree(tmp_path, "a", X, "discrete") == run_tree(tmp_path, "b", shuffled, "discrete")
+
+
+def test_increasing_map_of_continuous_columns_leaves_the_tree_unchanged(tmp_path):
+    """The copula reads ranks only."""
+    Z = continuous_table(3)
+    assert run_tree(tmp_path, "a", Z, "continuous") \
+        == run_tree(tmp_path, "b", np.exp(Z) * 3 + 1, "continuous")
+
+
+def test_continuous_row_order_moves_no_cev(tmp_path):
+    Z = continuous_table(4)
+    shuffled = Z[np.random.default_rng(5).permutation(len(Z))]
+    assert_cevs_close(run_tree(tmp_path, "a", Z, "continuous"),
+                      run_tree(tmp_path, "b", shuffled, "continuous"))
+
+
+def test_relabelled_symbols_move_no_cev_under_mutual_information(tmp_path):
+    """Mutual information, the default metric, reads only which samples share a
+    symbol. ``abs_pearson`` and ``total_variation`` read the symbol values
+    themselves, so a relabelling changes their weights by definition; they
+    have no row here."""
+    X = discrete_table(6)
+    rng = np.random.default_rng(7)
+    maps = [rng.permutation(3) for _ in range(X.shape[1])]
+    relabelled = np.column_stack([m[X[:, j]] for j, m in enumerate(maps)])
+    assert not np.array_equal(relabelled, X)
+    assert_cevs_close(run_tree(tmp_path, "a", X, "discrete"),
+                      run_tree(tmp_path, "b", relabelled, "discrete"))
+
+
+def test_blas_thread_count_moves_no_cev(tmp_path):
+    """One table run in two child processes, one and two OpenBLAS threads.
+
+    The Fourier coefficients may differ in their last bits between the two;
+    this bounds that noise floor on every CEV, and the component counts must
+    agree exactly.
+    """
+    data = tmp_path / "data.csv"
+    write_csv(data, continuous_table(8, V=11, T=2000))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperharmonic.__file__)))
+    trees = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperharmonic.cli", "run", "--input", str(data),
+             "--kind", "continuous", "--dimensions", "2,3,4", "--output-dir", str(out)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        trees.append(tree_bytes(out))
+    assert trees[0]["components.csv"] == trees[1]["components.csv"]
+    assert_cevs_close(*trees)

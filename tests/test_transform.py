@@ -17,7 +17,6 @@ from hyperharmonic import (
     control_comparison,
     fourier_basis,
     from_fourier,
-    random_basis,
     signal_sweep,
     similarity_matrix,
     structural_weights,
@@ -39,7 +38,7 @@ from test_spectral import random_structural_simplex
 
 
 def weighted(weights) -> FourierBasis:
-    """A basis that only carries ``weights``, for ``random_basis``."""
+    """A basis that only carries ``weights``: its Fourier coefficients are √w ∘ x."""
     d = weights.size
     return FourierBasis(1, np.zeros(d), np.eye(d), weights)
 
@@ -206,35 +205,6 @@ class TestCevReport:
         assert '"0.60": 1' in (tmp_path / "r.json").read_text()
 
 
-class TestRandomBasis:
-    def test_deterministic_per_seed(self):
-        basis = weighted(np.ones(8))
-        a_fwd = random_basis(basis, seed=42)
-        b_fwd = random_basis(basis, seed=42)
-        assert np.array_equal(a_fwd, b_fwd)
-        c_fwd = random_basis(basis, seed=43)
-        assert not np.array_equal(a_fwd, c_fwd)
-
-    def test_w_orthonormality_over_seeds(self):
-        rng = np.random.default_rng(9)
-        for d in (1, 3, 10, 40, 126):
-            weights = rng.uniform(0.1, 5.0, size=d)
-            basis = weighted(weights)
-            for seed in range(20 if d <= 10 else 3):
-                forward = random_basis(basis, seed=seed)
-                _, inverse = reference.random_basis(basis, seed=seed)
-                gram = inverse.T @ (weights[:, None] * inverse)
-                assert np.max(np.abs(gram - np.eye(d))) < 1e-8
-                assert np.max(np.abs(forward @ inverse - np.eye(d))) < 1e-10
-
-    def test_single_component(self):
-        basis = weighted(np.array([4.0]))
-        forward = random_basis(basis, seed=0)
-        _, inverse = reference.random_basis(basis, seed=0)
-        assert inverse[0, 0] == pytest.approx(0.5)
-        assert forward[0, 0] == pytest.approx(2.0)
-
-
 class TestAgainstCachedMatrices:
     """The products against the change-of-basis matrices a basis once cached."""
 
@@ -255,12 +225,6 @@ class TestAgainstCachedMatrices:
             back = from_fourier(HighOrderSignal(basis.dimension, coeffs, FOURIER), basis)
             expected = reference.inverse_matrix(basis) @ coeffs
             assert back.coefficients.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("orthonormality", ["w"])
-    def test_random_basis_is_bit_identical(self, basis, orthonormality):
-        for seed in range(3):
-            forward, _ = reference.random_basis(basis, seed)
-            assert random_basis(basis, seed).tobytes() == forward.tobytes()
 
     def test_no_dense_array_outlives_the_transforms(self, basis_1001):
         """tracemalloc counts, in float64 d x d arrays, what stays alive after
@@ -323,6 +287,36 @@ class TestControlComparison:
         lines = path.read_text().splitlines()
         assert lines[0] == "basis_kind,replicate,k,cev"
         assert len(lines) == 1 + 6 + 2 * 6
+
+    def test_random_curves_do_not_read_the_signal(self):
+        rng = np.random.default_rng(16)
+        basis = fourier_basis(random_structural_simplex(5, rng), 2)
+        one_hot = np.zeros(basis.weights.size)
+        one_hot[3] = 1.0
+        noise = rng.standard_normal(basis.weights.size)
+        curves = [control_comparison(HighOrderSignal(2, x), basis, num_random=4, seed=9).random_cev
+                  for x in (one_hot, noise)]
+        assert curves[0].tobytes() == curves[1].tobytes()
+
+    @pytest.mark.parametrize("d", [10, 35])
+    def test_null_matches_the_reference_qr_draw(self, d):
+        """The mean random curve against the mean over sign-fixed QR bases of
+        ``reference.random_basis``, 2,000 draws each, within |z| <= 4.5 at every
+        k < d. At k = d both curves are 1 up to rounding, so that entry is left out."""
+        draws = 2000
+        rng = np.random.default_rng(17)
+        basis = weighted(rng.uniform(0.1, 5.0, size=d))
+        signal = HighOrderSignal(1, rng.standard_normal(d))
+        ours = control_comparison(signal, basis, num_random=draws, seed=5).random_cev
+        theirs = np.empty((draws, d))
+        for i in range(draws):
+            forward, _ = reference.random_basis(basis, seed=100_000 + i)
+            sq = (forward @ signal.coefficients) ** 2
+            theirs[i] = np.cumsum(np.sort(sq)[::-1] / sq.sum())
+        ours, theirs = ours[:, :-1], theirs[:, :-1]
+        se = np.sqrt((ours.var(axis=0, ddof=1) + theirs.var(axis=0, ddof=1)) / draws)
+        z = (ours.mean(axis=0) - theirs.mean(axis=0)) / se
+        assert np.max(np.abs(z)) <= 4.5, np.max(np.abs(z))
 
 
 class TestPermutationBehavior:
