@@ -155,14 +155,19 @@ def load_config_file(path) -> dict:
 def _load_manifest_config(path) -> dict:
     """Parse the config section of a run manifest as a config file would be.
 
-    A list becomes its comma-joined items and a scalar its ``str``, which
-    round-trips every float exactly, so a replay rebuilds the same config.
+    A value is a string, a number or a flat list of them: a list becomes its
+    comma-joined items and a scalar its ``str``, which round-trips every float
+    exactly, so a replay rebuilds the same config.
     """
     payload = read_json(path)
     with parsing(f"{path}: malformed manifest"):
-        texts = {key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
-                 for key, value in payload["config"].items()}
-    return _config_values((f"{path}: config", key, text) for key, text in texts.items())
+        config = {key: value if isinstance(value, list) else [value]
+                  for key, value in payload["config"].items()}
+    for key, cells in config.items():
+        if not all(isinstance(c, (str, int, float)) and not isinstance(c, bool) for c in cells):
+            raise ValidationError(f"{path}: config: bad value for {key}")
+    return _config_values((f"{path}: config", key, ",".join(map(str, cells)))
+                          for key, cells in config.items())
 
 
 def _versions() -> dict:

@@ -429,76 +429,70 @@ def _copula_fit(X: np.ndarray, names) -> GaussianModel:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path, parse_row) -> tuple[tuple[str, ...], list[list]]:
-    """Header names and each data row's values; ``parse_row`` converts a row's
-    cells or raises ValueError with the message reported for its line."""
-    rows = list(csv.reader(io.StringIO(read_text(path, "CSV"), newline="")))
-    if not rows:
+def _read_rows(path, parse_cell, typecode: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header names and the (T, V) array of the data cells, read in one pass into
+    one ``array.array`` of ``typecode``; ``parse_cell`` converts a cell or raises
+    ValueError with the message reported for its line."""
+    import array  # a shared library: only the commands that read a table load it
+    rows = csv.reader(io.StringIO(read_text(path, "CSV"), newline=""))
+    first = next(rows, None)
+    if first is None:
         raise ValidationError(f"{path}: empty file")
-    header = tuple(name.strip() for name in rows[0])
+    header = tuple(name.strip() for name in first)
     if not header or any(not name for name in header):
         raise ValidationError(f"{path}: line 1: malformed header")
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: no data rows")
-    parsed = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    buffer = array.array(typecode)
+    for line_no, row in enumerate(rows, start=2):
         if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}"
-            )
+            raise ValidationError(f"{path}: line {line_no}: expected {len(header)} cells, "
+                                  f"got {len(row)}")
         try:
-            parsed.append(parse_row(row))
+            buffer.extend(map(parse_cell, row))
         except ValueError as exc:
             raise ValidationError(f"{path}: line {line_no}: {exc}") from exc
-    return header, parsed
+    if not buffer:
+        raise ValidationError(f"{path}: no data rows")
+    return header, np.frombuffer(buffer, np.dtype(typecode)).reshape(-1, len(header))
 
 
 # The alphabet size, one more than the largest symbol, must fit in int64.
 _MAX_SYMBOL = 2**63 - 1
 
 
-def _symbols(row: list[str]) -> list[int]:
-    values = []
-    for cell in row:
-        try:
-            value = int(cell)
-        except ValueError:
-            raise ValueError(f"{cell!r} is not an integer") from None
-        if value < 0:
-            raise ValueError(f"negative symbol {value}")
-        if value >= _MAX_SYMBOL:
-            raise ValueError(f"symbol {value} is too large; symbols must be below {_MAX_SYMBOL}")
-        values.append(value)
-    return values
+def _symbol(cell: str) -> int:
+    try:
+        value = int(cell)
+    except ValueError:
+        raise ValueError(f"{cell!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"negative symbol {value}")
+    if value >= _MAX_SYMBOL:
+        raise ValueError(f"symbol {value} is too large; symbols must be below {_MAX_SYMBOL}")
+    return value
 
 
-def _reals(row: list[str]) -> list[float]:
-    values = []
-    for cell in row:
-        try:
-            value = float(cell)
-        except ValueError:
-            raise ValueError(f"{cell!r} is not a number") from None
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {cell!r}")
-        values.append(value)
-    return values
+def _real(cell: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"{cell!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
 
 
 def read_discrete_csv(path) -> DiscreteSeriesTable:
     """Read a discrete table: header of names, one sample per row, int cells.
 
-    Each alphabet size is one more than its column's maximum value. The sizes
-    are read off the parsed rows, so the table's copy is the only (T, V) array.
+    Each alphabet size is one more than its column's maximum value.
     """
-    header, rows = _read_rows(path, _symbols)
-    return DiscreteSeriesTable(header, rows, tuple(max(c) + 1 for c in zip(*rows)))
+    header, X = _read_rows(path, _symbol, "q")
+    return DiscreteSeriesTable(header, X, (X.max(axis=0) + 1).tolist())
 
 
 def read_continuous_csv(path) -> ContinuousSeriesTable:
     """Read a continuous table: header of names, one sample per row, float cells."""
-    header, rows = _read_rows(path, _reals)
-    return ContinuousSeriesTable(header, rows)
+    return ContinuousSeriesTable(*_read_rows(path, _real, "d"))
 
 
 def write_model(path, model) -> None:

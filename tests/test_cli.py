@@ -1008,13 +1008,19 @@ class TestRun:
         {"config": {"input": "x.csv", "floor": "abc"}},
         {"config": {"input": "x.csv", "dimensions": [2, "x"]}},
         [{"config": {"input": "x.csv"}}],
-    ], ids=["floor-abc", "dimensions-x", "top-level-list"])
-    def test_malformed_manifest_rejected(self, tmp_path, payload):
+        {"config": {"input": None}},
+        {"config": {"input": "x.csv", "measures": None}},
+        {"config": {"input": "x.csv", "kind": True}},
+        {"config": {"input": "x.csv", "dimensions": [[2, 3]]}},
+    ], ids=["floor-abc", "dimensions-x", "top-level-list", "input-null", "measures-null",
+            "kind-true", "dimensions-nested"])
+    def test_malformed_manifest_rejected(self, tmp_path, payload, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(payload))
         out = tmp_path / "out"
         assert main(["run", "--manifest", str(manifest), "--output-dir", str(out)]) \
             == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -615,3 +615,52 @@ class TestCsvIngestion:
         table = read_continuous_csv(path)
         assert table.num_samples == 2
         assert table.samples[1, 1] == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("reader,text,message", [
+        (read_discrete_csv, "", "empty file"),
+        (read_continuous_csv, "", "empty file"),
+        (read_discrete_csv, "\n", "line 1: malformed header"),
+        (read_continuous_csv, "a,,c\n0,1,2\n", "line 1: malformed header"),
+        (read_discrete_csv, "a,b,c\n", "no data rows"),
+        (read_continuous_csv, "a,b,c\n", "no data rows"),
+        (read_discrete_csv, "a,b,c\n0,1,2\n\n", "line 3: expected 3 cells, got 0"),
+        (read_continuous_csv, "a,b,c\n0,1,2\n0,1,2,3\n", "line 3: expected 3 cells, got 4"),
+        (read_discrete_csv, "a,b,c\n0,1,2\n0,x,2\n", "line 3: 'x' is not an integer"),
+        (read_discrete_csv, "a,b,c\n0,1,2\n0,-1,2\n", "line 3: negative symbol -1"),
+        (read_discrete_csv, f"a,b,c\n0,1,2\n0,{2**63 - 1},2\n",
+         f"line 3: symbol {2**63 - 1} is too large; symbols must be below {2**63 - 1}"),
+        (read_continuous_csv, "a,b,c\n0,1,2\n0,x,2\n", "line 3: 'x' is not a number"),
+        (read_continuous_csv, "a,b,c\n0,1,2\n0,inf,2\n", "line 3: non-finite value 'inf'"),
+    ], ids=["empty-discrete", "empty-continuous", "newline-only", "blank-name",
+            "header-only-discrete", "header-only-continuous", "blank-line", "ragged",
+            "not-integer", "negative", "too-large", "not-number", "inf"])
+    def test_reader_message(self, tmp_path, reader, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as excinfo:
+            reader(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("reader", [read_discrete_csv, read_continuous_csv],
+                             ids=["discrete", "continuous"])
+    def test_reader_holds_no_object_per_cell(self, tmp_path, reader):
+        """The traced peak stays within the decoded text and its StringIO copy
+        (5 bytes per input character), the cell buffer and the table's copy
+        (two 8-byte values per cell), and 64 KiB."""
+        T, V = 5_000, 8
+        rng = np.random.default_rng(9)
+        if reader is read_discrete_csv:
+            cells = rng.integers(0, 3, size=(T, V)).astype(str)
+        else:
+            cells = np.vectorize(repr)(rng.standard_normal((T, V)).tolist())
+        text = "\n".join([",".join(f"v{j}" for j in range(V))]
+                         + [",".join(row) for row in cells.tolist()]) + "\n"
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(text) + 2 * 8 * T * V + 64 * 1024

@@ -4,6 +4,8 @@ Each test transforms the input in a way that leaves the paper's quantities
 unchanged and compares the two output trees: byte for byte where the
 arithmetic is order-free, and otherwise every CEV curve within 1e-9.
 ``manifest.json`` names the input file, so it is left out of every comparison.
+The ``estimate`` rows check the same symmetries where the reader hands the
+table to the estimators, each at the strictest bound that holds there.
 
 Permuting the columns is a symmetry of the information measures but not, at
 present, of the Fourier CEV: the signed Laplacian puts each signal in the
@@ -25,6 +27,11 @@ from test_cli import tree_bytes
 
 CEV_TOLERANCE = 1e-9
 
+# Shuffling the rows reorders the sums of the correlation estimate. Over 40
+# seeded tables the largest change to a correlation was 6.5 machine epsilons;
+# the table below moves it by 2.5.
+CORRELATION_TOLERANCE = 8 * np.finfo(float).eps
+
 
 def write_csv(path, X) -> None:
     names = [f"x{j}" for j in range(X.shape[1])]
@@ -42,6 +49,16 @@ def run_tree(tmp_path, name, X, kind, dimensions="2,3") -> dict:
     tree = tree_bytes(out)
     del tree["manifest.json"]
     return tree
+
+
+def estimate_files(tmp_path, name, X, kind) -> dict:
+    """The files ``estimate`` writes for table ``X``: the model header and any arrays."""
+    data, out = tmp_path / f"{name}.csv", tmp_path / name
+    write_csv(data, X)
+    out.mkdir()
+    assert main(["estimate", "--input", str(data), "--kind", kind,
+                 "--output", str(out / "model.json")]) == EXIT_OK
+    return tree_bytes(out)
 
 
 def assert_cevs_close(first: dict, second: dict) -> None:
@@ -75,6 +92,28 @@ def test_discrete_row_order_leaves_the_tree_unchanged(tmp_path):
     X = discrete_table(1)
     shuffled = X[np.random.default_rng(2).permutation(len(X))]
     assert run_tree(tmp_path, "a", X, "discrete") == run_tree(tmp_path, "b", shuffled, "discrete")
+
+
+def test_discrete_row_order_leaves_the_model_unchanged(tmp_path):
+    X = discrete_table(1)
+    shuffled = X[np.random.default_rng(2).permutation(len(X))]
+    files = estimate_files(tmp_path, "a", X, "discrete")
+    assert sorted(files) == ["model.json", "model_masses.npy", "model_outcomes.npy"]
+    assert files == estimate_files(tmp_path, "b", shuffled, "discrete")
+
+
+def test_increasing_map_of_continuous_columns_leaves_the_model_unchanged(tmp_path):
+    Z = continuous_table(3)
+    assert estimate_files(tmp_path, "a", Z, "continuous") \
+        == estimate_files(tmp_path, "b", np.exp(Z) * 3 + 1, "continuous")
+
+
+def test_continuous_row_order_moves_the_correlation_within_rounding(tmp_path):
+    Z = continuous_table(4)
+    shuffled = Z[np.random.default_rng(5).permutation(len(Z))]
+    a, b = (np.array(json.loads(estimate_files(tmp_path, name, X, "continuous")["model.json"])
+                     ["correlation"]) for name, X in (("a", Z), ("b", shuffled)))
+    assert np.max(np.abs(a - b)) <= CORRELATION_TOLERANCE
 
 
 def test_increasing_map_of_continuous_columns_leaves_the_tree_unchanged(tmp_path):
