@@ -38,7 +38,6 @@ EXIT_CAPACITY = 5
 _EXIT_CODES = {ValidationError: EXIT_VALIDATION, CapacityError: EXIT_CAPACITY,
                NumericalError: EXIT_NUMERICAL, OSError: EXIT_IO}
 
-OUTPUT_DIR_ENV = "HYPERHARMONIC_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "hyperharmonic_output"
 INCOMPLETE_MARKER = "INCOMPLETE"
 BASIS_FORMAT = 2
@@ -59,8 +58,6 @@ class PipelineConfig:
     measures: tuple[str, ...] = ("o_information", "s_information")
     metric: str = "mutual_information"
     aggregator: str = "mean"
-    floor: float = simplices.DEFAULT_WEIGHT_FLOOR
-    kernel_tol: float = spectral.DEFAULT_KERNEL_TOLERANCE
     smoothing: float = 0.0
     units: str = "bits"
 
@@ -73,11 +70,8 @@ class PipelineConfig:
                 raise ValidationError(
                     f"unknown {key} {value!r}; expected one of: {', '.join(allowed)}")
         infotheory.resolved_measures(self.measures)
-        for name in ("floor", "kernel_tol", "smoothing"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.floor <= 0 or self.kernel_tol <= 0:
-            raise ValidationError("floor and kernel_tol must be positive")
+        if not math.isfinite(self.smoothing):
+            raise ValidationError(f"smoothing must be finite, got {self.smoothing}")
         if self.smoothing < 0:
             raise ValidationError("smoothing must be >= 0")
         if self.kind == "continuous" and self.smoothing > 0:
@@ -109,8 +103,6 @@ _CONFIG_PARSERS = {
     "measures": _parse_str_list,
     "metric": str,
     "aggregator": str,
-    "floor": float,
-    "kernel_tol": float,
     "smoothing": float,
     "units": str,
 }
@@ -124,10 +116,21 @@ _CHOICES = {
 }
 
 
+# Settings that became constants, with the one value every format-4 manifest
+# records: an old config or manifest may still give it, and the key is dropped.
+_RETIRED_KEYS = {"floor": simplices.WEIGHT_FLOOR, "kernel_tol": 1e-8}
+
+
 def _config_values(items) -> dict:
     """Parse ``(where, key, text)`` items from a config file or a manifest."""
     values: dict = {}
     for where, key, text in items:
+        if key in _RETIRED_KEYS:
+            with contextlib.suppress(ValueError):
+                if float(text) == _RETIRED_KEYS[key]:
+                    continue
+            raise ValidationError(f"{where}: {key} is retired and accepts only "
+                                  f"{_RETIRED_KEYS[key]!r}, got {text!r}")
         if key not in _CONFIG_PARSERS:
             raise ValidationError(f"{where}: unknown key {key!r}")
         try:
@@ -178,12 +181,6 @@ def _versions() -> dict:
     }
 
 
-def _resolve_output_dir(flag_value) -> str:
-    if flag_value:
-        return flag_value
-    return os.environ.get(OUTPUT_DIR_ENV) or DEFAULT_OUTPUT_DIR
-
-
 def _read_table(config: PipelineConfig):
     if config.kind == "discrete":
         return dist_mod.read_discrete_csv(config.input)
@@ -213,14 +210,6 @@ def write_basis(path, basis: spectral.FourierBasis, diagnostics: dict) -> None:
     })
 
 
-def _eigenbasis(simplex, n: int, kernel_tol: float):
-    """The n-eigenbasis of ``simplex``, and its four residuals and kernel dimension."""
-    basis = spectral.fourier_basis(simplex, n)
-    diagnostics = spectral.basis_diagnostics(simplex, basis)
-    diagnostics["kernel_dimension"] = spectral.kernel_dimension(basis.eigenvalues, tol=kernel_tol)
-    return basis, diagnostics
-
-
 def read_basis(path) -> spectral.FourierBasis:
     """Load a format-2 header and the eigenvector matrix it names."""
     payload = read_header(path, BASIS_FORMAT, "basis", "spectrum")
@@ -239,7 +228,7 @@ def _weights_payload(simplex: simplices.StructuralSimplex, similarity, config) -
     return {
         "num_vertices": simplex.N + 1,
         "aggregator": config.aggregator,
-        "floor": config.floor,
+        "floor": simplices.WEIGHT_FLOOR,
         "metric": config.metric,
         "similarity": np.asarray(similarity).tolist(),
         "weights": {str(n): simplex.weight_vector(n).tolist() for n in range(simplex.N + 1)},
@@ -250,7 +239,7 @@ def _weighted_simplex(oracle, config: PipelineConfig):
     """The similarity matrix under ``config.metric`` and the simplex it weights."""
     similarity = simplices.similarity_matrix(oracle, simplices.SimilarityMetric(config.metric))
     aggregator = simplices.WeightAggregator(config.aggregator)
-    return similarity, simplices.structural_weights(similarity, aggregator, floor=config.floor)
+    return similarity, simplices.structural_weights(similarity, aggregator)
 
 
 def read_weights(path) -> simplices.StructuralSimplex:
@@ -300,12 +289,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_complex(args) -> int:
     _require_output_parent(args.output)
-    config = PipelineConfig(
-        input=args.distribution,
-        metric=args.metric,
-        aggregator=args.aggregator,
-        floor=args.floor,
-    )
+    config = PipelineConfig(input=args.distribution, metric=args.metric,
+                            aggregator=args.aggregator)
     config.validate()
     model = dist_mod.read_model(args.distribution)
     if args.boundaries_dir:
@@ -338,7 +323,6 @@ def cmd_signals(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    PipelineConfig(input=args.weights, kernel_tol=args.kernel_tol).validate()
     simplex = read_weights(args.weights)
     dims = simplices.resolved_dimensions(args.dimensions, simplex.N)
     # diagnostics_dim<n>.json held a basis's residuals before they moved into its header.
@@ -347,8 +331,9 @@ def cmd_spectrum(args) -> int:
                             for end in (".json", "_eigenvectors.npy")})
     with _incomplete_marker(args.output_dir):
         for n in dims:
-            write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"),
-                        *_eigenbasis(simplex, n, args.kernel_tol))
+            basis = spectral.fourier_basis(simplex, n)
+            write_basis(os.path.join(args.output_dir, f"basis_dim{n}.json"), basis,
+                        spectral.basis_diagnostics(simplex, basis))
     return EXIT_OK
 
 
@@ -385,7 +370,10 @@ def cmd_control_random(args) -> int:
 def cmd_control_synth(args) -> int:
     _, dims, measures = synth.check_experiment(args.ranks, args.replicates, args.samples,
                                                args.size, args.dimensions, args.measures)
-    outdir = _resolve_output_dir(args.output_dir)
+    outdir = args.output_dir
+    # Both write manifest.json: a run tree here would lose its own.
+    _refuse_other_requests(outdir, ("dim_*", "distribution*", "weights.json", "components.csv"),
+                           set())
     with _incomplete_marker(outdir):
         result = synth.rank_experiment(
             ranks=args.ranks,
@@ -420,14 +408,15 @@ def cmd_run(args) -> int:
     # output directory is made only once the model and the weights are built.
     table = _read_table(config)
     config.dimensions = simplices.resolved_dimensions(config.dimensions, table.num_variables - 1)
-    outdir = _resolve_output_dir(args.output_dir)
+    outdir = args.output_dir
     files = ["diagnostics.json", *(f"{kind}_{name}_{tag}.json" for kind in ("signal", "cev")
                                    for name in config.measures for tag in ("canonical", "fourier"))]
     ours = {path for n in config.dimensions
             for path in (f"dim_{n}", *(os.path.join(f"dim_{n}", name) for name in files))}
     if config.kind == "discrete":
         ours |= {"distribution_outcomes.npy", "distribution_masses.npy"}
-    _refuse_other_requests(outdir, ("dim_*", "distribution_*.npy"), ours)
+    # rank_cev.csv marks a control-synth tree, whose manifest.json this would replace.
+    _refuse_other_requests(outdir, ("dim_*", "distribution_*.npy", "rank_cev.csv"), ours)
     _run_pipeline(config, table, outdir)
     return EXIT_OK
 
@@ -471,7 +460,8 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
     """
     dim_dir = os.path.join(outdir, f"dim_{n}")
     os.makedirs(dim_dir, exist_ok=True)
-    basis, diagnostics = _eigenbasis(simplex, n, config.kernel_tol)
+    basis = spectral.fourier_basis(simplex, n)
+    diagnostics = spectral.basis_diagnostics(simplex, basis)
 
     cev_status, rows = {}, []
     for name in config.measures:
@@ -535,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complex", help="build the structural simplex weights")
     p.add_argument("--distribution", required=True)
-    _add_settings(p, "metric", "aggregator", "floor")
+    _add_settings(p, "metric", "aggregator")
     p.add_argument("--output", required=True)
     p.add_argument("--boundaries-dir", default=None)
     p.set_defaults(func=cmd_complex)
@@ -548,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="diagonalize Laplacians into Fourier bases")
     p.add_argument("--weights", required=True)
-    _add_settings(p, "dimensions", "kernel_tol")
+    _add_settings(p, "dimensions")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_spectrum)
 
@@ -580,14 +570,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=synth.DEFAULT_SIZE)
     _add_settings(p, "dimensions", "measures")
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--output-dir", default=None)
+    p.add_argument("--output-dir", default=DEFAULT_OUTPUT_DIR)
     p.set_defaults(func=cmd_control_synth)
 
     p = sub.add_parser("run", help="full pipeline into an output directory")
     _add_settings(p, *_CONFIG_PARSERS, unset=True)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--manifest", default=None, help="replay a previous run exactly")
-    p.add_argument("--output-dir", default=None)
+    p.add_argument("--output-dir", default=DEFAULT_OUTPUT_DIR)
     p.set_defaults(func=cmd_run)
 
     return parser

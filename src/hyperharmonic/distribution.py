@@ -435,21 +435,24 @@ def _read_rows(path, parse_cell, typecode: str) -> tuple[tuple[str, ...], np.nda
     ValueError with the message reported for its line."""
     import array  # a shared library: only the commands that read a table load it
     rows = csv.reader(io.StringIO(read_text(path, "CSV"), newline=""))
-    first = next(rows, None)
-    if first is None:
-        raise ValidationError(f"{path}: empty file")
-    header = tuple(name.strip() for name in first)
-    if not header or any(not name for name in header):
-        raise ValidationError(f"{path}: line 1: malformed header")
-    buffer = array.array(typecode)
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}: line {line_no}: expected {len(header)} cells, "
-                                  f"got {len(row)}")
-        try:
-            buffer.extend(map(parse_cell, row))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {line_no}: {exc}") from exc
+    try:
+        first = next(rows, None)
+        if first is None:
+            raise ValidationError(f"{path}: empty file")
+        header = tuple(name.strip() for name in first)
+        if not header or any(not name for name in header):
+            raise ValidationError(f"{path}: line 1: malformed header")
+        buffer = array.array(typecode)
+        for line_no, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ValidationError(f"{path}: line {line_no}: expected {len(header)} cells, "
+                                      f"got {len(row)}")
+            try:
+                buffer.extend(map(parse_cell, row))
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {line_no}: {exc}") from exc
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {rows.line_num}: {exc}") from exc
     if not buffer:
         raise ValidationError(f"{path}: no data rows")
     return header, np.frombuffer(buffer, np.dtype(typecode)).reshape(-1, len(header))

@@ -28,7 +28,7 @@ MAX_N = 16
 # Dense eigendecomposition cap; larger dimensions fail fast instead of thrashing.
 DENSE_DIMENSION_CAP = 5000
 
-DEFAULT_WEIGHT_FLOOR = 1e-9
+WEIGHT_FLOOR = 1e-9
 
 
 def simplex_count(num_vertices_minus_one: int, n: int) -> int:
@@ -238,11 +238,10 @@ def resolved_dimensions(dimensions, N: int) -> tuple[int, ...]:
 def structural_weights(
     mi_matrix: np.ndarray,
     aggregator: WeightAggregator = WeightAggregator.MEAN,
-    floor: float = DEFAULT_WEIGHT_FLOOR,
 ) -> StructuralSimplex:
     """Build a structural simplex from a symmetric pairwise-similarity matrix.
 
-    Vertices get weight 1. An edge [i, j] gets ``max(mi_matrix[i, j], floor)``.
+    Vertices get weight 1. An edge [i, j] gets ``max(mi_matrix[i, j], WEIGHT_FLOOR)``.
     A higher simplex gets the aggregate (mean, max or min) of the raw pairwise
     values of all its vertex pairs, floored the same way. The floor keeps every
     weight strictly positive so the diagonal weight matrices stay invertible.
@@ -257,8 +256,6 @@ def structural_weights(
     off_diag = mi[~np.eye(mi.shape[0], dtype=bool)]
     if np.any(off_diag < 0) or not np.all(np.isfinite(off_diag)):
         raise ValidationError("similarity matrix entries must be finite and >= 0")
-    if not 0 < floor < math.inf:
-        raise ValidationError(f"weight floor must be finite and > 0, got {floor}")
     N = mi.shape[0] - 1
     check_vertex_count(N)
 
@@ -275,7 +272,7 @@ def structural_weights(
             values = pairs.max(axis=1)
         else:
             values = pairs.min(axis=1)
-        weights.append(np.maximum(values, floor))
+        weights.append(np.maximum(values, WEIGHT_FLOOR))
     return StructuralSimplex(N=N, weights=tuple(weights))
 
 

@@ -26,8 +26,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .simplices import StructuralSimplex, boundary_faces, check_dense_dimension
 
-DEFAULT_KERNEL_TOLERANCE = 1e-8
-
 # Relative threshold under which a tiny negative eigenvalue is treated as zero.
 EIGENVALUE_NOISE_TOLERANCE = 1e-10
 
@@ -162,7 +160,8 @@ def fourier_basis(simplex: StructuralSimplex, n: int) -> FourierBasis:
 
 
 def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:
-    """The four residuals of ``basis`` as an eigenbasis of the Laplacian of ``simplex``.
+    """The four residuals of ``basis`` as an eigenbasis of the Laplacian of
+    ``simplex``, and its ``kernel_dimension``.
 
     ``self_adjointness`` is the relative asymmetry of W L, zero for a
     self-adjoint L. With S = W^(1/2) L W^(-1/2), ``diagonalization`` is
@@ -191,13 +190,13 @@ def basis_diagnostics(simplex: StructuralSimplex, basis: FourierBasis) -> dict:
     product[np.diag_indices(w.size)] -= 1.0
     orthonormality = float(np.max(np.abs(product, out=product)))
     return {"self_adjointness": self_adjointness, "diagonalization": diagonalization,
-            "orthonormality": orthonormality, "inversion": orthonormality}
+            "orthonormality": orthonormality, "inversion": orthonormality,
+            "kernel_dimension": kernel_dimension(basis.eigenvalues)}
 
 
-def kernel_dimension(eigenvalues: np.ndarray, tol: float = DEFAULT_KERNEL_TOLERANCE) -> int:
-    """Count eigenvalues below ``tol * max(eigenvalues)``; all, if the matrix is zero."""
+def kernel_dimension(eigenvalues: np.ndarray) -> int:
+    """Count the d eigenvalues at most ``d * eps * max(eigenvalues)``, the rule of
+    ``np.linalg.matrix_rank``: they are the singular values of this PSD operator.
+    On the full simplex the kernel is 0 for n >= 1 whatever the weights."""
     lam = np.asarray(eigenvalues, dtype=float)
-    top = float(lam.max(initial=0.0))
-    if top <= 0.0:
-        return lam.size
-    return int(np.count_nonzero(lam < tol * top))
+    return int(np.count_nonzero(lam <= lam.size * np.finfo(float).eps * lam.max(initial=0.0)))

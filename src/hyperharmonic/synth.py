@@ -19,8 +19,8 @@ from .infotheory import EntropyOracle, MeasureKind, resolved_measures
 from .jsonio import csv_writer
 from .seeding import derive_rng
 from .simplices import (
-    DEFAULT_WEIGHT_FLOOR,
     DENSE_DIMENSION_CAP,
+    WEIGHT_FLOOR,
     SimilarityMetric,
     WeightAggregator,
     resolved_dimensions,
@@ -216,7 +216,7 @@ def rank_experiment(
         "dimensions": list(dimensions),
         "measures": [m.value for m in measures],
         "aggregator": WeightAggregator.MEAN.value,
-        "weight_floor": DEFAULT_WEIGHT_FLOOR,
+        "weight_floor": WEIGHT_FLOOR,
         "similarity_metric": SimilarityMetric.MUTUAL_INFORMATION.value,
         "seed_scheme": "SeedSequence((base_seed, rank, replicate, stage))",
         "replicate_axis": "covariance draws",

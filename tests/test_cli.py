@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -12,16 +14,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hyperharmonic
 from hyperharmonic.cli import (
     _CHOICES,
     _CONFIG_PARSERS,
+    DEFAULT_OUTPUT_DIR,
     EXIT_CAPACITY,
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     INCOMPLETE_MARKER,
-    OUTPUT_DIR_ENV,
     PipelineConfig,
     build_parser,
     load_config_file,
@@ -950,10 +953,8 @@ class TestRun:
         ["--config", "missing.cfg"],
         ["--dimensions", "2"],
         ["--units", "nats"],
-        ["--floor", "0.5"],
-        ["--kernel-tol", "1e-6"],
         ["--input", "other.csv"],
-    ], ids=["config", "dimensions", "units", "floor", "kernel-tol", "input"])
+    ], ids=["config", "dimensions", "units", "input"])
     def test_manifest_takes_no_pipeline_flag(self, tmp_path, flags, capsys):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
@@ -1004,6 +1005,38 @@ class TestRun:
             assert "unknown key 'laplacian_formula'" in capsys.readouterr().err
             assert not second.exists()
 
+    def test_manifest_with_retired_floor_and_kernel_tol_replays(self, tmp_path):
+        """Every format-4 manifest records these two keys at these values."""
+        first, second, code = self.replay_edited_manifest(
+            tmp_path, lambda manifest: manifest["config"].update(floor=1e-09, kernel_tol=1e-08))
+        assert code == EXIT_OK
+        assert tree_bytes(first) == tree_bytes(second)
+
+    def test_manifest_with_another_floor_rejected(self, tmp_path, capsys):
+        _, second, code = self.replay_edited_manifest(
+            tmp_path, lambda manifest: manifest["config"].update(floor=0.5))
+        assert code == EXIT_VALIDATION
+        assert "config: floor is retired and accepts only 1e-09, got '0.5'" \
+            in capsys.readouterr().err
+        assert not second.exists()
+
+    def test_ill_conditioned_operator_has_no_kernel(self, tmp_path):
+        """Three copies of one bit and three free bits, every row of {0,1}^4 once:
+        under the min aggregator the weights reach down to the floor, and the
+        eigenvalues run from about 6 to 3e9, none near 0. A relative tolerance
+        of 1e-8 counted 16 of 20 and 14 of 15 of them as kernel."""
+        data = tmp_path / "bits.csv"
+        rows = [f"{b[0]},{b[0]},{b[0]},{b[1]},{b[2]},{b[3]}"
+                for b in (f"{i:04b}" for i in range(16))]
+        data.write_text("\n".join(["a,b,c,d,e,f"] + rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(data), "--aggregator", "min", "--dimensions", "2,3",
+                     "--output-dir", str(out)]) == EXIT_OK
+        for n in (2, 3):
+            diagnostics = json.loads((out / f"dim_{n}" / "diagnostics.json").read_text())
+            assert min(diagnostics["eigenvalues"]) > 1.0
+            assert diagnostics["kernel_dimension"] == 0
+
     @pytest.mark.parametrize("payload", [
         {"config": {"input": "x.csv", "floor": "abc"}},
         {"config": {"input": "x.csv", "dimensions": [2, "x"]}},
@@ -1030,41 +1063,40 @@ class TestRun:
         ["run", "--num-random", "3"],
         ["spectrum", "--weights", "w.json", "--output-dir", "o", "--laplacian-formula", "adjoint"],
         ["complex", "--distribution", "d.json", "--output", "w.json", "--weights-csv", "w.csv"],
+        ["run", "--floor", "0.5"],
+        ["run", "--kernel-tol", "1e-6"],
+        ["complex", "--distribution", "d.json", "--output", "w.json", "--floor", "0.5"],
+        ["spectrum", "--weights", "w.json", "--output-dir", "o", "--kernel-tol", "1e-6"],
     ], ids=["run-jobs", "run-laplacian-formula", "run-seed", "run-num-random",
-            "spectrum-laplacian-formula", "complex-weights-csv"])
+            "spectrum-laplacian-formula", "complex-weights-csv", "run-floor", "run-kernel-tol",
+            "complex-floor", "spectrum-kernel-tol"])
     def test_retired_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == EXIT_VALIDATION
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--floor", "nan"), ("--kernel-tol", "inf"), ("--smoothing", "nan"),
+    @pytest.mark.parametrize("key,value,message", [
+        ("floor", "nan", "floor is retired and accepts only 1e-09, got 'nan'"),
+        ("kernel_tol", "inf", "kernel_tol is retired and accepts only 1e-08, got 'inf'"),
+        ("smoothing", "nan", "smoothing must be finite"),
     ], ids=["floor", "kernel_tol", "smoothing"])
-    def test_non_finite_value_rejected_before_any_output(self, tmp_path, flag, value, capsys):
+    def test_non_finite_value_rejected_before_any_output(self, tmp_path, key, value, message,
+                                                         capsys):
+        """From a config file, and from the flag of a setting that has one; the
+        retired floor and kernel_tol can come from a config file only."""
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {data}\n{key} = {value}\n")
         out = tmp_path / "out"
-        assert main(["run", "--input", str(data), flag, value, "--output-dir", str(out)]) \
-            == EXIT_VALIDATION
-        assert "must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ["complex", "--distribution", "dist.json", "--floor", "nan", "--output", "out"],
-        ["spectrum", "--weights", "weights.json", "--kernel-tol", "nan", "--output-dir", "out"],
-    ], ids=["complex-floor", "spectrum-kernel-tol"])
-    def test_non_finite_step_option_rejected_before_any_output(self, tmp_path, monkeypatch,
-                                                               argv):
-        # Every pairwise MI of this table is positive, so a NaN floor is never
-        # caught later by a zero weight.
-        monkeypatch.chdir(tmp_path)
-        write_five_variable_csv(tmp_path / "five.csv")
-        assert main(["estimate", "--input", "five.csv", "--output", "dist.json"]) == EXIT_OK
-        assert main(["complex", "--distribution", "dist.json", "--output", "weights.json"]) \
-            == EXIT_OK
-        assert main(argv) == EXIT_VALIDATION
-        assert not (tmp_path / "out").exists()
+        sources = [["--config", str(cfg)]]
+        if key in _CONFIG_PARSERS:
+            sources.append(["--input", str(data), "--" + key, value])
+        for source in sources:
+            assert main(["run", *source, "--output-dir", str(out)]) == EXIT_VALIDATION
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--dimensions", "2,2"), ("--measures", "o_information,s_information,o_information"),
@@ -1180,14 +1212,14 @@ class TestRun:
             f"input = {data}\n"
             "kind = discrete\n"
             "dimensions = 2\n"
-            "floor = 0.5  # overridden below\n"
+            "smoothing = 0.5  # overridden below\n"
         )
         out = tmp_path / "out"
         assert main([
-            "run", "--config", str(cfg), "--floor", "0.25", "--output-dir", str(out),
+            "run", "--config", str(cfg), "--smoothing", "0.25", "--output-dir", str(out),
         ]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["floor"] == 0.25
+        assert manifest["config"]["smoothing"] == 0.25
 
     def test_config_file_retired_keys_rejected(self, tmp_path, capsys):
         data = tmp_path / "xor.csv"
@@ -1208,13 +1240,16 @@ class TestRun:
             load_config_file(cfg)
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
+        """The output directory comes from --output-dir alone: without it, the
+        variable earlier versions read is ignored and the default is used."""
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
         target = tmp_path / "from_env"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
+        monkeypatch.setenv("HYPERHARMONIC_OUTPUT_DIR", str(target))
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--input", str(data), "--dimensions", "2"]) == EXIT_OK
-        assert (target / "manifest.json").exists()
+        assert (tmp_path / DEFAULT_OUTPUT_DIR / "manifest.json").exists()
+        assert not target.exists()
 
     @pytest.mark.parametrize("first, second, entry", [
         (["--dimensions", "2,3"], ["--dimensions", "2"], "dim_3"),
@@ -1235,6 +1270,23 @@ class TestRun:
         assert f"error: {out / entry}: " in capsys.readouterr().err
         assert tree_bytes(out) == before
         assert main(argv + first) == EXIT_OK
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("order", ["run-then-control-synth", "control-synth-then-run"])
+    def test_run_and_control_synth_refuse_each_others_tree(self, tmp_path, order, capsys):
+        """Both write manifest.json, so neither may write into the other's tree."""
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        out = tmp_path / "out"
+        run = ["run", "--input", str(data), "--dimensions", "2", "--output-dir", str(out)]
+        synth = ["control-synth", "--ranks", "2,5", "--replicates", "1", "--samples", "500",
+                 "--size", "5", "--dimensions", "2", "--output-dir", str(out)]
+        first, second, entry = (run, synth, "components.csv") if order.startswith("run") \
+            else (synth, run, "rank_cev.csv")
+        assert main(first) == EXIT_OK
+        before = tree_bytes(out)
+        assert main(second) == EXIT_IO
+        assert f"error: {out / entry}: left by another request" in capsys.readouterr().err
         assert tree_bytes(out) == before
 
     @pytest.mark.parametrize("command, entry", [
@@ -1488,7 +1540,7 @@ class TestSettingsTable:
     TEXTS = {
         "input": "table.csv", "kind": "continuous", "dimensions": "2, 4",
         "measures": "tc,o_information", "metric": "abs_pearson", "aggregator": "max",
-        "floor": "0.25", "kernel_tol": "1e-6", "smoothing": "0.5", "units": "nats",
+        "smoothing": "0.5", "units": "nats",
     }
 
     @pytest.mark.parametrize("key", list(_CONFIG_PARSERS))
@@ -1519,24 +1571,39 @@ class TestSettingsTable:
                            + ", ".join(_CHOICES[key])):
             PipelineConfig(input="table.csv", **{key: "other"}).validate()
 
+    @pytest.mark.parametrize("key,old,other", [
+        ("floor", "1e-09", "0.5"), ("kernel_tol", "1e-08", "1e-6"),
+    ], ids=["floor", "kernel_tol"])
+    def test_retired_key_accepts_only_its_old_value(self, tmp_path, key, old, other):
+        """Every format-4 manifest records floor 1e-09 and kernel_tol 1e-08: a
+        config file may still give either at that value, and the key is dropped."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = table.csv\n{key} = {float(old):.1e}\n")
+        assert load_config_file(cfg) == {"input": "table.csv"}
+        cfg.write_text(f"{key} = {other}\n")
+        with pytest.raises(ValidationError, match=f"^{cfg}: line 1: {key} is retired and "
+                                                  f"accepts only {old}, got '{other}'$"):
+            load_config_file(cfg)
+
 
 class TestOptionInventory:
     """Every subcommand's options, as one table: a flag added or dropped edits it."""
 
+    # The environment variables the package reads, found by a scan of its source.
+    ENVIRONMENT: list[str] = []
+
     OPTIONS = {
         "estimate": ["--input", "--kind", "--smoothing", "--output"],
-        "complex": ["--distribution", "--metric", "--aggregator", "--floor", "--output",
-                    "--boundaries-dir"],
+        "complex": ["--distribution", "--metric", "--aggregator", "--output", "--boundaries-dir"],
         "signals": ["--distribution", "--dimensions", "--measures", "--output-dir"],
-        "spectrum": ["--weights", "--dimensions", "--kernel-tol", "--output-dir"],
+        "spectrum": ["--weights", "--dimensions", "--output-dir"],
         "transform": ["--signal", "--basis", "--inverse", "--output"],
         "cev": ["--signal", "--output-prefix"],
         "control-random": ["--signal", "--basis", "--num-random", "--seed", "--output"],
         "control-synth": ["--ranks", "--replicates", "--samples", "--size", "--dimensions",
                           "--measures", "--seed", "--output-dir"],
         "run": ["--input", "--kind", "--dimensions", "--measures", "--metric", "--aggregator",
-                "--floor", "--kernel-tol", "--smoothing", "--units", "--config", "--manifest",
-                "--output-dir"],
+                "--smoothing", "--units", "--config", "--manifest", "--output-dir"],
     }
 
     def test_each_subcommand_takes_exactly_its_options(self):
@@ -1547,6 +1614,16 @@ class TestOptionInventory:
                               for option in action.option_strings if option not in ("-h", "--help"))
                  for name, command in sub.choices.items()}
         assert found == {name: sorted(options) for name, options in self.OPTIONS.items()}
+
+    def test_package_reads_exactly_its_environment_variables(self):
+        """Each ``environ`` or ``getenv`` in the source counts: by the name it
+        reads, or by its text when it names none."""
+        pattern = re.compile(r"\b(?:environ|getenv)\b(?:\.get)?[\[(]?\s*(?:[\"'](\w+)[\"'])?")
+        package = pathlib.Path(hyperharmonic.__file__).parent
+        found = [match.group(1) or f"{path.name}: {match.group(0)}"
+                 for path in sorted(package.glob("*.py"))
+                 for match in pattern.finditer(path.read_text())]
+        assert sorted(found) == sorted(self.ENVIRONMENT)
 
     def test_retired_orthonormality_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -631,9 +631,14 @@ class TestCsvIngestion:
          f"line 3: symbol {2**63 - 1} is too large; symbols must be below {2**63 - 1}"),
         (read_continuous_csv, "a,b,c\n0,1,2\n0,x,2\n", "line 3: 'x' is not a number"),
         (read_continuous_csv, "a,b,c\n0,1,2\n0,inf,2\n", "line 3: non-finite value 'inf'"),
+        (read_discrete_csv, f"a,b,c\n0,1,2\n0,1,2\n0,{'1' * 200_000},2\n",
+         "line 4: field larger than field limit (131072)"),
+        (read_continuous_csv, f"a,b,c\n0,{'1' * 200_000},2\n",
+         "line 2: field larger than field limit (131072)"),
     ], ids=["empty-discrete", "empty-continuous", "newline-only", "blank-name",
             "header-only-discrete", "header-only-continuous", "blank-line", "ragged",
-            "not-integer", "negative", "too-large", "not-number", "inf"])
+            "not-integer", "negative", "too-large", "not-number", "inf",
+            "long-cell-discrete", "long-cell-continuous"])
     def test_reader_message(self, tmp_path, reader, text, message):
         path = tmp_path / "t.csv"
         path.write_text(text)

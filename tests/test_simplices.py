@@ -25,7 +25,8 @@ from hyperharmonic import (
     total_correlation,
 )
 from hyperharmonic.distribution import estimate_empirical, subset_entropies_nats
-from hyperharmonic.simplices import boundary_to_csv
+from hyperharmonic import simplices
+from hyperharmonic.simplices import WEIGHT_FLOOR, boundary_to_csv
 
 import dict_reference
 from boundary_reference import boundary_matrix
@@ -241,11 +242,13 @@ def random_similarity(rng, size):
 class TestStructuralWeights:
     @pytest.mark.parametrize("aggregator", list(WeightAggregator))
     @pytest.mark.parametrize("floor", [1e-9, 0.3])
-    def test_matches_the_loop_reference_bit_for_bit(self, aggregator, floor):
+    def test_matches_the_loop_reference_bit_for_bit(self, aggregator, floor, monkeypatch):
+        """At the package's floor, and at one that bites on mid-range values too."""
+        monkeypatch.setattr(simplices, "WEIGHT_FLOOR", floor)
         rng = np.random.default_rng(17)
         for size in (2, 3, 5, 8, 11):
             mi = random_similarity(rng, size)
-            got = structural_weights(mi, aggregator, floor=floor)
+            got = structural_weights(mi, aggregator)
             expected = loop_structural_weights(mi, aggregator, floor)
             for n in range(size):
                 assert got.weight_vector(n).tobytes() == expected[n].tobytes(), (size, n)
@@ -257,9 +260,9 @@ class TestStructuralWeights:
             assert np.allclose(simplex.weight_vector(n), 1.0)
 
     def test_floor_on_zero_matrix(self):
-        simplex = structural_weights(np.zeros((3, 3)), floor=1e-9)
-        assert np.allclose(simplex.weight_vector(1), 1e-9)
-        assert np.allclose(simplex.weight_vector(2), 1e-9)
+        simplex = structural_weights(np.zeros((3, 3)))
+        assert np.all(simplex.weight_vector(1) == WEIGHT_FLOOR)
+        assert np.all(simplex.weight_vector(2) == WEIGHT_FLOOR)
         assert np.allclose(simplex.weight_vector(0), 1.0)
 
     def test_mean_of_triangle(self):
@@ -297,12 +300,6 @@ class TestStructuralWeights:
             structural_weights(bad)
         with pytest.raises(ValidationError):
             structural_weights(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-
-    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_floor_that_is_not_finite_and_positive(self, floor):
-        mi = np.ones((3, 3)) - np.eye(3)
-        with pytest.raises(ValidationError):
-            structural_weights(mi, floor=floor)
 
     def test_vertex_cap(self):
         with pytest.raises(CapacityError):

@@ -313,7 +313,9 @@ class TestFourierBasis:
 
     def test_kernel_dimension_of_zero_matrix(self):
         assert kernel_dimension(np.zeros(4)) == 4
-        assert kernel_dimension(np.array([0.0, 1e-12, 1.0])) == 2
+        # d * eps * max is 6.7e-16 here, np.linalg.matrix_rank's tolerance.
+        assert kernel_dimension(np.array([0.0, 6e-16, 1.0])) == 2
+        assert kernel_dimension(np.array([0.0, 1e-12, 1.0])) == 1
 
 
 class TestDiagnosticsAgainstDenseReference:

@@ -333,7 +333,7 @@ class TestPermutationBehavior:
         dist = dense_to_distribution(dense_pmf)
         oracle = EntropyOracle(dist)
         mi = similarity_matrix(oracle, SimilarityMetric.MUTUAL_INFORMATION)
-        simplex = structural_weights(mi, floor=1e-6)
+        simplex = structural_weights(mi)
         out = {}
         for n in dims:
             basis = fourier_basis(simplex, n)
