@@ -23,21 +23,21 @@ from .errors import CapacityError, EstimationError, NumericalError, ValidationEr
 from .infotheory import (
     EntropyOracle,
     MeasureKind,
+    SimilarityMetric,
     dual_total_correlation,
     interaction_information,
     mutual_information,
     o_information,
     s_information,
     signal_sweep,
+    similarity_matrix,
     total_correlation,
 )
 from .simplices import (
-    SimilarityMetric,
     StructuralSimplex,
     WeightAggregator,
     boundary_faces,
     enumerate_simplices,
-    similarity_matrix,
     simplex_count,
     simplex_rank,
     simplex_unrank,

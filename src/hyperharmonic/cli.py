@@ -110,7 +110,7 @@ _CONFIG_PARSERS = {
 # The allowed values of each enumerated setting; measures are checked one by one.
 _CHOICES = {
     "kind": ("discrete", "continuous"),
-    "metric": tuple(m.value for m in simplices.SimilarityMetric),
+    "metric": tuple(m.value for m in infotheory.SimilarityMetric),
     "aggregator": tuple(a.value for a in simplices.WeightAggregator),
     "units": ("bits", "nats"),
 }
@@ -235,13 +235,6 @@ def _weights_payload(simplex: simplices.StructuralSimplex, similarity, config) -
     }
 
 
-def _weighted_simplex(oracle, config: PipelineConfig):
-    """The similarity matrix under ``config.metric`` and the simplex it weights."""
-    similarity = simplices.similarity_matrix(oracle, simplices.SimilarityMetric(config.metric))
-    aggregator = simplices.WeightAggregator(config.aggregator)
-    return similarity, simplices.structural_weights(similarity, aggregator)
-
-
 def read_weights(path) -> simplices.StructuralSimplex:
     """The weighted simplex of a weights file written by ``complex`` or ``run``."""
     payload = read_json(path)
@@ -268,7 +261,10 @@ def _refuse_other_requests(outdir, patterns, ours) -> None:
     command's name ``patterns`` matches but that is not among ``ours``, the
     paths this request writes: it would outlive the request beside its outputs.
     The entries of a matched directory must be ``ours`` too. Nothing is deleted.
+    Exit 3 too if ``outdir`` exists but is not a directory.
     """
+    if os.path.lexists(outdir) and not os.path.isdir(outdir):
+        raise NotADirectoryError(f"{outdir}: exists and is not a directory")
     for name in sorted(os.listdir(outdir)) if os.path.isdir(outdir) else ():
         if any(fnmatch.fnmatchcase(name, pattern) for pattern in patterns):
             path = os.path.join(outdir, name)
@@ -296,7 +292,8 @@ def cmd_complex(args) -> int:
     if args.boundaries_dir:
         _refuse_other_requests(args.boundaries_dir, ("boundary_*.csv",),
                                {f"boundary_{n}.csv" for n in range(model.num_variables)})
-    similarity, simplex = _weighted_simplex(infotheory.EntropyOracle(model), config)
+    similarity = infotheory.similarity_matrix(infotheory.EntropyOracle(model), config.metric)
+    simplex = simplices.structural_weights(similarity, config.aggregator)
     write_json(args.output, _weights_payload(simplex, similarity, config))
     if args.boundaries_dir:
         os.makedirs(args.boundaries_dir, exist_ok=True)
@@ -417,7 +414,9 @@ def cmd_run(args) -> int:
         ours |= {"distribution_outcomes.npy", "distribution_masses.npy"}
     # rank_cev.csv marks a control-synth tree, whose manifest.json this would replace.
     _refuse_other_requests(outdir, ("dim_*", "distribution_*.npy", "rank_cev.csv"), ours)
-    _run_pipeline(config, table, outdir)
+    model = _estimate_model(config, table)
+    del table  # dead before the first Laplacian
+    _run_pipeline(config, model, outdir)
     return EXIT_OK
 
 
@@ -432,10 +431,10 @@ def _incomplete_marker(outdir):
     os.remove(marker)
 
 
-def _run_pipeline(config: PipelineConfig, table, outdir) -> None:
-    model = _estimate_model(config, table)
+def _run_pipeline(config: PipelineConfig, model, outdir) -> None:
     oracle = infotheory.EntropyOracle(model, units=config.units)
-    similarity, simplex = _weighted_simplex(oracle, config)
+    similarity = infotheory.similarity_matrix(oracle, config.metric)
+    simplex = simplices.structural_weights(similarity, config.aggregator)
     with _incomplete_marker(outdir):
         dist_mod.write_model(os.path.join(outdir, "distribution.json"), model)
         write_json(os.path.join(outdir, "weights.json"),

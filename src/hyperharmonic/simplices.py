@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapacityError, EstimationError, ValidationError
+from .errors import CapacityError, ValidationError
 from .jsonio import csv_writer
 
 Simplex = tuple[int, ...]
@@ -274,89 +274,3 @@ def structural_weights(
             values = pairs.min(axis=1)
         weights.append(np.maximum(values, WEIGHT_FLOOR))
     return StructuralSimplex(N=N, weights=tuple(weights))
-
-
-class SimilarityMetric(Enum):
-    """Pairwise dependence metric used to seed the structural weights."""
-
-    MUTUAL_INFORMATION = "mutual_information"
-    ABS_PEARSON = "abs_pearson"
-    TOTAL_VARIATION = "total_variation"
-
-
-def similarity_matrix(oracle, metric: SimilarityMetric) -> np.ndarray:
-    """Symmetric matrix of a pairwise dependence metric, zero diagonal.
-
-    ``oracle`` is the run's ``EntropyOracle``: mutual information reads its
-    entropy tables, in its unit, and the other metrics read ``oracle.source``,
-    a JointDistribution or a GaussianModel. Total variation is the distance
-    between each pairwise joint and the product of its marginals, and is only
-    defined for discrete distributions.
-    """
-    from . import distribution as dist_mod  # runtime import: avoids a module cycle
-    from . import infotheory
-
-    if not isinstance(oracle, infotheory.EntropyOracle):
-        raise ValidationError(
-            f"similarity_matrix needs an EntropyOracle, got {type(oracle).__name__}; "
-            "wrap the model in EntropyOracle(...)"
-        )
-    metric = SimilarityMetric(metric)
-    source = oracle.source
-    k = source.num_variables
-    out = np.zeros((k, k))
-    if metric is SimilarityMetric.MUTUAL_INFORMATION:
-        if k > 1:
-            pairs = enumerate_simplices(k - 1, 1)
-            # The mutual information of a pair is its total correlation.
-            mi = infotheory.measure_values(oracle, pairs, infotheory.MeasureKind.TC)
-            out[pairs[:, 0], pairs[:, 1]] = out[pairs[:, 1], pairs[:, 0]] = mi
-        return out
-    if metric is SimilarityMetric.ABS_PEARSON:
-        if isinstance(source, dist_mod.GaussianModel):
-            out = np.abs(source.correlation_matrix).astype(float)
-            np.fill_diagonal(out, 0.0)
-            return out
-        return _abs_pearson_discrete(source)
-    if isinstance(source, dist_mod.GaussianModel):
-        raise EstimationError("total variation requires a discrete distribution")
-    return _total_variation_discrete(source)
-
-
-def _abs_pearson_discrete(dist) -> np.ndarray:
-    # Each moment adds the support rows one after another along axis 0, the
-    # order of the former per-outcome loop; a BLAS product would reorder the
-    # sums and move the last bits.
-    X = dist.outcomes.astype(float)
-    p = dist.masses[:, None]
-    weighted = p * X
-    mean = weighted.sum(axis=0)
-    second = (weighted * X).sum(axis=0)
-    cross = np.stack([(X[:, i, None] * X * p).sum(axis=0) for i in range(X.shape[1])])
-    var = second - mean**2
-    if np.any(var <= 0):
-        bad = int(np.argmin(var))
-        raise EstimationError(f"variable {bad} is constant; correlation undefined")
-    cov = cross - np.outer(mean, mean)
-    corr = np.abs(cov / np.sqrt(np.outer(var, var)))
-    np.fill_diagonal(corr, 0.0)
-    return corr
-
-
-def _total_variation_discrete(dist) -> np.ndarray:
-    from . import distribution as dist_mod
-
-    k = dist.num_variables
-    out = np.zeros((k, k))
-    # Each variable's observed values, coded in increasing order, with the
-    # marginal mass of each code.
-    codes = [dist_mod.distinct_rows(dist.outcomes[:, [i]])[1] for i in range(k)]
-    singles = [np.bincount(c, weights=dist.masses) for c in codes]
-    for i, j in itertools.combinations(range(k), 2):
-        a, b = len(singles[i]), len(singles[j])
-        joint = np.bincount(codes[i] * b + codes[j], weights=dist.masses, minlength=a * b)
-        gaps = np.abs(joint - np.outer(singles[i], singles[j]).ravel())
-        # cumsum adds left to right, as the former double loop did; np.sum
-        # adds pairwise and would move the last bits.
-        out[i, j] = out[j, i] = 0.5 * np.cumsum(gaps)[-1]
-    return out

@@ -15,16 +15,15 @@ import numpy as np
 
 from .distribution import ContinuousSeriesTable, _copula_fit
 from .errors import CapacityError, NumericalError, ValidationError
-from .infotheory import EntropyOracle, MeasureKind, resolved_measures
+from .infotheory import (EntropyOracle, MeasureKind, SimilarityMetric, resolved_measures,
+                         similarity_matrix)
 from .jsonio import csv_writer
 from .seeding import derive_rng
 from .simplices import (
     DENSE_DIMENSION_CAP,
     WEIGHT_FLOOR,
-    SimilarityMetric,
     WeightAggregator,
     resolved_dimensions,
-    similarity_matrix,
     structural_weights,
 )
 from .spectral import fourier_basis

@@ -383,6 +383,31 @@ class TestStepCommands:
         assert complex_(6) == EXIT_OK
         assert {**tree_bytes(out), "weights": weights.read_bytes()} == before
 
+    @pytest.mark.parametrize("command", ["complex", "signals", "spectrum", "run",
+                                         "control-synth"])
+    def test_directory_option_naming_a_file_fails_before_any_output(self, tmp_path, command,
+                                                                    capsys):
+        data, dist, weights = (tmp_path / name for name in ("xor.csv", "dist.json",
+                                                            "weights.json"))
+        write_xor_csv(data)
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        assert main(["complex", "--distribution", str(dist), "--output", str(weights)]) == EXIT_OK
+        notadir = tmp_path / "notadir"
+        notadir.write_text("kept\n")
+        before = tree_bytes(tmp_path)
+        argv = {
+            "complex": ["--distribution", str(dist), "--output", str(tmp_path / "w.json"),
+                        "--boundaries-dir"],
+            "signals": ["--distribution", str(dist), "--output-dir"],
+            "spectrum": ["--weights", str(weights), "--output-dir"],
+            "run": ["--input", str(data), "--output-dir"],
+            "control-synth": ["--ranks", "2,5", "--replicates", "1", "--samples", "500",
+                              "--size", "5", "--dimensions", "2", "--output-dir"],
+        }[command]
+        assert main([command, *argv, str(notadir)]) == EXIT_IO
+        assert f"error: {notadir}: exists and is not a directory" in capsys.readouterr().err
+        assert tree_bytes(tmp_path) == before
+
     def test_boundary_files_equal_the_scipy_reference(self, tmp_path):
         from boundary_reference import boundary_matrix, boundary_to_csv
 
@@ -1188,6 +1213,32 @@ class TestRun:
         for got, expected in pairs:
             assert got.read_bytes() == expected.read_bytes(), got.name
 
+    def test_sample_table_is_dead_before_every_eigensolve(self, tmp_path, monkeypatch):
+        import weakref
+
+        from hyperharmonic import distribution as dist_mod
+        from hyperharmonic import spectral
+
+        read, solve = dist_mod.read_discrete_csv, spectral.fourier_basis
+        tables, dead = [], []
+
+        def reading(*args, **kwargs):
+            table = read(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        def solving(*args, **kwargs):
+            dead.append(tables[0]() is None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dist_mod, "read_discrete_csv", reading)
+        monkeypatch.setattr(spectral, "fourier_basis", solving)
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        assert main(["run", "--input", str(data), "--dimensions", "2,3",
+                     "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert len(tables) == 1 and dead == [True, True]
+
     def test_row_order_of_the_input_does_not_matter(self, tmp_path):
         data, shuffled = tmp_path / "five.csv", tmp_path / "shuffled.csv"
         write_five_variable_csv(data)
@@ -1879,6 +1930,42 @@ class TestImports:
                 else:
                     continue
                 assert all(m.split(".")[0] != "scipy" for m in modules), (name, node.lineno)
+
+    def test_package_is_layered(self):
+        """No function imports a sibling module, the module-level imports form
+        no cycle, and ``simplices`` rests on ``errors`` and ``jsonio`` alone."""
+        import ast
+
+        import hyperharmonic
+
+        package = pathlib.Path(hyperharmonic.__file__).parent
+        modules = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+        lazy, graph = [], {}
+        for name, tree in modules.items():
+            functions = [node for node in ast.walk(tree)
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            lazy += [(name, alias.name) for function in functions for node in ast.walk(function)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     for alias in node.names]
+            graph[name] = set()
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    targets = [node.module] if node.module else \
+                        [alias.name for alias in node.names]
+                    graph[name] |= {t if t in modules else "__init__" for t in targets}
+        # The one lazy import is a stdlib module that only the table readers need.
+        assert lazy == [("distribution", "array")]
+        assert graph["simplices"] == {"errors", "jsonio"}
+
+        def reach(start):
+            seen, stack = set(), [start]
+            while stack:
+                for target in graph[stack.pop()] - seen:
+                    seen.add(target)
+                    stack.append(target)
+            return seen
+
+        assert [name for name in sorted(graph) if name in reach(name)] == []
 
     def test_numpy_is_the_only_runtime_dependency(self):
         tomllib = pytest.importorskip("tomllib")
