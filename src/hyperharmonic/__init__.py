@@ -40,7 +40,6 @@ from .simplices import (
     enumerate_simplices,
     simplex_count,
     simplex_rank,
-    simplex_unrank,
     structural_weights,
 )
 from .spectral import (
@@ -114,7 +113,6 @@ __all__ = [
     "similarity_matrix",
     "simplex_count",
     "simplex_rank",
-    "simplex_unrank",
     "structural_weights",
     "to_fourier",
     "total_correlation",

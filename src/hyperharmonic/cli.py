@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fnmatch
-import io
 import math
 import os
 import sys
@@ -27,7 +26,7 @@ from . import distribution as dist_mod
 from . import infotheory, simplices, spectral, synth, transform
 from .errors import CapacityError, NumericalError, ValidationError
 from .jsonio import (csv_writer, integer, number_array, parsing, read_header, read_json,
-                     read_sidecar, read_text, write_json, write_sidecar)
+                     read_sidecar, write_json, write_sidecar)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -95,7 +94,7 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-# Each ``run`` setting's parser, shared by its flag, its config-file key and its manifest key.
+# Each ``run`` setting's parser, shared by its flag and its manifest key.
 _CONFIG_PARSERS = {
     "input": str,
     "kind": str,
@@ -117,12 +116,12 @@ _CHOICES = {
 
 
 # Settings that became constants, with the one value every format-4 manifest
-# records: an old config or manifest may still give it, and the key is dropped.
+# records: an old manifest may still give it, and the key is dropped.
 _RETIRED_KEYS = {"floor": simplices.WEIGHT_FLOOR, "kernel_tol": 1e-8}
 
 
 def _config_values(items) -> dict:
-    """Parse ``(where, key, text)`` items from a config file or a manifest."""
+    """Parse a manifest's ``(where, key, text)`` items into ``PipelineConfig`` values."""
     values: dict = {}
     for where, key, text in items:
         if key in _RETIRED_KEYS:
@@ -140,23 +139,8 @@ def _config_values(items) -> dict:
     return values
 
 
-def load_config_file(path) -> dict:
-    """Parse a flat 'key = value' config file ('#' starts a comment)."""
-    items = []
-    for line_no, raw in enumerate(io.StringIO(read_text(path, "config file"), newline=None),
-                                  start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}: line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        items.append((f"{path}: line {line_no}", key.strip(), value.strip()))
-    return _config_values(items)
-
-
 def _load_manifest_config(path) -> dict:
-    """Parse the config section of a run manifest as a config file would be.
+    """Parse the config section of a run manifest.
 
     A value is a string, a number or a flat list of them: a list becomes its
     comma-joined items and a scalar its ``str``, which round-trips every float
@@ -391,14 +375,11 @@ def cmd_control_synth(args) -> int:
 def cmd_run(args) -> int:
     given = {key: getattr(args, key) for key in _CONFIG_PARSERS if getattr(args, key) is not None}
     if args.manifest:
-        extra = (["config"] if args.config is not None else []) + list(given)
-        if extra:
-            flags = ", ".join("--" + key.replace("_", "-") for key in extra)
+        if given:
+            flags = ", ".join("--" + key.replace("_", "-") for key in given)
             raise ValidationError(f"--manifest replays a run exactly; it cannot take {flags}")
-        values = _load_manifest_config(args.manifest)
-    else:
-        values = {**(load_config_file(args.config) if args.config else {}), **given}
-    config = PipelineConfig(**values)
+        given = _load_manifest_config(args.manifest)
+    config = PipelineConfig(**given)
     config.validate()
 
     # Every size limit is checked on the table, before any estimation, and the
@@ -497,7 +478,7 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
 
 
 def _add_settings(parser, *keys, unset: bool = False) -> None:
-    """Add a ``--key`` flag per ``run`` setting, parsed as its config-file value.
+    """Add a ``--key`` flag per ``run`` setting, parsed as its manifest value.
 
     Each defaults to the ``PipelineConfig`` default, or to None with ``unset``
     so that ``run`` can tell which flags were given.
@@ -574,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline into an output directory")
     _add_settings(p, *_CONFIG_PARSERS, unset=True)
-    p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--manifest", default=None, help="replay a previous run exactly")
     p.add_argument("--output-dir", default=DEFAULT_OUTPUT_DIR)
     p.set_defaults(func=cmd_run)

@@ -34,6 +34,9 @@ _LOG_OF_BASE = {"bits": math.log(2.0), "nats": 1.0}
 
 
 class MeasureKind(Enum):
+    """TC, DTC, O = TC - DTC (negative when synergy dominates), S = TC + DTC, and interaction
+    information -sum (-1)^|g| H(g) over nonempty subsets g: -1 bit on an XOR triple."""
+
     TC = "tc"
     DTC = "dtc"
     O_INFORMATION = "o_information"

@@ -3,8 +3,8 @@
 A simplex is a strictly increasing sequence of vertex indices; an n-simplex
 has n+1 vertices. All vector and matrix representations use the lexicographic
 order of these sequences. ``enumerate_simplices`` holds that order as one
-cached array per dimension, and with ``simplex_rank`` and ``simplex_unrank``
-defines the canonical basis shared by every other module.
+cached array per dimension and defines the canonical basis shared by every
+other module; ``simplex_rank`` and ``simplex_ranks`` are its inverse.
 """
 
 from __future__ import annotations
@@ -99,28 +99,6 @@ def _binomial_table(n: int, k: int) -> np.ndarray:
     table = np.array(rows, dtype=dtype)
     table.flags.writeable = False
     return table
-
-
-def simplex_unrank(rank: int, N: int, n: int) -> Simplex:
-    """Inverse of ``simplex_rank`` for dimension n."""
-    _check_dimensions(N, n)
-    k = n + 1
-    total = simplex_count(N, n)
-    if not 0 <= rank < total:
-        raise ValidationError(f"rank {rank} out of range [0, {total})")
-    out = []
-    v = 0
-    r = rank
-    for i in range(k):
-        while True:
-            block = math.comb(N - v, k - 1 - i)
-            if r < block:
-                break
-            r -= block
-            v += 1
-        out.append(v)
-        v += 1
-    return tuple(out)
 
 
 @functools.lru_cache(maxsize=64)

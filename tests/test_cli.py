@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import warnings
 
 import numpy as np
@@ -26,8 +27,8 @@ from hyperharmonic.cli import (
     EXIT_VALIDATION,
     INCOMPLETE_MARKER,
     PipelineConfig,
+    _load_manifest_config,
     build_parser,
-    load_config_file,
     main,
 )
 from hyperharmonic.errors import NumericalError, ValidationError
@@ -157,14 +158,11 @@ class TestStepCommands:
         (["run", "--input", "bad.csv", "--output-dir", "out"], "bad.csv"),
         (["run", "--kind", "continuous", "--input", "bad.csv", "--output-dir", "out"],
          "bad.csv"),
-        (["run", "--config", "bad.cfg", "--output-dir", "out"], "bad.cfg"),
-    ], ids=["estimate-discrete", "estimate-continuous", "run-discrete", "run-continuous",
-            "run-config"])
+    ], ids=["estimate-discrete", "estimate-continuous", "run-discrete", "run-continuous"])
     def test_non_utf8_text_gives_validation_exit(self, tmp_path, monkeypatch, argv, name,
                                                  capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.csv").write_bytes(b"a,b,c\n0,1,0\n1,\xff,1\n")
-        (tmp_path / "bad.cfg").write_bytes(b"input = \xff\n")
         before = tree_bytes(tmp_path)
         assert main(argv) == EXIT_VALIDATION
         assert f"error: {name}: invalid " in capsys.readouterr().err
@@ -975,11 +973,10 @@ class TestRun:
         assert tree_bytes(first) == tree_bytes(second)
 
     @pytest.mark.parametrize("flags", [
-        ["--config", "missing.cfg"],
         ["--dimensions", "2"],
         ["--units", "nats"],
         ["--input", "other.csv"],
-    ], ids=["config", "dimensions", "units", "input"])
+    ], ids=["dimensions", "units", "input"])
     def test_manifest_takes_no_pipeline_flag(self, tmp_path, flags, capsys):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
@@ -1092,9 +1089,10 @@ class TestRun:
         ["run", "--kernel-tol", "1e-6"],
         ["complex", "--distribution", "d.json", "--output", "w.json", "--floor", "0.5"],
         ["spectrum", "--weights", "w.json", "--output-dir", "o", "--kernel-tol", "1e-6"],
+        ["run", "--config", "x", "--output-dir", "o"],
     ], ids=["run-jobs", "run-laplacian-formula", "run-seed", "run-num-random",
             "spectrum-laplacian-formula", "complex-weights-csv", "run-floor", "run-kernel-tol",
-            "complex-floor", "spectrum-kernel-tol"])
+            "complex-floor", "spectrum-kernel-tol", "run-config"])
     def test_retired_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -1108,18 +1106,19 @@ class TestRun:
     ], ids=["floor", "kernel_tol", "smoothing"])
     def test_non_finite_value_rejected_before_any_output(self, tmp_path, key, value, message,
                                                          capsys):
-        """From a config file, and from the flag of a setting that has one; the
-        retired floor and kernel_tol can come from a config file only."""
-        data = tmp_path / "xor.csv"
-        write_xor_csv(data)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"input = {data}\n{key} = {value}\n")
-        out = tmp_path / "out"
-        sources = [["--config", str(cfg)]]
+        """From a manifest, and from the flag of a setting that has one; the
+        retired floor and kernel_tol can come from a manifest only."""
+        _, second, code = self.replay_edited_manifest(
+            tmp_path, lambda manifest: manifest["config"].update({key: value}))
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not second.exists()
         if key in _CONFIG_PARSERS:
-            sources.append(["--input", str(data), "--" + key, value])
-        for source in sources:
-            assert main(["run", *source, "--output-dir", str(out)]) == EXIT_VALIDATION
+            data = tmp_path / "xor.csv"
+            write_xor_csv(data)
+            out = tmp_path / "out"
+            assert main(["run", "--input", str(data), "--" + key, value,
+                         "--output-dir", str(out)]) == EXIT_VALIDATION
             assert message in capsys.readouterr().err
             assert not out.exists()
 
@@ -1135,7 +1134,7 @@ class TestRun:
         assert "must not repeat" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+    @pytest.mark.parametrize("source", ["flag", "manifest"])
     def test_empty_measure_list_rejected_before_any_output(self, tmp_path, source, capsys):
         def empty(manifest):
             manifest["config"]["measures"] = []
@@ -1146,11 +1145,7 @@ class TestRun:
         else:
             data = tmp_path / "xor.csv"
             write_xor_csv(data)
-            config = tmp_path / "run.cfg"
-            config.write_text(f"input = {data}\nmeasures =\n")
-            given = ["--input", str(data), "--measures", ""] if source == "flag" \
-                else ["--config", str(config)]
-            code = main(["run", *given, "--output-dir", str(out)])
+            code = main(["run", "--input", str(data), "--measures", "", "--output-dir", str(out)])
         assert code == EXIT_VALIDATION
         assert "measures must name at least one measure" in capsys.readouterr().err
         assert not out.exists()
@@ -1254,41 +1249,6 @@ class TestRun:
             assert json.loads(tree.pop("manifest.json"))["config"]["input"] == str(path)
             trees.append(tree)
         assert trees[0] == trees[1]
-
-    def test_config_file_with_flag_override(self, tmp_path):
-        data = tmp_path / "xor.csv"
-        write_xor_csv(data)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            f"input = {data}\n"
-            "kind = discrete\n"
-            "dimensions = 2\n"
-            "smoothing = 0.5  # overridden below\n"
-        )
-        out = tmp_path / "out"
-        assert main([
-            "run", "--config", str(cfg), "--smoothing", "0.25", "--output-dir", str(out),
-        ]) == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["smoothing"] == 0.25
-
-    def test_config_file_retired_keys_rejected(self, tmp_path, capsys):
-        data = tmp_path / "xor.csv"
-        write_xor_csv(data)
-        cfg = tmp_path / "run.cfg"
-        out = tmp_path / "out"
-        for key, value in (("seed", "5"), ("num_random", "80"), ("laplacian_formula", "adjoint")):
-            cfg.write_text(f"input = {data}\n{key} = {value}\n")
-            assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) \
-                == EXIT_VALIDATION
-            assert f"line 2: unknown key {key!r}" in capsys.readouterr().err
-            assert not out.exists()
-
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("inptu = x.csv\n")
-        with pytest.raises(Exception):
-            load_config_file(cfg)
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         """The output directory comes from --output-dir alone: without it, the
@@ -1586,7 +1546,7 @@ class TestRun:
 
 
 class TestSettingsTable:
-    """``run``'s flags, config-file keys and manifest keys are one table."""
+    """``run``'s flags and manifest keys are one table."""
 
     TEXTS = {
         "input": "table.csv", "kind": "continuous", "dimensions": "2, 4",
@@ -1596,18 +1556,20 @@ class TestSettingsTable:
 
     @pytest.mark.parametrize("key", list(_CONFIG_PARSERS))
     def test_flag_parses_as_config_key(self, tmp_path, key):
+        """A flag's value, recorded in a manifest as ``run`` records it, reads back the same."""
         text = self.TEXTS[key]
         args = build_parser().parse_args(["run", "--" + key.replace("_", "-"), text])
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {text}\n")
-        from_file = load_config_file(cfg)[key]
-        assert getattr(args, key) == from_file
-        assert type(getattr(args, key)) is type(from_file)
+        manifest = tmp_path / "manifest.json"
+        config = PipelineConfig(**{key: getattr(args, key)})
+        manifest.write_text(json.dumps({"config": dataclasses.asdict(config)}))
+        from_manifest = _load_manifest_config(manifest)[key]
+        assert getattr(args, key) == from_manifest
+        assert type(getattr(args, key)) is type(from_manifest)
 
     def test_run_flags_are_the_settings(self):
         args = vars(build_parser().parse_args(["run"]))
         assert set(args) - {"command", "func"} == \
-            set(_CONFIG_PARSERS) | {"config", "manifest", "output_dir"}
+            set(_CONFIG_PARSERS) | {"manifest", "output_dir"}
         assert list(_CONFIG_PARSERS) == [f.name for f in dataclasses.fields(PipelineConfig)]
         assert set(self.TEXTS) == set(_CONFIG_PARSERS)
 
@@ -1627,14 +1589,15 @@ class TestSettingsTable:
     ], ids=["floor", "kernel_tol"])
     def test_retired_key_accepts_only_its_old_value(self, tmp_path, key, old, other):
         """Every format-4 manifest records floor 1e-09 and kernel_tol 1e-08: a
-        config file may still give either at that value, and the key is dropped."""
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"input = table.csv\n{key} = {float(old):.1e}\n")
-        assert load_config_file(cfg) == {"input": "table.csv"}
-        cfg.write_text(f"{key} = {other}\n")
-        with pytest.raises(ValidationError, match=f"^{cfg}: line 1: {key} is retired and "
+        manifest may still give either at that value, and the key is dropped."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"config": {"input": "table.csv",
+                                                   key: f"{float(old):.1e}"}}))
+        assert _load_manifest_config(manifest) == {"input": "table.csv"}
+        manifest.write_text(json.dumps({"config": {key: other}}))
+        with pytest.raises(ValidationError, match=f"^{manifest}: config: {key} is retired and "
                                                   f"accepts only {old}, got '{other}'$"):
-            load_config_file(cfg)
+            _load_manifest_config(manifest)
 
 
 class TestOptionInventory:
@@ -1654,7 +1617,7 @@ class TestOptionInventory:
         "control-synth": ["--ranks", "--replicates", "--samples", "--size", "--dimensions",
                           "--measures", "--seed", "--output-dir"],
         "run": ["--input", "--kind", "--dimensions", "--measures", "--metric", "--aggregator",
-                "--smoothing", "--units", "--config", "--manifest", "--output-dir"],
+                "--smoothing", "--units", "--manifest", "--output-dir"],
     }
 
     def test_each_subcommand_takes_exactly_its_options(self):
@@ -1675,6 +1638,38 @@ class TestOptionInventory:
                  for path in sorted(package.glob("*.py"))
                  for match in pattern.finditer(path.read_text())]
         assert sorted(found) == sorted(self.ENVIRONMENT)
+
+    README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+    def readme_sections(self) -> dict:
+        """The README's ``## `` sections by heading."""
+        parts = re.split(r"(?m)^## (.+)\n", self.README.read_text())
+        return dict(zip(parts[1::2], parts[2::2]))
+
+    def test_readme_cli_commands_parse(self, capsys):
+        """Each ``hyperharmonic`` command in the CLI section's shell block, with
+        its ``\\`` continuations joined and its ``#`` comments dropped."""
+        block = re.search(r"```bash\n(.*?)```", self.readme_sections()["CLI"], re.S).group(1)
+        lines = (line.split("#", 1)[0].rstrip() for line in block.splitlines())
+        commands = " ".join(line[:-1] if line.endswith("\\") else line + "\n"
+                            for line in lines).splitlines()
+        commands = [shlex.split(line) for line in commands if line.strip()]
+        assert commands and all(words[0] == "hyperharmonic" for words in commands)
+        for words in commands:
+            try:
+                build_parser().parse_args(words[1:])
+            except SystemExit:
+                pytest.fail(f"{' '.join(words)}: {capsys.readouterr().err}")
+
+    def test_readme_names_only_existing_flags(self):
+        parser = build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        options = {option for command in (parser, *sub.choices.values())
+                   for action in command._actions for option in action.option_strings}
+        named = {flag for heading, text in self.readme_sections().items() if heading != "Install"
+                 for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)}
+        assert sorted(named - options) == []
 
     def test_retired_orthonormality_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1815,6 +1810,14 @@ class TestImports:
         import hyperharmonic
 
         assert [name for name in hyperharmonic.__all__ if not hasattr(hyperharmonic, name)] == []
+
+    def test_every_exported_name_has_its_own_docstring(self):
+        """A class's ``__doc__`` is never inherited; a dataclass without one gets
+        its signature, which does not count."""
+        missing = [name for name in hyperharmonic.__all__
+                   if not (getattr(hyperharmonic, name).__doc__ or "").strip()
+                   or getattr(hyperharmonic, name).__doc__.startswith(name + "(")]
+        assert missing == []
 
     def test_cli_import_does_not_load_scipy_stats(self, tmp_path):
         loaded = self.run_python(

@@ -20,13 +20,12 @@ from hyperharmonic import (
     similarity_matrix,
     simplex_count,
     simplex_rank,
-    simplex_unrank,
     structural_weights,
     total_correlation,
 )
 from hyperharmonic.distribution import estimate_empirical, subset_entropies_nats
 from hyperharmonic import simplices
-from hyperharmonic.simplices import WEIGHT_FLOOR, boundary_to_csv
+from hyperharmonic.simplices import WEIGHT_FLOOR, boundary_to_csv, simplex_ranks
 
 import dict_reference
 from boundary_reference import boundary_matrix
@@ -99,28 +98,26 @@ class TestRankUnrank:
         for n in range(4):
             for r, s in enumerate(map(tuple, enumerate_simplices(3, n).tolist())):
                 assert simplex_rank(s, 3) == r
-                assert simplex_unrank(r, 3, n) == s
 
     @given(st.integers(0, 8), st.data())
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, N, data):
+        """Row r of the enumeration is the simplex of rank r."""
         n = data.draw(st.integers(0, N))
         r = data.draw(st.integers(0, simplex_count(N, n) - 1))
-        assert simplex_rank(simplex_unrank(r, N, n), N) == r
+        assert simplex_rank(tuple(enumerate_simplices(N, n)[r].tolist()), N) == r
 
     def test_exhaustive_roundtrip_small(self):
         for N in range(9):
             for n in range(N + 1):
-                for s in map(tuple, enumerate_simplices(N, n).tolist()):
-                    assert simplex_unrank(simplex_rank(s, N), N, n) == s
+                assert np.array_equal(simplex_ranks(enumerate_simplices(N, n), N),
+                                      np.arange(simplex_count(N, n)))
 
     def test_rank_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             simplex_rank((1, 1), 3)
         with pytest.raises(ValidationError):
             simplex_rank((0, 4), 3)
-        with pytest.raises(ValidationError):
-            simplex_unrank(6, 3, 1)
 
 
 class TestBoundaryMatrix:

@@ -12,6 +12,9 @@ Permuting the columns is a symmetry of the information measures but not, at
 present, of the Fourier CEV: the signed Laplacian puts each signal in the
 orientation of ascending column index (``test_transform.TestPermutationBehavior``).
 That row is absent until the operator no longer depends on the column order.
+Reversing the columns is the one relabelling it absorbs: vertex i becomes
+N - i, which reverses the vertices of every n-simplex alike, so the signed
+operator only changes by one sign per dimension and its eigenbasis carries over.
 """
 
 import json
@@ -136,6 +139,22 @@ def test_continuous_row_order_moves_no_cev(tmp_path):
     shuffled = Z[np.random.default_rng(5).permutation(len(Z))]
     assert_cevs_close(run_tree(tmp_path, "a", Z, "continuous"),
                       run_tree(tmp_path, "b", shuffled, "continuous"))
+
+
+def test_discrete_column_reversal_moves_no_cev(tmp_path):
+    X = discrete_table(3)
+    a, b = (run_tree(tmp_path, name, table, "discrete", dimensions="2,3,4")
+            for name, table in (("a", X), ("b", X[:, ::-1])))
+    assert a["components.csv"] == b["components.csv"]
+    assert_cevs_close(a, b)
+
+
+def test_continuous_column_reversal_moves_no_cev(tmp_path):
+    Z = continuous_table(9, V=8, T=3000)
+    a, b = (run_tree(tmp_path, name, table, "continuous", dimensions="2,3,4")
+            for name, table in (("a", Z), ("b", Z[:, ::-1])))
+    assert a["components.csv"] == b["components.csv"]
+    assert_cevs_close(a, b)
 
 
 def test_relabelled_symbols_move_no_cev_under_mutual_information(tmp_path):
