@@ -91,16 +91,17 @@ def unsigned_basis(simplex, n: int):
     return hh.FourierBasis(n, eigenvalues, Q, simplex.weight_vector(n))
 
 
-def counts(simplex, signals) -> dict:
+def counts(simplex, oracle) -> dict:
     """{(operator, measure, n, threshold): components} for one weighting."""
+    labels = {kind: label for label, kind in MEASURES}
     out = {}
     for n in DIMENSIONS:
         for operator, basis in (("signed", hh.fourier_basis(simplex, n)),
                                 ("unsigned", unsigned_basis(simplex, n))):
-            for label, _ in MEASURES:
-                report = hh.cev_report(hh.to_fourier(signals[label, n], basis))
-                for t in THRESHOLDS:
-                    out[operator, label, n, t] = report.components_at[t]
+            for signal, report in hh.measure_reports(oracle, basis, labels):
+                if signal.basis == "fourier":
+                    for t in THRESHOLDS:
+                        out[operator, labels[signal.measure], n, t] = report.components_at[t]
     return out
 
 
@@ -111,16 +112,14 @@ def main() -> None:
         for n in DIMENSIONS:
             gap = np.abs(laplacian(true, n, signed=True) - hh.laplacian(true, n)).max()
             assert gap <= 1e-9 * np.abs(hh.laplacian(true, n)).max(), gap
-        signals = {(label, n): hh.build_signal(oracle, n, kind)
-                   for label, kind in MEASURES for n in DIMENSIONS}
         shuffled = []
         for s in range(SHUFFLES):
             rng = np.random.default_rng(s)
             weights = tuple(rng.permutation(w) for w in true.weights)
-            shuffled.append(counts(hh.StructuralSimplex(true.N, weights), signals))
+            shuffled.append(counts(hh.StructuralSimplex(true.N, weights), oracle))
         uniform = counts(hh.StructuralSimplex(true.N, tuple(map(np.ones_like, true.weights))),
-                         signals)
-        truth = counts(true, signals)
+                         oracle)
+        truth = counts(true, oracle)
 
         print(f"\n{name}, {model.num_variables} variables. Components needed, as true weights; "
               f"{SHUFFLES} shuffles min-median-max; uniform weights")

@@ -63,6 +63,7 @@ from .transform import (
     cev_report,
     control_comparison,
     from_fourier,
+    measure_reports,
     to_fourier,
 )
 
@@ -101,6 +102,7 @@ __all__ = [
     "interaction_information",
     "kernel_dimension",
     "laplacian",
+    "measure_reports",
     "mutual_information",
     "o_information",
     "random_rank_covariance",

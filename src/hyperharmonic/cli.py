@@ -444,28 +444,24 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
     diagnostics = spectral.basis_diagnostics(simplex, basis)
 
     cev_status, rows = {}, []
-    for name in config.measures:
-        canonical = transform.build_signal(oracle, n, infotheory.MeasureKind(name))
-        reports = {}
-        for tag, signal in (("canonical", canonical),
-                            ("fourier", transform.to_fourier(canonical, basis))):
-            transform.write_signal(os.path.join(dim_dir, f"signal_{name}_{tag}.json"), signal,
-                                   num_vertices=simplex.N + 1)
-            cev_path = os.path.join(dim_dir, f"cev_{name}_{tag}.json")
-            try:
-                reports[tag] = transform.cev_report(signal)
-            except NumericalError as exc:
-                cev_status[f"{name}_{tag}"] = str(exc)
-                # An earlier request's CEV file would contradict this status.
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(cev_path)
-            else:
-                cev_status[f"{name}_{tag}"] = "ok"
-                transform.cev_to_json(cev_path, reports[tag])
-        if len(reports) == 2:
-            rows += [[name, n, int(round(threshold * 100)),
-                      reports["fourier"].components_at[threshold],
-                      reports["canonical"].components_at[threshold]]
+    for signal, report in transform.measure_reports(oracle, basis, config.measures):
+        key = f"{signal.measure.value}_{signal.basis}"
+        transform.write_signal(os.path.join(dim_dir, f"signal_{key}.json"), signal,
+                               num_vertices=simplex.N + 1)
+        cev_path = os.path.join(dim_dir, f"cev_{key}.json")
+        if signal.basis == transform.CANONICAL:
+            canonical = report
+        if isinstance(report, NumericalError):
+            cev_status[key] = str(report)
+            # An earlier request's CEV file would contradict this status.
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(cev_path)
+            continue
+        cev_status[key] = "ok"
+        transform.cev_to_json(cev_path, report)
+        if signal.basis == transform.FOURIER and isinstance(canonical, transform.CevReport):
+            rows += [[signal.measure.value, n, int(round(threshold * 100)),
+                      report.components_at[threshold], canonical.components_at[threshold]]
                      for threshold in transform.CEV_THRESHOLDS]
     diagnostics.update(eigenvalues=basis.eigenvalues.tolist(), cev_status=cev_status)
     write_json(os.path.join(dim_dir, "diagnostics.json"), diagnostics)

@@ -27,7 +27,7 @@ from .simplices import (
     structural_weights,
 )
 from .spectral import fourier_basis
-from .transform import _cev_curve, build_signal, mean_with_band, to_fourier
+from .transform import FOURIER, mean_with_band, measure_reports
 
 RANK_TOLERANCE = 1e-8
 
@@ -193,11 +193,11 @@ def rank_experiment(
                 simplex = structural_weights(mi)
                 for n in dimensions:
                     basis = fourier_basis(simplex, n)
-                    for measure in measures:
-                        signal = build_signal(oracle, n, measure)
-                        curves[(rank, n, measure)].append(
-                            _cev_curve(to_fourier(signal, basis).coefficients)[1]
-                        )
+                    for signal, report in measure_reports(oracle, basis, measures):
+                        if isinstance(report, NumericalError):
+                            raise report
+                        if signal.basis == FOURIER:
+                            curves[(rank, n, signal.measure)].append(report.cev)
                 regularized[(rank, rep)] = len(oracle.regularized_subsets)
             except (ValidationError, NumericalError, CapacityError) as exc:
                 raise type(exc)(f"rank {rank}, replicate {rep}: {exc}") from exc

@@ -61,7 +61,9 @@ def build_signal(oracle: EntropyOracle, n: int, kind: MeasureKind) -> HighOrderS
     return HighOrderSignal(dimension=n, coefficients=values, measure=MeasureKind(kind))
 
 
-def _check_basis_match(signal: HighOrderSignal, basis: FourierBasis) -> None:
+def _check_basis_match(signal: HighOrderSignal, basis: FourierBasis, tag: str) -> None:
+    if signal.basis != tag:
+        raise ValidationError(f"expected a {tag}-basis signal, got {signal.basis!r}")
     if signal.dimension != basis.dimension:
         raise ValidationError(
             f"signal dimension {signal.dimension} != basis dimension {basis.dimension}"
@@ -74,9 +76,7 @@ def _check_basis_match(signal: HighOrderSignal, basis: FourierBasis) -> None:
 
 def to_fourier(signal: HighOrderSignal, basis: FourierBasis) -> HighOrderSignal:
     """Fourier coefficients Q^T W^(1/2) x of a canonical signal x."""
-    if signal.basis != CANONICAL:
-        raise ValidationError(f"expected a canonical-basis signal, got {signal.basis!r}")
-    _check_basis_match(signal, basis)
+    _check_basis_match(signal, basis, CANONICAL)
     forward = basis.eigenvectors.T * np.sqrt(basis.weights)[None, :]
     return HighOrderSignal(signal.dimension, forward @ signal.coefficients, FOURIER,
                            signal.measure)
@@ -84,9 +84,7 @@ def to_fourier(signal: HighOrderSignal, basis: FourierBasis) -> HighOrderSignal:
 
 def from_fourier(signal: HighOrderSignal, basis: FourierBasis) -> HighOrderSignal:
     """Canonical coefficients W^(-1/2) Q y of a Fourier signal y."""
-    if signal.basis != FOURIER:
-        raise ValidationError(f"expected a fourier-basis signal, got {signal.basis!r}")
-    _check_basis_match(signal, basis)
+    _check_basis_match(signal, basis, FOURIER)
     inverse = basis.eigenvectors / np.sqrt(basis.weights)[:, None]
     return HighOrderSignal(signal.dimension, inverse @ signal.coefficients, CANONICAL,
                            signal.measure)
@@ -105,18 +103,6 @@ class CevReport:
     components_at: dict[float, int]
 
 
-def _cev_curve(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared coefficients sorted descending (ties by canonical index) and
-    normalized to sum 1, with their cumulative sum."""
-    sq = np.asarray(coefficients, dtype=float) ** 2
-    total = sq.sum()
-    if total <= 0.0:
-        raise NumericalError("all-zero signal: explained variance undefined")
-    order = np.argsort(-sq, kind="stable")
-    sorted_ev = sq[order] / total
-    return sorted_ev, np.cumsum(sorted_ev)
-
-
 def mean_with_band(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pointwise mean over the rows of ``curves`` and its 95% normal-approximation
     band (``_Z_95 * std / sqrt(m)`` over m rows; zero width when m = 1)."""
@@ -130,12 +116,32 @@ def mean_with_band(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def cev_report(signal: HighOrderSignal) -> CevReport:
-    """Explained variance of each component, strongest first, and its running sum."""
-    sorted_ev, cev = _cev_curve(signal.coefficients)
+    """Explained variance of each component, strongest first (ties by canonical
+    index), and its running sum."""
+    sq = signal.coefficients ** 2
+    total = sq.sum()
+    if total <= 0.0:
+        raise NumericalError("all-zero signal: explained variance undefined")
+    order = np.argsort(-sq, kind="stable")
+    sorted_ev = sq[order] / total
+    cev = np.cumsum(sorted_ev)
     components_at = {
         t: int(np.searchsorted(cev, t - 1e-12) + 1) for t in CEV_THRESHOLDS
     }
     return CevReport(sorted_ev=sorted_ev, cev=cev, components_at=components_at)
+
+
+def measure_reports(oracle: EntropyOracle, basis: FourierBasis, measures):
+    """Yield ``(signal, report)`` per measure, canonical then Fourier in ``basis``;
+    ``report`` is the ``CevReport`` or an all-zero signal's ``NumericalError``."""
+    for kind in measures:
+        canonical = build_signal(oracle, basis.dimension, kind)
+        for signal in (canonical, to_fourier(canonical, basis)):
+            try:
+                report = cev_report(signal)
+            except NumericalError as exc:
+                report = exc
+            yield signal, report
 
 
 @dataclass(frozen=True)
@@ -166,12 +172,11 @@ def control_comparison(signal: HighOrderSignal, basis: FourierBasis,
         raise ValidationError(f"need at least one random basis, got {num_random}")
     if num_random * d > DENSE_DIMENSION_CAP**2:
         raise CapacityError(f"{num_random} curves of {d} entries exceed {DENSE_DIMENSION_CAP}**2")
-    if signal.basis != CANONICAL:
-        raise ValidationError("control comparison expects a canonical-basis signal")
-    _, fourier_cev = _cev_curve(to_fourier(signal, basis).coefficients)
+    fourier_cev = cev_report(to_fourier(signal, basis)).cev
     curves = np.empty((num_random, d))
     for k in range(num_random):
-        _, curves[k] = _cev_curve(derive_rng(seed, k).standard_normal(d))
+        draw = derive_rng(seed, k).standard_normal(d)
+        curves[k] = cev_report(HighOrderSignal(signal.dimension, draw, FOURIER)).cev
     return ControlComparison(fourier_cev, curves, *mean_with_band(curves))
 
 

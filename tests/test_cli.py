@@ -1936,14 +1936,16 @@ class TestImports:
 
     def test_package_is_layered(self):
         """No function imports a sibling module, the module-level imports form
-        no cycle, and ``simplices`` rests on ``errors`` and ``jsonio`` alone."""
+        no cycle, ``simplices`` rests on ``errors`` and ``jsonio`` alone, and the
+        one private name a module imports from a sibling is the copula fit
+        ``synth`` runs on its own draw."""
         import ast
 
         import hyperharmonic
 
         package = pathlib.Path(hyperharmonic.__file__).parent
         modules = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
-        lazy, graph = [], {}
+        lazy, private, graph = [], [], {}
         for name, tree in modules.items():
             functions = [node for node in ast.walk(tree)
                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -1956,9 +1958,12 @@ class TestImports:
                     targets = [node.module] if node.module else \
                         [alias.name for alias in node.names]
                     graph[name] |= {t if t in modules else "__init__" for t in targets}
+                    private += [(name, node.module, alias.name) for alias in node.names
+                                if node.module and alias.name.startswith("_")]
         # The one lazy import is a stdlib module that only the table readers need.
         assert lazy == [("distribution", "array")]
         assert graph["simplices"] == {"errors", "jsonio"}
+        assert sorted(private) == [("synth", "distribution", "_copula_fit")]
 
         def reach(start):
             seen, stack = set(), [start]

@@ -16,7 +16,7 @@ from hyperharmonic import (
     sample_gaussian,
     total_correlation,
 )
-from hyperharmonic import distribution, spectral, synth
+from hyperharmonic import distribution, spectral, synth, transform
 from hyperharmonic.seeding import derive_rng
 from hyperharmonic.synth import RANK_TOLERANCE, RankedCovariance
 
@@ -277,6 +277,15 @@ class TestRankExperiment:
                 ranks=(2,), replicates=1, num_samples=50, base_seed=0,
                 size=4, dimensions=(2,),
             )
+
+    def test_all_zero_signal_is_tagged_and_numerical(self, monkeypatch):
+        def zeros(oracle, n, kind):
+            return np.zeros(math.comb(oracle.num_variables, n + 1))
+
+        monkeypatch.setattr(transform, "signal_sweep", zeros)
+        with pytest.raises(NumericalError, match=r"^rank 2, replicate 0: all-zero signal: "
+                                                 r"explained variance undefined$"):
+            rank_experiment(ranks=(2,), replicates=1, num_samples=50, size=4, dimensions=(2,))
 
     def test_package_error_tagged_and_type_kept(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hyperharmonic import (
     control_comparison,
     fourier_basis,
     from_fourier,
+    measure_reports,
     signal_sweep,
     similarity_matrix,
     structural_weights,
@@ -25,6 +27,7 @@ from hyperharmonic import (
 from hyperharmonic.spectral import FourierBasis
 from hyperharmonic.transform import (
     CANONICAL,
+    CEV_THRESHOLDS,
     FOURIER,
     cev_to_json,
     control_to_csv,
@@ -33,7 +36,7 @@ from hyperharmonic.transform import (
 )
 
 import reference
-from conftest import random_pmf, xor_triple
+from conftest import dense_to_distribution, random_pmf, xor_triple
 from test_spectral import random_structural_simplex
 
 
@@ -317,6 +320,49 @@ class TestControlComparison:
         se = np.sqrt((ours.var(axis=0, ddof=1) + theirs.var(axis=0, ddof=1)) / draws)
         z = (ours.mean(axis=0) - theirs.mean(axis=0)) / se
         assert np.max(np.abs(z)) <= 4.5, np.max(np.abs(z))
+
+    @pytest.mark.parametrize("d", [35, 165, 1001])
+    def test_counts_bracket_the_closed_form(self, d):
+        """The top fraction q of a standard-normal vector's squared entries holds
+        G(q) = 2(a phi(a) + 1 - Phi(a)) of its energy as d grows, a = Phi^-1(1 - q/2).
+        At each threshold, the fewest k with G(k/d) reaching it lies within the
+        2.5-97.5% range of the counts of 200 random curves at seed 0."""
+        normal = NormalDist()
+
+        def G(q):
+            a = normal.inv_cdf(1 - q / 2)
+            return 2 * (a * normal.pdf(a) + 1 - normal.cdf(a))
+
+        signal = HighOrderSignal(1, np.ones(d))
+        curves = control_comparison(signal, weighted(np.ones(d)), num_random=200,
+                                    seed=0).random_cev
+        for t in CEV_THRESHOLDS:
+            closed = next(k for k in range(1, d + 1) if G(k / d) >= t)
+            counts = [np.searchsorted(cev, t - 1e-12) + 1 for cev in curves]
+            low, high = np.quantile(counts, [0.025, 0.975])
+            assert low <= closed <= high, (t, closed, low, high)
+
+
+class TestMeasureReports:
+    def test_canonical_then_fourier_with_an_undefined_report_as_value(self):
+        """X2 copies X0 while X1 and X3 are independent coins, so every
+        O-information value is 0 and the S-information ones are not."""
+        p = np.zeros((2, 2, 2, 2))
+        for a, b, c in itertools.product((0, 1), repeat=3):
+            p[a, b, a, c] = 1 / 8
+        oracle = EntropyOracle(dense_to_distribution(p))
+        basis = fourier_basis(random_structural_simplex(3, np.random.default_rng(3)), 2)
+        O, S = MeasureKind.O_INFORMATION, MeasureKind.S_INFORMATION
+        got = list(measure_reports(oracle, basis, (O, S)))
+        assert [(signal.measure, signal.basis) for signal, _ in got] == [
+            (O, CANONICAL), (O, FOURIER), (S, CANONICAL), (S, FOURIER)]
+        for _, report in got[:2]:
+            assert isinstance(report, NumericalError)
+            assert str(report) == "all-zero signal: explained variance undefined"
+        canonical = build_signal(oracle, 2, S)
+        for (signal, report), want in zip(got[2:], (canonical, to_fourier(canonical, basis))):
+            assert np.array_equal(signal.coefficients, want.coefficients)
+            assert np.array_equal(report.cev, cev_report(want).cev)
 
 
 class TestPermutationBehavior:
