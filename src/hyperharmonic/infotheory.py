@@ -3,9 +3,9 @@
 All measures are built from joint entropies of subsets, served by an
 ``EntropyOracle`` that holds one table per subset size k: the entropies of all
 k-subsets in ``enumerate_simplices`` order, filled in one vectorized batch the
-first time a level is needed. ``measure_values`` evaluates a measure on a block
-of subsets as array operations over these tables; the scalar measures are the
-same computation on one row. Total correlation, dual total correlation and
+first time a level is needed. ``_level_values`` evaluates a measure on the
+n-simplices of a level as array operations over these tables; the scalar
+measures ask it for one row. Total correlation, dual total correlation and
 mutual information are clamped to zero when they undershoot by floating-point
 noise; the signed measures are never clamped. ``similarity_matrix`` reads the
 same oracle for the pairwise values that weight the simplices.
@@ -22,10 +22,10 @@ import numpy as np
 from . import distribution as dist_mod
 from .errors import EstimationError, ValidationError
 from .simplices import (
+    boundary_faces,
     enumerate_simplices,
     simplex_rank,
     simplex_ranks,
-    validate_simplex,
 )
 
 NEGATIVE_NOISE_TOLERANCE = 1e-10
@@ -72,7 +72,7 @@ class EntropyOracle:
     regularization.
 
     ``units`` ('bits' or 'nats') is the unit of every value the oracle
-    reports: ``entropy``, ``measure_values`` and the measures built on them.
+    reports: ``entropy``, ``signal_sweep`` and the measures built on them.
     One model should have one oracle, shared by every stage that reads it.
     """
 
@@ -120,48 +120,42 @@ def _clamp(values: np.ndarray) -> np.ndarray:
     return np.where((-NEGATIVE_NOISE_TOLERANCE < values) & (values < 0.0), 0.0, values)
 
 
-def measure_values(oracle: EntropyOracle, subsets: np.ndarray, kind: MeasureKind) -> np.ndarray:
-    """The measure on each row of an (m, k) array of sorted subsets, k >= 2.
-
-    Rows must hold distinct variable indices in increasing order; they are
-    not validated.
+def _level_values(oracle: EntropyOracle, n: int, kind: MeasureKind, rows=slice(None)):
+    """The measure on the n-simplices ``rows`` (default all), n >= 1.
 
     TC(s) = sum_i H(i) - H(s) and DTC(s) = H(s) - sum_i (H(s) - H(s minus i)),
-    both clamped; O = TC - DTC and S = TC + DTC. Interaction information is
-    -sum (-1)^|g| H(g) over the non-empty g in s, which reduces to mutual
-    information for two variables; its sign convention is kept as implemented
-    here, other texts differ. Values are in the oracle's unit. Sums run left to
+    both clamped, with H(s minus i) read through column i of ``boundary_faces``;
+    O = TC - DTC and S = TC + DTC. Interaction information is -sum (-1)^|g| H(g)
+    over the non-empty g in s, mutual information for two variables; other
+    texts differ in sign. Values are in the oracle's unit. Sums run left to
     right in subset order and each entropy is converted to the unit before it
     is combined, so a value is reproducible bit for bit.
     """
-    kind = MeasureKind(kind)
-    m, k = subsets.shape
     N = oracle.num_variables - 1
-
-    def entropies(columns) -> np.ndarray:
-        block = subsets[:, columns]
-        return oracle.table(len(columns))[simplex_ranks(block, N)] / oracle.log_base
-
+    subsets = enumerate_simplices(N, n)[rows]
+    m = len(subsets)
+    joint = oracle.table(n + 1)[rows] / oracle.log_base
     if kind is MeasureKind.INTERACTION_INFORMATION:
         total = np.zeros(m)
-        for size in range(1, k + 1):
+        for size in range(1, n + 1):
             sign = -1.0 if size % 2 == 0 else 1.0
-            for gamma in itertools.combinations(range(k), size):
-                total = total + sign * entropies(list(gamma))
-        return total
-
-    joint = entropies(list(range(k)))
+            for gamma in itertools.combinations(range(n + 1), size):
+                ranks = simplex_ranks(subsets[:, gamma], N)
+                total = total + sign * (oracle.table(size)[ranks] / oracle.log_base)
+        # The last term, g = s, is the joint entropy.
+        return total + (-1.0 if n % 2 else 1.0) * joint
     if kind is not MeasureKind.DTC:
         singles = oracle.table(1)[subsets] / oracle.log_base
         marginal_sum = np.zeros(m)
-        for i in range(k):
+        for i in range(n + 1):
             marginal_sum = marginal_sum + singles[:, i]
         tc = _clamp(marginal_sum - joint)
         if kind is MeasureKind.TC:
             return tc
+    faces = oracle.table(n)[boundary_faces(N, n)[rows]] / oracle.log_base
     residual = np.zeros(m)
-    for i in range(k):
-        residual = residual + (joint - entropies([j for j in range(k) if j != i]))
+    for i in range(n + 1):
+        residual = residual + (joint - faces[:, i])
     dtc = _clamp(joint - residual)
     if kind is MeasureKind.DTC:
         return dtc
@@ -210,10 +204,11 @@ def _min_size(kind: MeasureKind) -> int:
 
 
 def _measure_one(oracle: EntropyOracle, subset, kind: MeasureKind) -> float:
-    s = validate_simplex(sorted(int(i) for i in subset), oracle.num_variables - 1)
+    s = sorted(int(i) for i in subset)
+    rank = simplex_rank(s, oracle.num_variables - 1)
     if len(s) < _min_size(kind):
         raise ValidationError(f"need at least {_min_size(kind)} variables, got {len(s)}")
-    return float(measure_values(oracle, np.array([s]), kind)[0])
+    return float(_level_values(oracle, len(s) - 1, kind, slice(rank, rank + 1))[0])
 
 
 def signal_sweep(oracle: EntropyOracle, n: int, kind: MeasureKind) -> np.ndarray:
@@ -224,7 +219,7 @@ def signal_sweep(oracle: EntropyOracle, n: int, kind: MeasureKind) -> np.ndarray
     min_dim = _min_size(kind) - 1
     if not min_dim <= n <= N:
         raise ValidationError(f"dimension n={n} out of range [{min_dim}, {N}] for {kind.value}")
-    return measure_values(oracle, enumerate_simplices(N, n), kind)
+    return _level_values(oracle, n, kind)
 
 
 class SimilarityMetric(Enum):
@@ -257,7 +252,7 @@ def similarity_matrix(oracle, metric: SimilarityMetric) -> np.ndarray:
         if k > 1:
             pairs = enumerate_simplices(k - 1, 1)
             # The mutual information of a pair is its total correlation.
-            mi = measure_values(oracle, pairs, MeasureKind.TC)
+            mi = _level_values(oracle, 1, MeasureKind.TC)
             out[pairs[:, 0], pairs[:, 1]] = out[pairs[:, 1], pairs[:, 0]] = mi
         return out
     if metric is SimilarityMetric.ABS_PEARSON:

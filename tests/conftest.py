@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hyperharmonic import DiscreteSeriesTable, JointDistribution
+from hyperharmonic import DiscreteSeriesTable, GaussianModel, JointDistribution
 
 
 def dense_to_distribution(p: np.ndarray) -> JointDistribution:
@@ -66,6 +66,24 @@ def random_pmf(rng: np.random.Generator, shape, sparsity=0.3):
         p[(0,) * len(shape)] = 1.0
     p /= p.sum()
     return dense_to_distribution(p), p
+
+
+def random_correlation(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
+    """Correlation matrix of a random covariance of the given rank."""
+    M = rng.standard_normal((size, rank))
+    C = M @ M.T
+    d = np.sqrt(np.diag(C))
+    R = C / np.outer(d, d)
+    R = (R + R.T) / 2.0
+    np.fill_diagonal(R, 1.0)
+    return R
+
+
+def five_variable_sources():
+    """A random discrete pmf and a full-rank Gaussian model, five variables each."""
+    dist, _ = random_pmf(np.random.default_rng(5), (2, 3, 2, 2, 3))
+    model = GaussianModel(correlation_matrix=random_correlation(np.random.default_rng(5), 5, 5))
+    return dist, model
 
 
 def random_table(seed: int, sizes, num_samples: int) -> DiscreteSeriesTable:

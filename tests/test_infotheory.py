@@ -23,6 +23,7 @@ from hyperharmonic import (
     total_correlation,
 )
 
+from hyperharmonic import infotheory
 from hyperharmonic.infotheory import resolved_measures
 
 import bruteforce as bf
@@ -30,8 +31,10 @@ from reference import entropy_nats, gaussian_entropy_nats, marginalize
 from conftest import (
     bit_copy,
     correlated_pair,
+    five_variable_sources,
     independent_bits,
     product_distribution,
+    random_correlation,
     random_pmf,
     xor_triple,
 )
@@ -100,17 +103,6 @@ class TestOracle:
         assert (0, 1) in oracle.regularized_subsets
         oracle.entropy((0, 2))
         assert (0, 2) not in oracle.regularized_subsets
-
-
-def random_correlation(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
-    """Correlation matrix of a random covariance of the given rank."""
-    M = rng.standard_normal((size, rank))
-    C = M @ M.T
-    d = np.sqrt(np.diag(C))
-    R = C / np.outer(d, d)
-    R = (R + R.T) / 2.0
-    np.fill_diagonal(R, 1.0)
-    return R
 
 
 class TestEntropyTable:
@@ -325,13 +317,48 @@ class TestSignalSweep:
         assert np.max(np.abs(values)) <= 1e-10
 
     def test_order_matches_simplex_enumeration(self):
-        dist, dense = random_pmf(np.random.default_rng(2), (2, 2, 2, 2))
-        oracle = EntropyOracle(dist)
-        values = signal_sweep(oracle, 2, MeasureKind.S_INFORMATION)
-        subsets = enumerate_simplices(3, 2).tolist()
-        assert subsets == [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
-        for subset, value in zip(subsets, values):
-            assert value == pytest.approx(s_information(oracle, subset), abs=1e-12)
+        # Each sweep entry is its scalar measure to the bit: the whole-level
+        # and the one-row evaluation share one arithmetic.
+        scalar = {
+            MeasureKind.TC: total_correlation,
+            MeasureKind.DTC: dual_total_correlation,
+            MeasureKind.O_INFORMATION: o_information,
+            MeasureKind.S_INFORMATION: s_information,
+            MeasureKind.INTERACTION_INFORMATION: interaction_information,
+        }
+        assert set(scalar) == set(MeasureKind)
+        checked = 0
+        for source in five_variable_sources():
+            for units in ("bits", "nats"):
+                oracle = EntropyOracle(source, units=units)
+                for kind, measure in scalar.items():
+                    first = 2 if kind is MeasureKind.O_INFORMATION else 1
+                    for n in range(first, 5):
+                        subsets = enumerate_simplices(4, n).tolist()
+                        assert subsets == [list(s) for s in itertools.combinations(range(5), n + 1)]
+                        values = signal_sweep(oracle, n, kind)
+                        assert values.tolist() == [measure(oracle, s) for s in subsets]
+                        checked += len(subsets)
+        assert checked == 4 * (4 * 26 + 16)
+
+    def test_scalar_measure_evaluates_one_row(self, monkeypatch):
+        # A scalar call must not pay for its whole level: every array the
+        # measure arithmetic sees holds the one subset's row.
+        lengths = []
+
+        def recording(wrapped):
+            def record(values, *args):
+                lengths.append(len(values))
+                return wrapped(values, *args)
+            return record
+
+        monkeypatch.setattr(infotheory, "_clamp", recording(infotheory._clamp))
+        monkeypatch.setattr(infotheory, "simplex_ranks", recording(infotheory.simplex_ranks))
+        oracle = EntropyOracle(five_variable_sources()[1])
+        for measure in (total_correlation, dual_total_correlation, o_information,
+                        s_information, interaction_information):
+            measure(oracle, (0, 2, 3, 4))
+        assert len(lengths) > 4 and set(lengths) == {1}
 
     def test_rejects_low_dimension_for_o_information(self):
         dist, _ = xor_triple()

@@ -17,6 +17,7 @@ from hyperharmonic import (
     WeightAggregator,
     boundary_faces,
     enumerate_simplices,
+    mutual_information,
     similarity_matrix,
     simplex_count,
     simplex_rank,
@@ -32,6 +33,7 @@ from boundary_reference import boundary_matrix
 from conftest import (
     bit_copy,
     dense_to_distribution,
+    five_variable_sources,
     independent_bits,
     mass_dict,
     random_table,
@@ -317,6 +319,14 @@ class TestSimilarityMatrix:
         dist, _ = xor_triple()
         out = similarity_matrix(EntropyOracle(dist), SimilarityMetric.MUTUAL_INFORMATION)
         assert np.max(np.abs(out)) == 0.0
+
+    def test_mi_is_each_pair_mutual_information(self):
+        for source in five_variable_sources():
+            oracle = EntropyOracle(source)
+            out = similarity_matrix(oracle, SimilarityMetric.MUTUAL_INFORMATION)
+            for i, j in itertools.permutations(range(5), 2):
+                assert out[i, j] == mutual_information(oracle, i, j)
+            assert np.all(np.diag(out) == 0.0) and np.count_nonzero(out) == 20
 
     def test_copied_bits_pearson(self):
         dist, _ = bit_copy(3)
