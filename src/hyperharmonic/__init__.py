@@ -6,7 +6,9 @@ correlation, and their signed difference and sum) over every variable subset,
 arranges them as signals on the standard simplex, and re-expresses those
 signals in the eigenbasis of weighted simplex Laplace operators. Cumulative
 explained-variance reports quantify how much the change of basis concentrates
-each signal, with random-basis and rank-controlled synthetic controls.
+each signal. They are read against the count a random basis would need, a
+closed form of the signal's length, and against a rank-controlled synthetic
+experiment.
 """
 
 from .distribution import (
@@ -57,13 +59,12 @@ from .synth import (
 )
 from .transform import (
     CevReport,
-    ControlComparison,
     HighOrderSignal,
     build_signal,
     cev_report,
-    control_comparison,
     from_fourier,
     measure_reports,
+    random_null,
     to_fourier,
 )
 
@@ -73,7 +74,6 @@ __all__ = [
     "CapacityError",
     "CevReport",
     "ContinuousSeriesTable",
-    "ControlComparison",
     "DiscreteSeriesTable",
     "EntropyOracle",
     "EstimationError",
@@ -92,7 +92,6 @@ __all__ = [
     "boundary_faces",
     "build_signal",
     "cev_report",
-    "control_comparison",
     "copula_gaussian_fit",
     "dual_total_correlation",
     "enumerate_simplices",
@@ -105,6 +104,7 @@ __all__ = [
     "measure_reports",
     "mutual_information",
     "o_information",
+    "random_null",
     "random_rank_covariance",
     "rank_experiment",
     "read_continuous_csv",

@@ -1,8 +1,8 @@
 """Batch command-line pipeline over CSV inputs.
 
 Subcommands mirror the pipeline stages (estimate, complex, signals, spectrum,
-transform, cev), the two control experiments (control-random, control-synth),
-and ``run``, which executes everything end to end into an output directory.
+transform, cev), the rank-controlled experiment (control-synth), and ``run``,
+which executes everything end to end into an output directory.
 Every stage's output is a valid input to the next, so intermediates can be
 inspected or swapped.
 
@@ -40,7 +40,7 @@ _EXIT_CODES = {ValidationError: EXIT_VALIDATION, CapacityError: EXIT_CAPACITY,
 DEFAULT_OUTPUT_DIR = "hyperharmonic_output"
 INCOMPLETE_MARKER = "INCOMPLETE"
 BASIS_FORMAT = 2
-TREE_FORMAT = 4
+TREE_FORMAT = 5
 
 
 @dataclass
@@ -338,16 +338,6 @@ def cmd_cev(args) -> int:
     return EXIT_OK
 
 
-def cmd_control_random(args) -> int:
-    _require_output_parent(args.output)
-    signal = transform.read_signal(args.signal)
-    basis = read_basis(args.basis)
-    comparison = transform.control_comparison(signal, basis, num_random=args.num_random,
-                                              seed=args.seed)
-    transform.control_to_csv(args.output, comparison)
-    return EXIT_OK
-
-
 def cmd_control_synth(args) -> int:
     _, dims, measures = synth.check_experiment(args.ranks, args.replicates, args.samples,
                                                args.size, args.dimensions, args.measures)
@@ -425,7 +415,8 @@ def _run_pipeline(config: PipelineConfig, model, outdir) -> None:
                            for row in _run_dimension(config, oracle, simplex, n, outdir)]
 
         with csv_writer(os.path.join(outdir, "components.csv")) as writer:
-            writer.writerow(["measure", "dimension", "threshold_pct", "fourier_k", "canonical_k"])
+            writer.writerow(["measure", "dimension", "threshold_pct", "fourier_k", "canonical_k",
+                             "random_k"])
             writer.writerows(components_rows)
 
         manifest = {"tree_format": TREE_FORMAT, "config": asdict(config), "versions": _versions()}
@@ -443,6 +434,7 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
     basis = spectral.fourier_basis(simplex, n)
     diagnostics = spectral.basis_diagnostics(simplex, basis)
 
+    null = transform.random_null(basis.weights.size)
     cev_status, rows = {}, []
     for signal, report in transform.measure_reports(oracle, basis, config.measures):
         key = f"{signal.measure.value}_{signal.basis}"
@@ -461,7 +453,8 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
         transform.cev_to_json(cev_path, report)
         if signal.basis == transform.FOURIER and isinstance(canonical, transform.CevReport):
             rows += [[signal.measure.value, n, int(round(threshold * 100)),
-                      report.components_at[threshold], canonical.components_at[threshold]]
+                      report.components_at[threshold], canonical.components_at[threshold],
+                      null.components_at[threshold]]
                      for threshold in transform.CEV_THRESHOLDS]
     diagnostics.update(eigenvalues=basis.eigenvalues.tolist(), cev_status=cev_status)
     write_json(os.path.join(dim_dir, "diagnostics.json"), diagnostics)
@@ -529,15 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", required=True)
     p.add_argument("--output-prefix", required=True)
     p.set_defaults(func=cmd_cev)
-
-    p = sub.add_parser("control-random", help="compare a Fourier basis to random bases")
-    p.add_argument("--signal", required=True)
-    p.add_argument("--basis", required=True)
-    p.add_argument("--num-random", dest="num_random", type=int,
-                   default=transform.DEFAULT_RANDOM_BASES)
-    p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_control_random)
 
     p = sub.add_parser("control-synth", help="rank-controlled synthetic experiment")
     p.add_argument("--ranks", type=_parse_int_list, default=(2, 9))

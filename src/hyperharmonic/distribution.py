@@ -353,7 +353,7 @@ def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
     return ans
 
 
-def _ndtri(y: np.ndarray) -> np.ndarray:
+def normal_quantile(y: np.ndarray) -> np.ndarray:
     """Standard-normal quantile of each y in (0, 1): Cephes ``ndtri`` in NumPy,
     bit-identical to ``scipy.special.ndtri``. Logarithms use ``math.log``, as
     scipy does; ``np.log`` can differ from it in the last places."""
@@ -378,7 +378,7 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
 def _normal_scores(T: int) -> np.ndarray:
     """Read-only normal scores of T samples: entry m is ``ndtri(r / (T + 1))``
     for the average rank r = (m + 2) / 2, m in [0, 2T - 2]."""
-    table = _ndtri(((np.arange(2 * T - 1) + 2) / 2.0) / (T + 1))
+    table = normal_quantile(((np.arange(2 * T - 1) + 2) / 2.0) / (T + 1))
     table.flags.writeable = False
     return table
 

@@ -13,6 +13,7 @@ same oracle for the pairwise values that weight the simplices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from enum import Enum
@@ -21,12 +22,7 @@ import numpy as np
 
 from . import distribution as dist_mod
 from .errors import EstimationError, ValidationError
-from .simplices import (
-    boundary_faces,
-    enumerate_simplices,
-    simplex_rank,
-    simplex_ranks,
-)
+from .simplices import boundary_faces, enumerate_simplices, simplex_rank
 
 NEGATIVE_NOISE_TOLERANCE = 1e-10
 
@@ -120,6 +116,11 @@ def _clamp(values: np.ndarray) -> np.ndarray:
     return np.where((-NEGATIVE_NOISE_TOLERANCE < values) & (values < 0.0), 0.0, values)
 
 
+def _entropies(oracle: EntropyOracle, size: int, ranks) -> np.ndarray:
+    """Entropies of the ``size``-subsets at ``ranks``, in the oracle's unit."""
+    return oracle.table(size)[ranks] / oracle.log_base
+
+
 def _level_values(oracle: EntropyOracle, n: int, kind: MeasureKind, rows=slice(None)):
     """The measure on the n-simplices ``rows`` (default all), n >= 1.
 
@@ -134,25 +135,20 @@ def _level_values(oracle: EntropyOracle, n: int, kind: MeasureKind, rows=slice(N
     N = oracle.num_variables - 1
     subsets = enumerate_simplices(N, n)[rows]
     m = len(subsets)
-    joint = oracle.table(n + 1)[rows] / oracle.log_base
+    joint = _entropies(oracle, n + 1, rows)
     if kind is MeasureKind.INTERACTION_INFORMATION:
-        total = np.zeros(m)
-        for size in range(1, n + 1):
-            sign = -1.0 if size % 2 == 0 else 1.0
-            for gamma in itertools.combinations(range(n + 1), size):
-                ranks = simplex_ranks(subsets[:, gamma], N)
-                total = total + sign * (oracle.table(size)[ranks] / oracle.log_base)
+        ranks = np.arange(*rows.indices(len(oracle.table(n + 1))))
         # The last term, g = s, is the joint entropy.
-        return total + (-1.0 if n % 2 else 1.0) * joint
+        return _inclusion_exclusion(oracle, n, ranks) + (-1.0 if n % 2 else 1.0) * joint
     if kind is not MeasureKind.DTC:
-        singles = oracle.table(1)[subsets] / oracle.log_base
+        singles = _entropies(oracle, 1, subsets)
         marginal_sum = np.zeros(m)
         for i in range(n + 1):
             marginal_sum = marginal_sum + singles[:, i]
         tc = _clamp(marginal_sum - joint)
         if kind is MeasureKind.TC:
             return tc
-    faces = oracle.table(n)[boundary_faces(N, n)[rows]] / oracle.log_base
+    faces = _entropies(oracle, n, boundary_faces(N, n)[rows])
     residual = np.zeros(m)
     for i in range(n + 1):
         residual = residual + (joint - faces[:, i])
@@ -160,6 +156,45 @@ def _level_values(oracle: EntropyOracle, n: int, kind: MeasureKind, rows=slice(N
     if kind is MeasureKind.DTC:
         return dtc
     return tc - dtc if kind is MeasureKind.O_INFORMATION else tc + dtc
+
+
+# Subset ranks held at once by interaction information: 2**(n+1) per n-simplex.
+_RANK_BLOCK = 1 << 19
+
+
+@functools.cache
+def _parents(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each size-subset g of the n + 1 positions of an n-simplex, in
+    lexicographic order: the rank of the first (size + 1)-subset of positions
+    with g as a face, and the column of that face in ``boundary_faces``."""
+    first = np.unique(boundary_faces(n, size), return_index=True)[1]
+    return np.divmod(first, size + 1)
+
+
+def _inclusion_exclusion(oracle: EntropyOracle, n: int, rows: np.ndarray) -> np.ndarray:
+    """-sum (-1)^|g| H(g) over the non-empty g in s other than s, for the
+    n-simplices of ranks ``rows``, added left to right: by size, then g in
+    lexicographic order.
+
+    The ranks of each size are read down the face tables from those one size
+    up, starting at s: g is the face of its parent g + {p} that drops p. Rows
+    go in blocks, so that at most ``_RANK_BLOCK`` ranks are held at once.
+    """
+    N = oracle.num_variables - 1
+    step = max(1, _RANK_BLOCK >> (n + 1))
+    totals = []
+    for start in range(0, len(rows), step):
+        ranks = {n + 1: rows[start:start + step, None]}
+        for size in range(n, 0, -1):
+            parent, drop = _parents(n, size)
+            ranks[size] = boundary_faces(N, size)[ranks[size + 1][:, parent], drop]
+        total = np.zeros(len(ranks[n + 1]))
+        for size in range(1, n + 1):
+            sign = -1.0 if size % 2 == 0 else 1.0
+            terms = sign * _entropies(oracle, size, ranks[size])
+            total = np.cumsum(np.column_stack([total, terms]), axis=1)[:, -1]
+        totals.append(total)
+    return np.concatenate(totals)
 
 
 def mutual_information(oracle: EntropyOracle, i: int, j: int) -> float:

@@ -27,9 +27,12 @@ from .simplices import (
     structural_weights,
 )
 from .spectral import fourier_basis
-from .transform import FOURIER, mean_with_band, measure_reports
+from .transform import FOURIER, measure_reports
 
 RANK_TOLERANCE = 1e-8
+
+# Two-sided 95% normal quantile, for the confidence band over replicates.
+_Z_95 = 1.959963984540054
 
 DEFAULT_SIZE = 9
 DEFAULT_SAMPLES = 10_000
@@ -152,6 +155,18 @@ def check_experiment(ranks, replicates, num_samples, size, dimensions, measures)
     if len(set(ranks)) < len(ranks):
         raise ValidationError(f"ranks must not repeat a value, got {ranks}")
     return ranks, dimensions, measures
+
+
+def mean_with_band(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pointwise mean over the rows of ``curves`` and its 95% normal-approximation
+    band (``_Z_95 * std / sqrt(m)`` over m rows; zero width when m = 1)."""
+    mean = curves.mean(axis=0)
+    m = curves.shape[0]
+    if m > 1:
+        half = _Z_95 * curves.std(axis=0, ddof=1) / np.sqrt(m)
+    else:
+        half = np.zeros_like(mean)
+    return mean, mean - half, mean + half
 
 
 def rank_experiment(

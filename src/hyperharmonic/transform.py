@@ -9,26 +9,21 @@ of the canonical signal, which is what makes cumulative explained variance meani
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError, ValidationError
+from .distribution import normal_quantile
+from .errors import NumericalError, ValidationError
 from .infotheory import EntropyOracle, MeasureKind, signal_sweep
-from .jsonio import csv_writer, integer, number_array, parsing, read_json, write_json
-from .seeding import derive_rng
-from .simplices import DENSE_DIMENSION_CAP
+from .jsonio import integer, number_array, parsing, read_json, write_json
 from .spectral import FourierBasis
 
 CANONICAL = "canonical"
 FOURIER = "fourier"
 
 CEV_THRESHOLDS = (0.60, 0.80, 0.90, 0.95, 0.99)
-
-DEFAULT_RANDOM_BASES = 80
-
-# Two-sided 95% normal quantile, for the confidence band over replicates.
-_Z_95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -103,18 +98,6 @@ class CevReport:
     components_at: dict[float, int]
 
 
-def mean_with_band(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise mean over the rows of ``curves`` and its 95% normal-approximation
-    band (``_Z_95 * std / sqrt(m)`` over m rows; zero width when m = 1)."""
-    mean = curves.mean(axis=0)
-    m = curves.shape[0]
-    if m > 1:
-        half = _Z_95 * curves.std(axis=0, ddof=1) / np.sqrt(m)
-    else:
-        half = np.zeros_like(mean)
-    return mean, mean - half, mean + half
-
-
 def cev_report(signal: HighOrderSignal) -> CevReport:
     """Explained variance of each component, strongest first (ties by canonical
     index), and its running sum."""
@@ -124,11 +107,32 @@ def cev_report(signal: HighOrderSignal) -> CevReport:
         raise NumericalError("all-zero signal: explained variance undefined")
     order = np.argsort(-sq, kind="stable")
     sorted_ev = sq[order] / total
-    cev = np.cumsum(sorted_ev)
+    return _counted(sorted_ev, np.cumsum(sorted_ev))
+
+
+def _counted(sorted_ev: np.ndarray, cev: np.ndarray) -> CevReport:
     components_at = {
         t: int(np.searchsorted(cev, t - 1e-12) + 1) for t in CEV_THRESHOLDS
     }
     return CevReport(sorted_ev=sorted_ev, cev=cev, components_at=components_at)
+
+
+def random_null(d: int) -> CevReport:
+    """The CEV of a random basis as d grows, counted as ``cev_report`` counts.
+
+    In a Haar-random w-orthonormal basis the coefficients of any nonzero
+    signal lie uniformly on a sphere, so they are a standard-normal d-vector up
+    to scale, and its top fraction q of squared entries holds
+    G(q) = 2 a phi(a) + erfc(a / sqrt 2) of the energy, a = Phi^-1(1 - q/2)
+    (Muller 1959; Stigler 1973). The curve is G(k/d) for k = 1..d; it depends
+    on d alone.
+    """
+    if d < 1:
+        raise ValidationError(f"a null curve needs d >= 1, got {d}")
+    a = -normal_quantile(np.arange(1, d + 1) / (2.0 * d))
+    tail = np.fromiter(map(math.erfc, (a / math.sqrt(2.0)).tolist()), float, count=d)
+    cev = 2.0 * a * np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) + tail
+    return _counted(np.diff(cev, prepend=0.0), cev)
 
 
 def measure_reports(oracle: EntropyOracle, basis: FourierBasis, measures):
@@ -144,42 +148,6 @@ def measure_reports(oracle: EntropyOracle, basis: FourierBasis, measures):
             yield signal, report
 
 
-@dataclass(frozen=True)
-class ControlComparison:
-    """Fourier-basis CEV next to the spread of randomly generated bases.
-
-    ``random_cev`` holds one CEV curve per replicate basis; the mean and its
-    95% confidence band use a normal approximation across replicates.
-    """
-
-    fourier_cev: np.ndarray
-    random_cev: np.ndarray
-    random_mean: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-
-
-def control_comparison(signal: HighOrderSignal, basis: FourierBasis,
-                       num_random: int = DEFAULT_RANDOM_BASES, seed: int = 0) -> ControlComparison:
-    """Compare the Fourier CEV curve against ``num_random`` random bases.
-
-    In a Haar-random w-orthonormal basis the coefficients of any nonzero signal
-    lie uniformly on a sphere, so each random curve is drawn as the CEV of a
-    standard-normal d-vector from ``derive_rng(seed, k)``: it depends on d alone.
-    """
-    d = signal.size
-    if num_random < 1:
-        raise ValidationError(f"need at least one random basis, got {num_random}")
-    if num_random * d > DENSE_DIMENSION_CAP**2:
-        raise CapacityError(f"{num_random} curves of {d} entries exceed {DENSE_DIMENSION_CAP}**2")
-    fourier_cev = cev_report(to_fourier(signal, basis)).cev
-    curves = np.empty((num_random, d))
-    for k in range(num_random):
-        draw = derive_rng(seed, k).standard_normal(d)
-        curves[k] = cev_report(HighOrderSignal(signal.dimension, draw, FOURIER)).cev
-    return ControlComparison(fourier_cev, curves, *mean_with_band(curves))
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -191,17 +159,6 @@ def cev_to_json(path, report: CevReport) -> None:
         "cev": report.cev.tolist(),
         "components_at": {f"{t:.2f}": k for t, k in sorted(report.components_at.items())},
     })
-
-
-def control_to_csv(path, comparison: ControlComparison) -> None:
-    """Long-format CSV (basis_kind, replicate, k, cev), plot-ready."""
-    with csv_writer(path) as writer:
-        writer.writerow(["basis_kind", "replicate", "k", "cev"])
-        for k, value in enumerate(comparison.fourier_cev, start=1):
-            writer.writerow(["fourier", 0, k, repr(float(value))])
-        for rep, curve in enumerate(comparison.random_cev, start=1):
-            for k, value in enumerate(curve, start=1):
-                writer.writerow(["random", rep, k, repr(float(value))])
 
 
 def write_signal(path, signal: HighOrderSignal, num_vertices: int | None = None) -> None:

@@ -117,27 +117,18 @@ class TestStepCommands:
         report = json.loads((tmp_path / "cev.json").read_text())
         assert report["cev"] == [1.0]
 
-        ctrl = tmp_path / "ctrl.csv"
-        assert main([
-            "control-random", "--signal", str(signal_path), "--basis", str(basis_path),
-            "--num-random", "3", "--seed", "1", "--output", str(ctrl),
-        ]) == EXIT_OK
-        assert ctrl.read_text().startswith("basis_kind,replicate,k,cev")
-
     def test_missing_input_gives_io_exit(self, tmp_path):
         out = tmp_path / "x.json"
         code = main(["estimate", "--input", str(tmp_path / "nope.csv"), "--output", str(out)])
         assert code == EXIT_IO
 
-    @pytest.mark.parametrize("command", ["estimate", "complex", "transform", "cev",
-                                         "control-random"])
+    @pytest.mark.parametrize("command", ["estimate", "complex", "transform", "cev"])
     def test_missing_output_parent_fails_before_any_input_is_read(self, tmp_path, command,
                                                                     capsys):
         """The inputs are missing too: the output's parent is checked first."""
         absent, target = str(tmp_path / "absent.json"), str(tmp_path / "nodir" / "out.json")
         inputs = {"estimate": ["--input"], "complex": ["--distribution"],
-                  "transform": ["--signal", "--basis"], "cev": ["--signal"],
-                  "control-random": ["--signal", "--basis"]}[command]
+                  "transform": ["--signal", "--basis"], "cev": ["--signal"]}[command]
         output = "--output-prefix" if command == "cev" else "--output"
         argv = [command, *(arg for flag in inputs for arg in (flag, absent)), output, target]
         assert main(argv) == EXIT_IO
@@ -493,22 +484,6 @@ class TestBasisFormat:
         assert np.array_equal(read_signal(hat).coefficients, expected_hat.coefficients)
         assert np.array_equal(read_signal(back).coefficients, expected_back.coefficients)
 
-    def test_control_random_matches_in_process(self, spectrum, tmp_path):
-        from hyperharmonic.transform import control_comparison, control_to_csv, read_signal
-
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        assert main([
-            "control-random", "--signal", str(spectrum["signal"]),
-            "--basis", str(spectrum["basis"]), "--num-random", "4", "--seed", "2",
-            "--output", str(got),
-        ]) == EXIT_OK
-        comparison = control_comparison(
-            read_signal(spectrum["signal"]), self.in_process_basis(spectrum["weights"]),
-            num_random=4, seed=2,
-        )
-        control_to_csv(want, comparison)
-        assert got.read_bytes() == want.read_bytes()
-
     def transform_exit(self, spectrum, tmp_path):
         return main([
             "transform", "--signal", str(spectrum["signal"]), "--basis", str(spectrum["basis"]),
@@ -570,7 +545,7 @@ class TestBasisFormat:
         assert self.transform_exit(spectrum, tmp_path) == EXIT_IO
 
     @pytest.mark.parametrize("weight", ["0", "-1", "NaN", "1e400"])
-    @pytest.mark.parametrize("command", ["transform", "control-random"])
+    @pytest.mark.parametrize("command", ["transform"])
     def test_weights_must_be_finite_and_positive(self, spectrum, tmp_path, command, weight,
                                                  capsys):
         header = json.loads(spectrum["basis"].read_text())
@@ -595,17 +570,6 @@ class TestBasisFormat:
         assert f"error: {spectrum['basis']}: malformed basis file: {key} must hold numbers only" \
             in capsys.readouterr().err
         assert not (tmp_path / "hat.json").exists()
-
-    def test_oversized_num_random_gives_capacity_exit(self, spectrum, tmp_path, capsys):
-        out = tmp_path / "ctrl.csv"
-        assert main([
-            "control-random", "--signal", str(spectrum["signal"]),
-            "--basis", str(spectrum["basis"]), "--num-random", "1000000000000",
-            "--output", str(out),
-        ]) == EXIT_CAPACITY
-        assert "exceed" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestModelFormat:
     @pytest.fixture
@@ -956,6 +920,23 @@ class TestRun:
         assert diagnostics["kernel_dimension"] == 0
         components = (out / "components.csv").read_text().splitlines()
         assert len(components) > 1
+
+    def test_components_carry_the_random_null(self, tmp_path):
+        """``random_k`` reads the dimension's simplex count alone: every
+        measure's row holds ``random_null(d)``'s count."""
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(data), "--dimensions", "2,3",
+                     "--output-dir", str(out)]) == EXIT_OK
+        header, *rows = [line.split(",") for line in
+                         (out / "components.csv").read_text().splitlines()]
+        assert header == ["measure", "dimension", "threshold_pct", "fourier_k", "canonical_k",
+                          "random_k"]
+        assert {row[0] for row in rows} == {"o_information", "s_information"}
+        for _, n, pct, _, _, random_k in rows:
+            d = hyperharmonic.simplex_count(4, int(n))
+            assert int(random_k) == hyperharmonic.random_null(d).components_at[int(pct) / 100]
 
     def test_manifest_replay_is_byte_identical(self, tmp_path):
         data = tmp_path / "xor.csv"
@@ -1462,26 +1443,25 @@ class TestRun:
         assert list(tree_bytes(out)) == [INCOMPLETE_MARKER]
 
     def test_interrupted_csv_write_leaves_no_partial_file(self, tmp_path):
-        from hyperharmonic.transform import ControlComparison, control_to_csv
+        from hyperharmonic.jsonio import csv_writer
 
-        def interrupted():
-            yield np.array([0.5, 1.0])
+        def rows():
+            yield ["k", "cev"]
             raise RuntimeError("interrupted")
 
-        def comparison():
-            curve = np.array([0.75, 1.0])
-            return ControlComparison(fourier_cev=curve, random_cev=interrupted(),
-                                     random_mean=curve, ci_low=curve, ci_high=curve)
+        def write(path):
+            with csv_writer(path) as writer:
+                writer.writerows(rows())
 
-        path = tmp_path / "ctrl.csv"
+        path = tmp_path / "components.csv"
         with pytest.raises(RuntimeError):
-            control_to_csv(path, comparison())
+            write(path)
         assert tree_bytes(tmp_path) == {}
-        earlier = b"basis_kind,replicate,k,cev\nfourier,0,1,0.5\n"
+        earlier = b"k,cev\n1,0.5\n"
         path.write_bytes(earlier)
         with pytest.raises(RuntimeError):
-            control_to_csv(path, comparison())
-        assert tree_bytes(tmp_path) == {"ctrl.csv": earlier}
+            write(path)
+        assert tree_bytes(tmp_path) == {"components.csv": earlier}
 
     def test_units_restored_after_run(self, tmp_path, monkeypatch):
         import hyperharmonic.cli as cli_mod
@@ -1613,7 +1593,6 @@ class TestOptionInventory:
         "spectrum": ["--weights", "--dimensions", "--output-dir"],
         "transform": ["--signal", "--basis", "--inverse", "--output"],
         "cev": ["--signal", "--output-prefix"],
-        "control-random": ["--signal", "--basis", "--num-random", "--seed", "--output"],
         "control-synth": ["--ranks", "--replicates", "--samples", "--size", "--dimensions",
                           "--measures", "--seed", "--output-dir"],
         "run": ["--input", "--kind", "--dimensions", "--measures", "--metric", "--aggregator",
@@ -1671,13 +1650,35 @@ class TestOptionInventory:
                  for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)}
         assert sorted(named - options) == []
 
-    def test_retired_orthonormality_flag_is_a_usage_error(self, tmp_path, capsys):
+    def test_docs_name_only_exported_api(self):
+        """Every ``hh.<name>`` in the Library quickstart block and in each
+        ``docs/*.py`` script, and every name a script imports from the package,
+        is in ``hh.__all__``. The code is parsed, not run."""
+        import ast
+
+        block = re.search(r"```python\n(.*?)```", self.readme_sections()["Library quickstart"],
+                          re.S).group(1)
+        scripts = sorted((self.README.parent / "docs").glob("*.py"))
+        sources = {"README.md": block, **{path.name: path.read_text() for path in scripts}}
+        named = set()
+        for where, text in sources.items():
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and node.value.id == "hh":
+                    named.add((where, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.module == "hyperharmonic":
+                    named |= {(where, alias.name) for alias in node.names}
+        assert "README.md" in {where for where, _ in named}
+        assert sorted(n for n in named if n[1] not in hyperharmonic.__all__) == []
+
+    def test_retired_control_random_is_a_usage_error(self, tmp_path, capsys):
+        """Its null is the ``random_k`` column of a run's components.csv."""
         with pytest.raises(SystemExit) as exc:
             main(["control-random", "--signal", str(tmp_path / "s.json"),
-                  "--basis", str(tmp_path / "b.json"), "--orthonormality", "w",
+                  "--basis", str(tmp_path / "b.json"), "--num-random", "3", "--seed", "0",
                   "--output", str(tmp_path / "ctrl.csv")])
         assert exc.value.code == EXIT_VALIDATION
-        assert "unrecognized arguments: --orthonormality w" in capsys.readouterr().err
+        assert "invalid choice: 'control-random'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1712,7 +1713,7 @@ class TestTreeInventory:
         ])
         assert not [name for name in tree_bytes(out)
                     if name.startswith("dim_") and name.endswith(".npy")]
-        assert json.loads((out / "manifest.json").read_text())["tree_format"] == 4
+        assert json.loads((out / "manifest.json").read_text())["tree_format"] == 5
 
     def test_signals(self, steps, tmp_path):
         out = tmp_path / "signals"
@@ -1896,8 +1897,6 @@ class TestImports:
              "--output-dir", "spectrum"],
             ["transform", "--signal", signal, "--basis", basis, "--output", "hat.json"],
             ["cev", "--signal", "hat.json", "--output-prefix", "cev"],
-            ["control-random", "--signal", signal, "--basis", basis, "--num-random", "3",
-             "--output", "control.csv"],
             ["control-synth", "--ranks", "2,4", "--replicates", "2", "--samples", "300",
              "--size", "4", "--dimensions", "2", "--output-dir", "synth"],
             ["run", "--input", "data.csv", "--kind", "discrete", "--dimensions", "2,3",
@@ -2027,14 +2026,11 @@ class TestControlSynth:
         ]) == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["dimensions"] == [2, 3, 4]
 
-    @pytest.mark.parametrize("command", ["control-synth", "control-random"])
+    @pytest.mark.parametrize("command", ["control-synth"])
     def test_negative_seed_exits_before_any_work(self, tmp_path, command, capsys):
         out = tmp_path / "ctrl"
-        argv = {"control-synth": ["--output-dir", str(out)],
-                "control-random": ["--signal", "s.json", "--basis", "b.json",
-                                   "--output", str(out)]}[command]
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "--seed", "-1", *argv])
+            main([command, "--seed", "-1", "--output-dir", str(out)])
         assert excinfo.value.code == EXIT_VALIDATION
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()

@@ -343,17 +343,18 @@ class TestSignalSweep:
 
     def test_scalar_measure_evaluates_one_row(self, monkeypatch):
         # A scalar call must not pay for its whole level: every array the
-        # measure arithmetic sees holds the one subset's row.
+        # measure arithmetic gathers or clamps holds the one subset's row.
         lengths = []
 
         def recording(wrapped):
-            def record(values, *args):
+            def record(*args):
+                values = wrapped(*args)
                 lengths.append(len(values))
-                return wrapped(values, *args)
+                return values
             return record
 
         monkeypatch.setattr(infotheory, "_clamp", recording(infotheory._clamp))
-        monkeypatch.setattr(infotheory, "simplex_ranks", recording(infotheory.simplex_ranks))
+        monkeypatch.setattr(infotheory, "_entropies", recording(infotheory._entropies))
         oracle = EntropyOracle(five_variable_sources()[1])
         for measure in (total_correlation, dual_total_correlation, o_information,
                         s_information, interaction_information):

@@ -15,22 +15,22 @@ from hyperharmonic import (
     ValidationError,
     build_signal,
     cev_report,
-    control_comparison,
     fourier_basis,
     from_fourier,
     measure_reports,
+    random_null,
     signal_sweep,
     similarity_matrix,
     structural_weights,
     to_fourier,
 )
+from hyperharmonic.seeding import derive_rng
 from hyperharmonic.spectral import FourierBasis
 from hyperharmonic.transform import (
     CANONICAL,
     CEV_THRESHOLDS,
     FOURIER,
     cev_to_json,
-    control_to_csv,
     read_signal,
     write_signal,
 )
@@ -248,24 +248,17 @@ class TestAgainstCachedMatrices:
 
 
 class TestControlComparison:
-    def test_reproducible(self):
-        rng = np.random.default_rng(10)
-        S = random_structural_simplex(4, rng)
-        basis = fourier_basis(S, 2)
-        signal = HighOrderSignal(dimension=2, coefficients=rng.standard_normal(10))
-        first = control_comparison(signal, basis, num_random=5, seed=3)
-        second = control_comparison(signal, basis, num_random=5, seed=3)
-        assert np.array_equal(first.random_cev, second.random_cev)
-        assert np.array_equal(first.fourier_cev, second.fourier_cev)
+    """The Fourier CEV against a random basis's, whose large-d curve is the
+    closed form ``random_null``."""
 
-    def test_adding_replicates_preserves_earlier_ones(self):
-        rng = np.random.default_rng(11)
-        S = random_structural_simplex(3, rng)
-        basis = fourier_basis(S, 1)
-        signal = HighOrderSignal(dimension=1, coefficients=rng.standard_normal(6))
-        small = control_comparison(signal, basis, num_random=3, seed=0)
-        large = control_comparison(signal, basis, num_random=6, seed=0)
-        assert np.array_equal(small.random_cev, large.random_cev[:3])
+    @staticmethod
+    def assert_brackets(d, draws):
+        """At each threshold, ``random_null(d)``'s count lies within the
+        2.5-97.5% range of the counts of the coefficient vectors ``draws``."""
+        reports = [cev_report(HighOrderSignal(1, x)) for x in draws]
+        for t, closed in random_null(d).components_at.items():
+            low, high = np.quantile([r.components_at[t] for r in reports], [0.025, 0.975])
+            assert low <= closed <= high, (t, closed, low, high)
 
     def test_concentrated_signal_beats_random_mean_at_first_component(self):
         rng = np.random.default_rng(12)
@@ -273,74 +266,47 @@ class TestControlComparison:
         basis = fourier_basis(S, 2)
         signal = HighOrderSignal(dimension=2,
                                  coefficients=reference.inverse_matrix(basis)[:, 4].copy())
-        result = control_comparison(signal, basis, num_random=10, seed=7)
-        assert result.fourier_cev[0] == pytest.approx(1.0, abs=1e-10)
-        assert result.random_mean[0] < 1.0
-        assert np.all(result.ci_low <= result.random_mean)
-        assert np.all(result.random_mean <= result.ci_high)
+        fourier = cev_report(to_fourier(signal, basis))
+        null = random_null(signal.size)
+        assert fourier.cev[0] == pytest.approx(1.0, abs=1e-10)
+        assert null.cev[0] < 1.0 and null.cev[-1] == 1.0
+        assert np.all(np.diff(null.cev) > 0) and np.all(np.diff(null.sorted_ev) <= 0)
+        assert all(fourier.components_at[t] == 1 < null.components_at[t]
+                   for t in CEV_THRESHOLDS)
 
-    def test_long_format_csv(self, tmp_path):
-        rng = np.random.default_rng(13)
-        S = random_structural_simplex(3, rng)
-        basis = fourier_basis(S, 1)
-        signal = HighOrderSignal(dimension=1, coefficients=rng.standard_normal(6))
-        result = control_comparison(signal, basis, num_random=2, seed=0)
-        path = tmp_path / "ctrl.csv"
-        control_to_csv(path, result)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "basis_kind,replicate,k,cev"
-        assert len(lines) == 1 + 6 + 2 * 6
-
-    def test_random_curves_do_not_read_the_signal(self):
-        rng = np.random.default_rng(16)
-        basis = fourier_basis(random_structural_simplex(5, rng), 2)
-        one_hot = np.zeros(basis.weights.size)
-        one_hot[3] = 1.0
-        noise = rng.standard_normal(basis.weights.size)
-        curves = [control_comparison(HighOrderSignal(2, x), basis, num_random=4, seed=9).random_cev
-                  for x in (one_hot, noise)]
-        assert curves[0].tobytes() == curves[1].tobytes()
-
-    @pytest.mark.parametrize("d", [10, 35])
-    def test_null_matches_the_reference_qr_draw(self, d):
-        """The mean random curve against the mean over sign-fixed QR bases of
-        ``reference.random_basis``, 2,000 draws each, within |z| <= 4.5 at every
-        k < d. At k = d both curves are 1 up to rounding, so that entry is left out."""
-        draws = 2000
-        rng = np.random.default_rng(17)
-        basis = weighted(rng.uniform(0.1, 5.0, size=d))
-        signal = HighOrderSignal(1, rng.standard_normal(d))
-        ours = control_comparison(signal, basis, num_random=draws, seed=5).random_cev
-        theirs = np.empty((draws, d))
-        for i in range(draws):
-            forward, _ = reference.random_basis(basis, seed=100_000 + i)
-            sq = (forward @ signal.coefficients) ** 2
-            theirs[i] = np.cumsum(np.sort(sq)[::-1] / sq.sum())
-        ours, theirs = ours[:, :-1], theirs[:, :-1]
-        se = np.sqrt((ours.var(axis=0, ddof=1) + theirs.var(axis=0, ddof=1)) / draws)
-        z = (ours.mean(axis=0) - theirs.mean(axis=0)) / se
-        assert np.max(np.abs(z)) <= 4.5, np.max(np.abs(z))
-
-    @pytest.mark.parametrize("d", [35, 165, 1001])
-    def test_counts_bracket_the_closed_form(self, d):
-        """The top fraction q of a standard-normal vector's squared entries holds
-        G(q) = 2(a phi(a) + 1 - Phi(a)) of its energy as d grows, a = Phi^-1(1 - q/2).
-        At each threshold, the fewest k with G(k/d) reaching it lies within the
-        2.5-97.5% range of the counts of 200 random curves at seed 0."""
+    @pytest.mark.parametrize("d", [3, 4, 10, 35, 84, 126, 165, 330, 1001, 3003, 5000])
+    def test_counts_are_the_fewest_k_reaching_each_threshold(self, d):
+        """G(q) = 2(a phi(a) + 1 - Phi(a)), a = Phi^-1(1 - q/2), from
+        ``statistics.NormalDist``: the fewest k with G(k/d) >= t."""
         normal = NormalDist()
 
         def G(q):
             a = normal.inv_cdf(1 - q / 2)
             return 2 * (a * normal.pdf(a) + 1 - normal.cdf(a))
 
-        signal = HighOrderSignal(1, np.ones(d))
-        curves = control_comparison(signal, weighted(np.ones(d)), num_random=200,
-                                    seed=0).random_cev
+        null = random_null(d)
+        assert null.cev.shape == (d,)
         for t in CEV_THRESHOLDS:
-            closed = next(k for k in range(1, d + 1) if G(k / d) >= t)
-            counts = [np.searchsorted(cev, t - 1e-12) + 1 for cev in curves]
-            low, high = np.quantile(counts, [0.025, 0.975])
-            assert low <= closed <= high, (t, closed, low, high)
+            assert null.components_at[t] == next(k for k in range(1, d + 1) if G(k / d) >= t)
+
+    @pytest.mark.parametrize("d", [10, 35, 165])
+    def test_null_matches_the_reference_qr_draw(self, d):
+        """Against 200 sign-fixed QR bases of ``reference.random_basis``."""
+        rng = np.random.default_rng(17)
+        basis = weighted(rng.uniform(0.1, 5.0, size=d))
+        x = rng.standard_normal(d)
+        self.assert_brackets(d, (reference.random_basis(basis, seed=100_000 + i)[0] @ x
+                                 for i in range(200)))
+
+    @pytest.mark.parametrize("d", [35, 165, 1001])
+    def test_counts_bracket_the_closed_form(self, d):
+        """Against 200 standard-normal curves, replicate k drawn from
+        ``derive_rng(0, k)``."""
+        self.assert_brackets(d, (derive_rng(0, k).standard_normal(d) for k in range(200)))
+
+    def test_null_needs_a_component(self):
+        with pytest.raises(ValidationError, match="d >= 1"):
+            random_null(0)
 
 
 class TestMeasureReports:
