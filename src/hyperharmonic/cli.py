@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fnmatch
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -57,8 +56,6 @@ class PipelineConfig:
     measures: tuple[str, ...] = ("o_information", "s_information")
     metric: str = "mutual_information"
     aggregator: str = "mean"
-    smoothing: float = 0.0
-    units: str = "bits"
 
     def validate(self) -> None:
         if not self.input:
@@ -69,12 +66,6 @@ class PipelineConfig:
                 raise ValidationError(
                     f"unknown {key} {value!r}; expected one of: {', '.join(allowed)}")
         infotheory.resolved_measures(self.measures)
-        if not math.isfinite(self.smoothing):
-            raise ValidationError(f"smoothing must be finite, got {self.smoothing}")
-        if self.smoothing < 0:
-            raise ValidationError("smoothing must be >= 0")
-        if self.kind == "continuous" and self.smoothing > 0:
-            raise ValidationError("smoothing applies to discrete input only")
         if self.kind == "continuous" and self.metric == "total_variation":
             raise ValidationError("the total_variation metric needs discrete input")
 
@@ -102,8 +93,6 @@ _CONFIG_PARSERS = {
     "measures": _parse_str_list,
     "metric": str,
     "aggregator": str,
-    "smoothing": float,
-    "units": str,
 }
 
 # The allowed values of each enumerated setting; measures are checked one by one.
@@ -111,13 +100,14 @@ _CHOICES = {
     "kind": ("discrete", "continuous"),
     "metric": tuple(m.value for m in infotheory.SimilarityMetric),
     "aggregator": tuple(a.value for a in simplices.WeightAggregator),
-    "units": ("bits", "nats"),
 }
 
 
-# Settings that became constants, with the one value every format-4 manifest
-# records: an old manifest may still give it, and the key is dropped.
-_RETIRED_KEYS = {"floor": simplices.WEIGHT_FLOOR, "kernel_tol": 1e-8}
+# Settings that became constants, each with its old parser and the one value
+# that a manifest of a default run records: an old manifest may still give
+# that value, and the key is dropped.
+_RETIRED_KEYS = {"floor": (float, simplices.WEIGHT_FLOOR), "kernel_tol": (float, 1e-8),
+                 "smoothing": (float, 0.0), "units": (str, "bits")}
 
 
 def _config_values(items) -> dict:
@@ -125,11 +115,12 @@ def _config_values(items) -> dict:
     values: dict = {}
     for where, key, text in items:
         if key in _RETIRED_KEYS:
+            parse, old = _RETIRED_KEYS[key]
             with contextlib.suppress(ValueError):
-                if float(text) == _RETIRED_KEYS[key]:
+                if parse(text) == old:
                     continue
-            raise ValidationError(f"{where}: {key} is retired and accepts only "
-                                  f"{_RETIRED_KEYS[key]!r}, got {text!r}")
+            raise ValidationError(f"{where}: {key} is retired and accepts only {old!r}, "
+                                  f"got {text!r}")
         if key not in _CONFIG_PARSERS:
             raise ValidationError(f"{where}: unknown key {key!r}")
         try:
@@ -173,7 +164,7 @@ def _read_table(config: PipelineConfig):
 
 def _estimate_model(config: PipelineConfig, table):
     if config.kind == "discrete":
-        return dist_mod.estimate_empirical(table, smoothing=config.smoothing)
+        return dist_mod.estimate_empirical(table)
     return dist_mod.copula_gaussian_fit(table)
 
 
@@ -260,7 +251,7 @@ def _refuse_other_requests(outdir, patterns, ours) -> None:
 
 def cmd_estimate(args) -> int:
     _require_output_parent(args.output)
-    config = PipelineConfig(input=args.input, kind=args.kind, smoothing=args.smoothing)
+    config = PipelineConfig(input=args.input, kind=args.kind)
     config.validate()
     model = _estimate_model(config, _read_table(config))
     dist_mod.write_model(args.output, model)
@@ -403,7 +394,7 @@ def _incomplete_marker(outdir):
 
 
 def _run_pipeline(config: PipelineConfig, model, outdir) -> None:
-    oracle = infotheory.EntropyOracle(model, units=config.units)
+    oracle = infotheory.EntropyOracle(model)
     similarity = infotheory.similarity_matrix(oracle, config.metric)
     simplex = simplices.structural_weights(similarity, config.aggregator)
     with _incomplete_marker(outdir):
@@ -488,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate a distribution or copula model from CSV")
     p.add_argument("--input", required=True)
-    _add_settings(p, "kind", "smoothing")
+    _add_settings(p, "kind")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_estimate)
 

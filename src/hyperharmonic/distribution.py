@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, EstimationError, NumericalError, ValidationError
+from .errors import EstimationError, NumericalError, ValidationError
 from .jsonio import (integer, number_array, parsing, read_header, read_sidecar, read_text,
                      write_json, write_sidecar)
 
@@ -27,9 +27,6 @@ MASS_TOLERANCE = 1e-12
 # Added to the diagonal of correlation submatrices before taking determinants,
 # so rank-deficient models produce finite (if large, negative) entropies.
 GAUSSIAN_DIAGONAL_REGULARIZATION = 1e-12
-
-# Support-size guard for additive smoothing, which densifies the outcome space.
-SMOOTHING_SUPPORT_CAP = 2_000_000
 
 MODEL_FORMAT = 2
 
@@ -198,31 +195,14 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse.reshape(-1)
 
 
-def estimate_empirical(table: DiscreteSeriesTable, smoothing: float = 0.0) -> JointDistribution:
-    """Empirical joint distribution: the relative frequency of each observed tuple.
+def estimate_empirical(table: DiscreteSeriesTable) -> JointDistribution:
+    """Empirical (plug-in) joint distribution: each observed tuple's count over T.
 
-    No smoothing is applied by default, so unobserved outcomes stay absent.
-    With ``smoothing`` alpha > 0, every outcome in the full product alphabet
-    gets mass (count + alpha) / (T + alpha * K); this densifies the support
-    and is guarded by ``SMOOTHING_SUPPORT_CAP``. The masses do not depend on
-    the order of the samples.
+    Unobserved outcomes stay absent. The masses do not depend on the order of
+    the samples.
     """
-    if not (math.isfinite(smoothing) and smoothing >= 0):
-        raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
-    T, samples = table.num_samples, table.samples
-    if smoothing == 0.0:
-        outcomes, groups = distinct_rows(samples)
-        masses = np.bincount(groups) / T
-    else:
-        sizes = table.alphabet_sizes
-        K = math.prod(sizes)
-        if K > SMOOTHING_SUPPORT_CAP:
-            raise CapacityError(
-                f"smoothing would materialize {K} outcomes (cap {SMOOTHING_SUPPORT_CAP})"
-            )
-        counts = np.bincount(np.ravel_multi_index(samples.T, sizes), minlength=K)
-        outcomes = np.column_stack(np.unravel_index(np.arange(K), sizes))
-        masses = (counts + smoothing) / (T + smoothing * K)
+    outcomes, groups = distinct_rows(table.samples)
+    masses = np.bincount(groups) / table.num_samples
     return JointDistribution(table.alphabet_sizes, outcomes, masses)
 
 

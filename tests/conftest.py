@@ -11,6 +11,8 @@ import pytest
 
 from hyperharmonic import DiscreteSeriesTable, GaussianModel, JointDistribution
 
+import dict_reference
+
 
 def dense_to_distribution(p: np.ndarray) -> JointDistribution:
     p = np.asarray(p, dtype=float)
@@ -94,6 +96,14 @@ def random_table(seed: int, sizes, num_samples: int) -> DiscreteSeriesTable:
         samples=np.column_stack([rng.integers(0, a, size=num_samples) for a in sizes]),
         alphabet_sizes=tuple(sizes),
     )
+
+
+def smoothed_distribution(table: DiscreteSeriesTable, alpha: float) -> JointDistribution:
+    """The pmf of ``dict_reference.estimate_empirical`` with additive smoothing
+    ``alpha``: above 0 it gives every outcome of the product alphabet a mass,
+    so the support is dense."""
+    outcomes, masses = zip(*dict_reference.estimate_empirical(table, smoothing=alpha).items())
+    return JointDistribution(table.alphabet_sizes, outcomes, masses)
 
 
 @pytest.fixture

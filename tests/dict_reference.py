@@ -5,7 +5,9 @@ metrics once walked a ``{outcome tuple: mass}`` dict in Python loops. Those
 loops are kept here, unchanged in their arithmetic, as references: the array
 versions must give the same bytes. The array support is in lexicographic
 order, so the tests compare against a reference dict sorted by outcome, and
-total variation walks each variable's values in increasing order.
+total variation walks each variable's values in increasing order. The
+library has no additive smoothing; ``estimate_empirical``'s ``smoothing``
+here builds the dense supports that some tests need.
 """
 
 import itertools

@@ -586,13 +586,17 @@ class TestModelFormat:
         from hyperharmonic import copula_gaussian_fit, estimate_empirical
         from hyperharmonic.distribution import ContinuousSeriesTable, DiscreteSeriesTable
 
+        from conftest import smoothed_distribution
+
         rng = np.random.default_rng(6)
         if kind == "gaussian":
             X = rng.standard_normal((300, 4))
             return copula_gaussian_fit(ContinuousSeriesTable("abcd", samples=X))
         X = rng.integers(0, 3, size=(150, 5))
         table = DiscreteSeriesTable("abcde", samples=X, alphabet_sizes=(3,) * 5)
-        return estimate_empirical(table, smoothing=0.5 if kind == "smoothed" else 0.0)
+        if kind == "smoothed":  # a dense support: all 3**5 outcomes
+            return smoothed_distribution(table, 0.5)
+        return estimate_empirical(table)
 
     @pytest.mark.parametrize("kind", ["empirical", "smoothed", "gaussian"])
     def test_round_trip(self, tmp_path, kind):
@@ -955,9 +959,9 @@ class TestRun:
 
     @pytest.mark.parametrize("flags", [
         ["--dimensions", "2"],
-        ["--units", "nats"],
+        ["--metric", "abs_pearson"],
         ["--input", "other.csv"],
-    ], ids=["dimensions", "units", "input"])
+    ], ids=["dimensions", "metric", "input"])
     def test_manifest_takes_no_pipeline_flag(self, tmp_path, flags, capsys):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
@@ -1015,6 +1019,29 @@ class TestRun:
         assert code == EXIT_OK
         assert tree_bytes(first) == tree_bytes(second)
 
+    def test_manifest_of_a_default_run_with_smoothing_and_units_replays(self, tmp_path):
+        """Every manifest of a default run records smoothing 0.0 and units
+        "bits" from before those settings were retired."""
+        def old(manifest):
+            manifest["config"].update(smoothing=0.0, units="bits")
+
+        first, second, code = self.replay_edited_manifest(tmp_path, old)
+        assert code == EXIT_OK
+        assert tree_bytes(first) == tree_bytes(second)
+        assert "smoothing" not in json.loads((second / "manifest.json").read_text())["config"]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("smoothing", 0.5, "smoothing is retired and accepts only 0.0, got '0.5'"),
+        ("units", "nats", "units is retired and accepts only 'bits', got 'nats'"),
+    ], ids=["smoothing", "units"])
+    def test_manifest_with_another_smoothing_or_units_rejected(self, tmp_path, key, value,
+                                                               message, capsys):
+        _, second, code = self.replay_edited_manifest(
+            tmp_path, lambda manifest: manifest["config"].update({key: value}))
+        assert code == EXIT_VALIDATION
+        assert f"config: {message}" in capsys.readouterr().err
+        assert not second.exists()
+
     def test_manifest_with_another_floor_rejected(self, tmp_path, capsys):
         _, second, code = self.replay_edited_manifest(
             tmp_path, lambda manifest: manifest["config"].update(floor=0.5))
@@ -1071,9 +1098,13 @@ class TestRun:
         ["complex", "--distribution", "d.json", "--output", "w.json", "--floor", "0.5"],
         ["spectrum", "--weights", "w.json", "--output-dir", "o", "--kernel-tol", "1e-6"],
         ["run", "--config", "x", "--output-dir", "o"],
+        ["estimate", "--input", "x.csv", "--output", "m.json", "--smoothing", "0"],
+        ["run", "--smoothing", "0"],
+        ["run", "--units", "bits"],
     ], ids=["run-jobs", "run-laplacian-formula", "run-seed", "run-num-random",
             "spectrum-laplacian-formula", "complex-weights-csv", "run-floor", "run-kernel-tol",
-            "complex-floor", "spectrum-kernel-tol", "run-config"])
+            "complex-floor", "spectrum-kernel-tol", "run-config", "estimate-smoothing",
+            "run-smoothing", "run-units"])
     def test_retired_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -1083,25 +1114,16 @@ class TestRun:
     @pytest.mark.parametrize("key,value,message", [
         ("floor", "nan", "floor is retired and accepts only 1e-09, got 'nan'"),
         ("kernel_tol", "inf", "kernel_tol is retired and accepts only 1e-08, got 'inf'"),
-        ("smoothing", "nan", "smoothing must be finite"),
+        ("smoothing", "nan", "smoothing is retired and accepts only 0.0, got 'nan'"),
     ], ids=["floor", "kernel_tol", "smoothing"])
     def test_non_finite_value_rejected_before_any_output(self, tmp_path, key, value, message,
                                                          capsys):
-        """From a manifest, and from the flag of a setting that has one; the
-        retired floor and kernel_tol can come from a manifest only."""
+        """Each of these settings is retired, so it can come from a manifest only."""
         _, second, code = self.replay_edited_manifest(
             tmp_path, lambda manifest: manifest["config"].update({key: value}))
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not second.exists()
-        if key in _CONFIG_PARSERS:
-            data = tmp_path / "xor.csv"
-            write_xor_csv(data)
-            out = tmp_path / "out"
-            assert main(["run", "--input", str(data), "--" + key, value,
-                         "--output-dir", str(out)]) == EXIT_VALIDATION
-            assert message in capsys.readouterr().err
-            assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--dimensions", "2,2"), ("--measures", "o_information,s_information,o_information"),
@@ -1141,19 +1163,18 @@ class TestRun:
         assert not second.exists()
 
     def test_manifest_smoothing_continuous_input_does_not_replay(self, tmp_path, capsys):
+        """Versions that had smoothing recorded it on continuous input too."""
         def smooth_continuous(manifest):
             manifest["config"].update(kind="continuous", smoothing=0.5)
 
         _, second, code = self.replay_edited_manifest(tmp_path, smooth_continuous)
         assert code == EXIT_VALIDATION
-        assert "smoothing applies to discrete input only" in capsys.readouterr().err
+        assert "smoothing is retired and accepts only 0.0, got '0.5'" in capsys.readouterr().err
         assert not second.exists()
 
     @pytest.mark.parametrize("argv,message", [
-        (["run", "--smoothing", "0.5", "--output-dir"], "smoothing applies to discrete input"),
-        (["estimate", "--smoothing", "0.5", "--output"], "smoothing applies to discrete input"),
         (["run", "--metric", "total_variation", "--output-dir"], "needs discrete input"),
-    ], ids=["run-smoothing", "estimate-smoothing", "run-total-variation"])
+    ], ids=["run-total-variation"])
     def test_continuous_input_option_rejected_before_reading(self, tmp_path, argv, message,
                                                              capsys):
         out = tmp_path / "out"
@@ -1387,13 +1408,12 @@ class TestRun:
         assert all("dim2" in path for path in written if path != INCOMPLETE_MARKER)
 
     @pytest.mark.parametrize("flags, code", [
-        (["--smoothing", "1"], EXIT_CAPACITY),
         (["--kind", "continuous"], EXIT_VALIDATION),
         (["--metric", "abs_pearson"], EXIT_VALIDATION),
-    ], ids=["smoothing-cap", "continuous-constant-column", "abs-pearson-constant-column"])
+    ], ids=["continuous-constant-column", "abs-pearson-constant-column"])
     def test_failed_model_or_weights_leave_no_output_directory(self, tmp_path, flags, code):
-        # Fourteen ternary columns (3**14 outcomes, past the smoothing cap) and
-        # one constant column, on which the copula and abs_pearson are undefined.
+        # Fourteen ternary columns and one constant column, on which the
+        # copula and abs_pearson are undefined.
         rng = np.random.default_rng(4)
         samples = np.hstack([rng.integers(0, 3, size=(40, 14)), np.zeros((40, 1), dtype=int)])
         samples[0, :14] = 2
@@ -1463,41 +1483,6 @@ class TestRun:
             write(path)
         assert tree_bytes(tmp_path) == {"components.csv": earlier}
 
-    def test_units_restored_after_run(self, tmp_path, monkeypatch):
-        import hyperharmonic.cli as cli_mod
-
-        data = tmp_path / "five.csv"
-        write_five_variable_csv(data)
-        argv = ["run", "--input", str(data), "--dimensions", "2"]
-        assert main(argv + ["--output-dir", str(tmp_path / "fresh")]) == EXIT_OK
-        nats = argv + ["--units", "nats"]
-        assert main(nats + ["--output-dir", str(tmp_path / "ok")]) == EXIT_OK
-
-        def boom(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced failure")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(cli_mod.spectral, "fourier_basis", boom)
-            with pytest.raises(np.linalg.LinAlgError):
-                main(nats + ["--output-dir", str(tmp_path / "failed")])
-        assert main(argv + ["--output-dir", str(tmp_path / "again")]) == EXIT_OK
-        assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "fresh")
-
-    def test_units_reach_the_similarity_matrix(self, tmp_path):
-        data = tmp_path / "five.csv"
-        write_five_variable_csv(data)
-        argv = ["run", "--input", str(data), "--dimensions", "2"]
-        assert main(argv + ["--output-dir", str(tmp_path / "bits")]) == EXIT_OK
-        assert main(argv + ["--units", "nats", "--output-dir", str(tmp_path / "nats")]) == EXIT_OK
-
-        def similarity(name):
-            payload = json.loads((tmp_path / name / "weights.json").read_text())
-            return np.array(payload["similarity"])[np.triu_indices(5, k=1)]
-
-        bits = similarity("bits")
-        assert np.all(bits > 0)
-        assert np.allclose(similarity("nats"), bits * math.log(2), rtol=0.0, atol=1e-12)
-
     def test_oversized_dimension_fails_before_estimation(self, tmp_path):
         rng = np.random.default_rng(2)
         data = tmp_path / "v15.csv"
@@ -1531,7 +1516,6 @@ class TestSettingsTable:
     TEXTS = {
         "input": "table.csv", "kind": "continuous", "dimensions": "2, 4",
         "measures": "tc,o_information", "metric": "abs_pearson", "aggregator": "max",
-        "smoothing": "0.5", "units": "nats",
     }
 
     @pytest.mark.parametrize("key", list(_CONFIG_PARSERS))
@@ -1564,15 +1548,17 @@ class TestSettingsTable:
                            + ", ".join(_CHOICES[key])):
             PipelineConfig(input="table.csv", **{key: "other"}).validate()
 
-    @pytest.mark.parametrize("key,old,other", [
-        ("floor", "1e-09", "0.5"), ("kernel_tol", "1e-08", "1e-6"),
-    ], ids=["floor", "kernel_tol"])
-    def test_retired_key_accepts_only_its_old_value(self, tmp_path, key, old, other):
-        """Every format-4 manifest records floor 1e-09 and kernel_tol 1e-08: a
-        manifest may still give either at that value, and the key is dropped."""
+    @pytest.mark.parametrize("key,given,old,other", [
+        ("floor", "1.0e-09", "1e-09", "0.5"), ("kernel_tol", "1.0e-08", "1e-08", "1e-6"),
+        ("smoothing", 0, "0.0", "0.5"), ("units", "bits", "'bits'", "nats"),
+    ], ids=["floor", "kernel_tol", "smoothing", "units"])
+    def test_retired_key_accepts_only_its_old_value(self, tmp_path, key, given, old, other):
+        """Every format-4 manifest records floor 1e-09 and kernel_tol 1e-08, and
+        every default run's manifest smoothing 0.0 and units "bits": a manifest
+        may still give each at that value, read by the key's old parser, and
+        the key is dropped."""
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"config": {"input": "table.csv",
-                                                   key: f"{float(old):.1e}"}}))
+        manifest.write_text(json.dumps({"config": {"input": "table.csv", key: given}}))
         assert _load_manifest_config(manifest) == {"input": "table.csv"}
         manifest.write_text(json.dumps({"config": {key: other}}))
         with pytest.raises(ValidationError, match=f"^{manifest}: config: {key} is retired and "
@@ -1587,7 +1573,7 @@ class TestOptionInventory:
     ENVIRONMENT: list[str] = []
 
     OPTIONS = {
-        "estimate": ["--input", "--kind", "--smoothing", "--output"],
+        "estimate": ["--input", "--kind", "--output"],
         "complex": ["--distribution", "--metric", "--aggregator", "--output", "--boundaries-dir"],
         "signals": ["--distribution", "--dimensions", "--measures", "--output-dir"],
         "spectrum": ["--weights", "--dimensions", "--output-dir"],
@@ -1596,7 +1582,7 @@ class TestOptionInventory:
         "control-synth": ["--ranks", "--replicates", "--samples", "--size", "--dimensions",
                           "--measures", "--seed", "--output-dir"],
         "run": ["--input", "--kind", "--dimensions", "--measures", "--metric", "--aggregator",
-                "--smoothing", "--units", "--manifest", "--output-dir"],
+                "--manifest", "--output-dir"],
     }
 
     def test_each_subcommand_takes_exactly_its_options(self):
@@ -1820,47 +1806,48 @@ class TestImports:
                    or getattr(hyperharmonic, name).__doc__.startswith(name + "(")]
         assert missing == []
 
-    def test_cli_import_does_not_load_scipy_stats(self, tmp_path):
-        loaded = self.run_python(
-            "import sys, hyperharmonic.cli; "
-            "print([m in sys.modules for m in "
-            "('scipy', 'scipy.stats', 'scipy.special', 'scipy.sparse')])",
-            tmp_path,
-        )
-        assert loaded == "[False, False, False, False]"
+    # Prints every scipy module loaded, the package included, then which of
+    # numpy.random and statistics are loaded. Importing numpy.random adds about
+    # 6 MiB of peak RSS, and statistics about 0.5 MiB; only control-synth draws.
+    LOADED = ("print([m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+              "[m for m in ('numpy.random', 'statistics') if m in sys.modules])")
 
-    # Prints the exit code and every scipy module loaded, the package included.
-    SCIPY_MODULES = "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    def test_cli_import_does_not_load_scipy_stats(self, tmp_path):
+        loaded = self.run_python("import sys, hyperharmonic.cli; " + self.LOADED, tmp_path)
+        assert loaded == "[] []"
+
+    # Prints the exit code, then what ``LOADED`` prints.
+    EXIT_AND_LOADED = "print(code, end=' '); " + LOADED
 
     def test_discrete_run_does_not_load_scipy_sparse(self, tmp_path):
         write_five_variable_csv(tmp_path / "data.csv")
         result = self.run_python(
             "import sys; from hyperharmonic.cli import main; "
             "code = main(['run', '--input', 'data.csv', '--kind', 'discrete', "
-            "'--dimensions', '2,3', '--output-dir', 'out']); " + self.SCIPY_MODULES,
+            "'--dimensions', '2,3', '--output-dir', 'out']); " + self.EXIT_AND_LOADED,
             tmp_path,
         )
-        assert result == "0 []"
+        assert result == "0 [] []"
         diagnostics = json.loads((tmp_path / "out" / "dim_3" / "diagnostics.json").read_text())
         assert len(diagnostics["eigenvalues"]) == 5
 
-    @pytest.mark.parametrize("argv", [
-        ["control-synth", "--ranks", "2,4", "--replicates", "2", "--samples", "300",
-         "--size", "4", "--dimensions", "2", "--output-dir", "out"],
-        ["run", "--input", "cont.csv", "--kind", "continuous", "--dimensions", "2",
-         "--output-dir", "out"],
+    @pytest.mark.parametrize("argv, drawn", [
+        (["control-synth", "--ranks", "2,4", "--replicates", "2", "--samples", "300",
+          "--size", "4", "--dimensions", "2", "--output-dir", "out"], "['numpy.random']"),
+        (["run", "--input", "cont.csv", "--kind", "continuous", "--dimensions", "2",
+          "--output-dir", "out"], "[]"),
     ], ids=["control-synth", "continuous-run"])
-    def test_copula_fit_does_not_load_scipy(self, tmp_path, argv):
+    def test_copula_fit_does_not_load_scipy(self, tmp_path, argv, drawn):
         rng = np.random.default_rng(8)
         rows = ["a,b,c,d"] + [",".join(f"{v:.2f}" for v in row)
                               for row in rng.standard_normal((200, 4))]
         (tmp_path / "cont.csv").write_text("\n".join(rows) + "\n")
         result = self.run_python(
             "import sys; from hyperharmonic.cli import main; "
-            f"code = main({argv!r}); " + self.SCIPY_MODULES,
+            f"code = main({argv!r}); " + self.EXIT_AND_LOADED,
             tmp_path,
         )
-        assert result == "0 []"
+        assert result == f"0 [] {drawn}"
         assert (tmp_path / "out" / "manifest.json").exists()
 
     # A finder ahead of every other that fails each scipy import, the package included.

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperharmonic import (
-    CapacityError,
     ContinuousSeriesTable,
     DiscreteSeriesTable,
     EntropyOracle,
@@ -24,7 +23,6 @@ from hyperharmonic import (
 )
 from hyperharmonic import distribution
 from hyperharmonic.distribution import (
-    SMOOTHING_SUPPORT_CAP,
     _normal_scores,
     distinct_rows,
     normal_quantile,
@@ -36,7 +34,8 @@ from hyperharmonic.simplices import enumerate_simplices
 
 import dict_reference
 from reference import average_ranks, entropy, entropy_nats, marginalize
-from conftest import dense_to_distribution, mass_dict, random_pmf, random_table, xor_triple
+from conftest import (dense_to_distribution, mass_dict, random_pmf, random_table,
+                      smoothed_distribution, xor_triple)
 
 
 def make_table(*columns, alphabet_sizes=None):
@@ -144,32 +143,13 @@ class TestEstimateEmpirical:
         with pytest.raises(ValidationError):
             make_table([], alphabet_sizes=[2])
 
-    def test_smoothing_densifies(self):
-        table = make_table([0, 0], [1, 1], alphabet_sizes=[2, 2])
-        dist = estimate_empirical(table, smoothing=1.0)
-        assert len(mass_dict(dist)) == 4
-        assert mass_dict(dist)[(0, 1)] == pytest.approx(3 / 6)
-        assert mass_dict(dist)[(1, 0)] == pytest.approx(1 / 6)
-
-    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -0.5])
-    def test_bad_smoothing_rejected_before_counting(self, smoothing):
-        # The product alphabet is past the smoothing cap, so a value that got
-        # past the check would raise CapacityError instead.
-        table = make_table([0, 1], alphabet_sizes=[SMOOTHING_SUPPORT_CAP + 1])
-        with pytest.raises(ValidationError, match="smoothing"):
-            estimate_empirical(table, smoothing=smoothing)
-        with pytest.raises(CapacityError):
-            estimate_empirical(table, smoothing=0.5)
-
     @given(st.integers(0, 2 ** 31 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=7),
-           st.integers(1, 400), st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]))
+           st.integers(1, 400))
     @settings(max_examples=60, deadline=None)
-    def test_matches_dict_reference(self, seed, sizes, num_samples, smoothing):
+    def test_matches_dict_reference(self, seed, sizes, num_samples):
         table = random_table(seed, sizes, num_samples)
-        dict_reference.assert_same_pmf(
-            estimate_empirical(table, smoothing=smoothing),
-            dict_reference.estimate_empirical(table, smoothing=smoothing),
-        )
+        dict_reference.assert_same_pmf(estimate_empirical(table),
+                                       dict_reference.estimate_empirical(table))
 
 
 class TestJointDistribution:
@@ -292,7 +272,8 @@ class TestMarginalize:
            st.integers(1, 400), st.sampled_from([0.0, 0.5]), st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_dict_reference(self, seed, sizes, num_samples, smoothing, data):
-        dist = estimate_empirical(random_table(seed, sizes, num_samples), smoothing=smoothing)
+        # Smoothing above 0 gives a dense support.
+        dist = smoothed_distribution(random_table(seed, sizes, num_samples), smoothing)
         for _ in range(3):
             subset = tuple(sorted(data.draw(st.sets(
                 st.integers(0, len(sizes) - 1), min_size=1, max_size=len(sizes) - 1))))

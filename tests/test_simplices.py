@@ -24,7 +24,7 @@ from hyperharmonic import (
     structural_weights,
     total_correlation,
 )
-from hyperharmonic.distribution import estimate_empirical, subset_entropies_nats
+from hyperharmonic.distribution import subset_entropies_nats
 from hyperharmonic import simplices
 from hyperharmonic.simplices import WEIGHT_FLOOR, boundary_to_csv, simplex_ranks
 
@@ -37,6 +37,7 @@ from conftest import (
     independent_bits,
     mass_dict,
     random_table,
+    smoothed_distribution,
     xor_triple,
 )
 
@@ -351,7 +352,8 @@ class TestSimilarityMatrix:
            st.integers(1, 400), st.sampled_from([0.0, 0.0, 0.5]))
     @settings(max_examples=40, deadline=None)
     def test_discrete_metrics_match_dict_reference(self, seed, sizes, num_samples, smoothing):
-        dist = estimate_empirical(random_table(seed, sizes, num_samples), smoothing=smoothing)
+        # Smoothing above 0 gives a dense support.
+        dist = smoothed_distribution(random_table(seed, sizes, num_samples), smoothing)
         oracle = EntropyOracle(dist)
         mass, k = mass_dict(dist), len(sizes)
         tv = similarity_matrix(oracle, SimilarityMetric.TOTAL_VARIATION)
