@@ -39,7 +39,7 @@ _EXIT_CODES = {ValidationError: EXIT_VALIDATION, CapacityError: EXIT_CAPACITY,
 DEFAULT_OUTPUT_DIR = "hyperharmonic_output"
 INCOMPLETE_MARKER = "INCOMPLETE"
 BASIS_FORMAT = 2
-TREE_FORMAT = 5
+TREE_FORMAT = 6
 
 
 @dataclass
@@ -203,7 +203,6 @@ def _weights_payload(simplex: simplices.StructuralSimplex, similarity, config) -
     return {
         "num_vertices": simplex.N + 1,
         "aggregator": config.aggregator,
-        "floor": simplices.WEIGHT_FLOOR,
         "metric": config.metric,
         "similarity": np.asarray(similarity).tolist(),
         "weights": {str(n): simplex.weight_vector(n).tolist() for n in range(simplex.N + 1)},
@@ -368,8 +367,8 @@ def cmd_run(args) -> int:
     table = _read_table(config)
     config.dimensions = simplices.resolved_dimensions(config.dimensions, table.num_variables - 1)
     outdir = args.output_dir
-    files = ["diagnostics.json", *(f"{kind}_{name}_{tag}.json" for kind in ("signal", "cev")
-                                   for name in config.measures for tag in ("canonical", "fourier"))]
+    files = ["diagnostics.json", *(f"signal_{name}_{tag}.json" for name in config.measures
+                                   for tag in ("canonical", "fourier"))]
     ours = {path for n in config.dimensions
             for path in (f"dim_{n}", *(os.path.join(f"dim_{n}", name) for name in files))}
     if config.kind == "discrete":
@@ -417,8 +416,9 @@ def _run_pipeline(config: PipelineConfig, model, outdir) -> None:
 def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> list:
     """Write ``dim_<n>`` of a run and return its ``components.csv`` rows.
 
-    One measure's signal pair is alive at a time; the basis dies on return,
-    before the next dimension is assembled.
+    No curve is written: ``cev`` rebuilds one from its signal file. One
+    measure's signal pair is alive at a time; the basis dies on return, before
+    the next dimension is assembled.
     """
     dim_dir = os.path.join(outdir, f"dim_{n}")
     os.makedirs(dim_dir, exist_ok=True)
@@ -431,18 +431,10 @@ def _run_dimension(config: PipelineConfig, oracle, simplex, n: int, outdir) -> l
         key = f"{signal.measure.value}_{signal.basis}"
         transform.write_signal(os.path.join(dim_dir, f"signal_{key}.json"), signal,
                                num_vertices=simplex.N + 1)
-        cev_path = os.path.join(dim_dir, f"cev_{key}.json")
+        cev_status[key] = str(report) if isinstance(report, NumericalError) else "ok"
         if signal.basis == transform.CANONICAL:
             canonical = report
-        if isinstance(report, NumericalError):
-            cev_status[key] = str(report)
-            # An earlier request's CEV file would contradict this status.
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(cev_path)
-            continue
-        cev_status[key] = "ok"
-        transform.cev_to_json(cev_path, report)
-        if signal.basis == transform.FOURIER and isinstance(canonical, transform.CevReport):
+        elif isinstance(report, transform.CevReport) and isinstance(canonical, transform.CevReport):
             rows += [[signal.measure.value, n, int(round(threshold * 100)),
                       report.components_at[threshold], canonical.components_at[threshold],
                       null.components_at[threshold]]

@@ -261,7 +261,6 @@ class SimilarityMetric(Enum):
     """Pairwise dependence metric used to seed the structural weights."""
 
     MUTUAL_INFORMATION = "mutual_information"
-    ABS_PEARSON = "abs_pearson"
     TOTAL_VARIATION = "total_variation"
 
 
@@ -269,56 +268,28 @@ def similarity_matrix(oracle, metric: SimilarityMetric) -> np.ndarray:
     """Symmetric matrix of a pairwise dependence metric, zero diagonal.
 
     ``oracle`` is the run's ``EntropyOracle``: mutual information reads its
-    entropy tables, in its unit, and the other metrics read ``oracle.source``,
-    a JointDistribution or a GaussianModel. Total variation is the distance
-    between each pairwise joint and the product of its marginals, and is only
-    defined for discrete distributions.
+    entropy tables, in its unit. Total variation reads ``oracle.source``: it is
+    the distance between each pairwise joint and the product of its
+    marginals, and is only defined for discrete distributions.
     """
     if not isinstance(oracle, EntropyOracle):
         raise ValidationError(
             f"similarity_matrix needs an EntropyOracle, got {type(oracle).__name__}; "
             "wrap the model in EntropyOracle(...)"
         )
-    metric = SimilarityMetric(metric)
     source = oracle.source
+    if SimilarityMetric(metric) is SimilarityMetric.TOTAL_VARIATION:
+        if isinstance(source, dist_mod.GaussianModel):
+            raise EstimationError("total variation requires a discrete distribution")
+        return _total_variation_discrete(source)
     k = source.num_variables
     out = np.zeros((k, k))
-    if metric is SimilarityMetric.MUTUAL_INFORMATION:
-        if k > 1:
-            pairs = enumerate_simplices(k - 1, 1)
-            # The mutual information of a pair is its total correlation.
-            mi = _level_values(oracle, 1, MeasureKind.TC)
-            out[pairs[:, 0], pairs[:, 1]] = out[pairs[:, 1], pairs[:, 0]] = mi
-        return out
-    if metric is SimilarityMetric.ABS_PEARSON:
-        if isinstance(source, dist_mod.GaussianModel):
-            out = np.abs(source.correlation_matrix).astype(float)
-            np.fill_diagonal(out, 0.0)
-            return out
-        return _abs_pearson_discrete(source)
-    if isinstance(source, dist_mod.GaussianModel):
-        raise EstimationError("total variation requires a discrete distribution")
-    return _total_variation_discrete(source)
-
-
-def _abs_pearson_discrete(dist) -> np.ndarray:
-    # Each moment adds the support rows one after another along axis 0, the
-    # order of the former per-outcome loop; a BLAS product would reorder the
-    # sums and move the last bits.
-    X = dist.outcomes.astype(float)
-    p = dist.masses[:, None]
-    weighted = p * X
-    mean = weighted.sum(axis=0)
-    second = (weighted * X).sum(axis=0)
-    cross = np.stack([(X[:, i, None] * X * p).sum(axis=0) for i in range(X.shape[1])])
-    var = second - mean**2
-    if np.any(var <= 0):
-        bad = int(np.argmin(var))
-        raise EstimationError(f"variable {bad} is constant; correlation undefined")
-    cov = cross - np.outer(mean, mean)
-    corr = np.abs(cov / np.sqrt(np.outer(var, var)))
-    np.fill_diagonal(corr, 0.0)
-    return corr
+    if k > 1:
+        pairs = enumerate_simplices(k - 1, 1)
+        # The mutual information of a pair is its total correlation.
+        mi = _level_values(oracle, 1, MeasureKind.TC)
+        out[pairs[:, 0], pairs[:, 1]] = out[pairs[:, 1], pairs[:, 0]] = mi
+    return out
 
 
 def _total_variation_discrete(dist) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The dict-of-tuples pmf code that the array support replaced.
 
-``estimate_empirical``, ``marginalize`` and the two discrete similarity
-metrics once walked a ``{outcome tuple: mass}`` dict in Python loops. Those
+``estimate_empirical``, ``marginalize`` and the total variation similarity
+once walked a ``{outcome tuple: mass}`` dict in Python loops. Those
 loops are kept here, unchanged in their arithmetic, as references: the array
 versions must give the same bytes. The array support is in lexicographic
 order, so the tests compare against a reference dict sorted by outcome, and
@@ -38,25 +38,6 @@ def marginalize(mass: dict, subset) -> dict:
         key = tuple(outcome[i] for i in subset)
         out[key] = out.get(key, 0.0) + p
     return out
-
-
-def abs_pearson(mass: dict, k: int) -> np.ndarray:
-    """Returns None where a variable is constant (the library raises)."""
-    mean = np.zeros(k)
-    second = np.zeros(k)
-    cross = np.zeros((k, k))
-    for outcome, p in mass.items():
-        x = np.asarray(outcome, dtype=float)
-        mean += p * x
-        second += p * x * x
-        cross += p * np.outer(x, x)
-    var = second - mean**2
-    if np.any(var <= 0):
-        return None
-    cov = cross - np.outer(mean, mean)
-    corr = np.abs(cov / np.sqrt(np.outer(var, var)))
-    np.fill_diagonal(corr, 0.0)
-    return corr
 
 
 def total_variation(mass: dict, k: int) -> np.ndarray:

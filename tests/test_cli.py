@@ -33,6 +33,7 @@ from hyperharmonic.cli import (
 )
 from hyperharmonic.errors import NumericalError, ValidationError
 from hyperharmonic.infotheory import MeasureKind
+from hyperharmonic.transform import CEV_THRESHOLDS, cev_report, read_signal
 
 
 def write_xor_csv(path):
@@ -289,6 +290,21 @@ class TestStepCommands:
         assert code == EXIT_VALIDATION
         assert f"error: {weights}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_spectrum_reads_a_weights_file_with_the_retired_floor(self, tmp_path):
+        """Before tree format 6 a weights file also recorded the constant floor."""
+        data, dist, weights = (tmp_path / name for name in ("xor.csv", "dist.json", "weights.json"))
+        write_xor_csv(data)
+        assert main(["estimate", "--input", str(data), "--output", str(dist)]) == EXIT_OK
+        assert main(["complex", "--distribution", str(dist), "--output", str(weights)]) == EXIT_OK
+        payload = json.loads(weights.read_text())
+        assert "floor" not in payload
+        old = tmp_path / "old_weights.json"
+        old.write_text(json.dumps({**payload, "floor": 1e-09}))
+        for source, out in ((weights, "new"), (old, "old")):
+            assert main(["spectrum", "--weights", str(source),
+                         "--output-dir", str(tmp_path / out)]) == EXIT_OK
+        assert tree_bytes(tmp_path / "new") == tree_bytes(tmp_path / "old")
 
     def test_spectrum_checks_every_dimension_before_writing(self, tmp_path, capsys):
         weights = tmp_path / "weights.json"
@@ -896,7 +912,6 @@ class TestRun:
         diagnostics = json.loads((out / "dim_2" / "diagnostics.json").read_text())
         status = diagnostics["cev_status"]
         assert "undefined" in status["o_information_canonical"]
-        assert not (out / "dim_2" / "cev_o_information_canonical.json").exists()
 
     def test_continuous_run_via_copula(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -942,6 +957,24 @@ class TestRun:
             d = hyperharmonic.simplex_count(4, int(n))
             assert int(random_k) == hyperharmonic.random_null(d).components_at[int(pct) / 100]
 
+    def test_components_count_the_signal_files(self, tmp_path):
+        """``fourier_k`` and ``canonical_k`` are what ``cev`` counts on the signal
+        files beside them."""
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        out = tmp_path / "out"
+        measures = ["o_information", "s_information", "tc", "dtc"]
+        assert main(["run", "--input", str(data), "--dimensions", "2,3",
+                     "--measures", ",".join(measures), "--output-dir", str(out)]) == EXIT_OK
+        _, *rows = [line.split(",") for line in
+                    (out / "components.csv").read_text().splitlines()]
+        assert sorted((m, int(n)) for m, n, *_ in rows) \
+            == sorted((m, n) for m in measures for n in (2, 3) for _ in CEV_THRESHOLDS)
+        for measure, n, pct, fourier_k, canonical_k, _ in rows:
+            for basis, k in (("fourier", fourier_k), ("canonical", canonical_k)):
+                signal = read_signal(out / f"dim_{n}" / f"signal_{measure}_{basis}.json")
+                assert int(k) == cev_report(signal).components_at[int(pct) / 100]
+
     def test_manifest_replay_is_byte_identical(self, tmp_path):
         data = tmp_path / "xor.csv"
         write_xor_csv(data)
@@ -959,7 +992,7 @@ class TestRun:
 
     @pytest.mark.parametrize("flags", [
         ["--dimensions", "2"],
-        ["--metric", "abs_pearson"],
+        ["--metric", "total_variation"],
         ["--input", "other.csv"],
     ], ids=["dimensions", "metric", "input"])
     def test_manifest_takes_no_pipeline_flag(self, tmp_path, flags, capsys):
@@ -1048,6 +1081,21 @@ class TestRun:
         assert code == EXIT_VALIDATION
         assert "config: floor is retired and accepts only 1e-09, got '0.5'" \
             in capsys.readouterr().err
+        assert not second.exists()
+
+    def test_abs_pearson_is_an_unknown_metric(self, tmp_path, capsys):
+        """It read discrete symbol codes as numbers, so a relabelling moved the
+        weights. A manifest or a flag that gives it exits 2 before any output."""
+        _, second, code = self.replay_edited_manifest(
+            tmp_path, lambda manifest: manifest["config"].update(metric="abs_pearson"))
+        assert code == EXIT_VALIDATION
+        assert "error: unknown metric 'abs_pearson'; expected one of: mutual_information, " \
+            "total_variation" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(tmp_path / "d.csv"), "--metric", "abs_pearson",
+                  "--output-dir", str(second)])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "invalid choice: 'abs_pearson'" in capsys.readouterr().err
         assert not second.exists()
 
     def test_ill_conditioned_operator_has_no_kernel(self, tmp_path):
@@ -1183,7 +1231,7 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("metric", ["mutual_information", "abs_pearson", "total_variation"])
+    @pytest.mark.parametrize("metric", ["mutual_information", "total_variation"])
     def test_run_equals_the_stage_commands(self, tmp_path, metric):
         data = tmp_path / "five.csv"
         write_five_variable_csv(data)
@@ -1269,7 +1317,7 @@ class TestRun:
         (["--dimensions", "2"], ["--dimensions", "2", "--kind", "continuous"],
          "distribution_masses.npy"),
         (["--dimensions", "2"], ["--dimensions", "2", "--measures", "tc"],
-         os.path.join("dim_2", "cev_o_information_canonical.json")),
+         os.path.join("dim_2", "signal_o_information_canonical.json")),
     ], ids=["dimension", "discrete-model-arrays", "measures"])
     def test_refuses_a_directory_holding_another_tree(self, tmp_path, first, second, entry,
                                                       capsys):
@@ -1325,7 +1373,31 @@ class TestRun:
         assert main(argv + ["2,3"]) == EXIT_OK
         assert tree_bytes(out) == before
 
-    def test_undefined_cev_removes_the_file_an_earlier_request_wrote(self, tmp_path):
+    def test_refuses_a_format_5_tree_holding_cev_files(self, tmp_path, capsys):
+        """Up to tree format 5, ``run`` wrote each signal's curve beside it, as
+        ``cev`` writes it. Such a tree is left whole; its manifest still replays."""
+        data = tmp_path / "five.csv"
+        write_five_variable_csv(data)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        argv = ["run", "--input", str(data), "--dimensions", "2"]
+        assert main(argv + ["--output-dir", str(out)]) == EXIT_OK
+        new = tree_bytes(out)
+        for signal in sorted((out / "dim_2").glob("signal_*.json")):
+            prefix = signal.with_name(signal.stem.replace("signal_", "cev_", 1))
+            assert main(["cev", "--signal", str(signal), "--output-prefix", str(prefix)]) \
+                == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        (out / "manifest.json").write_text(json.dumps({**manifest, "tree_format": 5}))
+        before = tree_bytes(out)
+        assert main(argv + ["--output-dir", str(out)]) == EXIT_IO
+        assert f"error: {out / 'dim_2' / 'cev_o_information_canonical.json'}: left by another " \
+            "request" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+        assert main(["run", "--manifest", str(out / "manifest.json"),
+                     "--output-dir", str(fresh)]) == EXIT_OK
+        assert tree_bytes(fresh) == new
+
+    def test_undefined_cev_replaces_the_status_an_earlier_request_wrote(self, tmp_path):
         ternary, binary = tmp_path / "ternary.csv", tmp_path / "binary.csv"
         X = np.random.default_rng(5).integers(0, 3, size=(200, 4))
         X[:, 2] = (X[:, 0] + X[:, 1]) % 3
@@ -1335,10 +1407,11 @@ class TestRun:
         binary.write_text("\n".join(["a,b,c,d"] + rows) + "\n")
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         argv = ["run", "--dimensions", "2", "--input"]
+        diagnostics = out / "dim_2" / "diagnostics.json"
         assert main(argv + [str(ternary), "--output-dir", str(out)]) == EXIT_OK
-        assert len([name for name in os.listdir(out / "dim_2") if name.startswith("cev_")]) == 4
+        assert set(json.loads(diagnostics.read_text())["cev_status"].values()) == {"ok"}
         assert main(argv + [str(binary), "--output-dir", str(out)]) == EXIT_OK
-        status = json.loads((out / "dim_2" / "diagnostics.json").read_text())["cev_status"]
+        status = json.loads(diagnostics.read_text())["cev_status"]
         assert len(status) == 4 and "ok" not in status.values()
         assert main(argv + [str(binary), "--output-dir", str(fresh)]) == EXIT_OK
         assert tree_bytes(out) == tree_bytes(fresh)
@@ -1409,11 +1482,10 @@ class TestRun:
 
     @pytest.mark.parametrize("flags, code", [
         (["--kind", "continuous"], EXIT_VALIDATION),
-        (["--metric", "abs_pearson"], EXIT_VALIDATION),
-    ], ids=["continuous-constant-column", "abs-pearson-constant-column"])
+    ], ids=["continuous-constant-column"])
     def test_failed_model_or_weights_leave_no_output_directory(self, tmp_path, flags, code):
         # Fourteen ternary columns and one constant column, on which the
-        # copula and abs_pearson are undefined.
+        # copula is undefined.
         rng = np.random.default_rng(4)
         samples = np.hstack([rng.integers(0, 3, size=(40, 14)), np.zeros((40, 1), dtype=int)])
         samples[0, :14] = 2
@@ -1515,7 +1587,7 @@ class TestSettingsTable:
 
     TEXTS = {
         "input": "table.csv", "kind": "continuous", "dimensions": "2, 4",
-        "measures": "tc,o_information", "metric": "abs_pearson", "aggregator": "max",
+        "measures": "tc,o_information", "metric": "total_variation", "aggregator": "max",
     }
 
     @pytest.mark.parametrize("key", list(_CONFIG_PARSERS))
@@ -1687,8 +1759,7 @@ class TestTreeInventory:
         ]) == EXIT_OK
         per_dimension = [
             "diagnostics.json",
-            *(f"{kind}_{measure}_{basis}.json"
-              for kind in ("cev", "signal")
+            *(f"signal_{measure}_{basis}.json"
               for measure in ("o_information", "s_information")
               for basis in ("canonical", "fourier")),
         ]
@@ -1699,7 +1770,7 @@ class TestTreeInventory:
         ])
         assert not [name for name in tree_bytes(out)
                     if name.startswith("dim_") and name.endswith(".npy")]
-        assert json.loads((out / "manifest.json").read_text())["tree_format"] == 5
+        assert json.loads((out / "manifest.json").read_text())["tree_format"] == 6
 
     def test_signals(self, steps, tmp_path):
         out = tmp_path / "signals"

@@ -32,7 +32,6 @@ import dict_reference
 from boundary_reference import boundary_matrix
 from conftest import (
     bit_copy,
-    dense_to_distribution,
     five_variable_sources,
     independent_bits,
     mass_dict,
@@ -329,17 +328,6 @@ class TestSimilarityMatrix:
                 assert out[i, j] == mutual_information(oracle, i, j)
             assert np.all(np.diag(out) == 0.0) and np.count_nonzero(out) == 20
 
-    def test_copied_bits_pearson(self):
-        dist, _ = bit_copy(3)
-        out = similarity_matrix(EntropyOracle(dist), SimilarityMetric.ABS_PEARSON)
-        off = out[~np.eye(3, dtype=bool)]
-        assert np.allclose(off, 1.0)
-
-    def test_constant_variable_pearson_rejected(self):
-        dist = dense_to_distribution(np.array([[0.5, 0.5]]))
-        with pytest.raises(EstimationError):
-            similarity_matrix(EntropyOracle(dist), SimilarityMetric.ABS_PEARSON)
-
     def test_total_variation_zero_iff_independent(self):
         dist, _ = independent_bits(3)
         out = similarity_matrix(EntropyOracle(dist), SimilarityMetric.TOTAL_VARIATION)
@@ -354,29 +342,13 @@ class TestSimilarityMatrix:
     def test_discrete_metrics_match_dict_reference(self, seed, sizes, num_samples, smoothing):
         # Smoothing above 0 gives a dense support.
         dist = smoothed_distribution(random_table(seed, sizes, num_samples), smoothing)
-        oracle = EntropyOracle(dist)
-        mass, k = mass_dict(dist), len(sizes)
-        tv = similarity_matrix(oracle, SimilarityMetric.TOTAL_VARIATION)
-        assert tv.tobytes() == dict_reference.total_variation(mass, k).tobytes()
-        expected = dict_reference.abs_pearson(mass, k)
-        if expected is None:
-            with pytest.raises(EstimationError, match="constant"):
-                similarity_matrix(oracle, SimilarityMetric.ABS_PEARSON)
-        else:
-            assert similarity_matrix(oracle, SimilarityMetric.ABS_PEARSON).tobytes() \
-                == expected.tobytes()
+        tv = similarity_matrix(EntropyOracle(dist), SimilarityMetric.TOTAL_VARIATION)
+        assert tv.tobytes() == dict_reference.total_variation(mass_dict(dist), len(sizes)).tobytes()
 
     def test_total_variation_needs_discrete(self):
         model = GaussianModel(correlation_matrix=np.eye(2))
         with pytest.raises(EstimationError):
             similarity_matrix(EntropyOracle(model), SimilarityMetric.TOTAL_VARIATION)
-
-    def test_gaussian_pearson(self):
-        R = np.array([[1.0, -0.3], [-0.3, 1.0]])
-        oracle = EntropyOracle(GaussianModel(correlation_matrix=R))
-        out = similarity_matrix(oracle, SimilarityMetric.ABS_PEARSON)
-        assert out[0, 1] == pytest.approx(0.3)
-        assert out[0, 0] == 0.0
 
     def test_gaussian_mi_closed_form(self):
         rho = 0.5

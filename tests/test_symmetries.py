@@ -2,7 +2,8 @@
 
 Each test transforms the input in a way that leaves the paper's quantities
 unchanged and compares the two output trees: byte for byte where the
-arithmetic is order-free, and otherwise every CEV curve within 1e-9.
+arithmetic is order-free, and otherwise every CEV curve within 1e-9, each
+recomputed from its signal file as the ``cev`` command does.
 ``manifest.json`` names the input file, so it is left out of every comparison.
 The ``estimate`` rows check the same symmetries where the reader hands the
 table to the estimators, and the ``signals`` and ``cev`` rows check the two
@@ -26,7 +27,7 @@ import numpy as np
 
 import hyperharmonic
 from hyperharmonic.cli import EXIT_OK, main
-from hyperharmonic.transform import HighOrderSignal, write_signal
+from hyperharmonic.transform import HighOrderSignal, cev_report, read_signal, write_signal
 
 from test_cli import tree_bytes
 
@@ -51,12 +52,12 @@ def write_csv(path, X) -> None:
     path.write_text("\n".join([",".join(names)] + rows) + "\n")
 
 
-def run_tree(tmp_path, name, X, kind, dimensions="2,3") -> dict:
-    """The ``run`` tree of table ``X``, without ``manifest.json``."""
+def run_tree(tmp_path, name, X, kind, dimensions="2,3", metric="mutual_information") -> dict:
+    """The ``run`` tree of table ``X`` in ``tmp_path / name``, without ``manifest.json``."""
     data, out = tmp_path / f"{name}.csv", tmp_path / name
     write_csv(data, X)
     assert main(["run", "--input", str(data), "--kind", kind, "--dimensions", dimensions,
-                 "--output-dir", str(out)]) == EXIT_OK
+                 "--metric", metric, "--output-dir", str(out)]) == EXIT_OK
     tree = tree_bytes(out)
     del tree["manifest.json"]
     return tree
@@ -72,13 +73,14 @@ def estimate_files(tmp_path, name, X, kind) -> dict:
     return tree_bytes(out)
 
 
-def assert_cevs_close(first: dict, second: dict) -> None:
-    """The two trees hold the same CEV files, each curve within ``CEV_TOLERANCE``."""
-    names = sorted(name for name in first if os.path.basename(name).startswith("cev_"))
+def assert_cevs_close(first, second) -> None:
+    """The two run directories hold the same signal files, and the CEV curve of
+    each agrees within ``CEV_TOLERANCE``."""
+    names = sorted(path.relative_to(first) for path in first.glob("dim_*/signal_*.json"))
     assert names
-    assert names == sorted(name for name in second if os.path.basename(name).startswith("cev_"))
+    assert names == sorted(path.relative_to(second) for path in second.glob("dim_*/signal_*.json"))
     for name in names:
-        a, b = (np.array(json.loads(tree[name])["cev"]) for tree in (first, second))
+        a, b = (cev_report(read_signal(root / name)).cev for root in (first, second))
         assert a.shape == b.shape, name
         assert np.max(np.abs(a - b)) <= CEV_TOLERANCE, name
 
@@ -137,8 +139,9 @@ def test_increasing_map_of_continuous_columns_leaves_the_tree_unchanged(tmp_path
 def test_continuous_row_order_moves_no_cev(tmp_path):
     Z = continuous_table(4)
     shuffled = Z[np.random.default_rng(5).permutation(len(Z))]
-    assert_cevs_close(run_tree(tmp_path, "a", Z, "continuous"),
-                      run_tree(tmp_path, "b", shuffled, "continuous"))
+    run_tree(tmp_path, "a", Z, "continuous")
+    run_tree(tmp_path, "b", shuffled, "continuous")
+    assert_cevs_close(tmp_path / "a", tmp_path / "b")
 
 
 def test_discrete_column_reversal_moves_no_cev(tmp_path):
@@ -146,7 +149,7 @@ def test_discrete_column_reversal_moves_no_cev(tmp_path):
     a, b = (run_tree(tmp_path, name, table, "discrete", dimensions="2,3,4")
             for name, table in (("a", X), ("b", X[:, ::-1])))
     assert a["components.csv"] == b["components.csv"]
-    assert_cevs_close(a, b)
+    assert_cevs_close(tmp_path / "a", tmp_path / "b")
 
 
 def test_continuous_column_reversal_moves_no_cev(tmp_path):
@@ -154,21 +157,34 @@ def test_continuous_column_reversal_moves_no_cev(tmp_path):
     a, b = (run_tree(tmp_path, name, table, "continuous", dimensions="2,3,4")
             for name, table in (("a", Z), ("b", Z[:, ::-1])))
     assert a["components.csv"] == b["components.csv"]
-    assert_cevs_close(a, b)
+    assert_cevs_close(tmp_path / "a", tmp_path / "b")
+
+
+def relabelled(X) -> np.ndarray:
+    """``X`` with each column's three symbols permuted."""
+    rng = np.random.default_rng(7)
+    maps = [rng.permutation(3) for _ in range(X.shape[1])]
+    out = np.column_stack([m[X[:, j]] for j, m in enumerate(maps)])
+    assert not np.array_equal(out, X)
+    return out
 
 
 def test_relabelled_symbols_move_no_cev_under_mutual_information(tmp_path):
     """Mutual information, the default metric, reads only which samples share a
-    symbol. ``abs_pearson`` and ``total_variation`` read the symbol values
-    themselves, so a relabelling changes their weights by definition; they
-    have no row here."""
+    symbol, so it is invariant under any bijection of the symbols."""
     X = discrete_table(6)
-    rng = np.random.default_rng(7)
-    maps = [rng.permutation(3) for _ in range(X.shape[1])]
-    relabelled = np.column_stack([m[X[:, j]] for j, m in enumerate(maps)])
-    assert not np.array_equal(relabelled, X)
-    assert_cevs_close(run_tree(tmp_path, "a", X, "discrete"),
-                      run_tree(tmp_path, "b", relabelled, "discrete"))
+    run_tree(tmp_path, "a", X, "discrete")
+    run_tree(tmp_path, "b", relabelled(X), "discrete")
+    assert_cevs_close(tmp_path / "a", tmp_path / "b")
+
+
+def test_relabelled_symbols_move_no_cev_under_total_variation(tmp_path):
+    """Under a relabelling, 1/2 sum |p(a, b) - p(a) p(b)| only permutes its
+    terms, which moves each weight by the rounding of their new order."""
+    X = discrete_table(6)
+    run_tree(tmp_path, "a", X, "discrete", metric="total_variation")
+    run_tree(tmp_path, "b", relabelled(X), "discrete", metric="total_variation")
+    assert_cevs_close(tmp_path / "a", tmp_path / "b")
 
 
 def test_blas_thread_count_moves_no_cev(tmp_path):
@@ -193,7 +209,7 @@ def test_blas_thread_count_moves_no_cev(tmp_path):
         assert proc.returncode == EXIT_OK, proc.stderr
         trees.append(tree_bytes(out))
     assert trees[0]["components.csv"] == trees[1]["components.csv"]
-    assert_cevs_close(*trees)
+    assert_cevs_close(tmp_path / "threads_1", tmp_path / "threads_2")
 
 
 def signal_files(tmp_path, name, X) -> dict:
@@ -230,10 +246,7 @@ def test_relabelled_symbols_move_the_signals_within_rounding(tmp_path):
     entropy. Over 20 seeded tables the largest change to a signal was 10.2
     machine epsilons of its largest magnitude; this table moves one by 7.6."""
     X = discrete_table(6)
-    rng = np.random.default_rng(7)
-    maps = [rng.permutation(3) for _ in range(X.shape[1])]
-    relabelled = np.column_stack([m[X[:, j]] for j, m in enumerate(maps)])
-    first, second = signal_files(tmp_path, "a", X), signal_files(tmp_path, "b", relabelled)
+    first, second = signal_files(tmp_path, "a", X), signal_files(tmp_path, "b", relabelled(X))
     assert sorted(first) == sorted(second)
     for name in first:
         a, b = (np.array(json.loads(files[name])["coefficients"]) for files in (first, second))
